@@ -1,13 +1,12 @@
 #include "core/advisor.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "core/cost_model.h"
 
 namespace pctagg {
 
-VpctStrategy StrategyAdvisor::AdviseVpct(const Table& fact,
+VpctStrategy StrategyAdvisor::AdviseVpct(const PlannerStats& fact,
                                          const AnalyzedQuery& query,
                                          size_t dop) const {
   if (dop > 1) {
@@ -38,7 +37,7 @@ VpctStrategy StrategyAdvisor::AdviseVpct(const Table& fact,
 }
 
 HorizontalStrategy StrategyAdvisor::AdviseHorizontal(
-    const Table& fact, const AnalyzedQuery& query, size_t dop) const {
+    const PlannerStats& fact, const AnalyzedQuery& query, size_t dop) const {
   if (dop > 1) return AdviseHorizontalByCost(fact, query, dop);
   HorizontalStrategy strategy;
   strategy.method = HorizontalMethod::kCaseDirect;  // CASE always beats SPJ
@@ -50,7 +49,7 @@ HorizontalStrategy StrategyAdvisor::AdviseHorizontal(
     if (!t.has_by) continue;
     max_by = std::max(max_by, t.by_columns.size());
     for (const std::string& b : t.by_columns) {
-      Result<size_t> card = EstimateCardinality(fact, b);
+      Result<double> card = fact.Cardinality(b);
       if (!card.ok() || card.value() > kLowSelectivityThreshold) {
         all_low_selectivity = false;
       }
@@ -73,7 +72,7 @@ HorizontalStrategy StrategyAdvisor::AdviseHorizontal(
 }
 
 HorizontalStrategy StrategyAdvisor::AdviseHorizontalByCost(
-    const Table& fact, const AnalyzedQuery& query, size_t dop) const {
+    const PlannerStats& fact, const AnalyzedQuery& query, size_t dop) const {
   const AnalyzedTerm* term = nullptr;
   for (const AnalyzedTerm& t : query.terms) {
     if (t.has_by) {
@@ -97,10 +96,10 @@ HorizontalStrategy StrategyAdvisor::AdviseHorizontalByCost(
   return strategy;
 }
 
-bool StrategyAdvisor::AdviseVpctFused(const Table& fact,
+bool StrategyAdvisor::AdviseVpctFused(const PlannerStats& fact,
                                       const AnalyzedQuery& query,
                                       size_t dop) const {
-  if (fact.num_rows() < kFusedMinRows) return false;
+  if (fact.rows() < kFusedMinRows) return false;
   const AnalyzedTerm* term = nullptr;
   for (const AnalyzedTerm& t : query.terms) {
     if (t.has_by) {
@@ -120,10 +119,10 @@ bool StrategyAdvisor::AdviseVpctFused(const Table& fact,
   return model.FusedVpctCost(s) < model.VpctCost(s, materialized);
 }
 
-bool StrategyAdvisor::AdviseHorizontalFused(const Table& fact,
+bool StrategyAdvisor::AdviseHorizontalFused(const PlannerStats& fact,
                                             const AnalyzedQuery& query,
                                             size_t dop) const {
-  if (fact.num_rows() < kFusedMinRows) return false;
+  if (fact.rows() < kFusedMinRows) return false;
   const AnalyzedTerm* term = nullptr;
   for (const AnalyzedTerm& t : query.terms) {
     if (t.has_by) {
@@ -145,7 +144,7 @@ bool StrategyAdvisor::AdviseHorizontalFused(const Table& fact,
   return model.FusedHorizontalCost(s) < model.HorizontalCost(s, materialized);
 }
 
-bool StrategyAdvisor::AdviseLatticeShared(const Table& fact,
+bool StrategyAdvisor::AdviseLatticeShared(const PlannerStats& fact,
                                           const AnalyzedQuery& query,
                                           size_t dop) const {
   CostModel model;
@@ -159,28 +158,6 @@ bool StrategyAdvisor::AdviseLatticeShared(const Table& fact,
   s.dop = static_cast<double>(dop < 1 ? 1 : dop);
   return model.LatticeSharedCost(s, level_rows.value()) <=
          model.LatticePerLevelCost(s, level_rows.value());
-}
-
-Result<size_t> StrategyAdvisor::EstimateCardinality(
-    const Table& fact, const std::string& column) const {
-  PCTAGG_ASSIGN_OR_RETURN(size_t idx, fact.schema().FindColumn(column));
-  const Column& col = fact.column(idx);
-  if (col.type() == DataType::kString) {
-    // Exact for dictionary-encoded columns: every distinct value the column
-    // ever held has a code. Shared dictionaries can overcount (codes this
-    // column never uses), which only errs toward the safer FV-first plan.
-    return std::min(col.dict()->size(), fact.num_rows());
-  }
-  const size_t limit = std::min(fact.num_rows(), kSampleRows);
-  std::unordered_set<std::string> seen;
-  std::string key;
-  const std::vector<size_t> cols = {idx};
-  for (size_t row = 0; row < limit; ++row) {
-    key.clear();
-    fact.AppendKeyBytes(row, cols, &key);
-    seen.insert(key);
-  }
-  return seen.size();
 }
 
 }  // namespace pctagg

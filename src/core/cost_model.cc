@@ -1,79 +1,34 @@
 #include "core/cost_model.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace pctagg {
 
 namespace {
-
-constexpr size_t kSampleRows = 20000;
 
 // Mirrors the engine's direct-array aggregation threshold (aggregate.cc):
 // one string group-by column whose dictionary fits this many slots skips
 // hashing entirely.
 constexpr size_t kDirectDictMaxSlots = 4096;
 
-// Distinct-count estimate of one column. Dictionary-encoded string columns
-// answer EXACTLY from the dictionary — every distinct value the column ever
-// held has a code — for free; it can only overcount when the column shares a
-// dictionary holding codes this column never uses (a derived table), which
-// at worst makes the model conservative. Other types sample a bounded
-// prefix, linearly extrapolated when the sample saturates (every sampled
-// value distinct suggests a key-like column).
-Result<double> ColumnCardinality(const Table& fact, const std::string& name) {
-  PCTAGG_ASSIGN_OR_RETURN(size_t idx, fact.schema().FindColumn(name));
-  const Column& col = fact.column(idx);
-  if (col.type() == DataType::kString) {
-    return std::min(static_cast<double>(col.dict()->size()),
-                    std::max(1.0, static_cast<double>(fact.num_rows())));
-  }
-  const size_t limit = std::min(fact.num_rows(), kSampleRows);
-  std::unordered_set<std::string> seen;
-  std::string key;
-  const std::vector<size_t> cols = {idx};
-  for (size_t row = 0; row < limit; ++row) {
-    key.clear();
-    fact.AppendKeyBytes(row, cols, &key);
-    seen.insert(key);
-  }
-  double estimate = static_cast<double>(seen.size());
-  if (limit > 0 && seen.size() == limit && fact.num_rows() > limit) {
-    estimate = static_cast<double>(fact.num_rows());
-  }
-  return estimate;
-}
-
-// Product of per-column cardinalities (independence assumption), capped at n.
-Result<double> ComboCardinality(const Table& fact,
-                                const std::vector<std::string>& columns) {
-  double product = 1.0;
-  for (const std::string& c : columns) {
-    PCTAGG_ASSIGN_OR_RETURN(double card, ColumnCardinality(fact, c));
-    product *= std::max(card, 1.0);
-  }
-  return std::min(product, std::max(1.0, static_cast<double>(fact.num_rows())));
-}
-
 }  // namespace
 
 Result<FactStats> CostModel::EstimateStats(
-    const Table& fact, const std::vector<std::string>& group_by,
+    const PlannerStats& table, const std::vector<std::string>& group_by,
     const std::vector<std::string>& totals_by,
     const std::vector<std::string>& by) const {
   FactStats stats;
-  stats.rows = static_cast<double>(fact.num_rows());
+  stats.rows = table.rows();
   PCTAGG_ASSIGN_OR_RETURN(stats.group_cardinality,
-                          ComboCardinality(fact, group_by));
+                          table.ComboCardinality(group_by));
   PCTAGG_ASSIGN_OR_RETURN(stats.totals_cardinality,
-                          ComboCardinality(fact, totals_by));
-  PCTAGG_ASSIGN_OR_RETURN(stats.by_cardinality, ComboCardinality(fact, by));
+                          table.ComboCardinality(totals_by));
+  PCTAGG_ASSIGN_OR_RETURN(stats.by_cardinality, table.ComboCardinality(by));
   if (group_by.size() == 1) {
-    PCTAGG_ASSIGN_OR_RETURN(size_t idx,
-                            fact.schema().FindColumn(group_by[0]));
-    const Column& col = fact.column(idx);
-    stats.group_direct_dict = col.type() == DataType::kString &&
-                              col.dict()->size() + 1 <= kDirectDictMaxSlots;
+    PCTAGG_ASSIGN_OR_RETURN(const ColumnEstimate* col,
+                            table.FindColumn(group_by[0]));
+    stats.group_direct_dict =
+        col->dictionary && col->dictionary_size + 1 <= kDirectDictMaxSlots;
   }
   return stats;
 }
@@ -260,7 +215,7 @@ double CostModel::LatticePerLevelCost(
 }
 
 Result<std::vector<double>> CostModel::EstimateLatticeLevelRows(
-    const Table& fact, const AnalyzedQuery& query) const {
+    const PlannerStats& table, const AnalyzedQuery& query) const {
   std::vector<std::string> by;
   for (const AnalyzedTerm& t : query.terms) {
     if (t.func != TermFunc::kScalar && t.func != TermFunc::kGrouping &&
@@ -275,14 +230,14 @@ Result<std::vector<double>> CostModel::EstimateLatticeLevelRows(
   for (const std::vector<std::string>& level : query.grouping_sets) {
     std::vector<std::string> cols = level;
     cols.insert(cols.end(), by.begin(), by.end());
-    PCTAGG_ASSIGN_OR_RETURN(double card, ComboCardinality(fact, cols));
+    PCTAGG_ASSIGN_OR_RETURN(double card, table.ComboCardinality(cols));
     rows.push_back(card);
     has_finest = has_finest || level.size() == query.group_by.size();
   }
   if (!has_finest) {
     std::vector<std::string> cols = query.group_by;
     cols.insert(cols.end(), by.begin(), by.end());
-    PCTAGG_ASSIGN_OR_RETURN(double card, ComboCardinality(fact, cols));
+    PCTAGG_ASSIGN_OR_RETURN(double card, table.ComboCardinality(cols));
     rows.push_back(card);
   }
   std::sort(rows.begin(), rows.end(),

@@ -6,8 +6,8 @@
 
 #include "common/result.h"
 #include "core/horizontal_planner.h"
+#include "core/table_stats.h"
 #include "core/vpct_planner.h"
-#include "engine/table.h"
 #include "sql/analyzer.h"
 
 namespace pctagg {
@@ -45,7 +45,8 @@ struct CostParams {
   double net = 2.5;
 };
 
-// Statistics the model needs; derived from a table via EstimateStats.
+// Statistics the model needs for one query shape; derived from a table's
+// PlannerStats via EstimateStats.
 struct FactStats {
   double rows = 0;  // n
   // Cardinality at the finest aggregation level a plan materializes: the
@@ -66,8 +67,10 @@ struct FactStats {
   bool group_direct_dict = false;
 };
 
-// Cardinality estimation over a bounded sample, with the standard
-// independence assumption for multi-column products (capped at n).
+// Cardinalities come from the table's PlannerStats (core/table_stats.h): the
+// statistics PctDatabase keeps with every base table, so estimating a query
+// shape reads no rows. Multi-column products use the standard independence
+// assumption, capped at n.
 class CostModel {
  public:
   explicit CostModel(CostParams params = CostParams()) : params_(params) {}
@@ -75,7 +78,7 @@ class CostModel {
   // Estimates FactStats for a Vpct query shape (group_by = D1..Dk,
   // totals_by = D1..Dj) or a horizontal shape (group_by = D1..Dj,
   // by = Dh..Dk).
-  Result<FactStats> EstimateStats(const Table& fact,
+  Result<FactStats> EstimateStats(const PlannerStats& table,
                                   const std::vector<std::string>& group_by,
                                   const std::vector<std::string>& totals_by,
                                   const std::vector<std::string>& by) const;
@@ -119,7 +122,7 @@ class CostModel {
   // union itself was not requested. For horizontal queries the single BY
   // term's columns join every level (the lattice aggregates at level ∪ BY).
   Result<std::vector<double>> EstimateLatticeLevelRows(
-      const Table& fact, const AnalyzedQuery& query) const;
+      const PlannerStats& table, const AnalyzedQuery& query) const;
 
   // Sharded scatter/gather execution (src/dist/). Each of `num_shards`
   // workers scans its rows/num_shards share at `shard_dop` and ships a

@@ -131,7 +131,7 @@ const AnalyzedTerm* FirstByTerm(const AnalyzedQuery& query) {
 // Records the planning metadata EXPLAIN ANALYZE audits for a Vpct query:
 // executed strategy, cost-model prediction per candidate (chosen marked),
 // predicted |Fk|.
-void FillVpctTrace(obs::QueryTrace* trace, const Table& fact,
+void FillVpctTrace(obs::QueryTrace* trace, const PlannerStats& fact,
                    const AnalyzedQuery& query, const VpctStrategy& strategy,
                    bool olap_baseline, bool forced, size_t dop,
                    bool fused_candidate = false, bool fused_chosen = false) {
@@ -174,7 +174,7 @@ void FillVpctTrace(obs::QueryTrace* trace, const Table& fact,
 
 // Same for a horizontal query: the four SIGMOD Table 5 / DMKD Table 3
 // methods ranked by the model, predicted |FV|.
-void FillHorizontalTrace(obs::QueryTrace* trace, const Table& fact,
+void FillHorizontalTrace(obs::QueryTrace* trace, const PlannerStats& fact,
                          const AnalyzedQuery& query,
                          const HorizontalStrategy& strategy, bool forced,
                          size_t dop, bool fused_candidate = false,
@@ -222,7 +222,7 @@ void FillHorizontalTrace(obs::QueryTrace* trace, const Table& fact,
 
 // Planning metadata for a grouping-set lattice query: the executed mode,
 // both candidates priced by the model, predicted finest-level cardinality.
-void FillLatticeTrace(obs::QueryTrace* trace, const Table& fact,
+void FillLatticeTrace(obs::QueryTrace* trace, const PlannerStats& fact,
                       const AnalyzedQuery& query, bool shared, bool forced,
                       size_t dop) {
   trace->strategy = shared ? "lattice-shared" : "lattice-per-level";
@@ -378,12 +378,13 @@ Result<Table> PctDatabase::Query(const std::string& sql,
     if (!LatticeSupported(query, &why)) {
       return Status::InvalidArgument("grouping sets: " + why);
     }
+    const PlannerStats stats = StatsOf(query.table_name, *fact);
     const bool forced = options.lattice != LatticeMode::kAuto;
     const bool shared = forced ? options.lattice == LatticeMode::kShared
-                               : advisor_.AdviseLatticeShared(*fact, query,
+                               : advisor_.AdviseLatticeShared(stats, query,
                                                               dop);
     if (trace != nullptr) {
-      FillLatticeTrace(trace, *fact, query, shared, forced, dop);
+      FillLatticeTrace(trace, stats, query, shared, forced, dop);
     }
     PCTAGG_ASSIGN_OR_RETURN(
         Table out,
@@ -432,6 +433,7 @@ Result<Table> PctDatabase::Query(const std::string& sql,
     case QueryClass::kVpct: {
       PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                               catalog_.GetTable(query.table_name));
+      const PlannerStats stats = StatsOf(query.table_name, *fact);
       // Fused-pipeline dispatch: only on the advisor path (a forced strategy
       // or the OLAP baseline is an explicit request for that plan), and only
       // for supported shapes. SET exec fused forces it past the cost model.
@@ -442,11 +444,11 @@ Result<Table> PctDatabase::Query(const std::string& sql,
           options.execution != ExecutionMode::kMaterialized &&
           VpctPipelineSupported(query)) {
         fused = options.execution == ExecutionMode::kFused ||
-                advisor_.AdviseVpctFused(*fact, query, dop);
+                advisor_.AdviseVpctFused(stats, query, dop);
       }
       if (fused) {
         if (trace != nullptr) {
-          FillVpctTrace(trace, *fact, query, VpctStrategy{},
+          FillVpctTrace(trace, stats, query, VpctStrategy{},
                         /*olap_baseline=*/false, /*forced=*/false, dop,
                         /*fused_candidate=*/true, /*fused_chosen=*/true);
           trace->strategy = "fused-pipeline";
@@ -474,14 +476,14 @@ Result<Table> PctDatabase::Query(const std::string& sql,
         if (options.vpct_strategy.has_value()) {
           strategy = *options.vpct_strategy;
         } else {
-          strategy = advisor_.AdviseVpct(*fact, query, dop);
+          strategy = advisor_.AdviseVpct(stats, query, dop);
         }
         PCTAGG_ASSIGN_OR_RETURN(plan, PlanVpctQuery(query, strategy));
       } else {
         PCTAGG_ASSIGN_OR_RETURN(plan, PlanOlapPercentageQuery(query));
       }
       if (trace != nullptr) {
-        FillVpctTrace(trace, *fact, query, strategy, options.olap_baseline,
+        FillVpctTrace(trace, stats, query, strategy, options.olap_baseline,
                       forced_strategy, dop,
                       /*fused_candidate=*/!forced_strategy,
                       /*fused_chosen=*/false);
@@ -491,17 +493,18 @@ Result<Table> PctDatabase::Query(const std::string& sql,
     case QueryClass::kHorizontal: {
       PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                               catalog_.GetTable(query.table_name));
+      const PlannerStats stats = StatsOf(query.table_name, *fact);
       const bool forced_strategy = options.horizontal_strategy.has_value();
       bool fused = false;
       if (!forced_strategy &&
           options.execution != ExecutionMode::kMaterialized &&
           HorizontalPipelineSupported(query, fact->num_rows())) {
         fused = options.execution == ExecutionMode::kFused ||
-                advisor_.AdviseHorizontalFused(*fact, query, dop);
+                advisor_.AdviseHorizontalFused(stats, query, dop);
       }
       if (fused) {
         if (trace != nullptr) {
-          FillHorizontalTrace(trace, *fact, query, HorizontalStrategy{},
+          FillHorizontalTrace(trace, stats, query, HorizontalStrategy{},
                               /*forced=*/false, dop,
                               /*fused_candidate=*/true,
                               /*fused_chosen=*/true);
@@ -528,11 +531,11 @@ Result<Table> PctDatabase::Query(const std::string& sql,
       if (options.horizontal_strategy.has_value()) {
         strategy = *options.horizontal_strategy;
       } else {
-        strategy = advisor_.AdviseHorizontal(*fact, query, dop);
+        strategy = advisor_.AdviseHorizontal(stats, query, dop);
       }
       PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanHorizontalQuery(query, strategy));
       if (trace != nullptr) {
-        FillHorizontalTrace(trace, *fact, query, strategy, forced_strategy,
+        FillHorizontalTrace(trace, stats, query, strategy, forced_strategy,
                             dop, /*fused_candidate=*/!forced_strategy,
                             /*fused_chosen=*/false);
       }
@@ -599,10 +602,11 @@ Result<Table> PctDatabase::QueryOlapBaseline(const std::string& sql) const {
 Status PctDatabase::CreateTable(const std::string& name, Table table) {
   summaries_.InvalidateTable(name);
   PCTAGG_RETURN_IF_ERROR(catalog_.CreateTable(name, std::move(table)));
+  PCTAGG_ASSIGN_OR_RETURN(const Table* stored, catalog_.GetTable(name));
+  KeepStats(name, *stored);
   if (storage_ != nullptr) {
     // DDL persists its full image immediately (tables are created rarely);
     // the new segment's flush LSN supersedes any same-named WAL history.
-    PCTAGG_ASSIGN_OR_RETURN(const Table* stored, catalog_.GetTable(name));
     return storage_->PersistTable(ToLower(name), *stored);
   }
   return Status::OK();
@@ -611,11 +615,48 @@ Status PctDatabase::CreateTable(const std::string& name, Table table) {
 Status PctDatabase::ReplaceTable(const std::string& name, Table table) {
   summaries_.InvalidateTable(name);
   catalog_.CreateOrReplaceTable(name, std::move(table));
+  PCTAGG_ASSIGN_OR_RETURN(const Table* stored, catalog_.GetTable(name));
+  KeepStats(name, *stored);
   if (storage_ != nullptr) {
-    PCTAGG_ASSIGN_OR_RETURN(const Table* stored, catalog_.GetTable(name));
     return storage_->PersistTable(ToLower(name), *stored);
   }
   return Status::OK();
+}
+
+Result<PlannerStats> PctDatabase::PlannerStatistics(
+    const std::string& name) const {
+  PCTAGG_ASSIGN_OR_RETURN(const Table* table, catalog_.GetTable(name));
+  return StatsOf(name, *table);
+}
+
+PlannerStats PctDatabase::StatsOf(const std::string& name,
+                                  const Table& table) const {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    auto it = table_stats_.find(ToLower(name));
+    if (it != table_stats_.end() && it->second.Describes(table)) {
+      return PlannerStats(table, it->second);
+    }
+  }
+  // A table changed behind this database's back (through catalog()):
+  // sample it for this query without keeping the result.
+  return PlannerStats::Sample(table);
+}
+
+void PctDatabase::KeepStats(const std::string& name, const Table& table,
+                            bool appended) {
+  const std::string key = ToLower(name);
+  TableStats stats;
+  if (appended) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    auto it = table_stats_.find(key);
+    if (it != table_stats_.end()) stats = it->second;
+  }
+  // Extend samples every column of a record that does not match the table,
+  // so a missing or replaced entry is collected in full.
+  stats.Extend(table);
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  table_stats_[key] = std::move(stats);
 }
 
 Result<bool> PctDatabase::DropTable(const std::string& name, bool if_exists) {
@@ -625,6 +666,10 @@ Result<bool> PctDatabase::DropTable(const std::string& name, bool if_exists) {
   }
   summaries_.InvalidateTable(name);
   PCTAGG_RETURN_IF_ERROR(catalog_.DropTable(name));
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    table_stats_.erase(ToLower(name));
+  }
   if (storage_ != nullptr) {
     PCTAGG_RETURN_IF_ERROR(storage_->RemoveTable(ToLower(name)));
   }
@@ -642,6 +687,8 @@ Status PctDatabase::OpenStorage(storage::StorageOptions options) {
     // incarnation of the table; recovered tables start with a cold cache.
     summaries_.InvalidateTable(name);
     catalog_.CreateOrReplaceTable(name, std::move(table));
+    PCTAGG_ASSIGN_OR_RETURN(const Table* recovered, catalog_.GetTable(name));
+    KeepStats(name, *recovered);
   }
   return Status::OK();
 }
@@ -723,6 +770,7 @@ Result<AppendOutcome> PctDatabase::AppendRows(const std::string& name,
 
   const double base_rows_before = static_cast<double>(base->num_rows());
   PCTAGG_RETURN_IF_ERROR(InsertInto(base, delta));
+  KeepStats(name, *base, /*appended=*/true);
 
   CostModel model;
   for (const SummaryCache::PendingMerge& p : pending) {
@@ -881,22 +929,23 @@ Result<std::string> PctDatabase::Explain(const std::string& sql) const {
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
   PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                           catalog_.GetTable(query.table_name));
+  const PlannerStats stats = StatsOf(query.table_name, *fact);
   if (query.has_grouping_sets) {
     std::string why;
     if (!LatticeSupported(query, &why)) {
       return Status::InvalidArgument("grouping sets: " + why);
     }
     return RenderLatticeScript(query,
-                               advisor_.AdviseLatticeShared(*fact, query));
+                               advisor_.AdviseLatticeShared(stats, query));
   }
   switch (query.query_class) {
     case QueryClass::kVpct: {
-      VpctStrategy strategy = advisor_.AdviseVpct(*fact, query);
+      VpctStrategy strategy = advisor_.AdviseVpct(stats, query);
       PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanVpctQuery(query, strategy));
       return plan.ToSql();
     }
     case QueryClass::kHorizontal: {
-      HorizontalStrategy strategy = advisor_.AdviseHorizontal(*fact, query);
+      HorizontalStrategy strategy = advisor_.AdviseHorizontal(stats, query);
       PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanHorizontalQuery(query, strategy));
       return plan.ToSql();
     }

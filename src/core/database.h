@@ -1,13 +1,16 @@
 #ifndef PCTAGG_CORE_DATABASE_H_
 #define PCTAGG_CORE_DATABASE_H_
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
 #include "common/result.h"
 #include "core/advisor.h"
 #include "core/horizontal_planner.h"
+#include "core/table_stats.h"
 #include "core/vpct_planner.h"
 #include "engine/catalog.h"
 #include "engine/table.h"
@@ -143,6 +146,12 @@ class PctDatabase {
   // storage attached, superseding its segment and any earlier WAL records).
   Status ReplaceTable(const std::string& name, Table table);
 
+  // The planner statistics of base table `name` (core/table_stats.h): the
+  // record kept with the table, resolved against its live row count and
+  // dictionaries. Every writer below keeps the record current, so this
+  // samples no rows. NotFound when the table does not exist.
+  Result<PlannerStats> PlannerStatistics(const std::string& name) const;
+
   // Drops a base table from the catalog, its cached summaries, and (with
   // storage attached) its segment file and manifest entry. Returns true when
   // a table was dropped, false for the benign if_exists-and-absent case.
@@ -250,12 +259,25 @@ class PctDatabase {
 
   Result<AnalyzedQuery> Prepare(const std::string& sql) const;
 
+  // Planner statistics of base table `name`, whose catalog entry is `table`.
+  PlannerStats StatsOf(const std::string& name, const Table& table) const;
+
+  // Records fresh statistics for base table `name` after a writer changed
+  // it; `appended` means rows were only added at the end, so the kept record
+  // is extended instead of re-collected.
+  void KeepStats(const std::string& name, const Table& table,
+                 bool appended = false);
+
   // Mutable because Query() is logically const: it registers (and drops)
   // process-uniquely-named temporaries in the internally synchronized
   // catalog and fills the internally synchronized summary cache.
   mutable Catalog catalog_;
   StrategyAdvisor advisor_;
   mutable SummaryCache summaries_;
+  // One planner-statistics record per base table, keyed by lower-cased name
+  // and kept current by the same writers that invalidate summaries_.
+  mutable std::mutex stats_mu_;
+  std::map<std::string, TableStats> table_stats_;
   bool summary_cache_enabled_ = false;
   std::unique_ptr<storage::StorageManager> storage_;
 };

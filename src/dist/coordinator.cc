@@ -174,19 +174,13 @@ Status Coordinator::ShardTable(const std::string& table,
   }
   PCTAGG_ASSIGN_OR_RETURN(const Table* full, db_->catalog().GetTable(table));
 
-  // Capture statistics from the full table now: after the scatter the local
-  // copy is a zero-row stub and these numbers are all the cost model gets.
+  // Resolve the full table's planner statistics now: after the scatter the
+  // local copy is a zero-row stub and this snapshot is all the cost model
+  // gets.
   ShardedMeta meta;
   meta.key_column = ToLower(key_column);
   meta.total_rows = full->num_rows();
-  StrategyAdvisor advisor;
-  for (size_t c = 0; c < full->num_columns(); ++c) {
-    const std::string& name = full->schema().column(c).name;
-    Result<size_t> card = advisor.EstimateCardinality(*full, name);
-    if (card.ok()) {
-      meta.column_cardinality[ToLower(name)] = static_cast<double>(*card);
-    }
-  }
+  PCTAGG_ASSIGN_OR_RETURN(meta.stats, db_->PlannerStatistics(table));
 
   PCTAGG_ASSIGN_OR_RETURN(
       std::vector<Table> shards,
@@ -541,20 +535,17 @@ Result<Table> Coordinator::ExecuteDistributed(const AnalyzedQuery& query,
                               : options.degree_of_parallelism;
 
   // Cost-model bookkeeping for EXPLAIN ANALYZE: the distributed plan next to
-  // the single-node fused scan it replaces, both from the statistics
-  // captured at SHARD time (the stub has no rows to sample).
+  // the single-node fused scan it replaces, both from the planner statistics
+  // resolved at SHARD time (the stub has no rows left to describe).
   if (trace != nullptr) {
     trace->strategy = "distributed scatter/gather";
     trace->strategy_source = "topology";
-    FactStats stats;
-    stats.rows = static_cast<double>(meta.total_rows);
-    double groups = 1;
-    for (const std::string& col : plan.finest_cols) {
-      auto it = meta.column_cardinality.find(ToLower(col));
-      if (it != meta.column_cardinality.end()) groups *= it->second;
-    }
-    stats.group_cardinality = std::min(groups, std::max(1.0, stats.rows));
     CostModel model;
+    FactStats stats;
+    stats.rows = meta.stats.rows();
+    Result<FactStats> estimated =
+        model.EstimateStats(meta.stats, plan.finest_cols, {}, {});
+    if (estimated.ok()) stats = *estimated;
     const double dist_cost = model.DistributedCost(
         stats, static_cast<double>(nshards),
         static_cast<double>(std::max<size_t>(1, worker_dop)),

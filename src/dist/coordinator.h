@@ -104,15 +104,14 @@ class Coordinator : public DistRouter {
   };
 
   // What the coordinator remembers about a sharded table: the shard key and
-  // the statistics captured from the full table *before* it was scattered
+  // the full table's planner statistics, resolved *before* it was scattered
   // (the local copy becomes a zero-row stub, so this is the only place the
   // cost model can get row counts and cardinalities from).
   struct ShardedMeta {
     std::string key_column;
     size_t total_rows = 0;
     std::vector<size_t> shard_rows;  // one entry per worker
-    // Lower-cased column name -> estimated distinct values.
-    std::map<std::string, double> column_cardinality;
+    PlannerStats stats;
   };
 
   // Dials the link's endpoint if not connected (caller holds link->mu).

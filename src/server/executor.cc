@@ -360,8 +360,10 @@ void QueryExecutor::ExecuteMqoMembers(const QueryOptions& opts,
   // when >= 2 members made it this far.
   bool batch_it = members.size() >= 2;
   CostModel model;
+  Result<PlannerStats> table = db_->PlannerStatistics(plan->table);
   Result<FactStats> stats =
-      model.EstimateStats(**fact, plan->scan_cols, {}, {});
+      table.ok() ? model.EstimateStats(*table, plan->scan_cols, {}, {})
+                 : Result<FactStats>(table.status());
   if (stats.ok()) {
     stats->dop = static_cast<double>(dop);
     const double batch_cost = model.MqoBatchCost(

@@ -80,10 +80,10 @@ TEST(AdvisorTest, EstimatesCardinality) {
     t.AppendRow({Value::Int64(static_cast<int64_t>(rng.Uniform(7))),
                  Value::Int64(static_cast<int64_t>(rng.Uniform(500)))});
   }
-  StrategyAdvisor advisor;
-  EXPECT_EQ(advisor.EstimateCardinality(t, "lo").value(), 7u);
-  EXPECT_GT(advisor.EstimateCardinality(t, "hi").value(), 100u);
-  EXPECT_FALSE(advisor.EstimateCardinality(t, "nope").ok());
+  const PlannerStats stats = PlannerStats::Sample(t);
+  EXPECT_EQ(stats.Cardinality("lo").value(), 7u);
+  EXPECT_GT(stats.Cardinality("hi").value(), 100u);
+  EXPECT_FALSE(stats.Cardinality("nope").ok());
 }
 
 TEST(AdvisorTest, RecommendsDirectForLowSelectivity) {
@@ -100,7 +100,7 @@ TEST(AdvisorTest, RecommendsDirectForLowSelectivity) {
       ParseSelect("SELECT g, Hpct(a BY lo) FROM f GROUP BY g").value();
   AnalyzedQuery q = Analyze(stmt, t.schema()).value();
   StrategyAdvisor advisor;
-  EXPECT_EQ(advisor.AdviseHorizontal(t, q).method,
+  EXPECT_EQ(advisor.AdviseHorizontal(PlannerStats::Sample(t), q).method,
             HorizontalMethod::kCaseDirect);
 }
 
@@ -121,17 +121,20 @@ TEST(AdvisorTest, RecommendsFromFvForHighSelectivityOrManyColumns) {
                  Value::Float64(1.0)});
   }
   StrategyAdvisor advisor;
+  const PlannerStats stats = PlannerStats::Sample(t);
   // High selectivity BY column -> from FV.
   SelectStatement s1 =
       ParseSelect("SELECT g, Hpct(a BY hi) FROM f GROUP BY g").value();
-  EXPECT_EQ(advisor.AdviseHorizontal(t, Analyze(s1, t.schema()).value()).method,
-            HorizontalMethod::kCaseFromFV);
+  EXPECT_EQ(
+      advisor.AdviseHorizontal(stats, Analyze(s1, t.schema()).value()).method,
+      HorizontalMethod::kCaseFromFV);
   // Three low-selectivity BY columns -> from FV ("three or more grouping
   // columns").
   SelectStatement s2 =
       ParseSelect("SELECT g, Hpct(a BY b1, b2, b3) FROM f GROUP BY g").value();
-  EXPECT_EQ(advisor.AdviseHorizontal(t, Analyze(s2, t.schema()).value()).method,
-            HorizontalMethod::kCaseFromFV);
+  EXPECT_EQ(
+      advisor.AdviseHorizontal(stats, Analyze(s2, t.schema()).value()).method,
+      HorizontalMethod::kCaseFromFV);
 }
 
 TEST(AdvisorTest, VpctAlwaysBestDefaults) {
@@ -140,7 +143,7 @@ TEST(AdvisorTest, VpctAlwaysBestDefaults) {
       ParseSelect("SELECT g, Vpct(a) FROM f GROUP BY g").value();
   AnalyzedQuery q = Analyze(stmt, t.schema()).value();
   StrategyAdvisor advisor;
-  VpctStrategy s = advisor.AdviseVpct(t, q);
+  VpctStrategy s = advisor.AdviseVpct(PlannerStats::Sample(t), q);
   EXPECT_TRUE(s.matching_indexes);
   EXPECT_TRUE(s.insert_result);
   EXPECT_TRUE(s.fj_from_fk);

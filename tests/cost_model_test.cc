@@ -148,16 +148,17 @@ TEST(CostModelTest, EstimateStatsFromData) {
                  Value::Float64(1.0)});
   }
   CostModel model;
+  const PlannerStats table = PlannerStats::Sample(t);
   FactStats stats =
-      model.EstimateStats(t, {"g", "b"}, {"g"}, {"b"}).value();
+      model.EstimateStats(table, {"g", "b"}, {"g"}, {"b"}).value();
   EXPECT_DOUBLE_EQ(stats.rows, 5000);
   EXPECT_NEAR(stats.group_cardinality, 28, 4);  // 4 x 7
   EXPECT_NEAR(stats.totals_cardinality, 4, 0.5);
   EXPECT_NEAR(stats.by_cardinality, 7, 0.5);
   // Key-like columns extrapolate to ~n and the product caps at n.
-  FactStats keyed = model.EstimateStats(t, {"hi", "b"}, {}, {}).value();
+  FactStats keyed = model.EstimateStats(table, {"hi", "b"}, {}, {}).value();
   EXPECT_DOUBLE_EQ(keyed.group_cardinality, 5000);
-  EXPECT_FALSE(model.EstimateStats(t, {"nope"}, {}, {}).ok());
+  EXPECT_FALSE(model.EstimateStats(table, {"nope"}, {}, {}).ok());
 }
 
 // Distributed fan-out economics: on a scan-bound fact the 4-shard plan

@@ -362,6 +362,38 @@ TEST(DistTest, ExplainAndExplainAnalyzeShowFanout) {
   EXPECT_NE(text.find("gather-merge"), std::string::npos) << text;
 }
 
+// The "predicted group rows: N" line of a rendered EXPLAIN ANALYZE.
+std::string PredictedGroupRows(const std::string& text) {
+  const size_t begin = text.find("predicted group rows: ");
+  if (begin == std::string::npos) return "";
+  return text.substr(begin, text.find_first_of(" \n", begin + 22) - begin);
+}
+
+// The coordinator prices a sharded query from the planner statistics the
+// single node would use: a key-like group column over more rows than the
+// 20,000-row sample extrapolates to n on both sides.
+TEST(DistTest, ShardedCostEstimatesMatchSingleNode) {
+  Table fact(Schema({{"id", DataType::kInt64},
+                     {"g", DataType::kInt64},
+                     {"v", DataType::kInt64}}));
+  for (int64_t i = 0; i < 25000; ++i) {
+    fact.AppendRow({Value::Int64(i), Value::Int64(i % 5), Value::Int64(i % 100)});
+  }
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.db().CreateTable("f", std::move(fact)).ok());
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT id, Vpct(v) AS pct FROM f GROUP BY id";
+  Result<Table> local = cluster.db().Query(sql);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ASSERT_TRUE(cluster.coordinator().ShardTable("f", "g").ok());
+  Result<Table> sharded = cluster.Distributed(sql);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  const std::string want = PredictedGroupRows(FormatCsv(*local));
+  EXPECT_EQ(want, "predicted group rows: 25000");
+  EXPECT_EQ(PredictedGroupRows(FormatCsv(*sharded)), want);
+}
+
 // --- Wire level: coordinator server with the router installed ---------------
 
 TEST(DistTest, WireLevelShardQueryAndShowRoundTrip) {

@@ -629,7 +629,7 @@ TEST(LatticeExplain, PlainExplainRendersLatticeScript) {
 TEST(LatticeAdvisor, SharedWinsOnMultiLevelLattices) {
   PctDatabase db;
   ASSERT_TRUE(db.CreateTable("f", IntFact(3000, 7)).ok());
-  const Table& fact = *db.catalog().GetTable("f").value();
+  const PlannerStats fact = db.PlannerStatistics("f").value();
   Result<AnalyzedQuery> q = AnalyzeSql(
       "SELECT d1, d2, d3, sum(a) FROM f GROUP BY CUBE(d1, d2, d3)",
       FactSchema());
