@@ -113,11 +113,13 @@ run_job "bench smoke (mqo)" bench_smoke bench_mqo BENCH_mqo.json PCTAGG_MQO_BENC
 note "EXPLAIN ANALYZE samples"
 if cmake --build build-ci-gcc-release -j"$JOBS" --target pctagg_shell &&
    mkdir -p bench-artifacts &&
-   printf '.gen sales sales 100000\nEXPLAIN ANALYZE SELECT state, Vpct(salesAmt BY state) FROM sales GROUP BY state;\nEXPLAIN ANALYZE SELECT state, Hpct(salesAmt BY dweek) FROM sales GROUP BY state;\nEXPLAIN ANALYZE SELECT monthNo, dweek, store, Vpct(salesAmt BY dweek) AS pct, sum(salesAmt) AS s FROM sales GROUP BY CUBE(monthNo, dweek, store);\n.quit\n' \
+   printf '.gen sales sales 100000\nEXPLAIN ANALYZE SELECT state, Vpct(salesAmt BY state) FROM sales GROUP BY state;\nEXPLAIN ANALYZE SELECT state, Hpct(salesAmt BY dweek) FROM sales GROUP BY state;\nEXPLAIN ANALYZE SELECT monthNo, dweek, store, Vpct(salesAmt BY dweek) AS pct, sum(salesAmt) AS s FROM sales GROUP BY CUBE(monthNo, dweek, store);\nEXPLAIN ANALYZE SELECT state, sum(salesAmt) AS s, count(*) AS n FROM sales WHERE monthNo <= 6 GROUP BY state;\n.quit\n' \
      | build-ci-gcc-release/tools/pctagg_shell > bench-artifacts/explain_analyze_samples.txt &&
+   [ "$(grep -c 'fused mask' bench-artifacts/explain_analyze_samples.txt)" -eq 1 ] &&
+   [ "$(grep -cE "^' *filter' *$" bench-artifacts/explain_analyze_samples.txt)" -eq 0 ] &&
    [ "$(grep -c 'fused-scan:' bench-artifacts/explain_analyze_samples.txt)" -eq 1 ] &&
    [ "$(grep -c 'lattice-rollup:' bench-artifacts/explain_analyze_samples.txt)" -eq 7 ]; then
-  echo "[explain samples] OK (one fused scan feeds all 7 rollup levels)"
+  echo "[explain samples] OK (one fused scan feeds all 7 rollup levels; the filtered GROUP BY is one fused mask scan)"
 else
   echo "[explain samples] FAILED"
   FAILED+=("explain samples")

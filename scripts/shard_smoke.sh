@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end sharding smoke: start two worker pctagg_server processes and a
 # coordinator pointing at them, SHARD a generated table over the wire, and
-# verify (1) the sharded answer is byte-identical to the pre-shard answer on
-# an INT64 measure, (2) SHOW reports the topology, (3) a sharded table is
+# verify (1) the sharded answers — with and without a WHERE on a non-key
+# column — are byte-identical to the pre-shard answers on an INT64 measure,
+# (2) SHOW reports the topology, (3) a sharded table is
 # read-only, and (4) killing a worker turns the next query into a typed
 # Unavailable instead of a hang. Real processes, real sockets, real SIGKILL
 # — the multi-process path the in-process dist_test forks around.
@@ -54,6 +55,11 @@ wait_ready() {  # wait_ready <port> <pid>
 # pins row order against the merge-on-arrival gather.
 QUERY="SELECT dweek, state, Vpct(itemId BY state) AS pct, count(*) AS n \
 FROM f GROUP BY dweek, state ORDER BY dweek, state"
+# The same shape filtered on columns other than the shard key (city): every
+# worker applies the WHERE to its own rows before the merge.
+FILTERED_QUERY="SELECT dweek, state, Vpct(itemId BY state) AS pct, \
+count(*) AS n FROM f WHERE monthNo <= 6 AND dept <> 3 GROUP BY dweek, state \
+ORDER BY dweek, state"
 
 echo "=== phase 1: two workers + coordinator"
 "$SERVER" --port "$W1_PORT" &
@@ -77,6 +83,10 @@ printf '.gen sales f 20000\n.quit\n' | "$CLIENT" --connect 127.0.0.1:"$COORD_POR
 
 "$CLIENT" --connect 127.0.0.1:"$COORD_PORT" --query "$QUERY" \
   > "$SCRATCH/before.csv" || fail "pre-shard query failed"
+"$CLIENT" --connect 127.0.0.1:"$COORD_PORT" --query "$FILTERED_QUERY" \
+  > "$SCRATCH/before_filtered.csv" || fail "pre-shard filtered query failed"
+[ "$(wc -l < "$SCRATCH/before_filtered.csv")" -gt 1 ] ||
+  fail "the filtered query returned no rows"
 
 printf '.shard f city\n.quit\n' | "$CLIENT" --connect 127.0.0.1:"$COORD_PORT" \
   > "$SCRATCH/shard.txt" 2>&1 || fail "SHARD failed"
@@ -86,7 +96,12 @@ grep -q "sharded f" "$SCRATCH/shard.txt" || fail "SHARD not acknowledged"
   > "$SCRATCH/after.csv" || fail "post-shard query failed"
 diff -q "$SCRATCH/before.csv" "$SCRATCH/after.csv" >/dev/null ||
   fail "sharded answer differs from the single-node answer"
-echo "    sharded answer is byte-identical to pre-shard"
+"$CLIENT" --connect 127.0.0.1:"$COORD_PORT" --query "$FILTERED_QUERY" \
+  > "$SCRATCH/after_filtered.csv" || fail "post-shard filtered query failed"
+diff -q "$SCRATCH/before_filtered.csv" "$SCRATCH/after_filtered.csv" \
+  >/dev/null ||
+  fail "sharded filtered answer differs from the single-node answer"
+echo "    sharded answers (unfiltered and filtered) are byte-identical to pre-shard"
 
 echo "=== phase 3: topology in SHOW, sharded table is read-only"
 printf '.show\n.quit\n' | "$CLIENT" --connect 127.0.0.1:"$COORD_PORT" \

@@ -12,6 +12,7 @@
 #include "engine/csv.h"
 #include "engine/merge.h"
 #include "engine/parallel.h"
+#include "engine/pipeline.h"
 #include "engine/table_ops.h"
 #include "obs/metrics.h"
 #include "sql/parser.h"
@@ -21,17 +22,20 @@ namespace pctagg {
 namespace {
 
 // Inline evaluation for plain projections and vertical aggregates (no
-// percentage machinery involved).
+// percentage machinery involved). A plain GROUP BY — every shard worker's
+// PARTIAL among them — is one fused mask scan of the base table: the WHERE
+// never copies a row, and the result is bit-identical to Filter followed by
+// HashAggregate (engine/pipeline.h).
 Result<Table> EvaluateSimple(Catalog* catalog, const AnalyzedQuery& query) {
   PCTAGG_ASSIGN_OR_RETURN(const Table* base,
                           catalog->GetTable(query.table_name));
-  Table filtered;
-  const Table* input = base;
-  if (query.where != nullptr) {
-    PCTAGG_ASSIGN_OR_RETURN(filtered, Filter(*base, query.where));
-    input = &filtered;
-  }
   if (query.query_class == QueryClass::kProjection) {
+    Table filtered;
+    const Table* input = base;
+    if (query.where != nullptr) {
+      PCTAGG_ASSIGN_OR_RETURN(filtered, Filter(*base, query.where));
+      input = &filtered;
+    }
     std::vector<ProjectSpec> specs;
     for (const AnalyzedTerm& t : query.terms) {
       specs.push_back({t.argument, t.output_name});
@@ -71,8 +75,8 @@ Result<Table> EvaluateSimple(Catalog* catalog, const AnalyzedQuery& query) {
     }
     aggs.push_back({func, t.argument, t.output_name});
   }
-  PCTAGG_ASSIGN_OR_RETURN(Table agg,
-                          HashAggregate(*input, query.group_by, aggs));
+  PCTAGG_ASSIGN_OR_RETURN(
+      Table agg, FusedAggregate(*base, query.where, query.group_by, aggs));
   // Reorder to the SELECT list.
   std::vector<ProjectSpec> specs;
   for (const AnalyzedTerm& t : query.terms) {

@@ -38,6 +38,8 @@ class LiteralExpr : public Expression {
 
   std::string ToString() const override { return value_.ToString(); }
 
+  const Value& value() const { return value_; }
+
  private:
   Value value_;
   DataType type_;
@@ -58,6 +60,8 @@ class ColumnRefExpr : public Expression {
   }
 
   std::string ToString() const override { return name_; }
+
+  const std::string& name() const { return name_; }
 
  private:
   std::string name_;
@@ -185,6 +189,56 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
+bool CmpHolds(CmpOp op, int cmp) {
+  switch (op) {
+    case CmpOp::kEq:
+      return cmp == 0;
+    case CmpOp::kNe:
+      return cmp != 0;
+    case CmpOp::kLt:
+      return cmp < 0;
+    case CmpOp::kLe:
+      return cmp <= 0;
+    case CmpOp::kGt:
+      return cmp > 0;
+    case CmpOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
+
+// Keep-mask kernel for `x[i] op c` over an INT64 column read in place:
+// mask[i] = valid[i] && (x[i] op c), compared as int64. The operator is
+// chosen once, outside the row loop.
+void CompareInt64ConstMask(CmpOp op, const int64_t* x, const uint8_t* valid,
+                           size_t n, int64_t c, uint8_t* mask) {
+  auto run = [&](auto holds) {
+    for (size_t i = 0; i < n; ++i) {
+      mask[i] = static_cast<uint8_t>((valid[i] != 0) & holds(x[i]));
+    }
+  };
+  switch (op) {
+    case CmpOp::kEq:
+      run([c](int64_t v) { return v == c; });
+      break;
+    case CmpOp::kNe:
+      run([c](int64_t v) { return v != c; });
+      break;
+    case CmpOp::kLt:
+      run([c](int64_t v) { return v < c; });
+      break;
+    case CmpOp::kLe:
+      run([c](int64_t v) { return v <= c; });
+      break;
+    case CmpOp::kGt:
+      run([c](int64_t v) { return v > c; });
+      break;
+    case CmpOp::kGe:
+      run([c](int64_t v) { return v >= c; });
+      break;
+  }
+}
+
 class CompareExpr : public Expression {
  public:
   CompareExpr(CmpOp op, ExprPtr l, ExprPtr r)
@@ -237,6 +291,10 @@ class CompareExpr : public Expression {
       }
       return out;
     }
+    // INT64 against INT64 compares exactly, with no rounding above 2^53; a
+    // FLOAT64 on either side widens both to double.
+    const bool ints =
+        lc.type() == DataType::kInt64 && rc.type() == DataType::kInt64;
     for (size_t i = 0; i < table.num_rows(); ++i) {
       if (lc.IsNull(i) || rc.IsNull(i)) {
         out.AppendNull();
@@ -246,35 +304,40 @@ class CompareExpr : public Expression {
       if (strings) {
         cmp = lc.StringAt(i).compare(rc.StringAt(i));
         cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+      } else if (ints) {
+        const int64_t a = lc.Int64At(i);
+        const int64_t b = rc.Int64At(i);
+        cmp = a < b ? -1 : (a > b ? 1 : 0);
       } else {
         double a = lc.NumericAt(i);
         double b = rc.NumericAt(i);
         cmp = a < b ? -1 : (a > b ? 1 : 0);
       }
-      bool v = false;
-      switch (op_) {
-        case CmpOp::kEq:
-          v = cmp == 0;
-          break;
-        case CmpOp::kNe:
-          v = cmp != 0;
-          break;
-        case CmpOp::kLt:
-          v = cmp < 0;
-          break;
-        case CmpOp::kLe:
-          v = cmp <= 0;
-          break;
-        case CmpOp::kGt:
-          v = cmp > 0;
-          break;
-        case CmpOp::kGe:
-          v = cmp >= 0;
-          break;
-      }
-      out.AppendInt64(v ? 1 : 0);
+      out.AppendInt64(CmpHolds(op_, cmp) ? 1 : 0);
     }
     return out;
+  }
+
+  // Typed kernel for an INT64 column against an INT64 constant
+  // (`month <= 6`), the shape of the filtered scans measured in
+  // EXPERIMENTS.md: the column's array and validity are read in place, with
+  // no copy and no broadcast of the constant. Every other shape takes the
+  // default.
+  Result<std::vector<uint8_t>> KeepMask(const Table& table) const override {
+    const auto* ref = dynamic_cast<const ColumnRefExpr*>(left_.get());
+    const auto* lit = dynamic_cast<const LiteralExpr*>(right_.get());
+    if (ref == nullptr || lit == nullptr || !lit->value().is_int64()) {
+      return Expression::KeepMask(table);
+    }
+    Result<const Column*> col = table.ColumnByName(ref->name());
+    if (!col.ok() || (*col)->type() != DataType::kInt64) {
+      return Expression::KeepMask(table);
+    }
+    std::vector<uint8_t> mask((*col)->size());
+    CompareInt64ConstMask(op_, (*col)->int64_data().data(),
+                          (*col)->validity().data(), mask.size(),
+                          lit->value().int64(), mask.data());
+    return mask;
   }
 
   std::string ToString() const override {
@@ -286,6 +349,13 @@ class CompareExpr : public Expression {
   ExprPtr left_;
   ExprPtr right_;
 };
+
+// AND, OR, NOT and CASE WHEN read their operands as booleans (INT64 0/1). A
+// FLOAT64 or string operand is a type error, not a read of the wrong array.
+Status CheckBoolean(const Column& c, const char* op) {
+  if (c.type() == DataType::kInt64) return Status::OK();
+  return Status::TypeMismatch(std::string(op) + " operand must be boolean");
+}
 
 class LogicalExpr : public Expression {
  public:
@@ -301,6 +371,9 @@ class LogicalExpr : public Expression {
   Result<Column> Evaluate(const Table& table) const override {
     PCTAGG_ASSIGN_OR_RETURN(Column lc, left_->Evaluate(table));
     PCTAGG_ASSIGN_OR_RETURN(Column rc, right_->Evaluate(table));
+    const char* name = is_and_ ? "AND" : "OR";
+    PCTAGG_RETURN_IF_ERROR(CheckBoolean(lc, name));
+    PCTAGG_RETURN_IF_ERROR(CheckBoolean(rc, name));
     Column out(DataType::kInt64);
     out.Reserve(table.num_rows());
     for (size_t i = 0; i < table.num_rows(); ++i) {
@@ -344,6 +417,7 @@ class NotExpr : public Expression {
 
   Result<Column> Evaluate(const Table& table) const override {
     PCTAGG_ASSIGN_OR_RETURN(Column c, expr_->Evaluate(table));
+    PCTAGG_RETURN_IF_ERROR(CheckBoolean(c, "NOT"));
     Column out(DataType::kInt64);
     out.Reserve(table.num_rows());
     for (size_t i = 0; i < table.num_rows(); ++i) {
@@ -441,6 +515,7 @@ class CaseWhenExpr : public Expression {
     results.reserve(branches_.size());
     for (const auto& [cond, result] : branches_) {
       PCTAGG_ASSIGN_OR_RETURN(Column c, cond->Evaluate(table));
+      PCTAGG_RETURN_IF_ERROR(CheckBoolean(c, "CASE WHEN"));
       PCTAGG_ASSIGN_OR_RETURN(Column r, result->Evaluate(table));
       conds.push_back(std::move(c));
       results.push_back(std::move(r));
@@ -641,6 +716,20 @@ class RoundExpr : public Expression {
 };
 
 }  // namespace
+
+Result<std::vector<uint8_t>> Expression::KeepMask(const Table& table) const {
+  PCTAGG_ASSIGN_OR_RETURN(Column pred, Evaluate(table));
+  if (pred.type() != DataType::kInt64) {
+    return Status::TypeMismatch("filter predicate must be boolean");
+  }
+  const uint8_t* valid = pred.validity().data();
+  const int64_t* value = pred.int64_data().data();
+  std::vector<uint8_t> mask(pred.size());
+  for (size_t i = 0; i < mask.size(); ++i) {
+    mask[i] = valid[i] != 0 && value[i] != 0;
+  }
+  return mask;
+}
 
 ExprPtr Lit(Value v) {
   DataType type = DataType::kInt64;

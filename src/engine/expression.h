@@ -1,6 +1,7 @@
 #ifndef PCTAGG_ENGINE_EXPRESSION_H_
 #define PCTAGG_ENGINE_EXPRESSION_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -32,6 +33,13 @@ class Expression {
   // Evaluates over every row of `table`, producing a column of
   // table.num_rows() entries.
   virtual Result<Column> Evaluate(const Table& table) const = 0;
+
+  // The WHERE/HAVING keep mask: table.num_rows() bytes, 1 where this
+  // predicate is TRUE and 0 where it is FALSE or UNKNOWN. Always equal to
+  // Evaluate() followed by `valid && value != 0`, which is what the default
+  // does; a comparison of an INT64 column with an INT64 constant overrides
+  // it with a typed loop over the column array.
+  virtual Result<std::vector<uint8_t>> KeepMask(const Table& table) const;
 
   // SQL-ish rendering, used when plans are printed as generated SQL.
   virtual std::string ToString() const = 0;

@@ -242,21 +242,12 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
   std::vector<uint8_t> mask;
   if (where != nullptr) {
     obs::OpScope filter_op("filter");
-    PCTAGG_ASSIGN_OR_RETURN(Column pred, where->Evaluate(input));
-    if (pred.type() != DataType::kInt64) {
-      return Status::TypeMismatch("filter predicate must be boolean");
+    PCTAGG_ASSIGN_OR_RETURN(mask, where->KeepMask(input));
+    if (filter_op.active()) {
+      const size_t kept = std::count(mask.begin(), mask.end(), 1);
+      filter_op.SetRows(n, kept);
+      filter_op.SetDetail("fused mask");
     }
-    mask.resize(n);
-    const uint8_t* pv = pred.validity().data();
-    const int64_t* pd = pred.int64_data().data();
-    size_t kept = 0;
-    for (size_t row = 0; row < n; ++row) {
-      const uint8_t keep = pv[row] != 0 && pd[row] != 0;
-      mask[row] = keep;
-      kept += keep;
-    }
-    filter_op.SetRows(n, kept);
-    filter_op.SetDetail("fused mask");
   }
 
   obs::OpScope op("aggregate");

@@ -14,6 +14,7 @@ namespace pctagg {
 // an intermediate table, FusedAggregate pushes each morsel through
 // filter-mask, keying and accumulation in one pass, so filtered rows are
 // never copied and the group key is built straight from the column arrays.
+// The mask is the WHERE's Expression::KeepMask.
 //
 // Results are bit-identical to Filter(input, where) followed by
 // HashAggregate(group_by, aggs) at the same dop: the accumulation and

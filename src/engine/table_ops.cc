@@ -21,15 +21,11 @@ Result<Table> Project(const Table& input,
 
 Result<Table> Filter(const Table& input, const ExprPtr& predicate) {
   obs::OpScope op("filter");
-  PCTAGG_ASSIGN_OR_RETURN(Column pred, predicate->Evaluate(input));
-  if (pred.type() != DataType::kInt64) {
-    return Status::TypeMismatch("filter predicate must be boolean");
-  }
+  PCTAGG_ASSIGN_OR_RETURN(std::vector<uint8_t> keep,
+                          predicate->KeepMask(input));
   Table out(input.schema());
   for (size_t row = 0; row < input.num_rows(); ++row) {
-    if (!pred.IsNull(row) && pred.Int64At(row) != 0) {
-      out.AppendRowFrom(input, row);
-    }
+    if (keep[row] != 0) out.AppendRowFrom(input, row);
   }
   op.SetRows(input.num_rows(), out.num_rows());
   return out;

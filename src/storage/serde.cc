@@ -159,7 +159,8 @@ Result<Column> DecodeColumn(ByteReader* in, DataType type) {
         return Corrupt("truncated INT64 values");
       }
       std::vector<int64_t> data(n);
-      std::memcpy(data.data(), raw.data(), raw.size());
+      // An empty vector's data() may be null, which memcpy must not get.
+      if (n > 0) std::memcpy(data.data(), raw.data(), raw.size());
       return Column::FromInt64(std::move(data), std::move(validity));
     }
     case DataType::kFloat64: {
@@ -168,7 +169,7 @@ Result<Column> DecodeColumn(ByteReader* in, DataType type) {
         return Corrupt("truncated FLOAT64 values");
       }
       std::vector<double> data(n);
-      std::memcpy(data.data(), raw.data(), raw.size());
+      if (n > 0) std::memcpy(data.data(), raw.data(), raw.size());
       return Column::FromFloat64(std::move(data), std::move(validity));
     }
     case DataType::kString: {
@@ -191,7 +192,7 @@ Result<Column> DecodeColumn(ByteReader* in, DataType type) {
         return Corrupt("truncated code vector");
       }
       std::vector<uint32_t> codes(n);
-      std::memcpy(codes.data(), raw.data(), raw.size());
+      if (n > 0) std::memcpy(codes.data(), raw.data(), raw.size());
       for (size_t r = 0; r < n; ++r) {
         if (validity[r] && codes[r] >= dict_count) {
           return Corrupt("code out of dictionary range");

@@ -121,6 +121,69 @@ TEST(DatabaseTest, AnalysisErrorsSurface) {
   EXPECT_EQ(r3.status().code(), StatusCode::kNotFound);
 }
 
+// INT64 keys just above 2^53 are distinct integers that round to the same
+// double; WHERE, HAVING and CASE must compare them as integers.
+TEST(DatabaseTest, Int64PredicatesAbove2To53AreExact) {
+  Table t(Schema({{"id", DataType::kInt64}, {"v", DataType::kInt64}}));
+  t.AppendRow({Value::Int64(9007199254740992), Value::Int64(1)});
+  t.AppendRow({Value::Int64(9007199254740993), Value::Int64(2)});
+  t.AppendRow({Value::Int64(9007199254740994), Value::Int64(4)});
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("t", std::move(t)).ok());
+
+  Result<Table> point =
+      db.Query("SELECT id, v FROM t WHERE id = 9007199254740993");
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  ASSERT_EQ(point->num_rows(), 1u);
+  EXPECT_EQ(point->column(0).Int64At(0), 9007199254740993);
+
+  Result<Table> pct = db.Query(
+      "SELECT id, Vpct(v) AS p FROM t WHERE id > 9007199254740992 "
+      "GROUP BY id ORDER BY id");
+  ASSERT_TRUE(pct.ok()) << pct.status().ToString();
+  ASSERT_EQ(pct->num_rows(), 2u);
+  EXPECT_EQ(pct->column(0).Int64At(0), 9007199254740993);
+  EXPECT_EQ(pct->column(0).Int64At(1), 9007199254740994);
+  EXPECT_DOUBLE_EQ(pct->column(1).Float64At(0), 2.0 / 6.0);
+  EXPECT_DOUBLE_EQ(pct->column(1).Float64At(1), 4.0 / 6.0);
+
+  Result<Table> having = db.Query(
+      "SELECT id, sum(v) AS s FROM t GROUP BY id "
+      "HAVING id = 9007199254740993");
+  ASSERT_TRUE(having.ok()) << having.status().ToString();
+  ASSERT_EQ(having->num_rows(), 1u);
+  EXPECT_EQ(having->column(1).Int64At(0), 2);
+
+  Result<Table> cased = db.Query(
+      "SELECT id, CASE WHEN id = 9007199254740993 THEN 1 ELSE 0 END AS hit "
+      "FROM t");
+  ASSERT_TRUE(cased.ok()) << cased.status().ToString();
+  ASSERT_EQ(cased->num_rows(), 3u);
+  EXPECT_EQ(cased->column(1).Int64At(0), 0);
+  EXPECT_EQ(cased->column(1).Int64At(1), 1);
+  EXPECT_EQ(cased->column(1).Int64At(2), 0);
+}
+
+// AND, OR, NOT and CASE WHEN over a FLOAT64 operand are type errors; they
+// used to read the operand's missing INT64 array and abort the process.
+TEST(DatabaseTest, NonBooleanLogicalOperandsAreTypeErrors) {
+  Table t(Schema({{"k", DataType::kInt64}, {"x", DataType::kFloat64}}));
+  t.AppendRow({Value::Int64(1), Value::Float64(0.5)});
+  t.AppendRow({Value::Int64(2), Value::Float64(0.0)});
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("t", std::move(t)).ok());
+  for (const char* sql :
+       {"SELECT k, count(*) AS n FROM t WHERE x AND k <= 1 GROUP BY k",
+        "SELECT k, count(*) AS n FROM t WHERE k <= 1 OR x GROUP BY k",
+        "SELECT k FROM t WHERE NOT x",
+        "SELECT k, CASE WHEN x THEN 1 ELSE 0 END AS c FROM t"}) {
+    SCOPED_TRACE(sql);
+    Result<Table> r = db.Query(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeMismatch);
+  }
+}
+
 TEST(DatabaseTest, CreateTableAsMaterializesQueries) {
   PctDatabase db;
   ASSERT_TRUE(db.CreateTable("sales", PaperExampleSales()).ok());

@@ -266,6 +266,73 @@ TEST(DistTest, DistributedCubeMatchesSingleNode) {
   }
 }
 
+// A WHERE on a non-key column rides in every shard's PARTIAL, which the
+// worker answers with one fused mask scan; the merged answer must still be
+// the single-node one, byte for byte, for Vpct, Hpct and CUBE alike.
+TEST(DistTest, FilteredQueriesMatchSingleNode) {
+  Cluster cluster(2);
+  ASSERT_TRUE(
+      cluster.db().CreateTable("f", GenerateTransactionLine(20000)).ok());
+  const std::string vpct =
+      "SELECT dayOfWeekNo, stateId, Vpct(itemQty BY stateId) AS pct FROM f "
+      "WHERE monthNo <= 6 GROUP BY dayOfWeekNo, stateId "
+      "ORDER BY dayOfWeekNo, stateId";
+  const std::string hpct =
+      "SELECT stateId, Hpct(itemQty BY dayOfWeekNo) FROM f "
+      "WHERE monthNo <= 6 AND storeId <> 3 GROUP BY stateId ORDER BY stateId";
+  const std::string cube =
+      "SELECT stateId, dayOfWeekNo, sum(itemQty) AS s, count(*) AS n FROM f "
+      "WHERE itemQty > 2 OR monthNo = 1 GROUP BY CUBE(stateId, dayOfWeekNo) "
+      "ORDER BY stateId, dayOfWeekNo";
+  const std::string want_vpct = LocalCsv(&cluster.db(), vpct);
+  const std::string want_cube = LocalCsv(&cluster.db(), cube, 4);
+  Result<Table> want_hpct = cluster.db().Query(hpct);
+  ASSERT_TRUE(want_hpct.ok()) << want_hpct.status().ToString();
+  ASSERT_TRUE(cluster.coordinator().ShardTable("f", "cityId").ok());
+
+  for (size_t dop : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("dop=" + std::to_string(dop));
+    Result<Table> got = cluster.Distributed(vpct, dop);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(FormatCsv(*got), want_vpct);
+    got = cluster.Distributed(cube, dop);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(FormatCsv(*got), want_cube);
+    got = cluster.Distributed(hpct, dop);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameByColumnName(*got, *want_hpct);
+  }
+}
+
+// A WHERE that no row on any shard passes: every worker returns an empty
+// partial (or the one NULL/0 row of a global aggregate) and the merge must
+// reproduce the single-node answer.
+TEST(DistTest, WhereNoShardRowPassesMatchesSingleNode) {
+  Cluster cluster(2);
+  ASSERT_TRUE(
+      cluster.db().CreateTable("f", GenerateTransactionLine(5000)).ok());
+  const std::vector<std::string> queries = {
+      "SELECT dayOfWeekNo, stateId, Vpct(itemQty BY stateId) AS pct FROM f "
+      "WHERE monthNo > 99 GROUP BY dayOfWeekNo, stateId",
+      "SELECT stateId, sum(itemQty) AS s, count(*) AS n FROM f "
+      "WHERE monthNo > 99 GROUP BY stateId",
+      "SELECT sum(itemQty) AS s, count(*) AS n, count(itemQty) AS c FROM f "
+      "WHERE monthNo > 99"};
+  std::vector<std::string> want;
+  for (const std::string& sql : queries) {
+    want.push_back(LocalCsv(&cluster.db(), sql));
+  }
+  ASSERT_TRUE(cluster.coordinator().ShardTable("f", "cityId").ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE(queries[i]);
+    Result<Table> got = cluster.Distributed(queries[i], 4);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(FormatCsv(*got), want[i]);
+  }
+  // The global aggregate over no rows is one row: NULL sum, count 0.
+  EXPECT_EQ(want[2], "s,n,c\n,0,0\n");
+}
+
 // --- Failure semantics -------------------------------------------------------
 
 // Killing a worker mid-topology turns the next query into a typed

@@ -1,11 +1,18 @@
 // Unit tests for the vectorized expression evaluator: arithmetic with NULL
 // propagation, NULL-on-zero division (the Vpct safety net), three-valued
-// logic, comparisons and CASE WHEN.
+// logic, comparisons and CASE WHEN — plus the WHERE keep mask, checked
+// against Evaluate() by a seeded differential sweep of random predicates.
 
 #include "engine/expression.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "engine/table.h"
 
 namespace pctagg {
@@ -199,6 +206,285 @@ TEST(ExpressionTest, EvaluateOnEmptyTable) {
   Table t(Schema({{"d", DataType::kInt64}}));
   Column c = Add(Col("d"), Lit(Value::Int64(1)))->Evaluate(t).value();
   EXPECT_EQ(c.size(), 0u);
+}
+
+// --- Keep mask ---------------------------------------------------------------
+
+// The reference the keep mask must equal: Evaluate, then valid && value != 0.
+std::vector<uint8_t> MaskByEvaluate(const ExprPtr& e, const Table& t) {
+  Result<Column> c = e->Evaluate(t);
+  EXPECT_TRUE(c.ok()) << e->ToString() << ": " << c.status().ToString();
+  if (!c.ok()) return {};
+  std::vector<uint8_t> mask(c->size());
+  for (size_t i = 0; i < c->size(); ++i) {
+    mask[i] = !c->IsNull(i) && c->Int64At(i) != 0;
+  }
+  return mask;
+}
+
+std::vector<uint8_t> KeepMaskOf(const ExprPtr& e, const Table& t) {
+  Result<std::vector<uint8_t>> mask = e->KeepMask(t);
+  EXPECT_TRUE(mask.ok()) << e->ToString() << ": " << mask.status().ToString();
+  return mask.ok() ? *mask : std::vector<uint8_t>();
+}
+
+// INT64 values just above 2^53 are distinct integers but round to the same
+// double, so comparing them as doubles answers wrongly.
+Table Int53Table() {
+  Table t(Schema({{"id", DataType::kInt64}, {"v", DataType::kInt64}}));
+  t.AppendRow({Value::Int64(9007199254740992), Value::Int64(1)});
+  t.AppendRow({Value::Int64(9007199254740993), Value::Int64(2)});
+  t.AppendRow({Value::Int64(9007199254740994), Value::Int64(4)});
+  return t;
+}
+
+TEST(ExpressionTest, Int64ComparisonsAbove2To53AreExact) {
+  Table t = Int53Table();
+  const struct {
+    ExprPtr predicate;
+    std::vector<uint8_t> want;
+  } cases[] = {
+      {Eq(Col("id"), Lit(Value::Int64(9007199254740993))), {0, 1, 0}},
+      {Gt(Col("id"), Lit(Value::Int64(9007199254740992))), {0, 1, 1}},
+      // Constant on the left, and a computed INT64 operand.
+      {Lt(Lit(Value::Int64(9007199254740992)), Col("id")), {0, 1, 1}},
+      {Ne(Add(Col("id"), Lit(Value::Int64(0))),
+          Lit(Value::Int64(9007199254740993))),
+       {1, 0, 1}},
+      // INT64 against FLOAT64 keeps double semantics: 2^53 + 1 rounds to
+      // 2^53.
+      {Eq(Col("id"), Lit(Value::Float64(9007199254740992.0))), {1, 1, 0}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.predicate->ToString());
+    EXPECT_EQ(MaskByEvaluate(c.predicate, t), c.want);
+    EXPECT_EQ(KeepMaskOf(c.predicate, t), c.want);
+  }
+}
+
+TEST(ExpressionTest, KeepMaskDropsUnknownRows) {
+  Table t = TestTable();  // d: 1, 2, NULL
+  const ExprPtr unknown = Eq(Col("d"), Lit(Value::Int64(1)));
+  EXPECT_EQ(KeepMaskOf(unknown, t), (std::vector<uint8_t>{1, 0, 0}));
+  // NOT UNKNOWN is UNKNOWN: NOT keeps neither the NULL row nor row 0.
+  EXPECT_EQ(KeepMaskOf(Not(unknown), t), (std::vector<uint8_t>{0, 1, 0}));
+  EXPECT_EQ(KeepMaskOf(Or(unknown, IsNull(Col("d"))), t),
+            (std::vector<uint8_t>{1, 0, 1}));
+  EXPECT_EQ(KeepMaskOf(Gt(Col("d"), NullLit(DataType::kInt64)), t),
+            (std::vector<uint8_t>{0, 0, 0}));
+}
+
+TEST(ExpressionTest, KeepMaskReportsEvaluateErrors) {
+  Table t = TestTable();
+  for (const ExprPtr& e :
+       {Eq(Col("s"), Lit(Value::Int64(1))), Lt(Lit(Value::Int64(1)), Col("s")),
+        Gt(Col("zzz"), Lit(Value::Int64(1))), Col("a"),
+        And(Col("a"), Lit(Value::Int64(1)))}) {
+    SCOPED_TRACE(e->ToString());
+    Result<std::vector<uint8_t>> mask = e->KeepMask(t);
+    ASSERT_FALSE(mask.ok());
+    if (e->ResultType(t.schema()).ok()) {
+      // Well-typed but not boolean: the filter-predicate check.
+      EXPECT_EQ(mask.status().code(), StatusCode::kTypeMismatch);
+    } else {
+      EXPECT_EQ(mask.status().code(),
+                e->ResultType(t.schema()).status().code());
+    }
+  }
+}
+
+// Differential sweep: random predicate trees over seeded tables whose INT64
+// and FLOAT64 columns hold NULLs, NaN, infinities, signed zeros and values
+// around +-2^53. Every tree's keep mask must equal Evaluate's, row for row.
+class KeepMaskSweep {
+ public:
+  explicit KeepMaskSweep(uint64_t seed) : rng_(seed) {}
+
+  Table MakeTable(size_t rows) {
+    Table t(Schema({{"i1", DataType::kInt64},
+                    {"i2", DataType::kInt64},
+                    {"f1", DataType::kFloat64},
+                    {"f2", DataType::kFloat64}}));
+    for (size_t r = 0; r < rows; ++r) {
+      t.AppendRow({IntValue(true), IntValue(true), FloatValue(true),
+                   FloatValue(true)});
+    }
+    return t;
+  }
+
+  // A predicate (INT64 0/1 result) of at most `depth` connective levels.
+  ExprPtr Predicate(int depth) {
+    const uint64_t pick = rng_.Uniform(depth > 0 ? 10 : 5);
+    switch (pick) {
+      case 0:
+      case 1:
+      case 2:
+        return Comparison();
+      case 3:
+        return IsNull(Operand());
+      case 4:
+        // A bare INT64 column is TRUE wherever it is non-zero.
+        return Col(rng_.Uniform(2) == 0 ? "i1" : "i2");
+      case 5:
+        return And(Predicate(depth - 1), Predicate(depth - 1));
+      case 6:
+        return Or(Predicate(depth - 1), Predicate(depth - 1));
+      case 7:
+        return Not(Predicate(depth - 1));
+      case 8:
+        return Not(IsNull(Predicate(depth - 1)));  // IS NOT NULL
+      default:
+        return IsNull(Predicate(depth - 1));
+    }
+  }
+
+ private:
+  static constexpr int64_t k2To53 = int64_t{1} << 53;
+
+  Value IntValue(bool nullable) {
+    switch (rng_.Uniform(nullable ? 6 : 5)) {
+      case 0:
+        return Value::Int64(0);
+      case 1:
+        return Value::Int64(rng_.UniformRange(-3, 3));
+      case 2:
+        return Value::Int64(k2To53 + rng_.UniformRange(-2, 2));
+      case 3:
+        return Value::Int64(-k2To53 + rng_.UniformRange(-2, 2));
+      case 4:
+        return Value::Int64(rng_.UniformRange(-1000, 1000));
+      default:
+        return Value::Null();
+    }
+  }
+
+  Value FloatValue(bool nullable) {
+    static const double kSpecial[] = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        0.0,
+        -0.0,
+        0.5,
+        -2.5,
+        9007199254740992.0,
+        9007199254740994.0,
+        -9007199254740992.0};
+    switch (rng_.Uniform(nullable ? 5 : 4)) {
+      case 0:
+      case 1:
+        return Value::Float64(kSpecial[rng_.Uniform(std::size(kSpecial))]);
+      case 2:
+        return Value::Float64(static_cast<double>(rng_.UniformRange(-3, 3)));
+      case 3:
+        return Value::Float64(rng_.NextDouble() * 200.0 - 100.0);
+      default:
+        return Value::Null();
+    }
+  }
+
+  ExprPtr Constant() {
+    switch (rng_.Uniform(5)) {
+      case 0:
+      case 1:
+        return Lit(IntValue(false));
+      case 2:
+      case 3:
+        return Lit(FloatValue(false));
+      default:
+        return NullLit(rng_.Uniform(2) == 0 ? DataType::kInt64
+                                            : DataType::kFloat64);
+    }
+  }
+
+  ExprPtr ColumnRef() {
+    static const char* kNames[] = {"i1", "i2", "f1", "f2"};
+    return Col(kNames[rng_.Uniform(4)]);
+  }
+
+  // A numeric operand: a column, a constant, or one level of arithmetic.
+  ExprPtr Operand() {
+    switch (rng_.Uniform(4)) {
+      case 0:
+        return Constant();
+      case 1: {
+        // No *: products of values near 2^53 would overflow INT64.
+        ExprPtr l = ColumnRef();
+        ExprPtr r = rng_.Uniform(2) == 0 ? ColumnRef() : Constant();
+        switch (rng_.Uniform(3)) {
+          case 0:
+            return Add(l, r);
+          case 1:
+            return Sub(l, r);
+          default:
+            return Div(l, r);
+        }
+      }
+      default:
+        return ColumnRef();
+    }
+  }
+
+  ExprPtr Comparison() {
+    ExprPtr l;
+    ExprPtr r;
+    switch (rng_.Uniform(4)) {
+      case 0:  // column against a constant
+        l = ColumnRef();
+        r = Constant();
+        break;
+      case 1:  // constant against a column
+        l = Constant();
+        r = ColumnRef();
+        break;
+      case 2:  // column against column
+        l = ColumnRef();
+        r = ColumnRef();
+        break;
+      default:
+        l = Operand();
+        r = Operand();
+        break;
+    }
+    switch (rng_.Uniform(6)) {
+      case 0:
+        return Eq(l, r);
+      case 1:
+        return Ne(l, r);
+      case 2:
+        return Lt(l, r);
+      case 3:
+        return Le(l, r);
+      case 4:
+        return Gt(l, r);
+      default:
+        return Ge(l, r);
+    }
+  }
+
+  Rng rng_;
+};
+
+TEST(ExpressionTest, KeepMaskMatchesEvaluateOnRandomPredicates) {
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    KeepMaskSweep sweep(seed);
+    std::vector<Table> tables;
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{37}, size_t{400}}) {
+      tables.push_back(sweep.MakeTable(rows));
+    }
+    for (int i = 0; i < 250; ++i) {
+      const ExprPtr e = sweep.Predicate(3);
+      for (const Table& t : tables) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                     std::to_string(t.num_rows()) + " rows: " + e->ToString());
+        const std::vector<uint8_t> want = MaskByEvaluate(e, t);
+        ASSERT_EQ(KeepMaskOf(e, t), want);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 8u * 250u * 4u);
 }
 
 }  // namespace

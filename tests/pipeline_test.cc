@@ -282,6 +282,183 @@ INSTANTIATE_TEST_SUITE_P(Dop, PipelineSweep, ::testing::Values(1, 4),
                            return "dop" + std::to_string(info.param);
                          });
 
+// --- Plain GROUP BY on the fused scan ---------------------------------------
+
+// A plain GROUP BY and the pieces of its pre-fusion evaluation: Filter(f,
+// where), then HashAggregate, then the projection to SELECT order.
+struct PlainGroupBy {
+  std::string sql;
+  std::string table;
+  ExprPtr where;  // null: no WHERE
+  std::vector<std::string> group_by;
+  std::vector<AggSpec> aggs;
+  std::vector<std::string> select;  // output names in SELECT order
+};
+
+Result<Table> FilterThenHashAggregate(const Table& f, const PlainGroupBy& q,
+                                      size_t dop) {
+  Table input = f;
+  if (q.where != nullptr) {
+    PCTAGG_ASSIGN_OR_RETURN(input, Filter(f, q.where));
+  }
+  PCTAGG_ASSIGN_OR_RETURN(Table agg,
+                          HashAggregate(input, q.group_by, q.aggs, dop));
+  std::vector<ProjectSpec> specs;
+  for (const std::string& name : q.select) specs.push_back({Col(name), name});
+  return Project(agg, specs);
+}
+
+// The first trace node labelled `label`, depth first.
+const obs::TraceNode* FindNode(const obs::TraceNode& node,
+                               const std::string& label) {
+  if (node.label == label) return &node;
+  for (const auto& child : node.children) {
+    if (const obs::TraceNode* found = FindNode(*child, label)) return found;
+  }
+  return nullptr;
+}
+
+class PlainGroupBySweep : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.CreateTable("f", IntFact(3000, 53)).ok());
+    ASSERT_TRUE(db_.CreateTable("big", IntFact(50000, 59)).ok());
+    ASSERT_TRUE(db_.CreateTable("salesn", GenerateSalesNamed(4000)).ok());
+  }
+
+  // PctDatabase::Query must run `q` as one fused mask scan and answer
+  // bit-identically to Filter -> HashAggregate at the same dop.
+  void ExpectMatchesFilterThenHashAggregate(const PlainGroupBy& q) {
+    const size_t dop = GetParam();
+    SCOPED_TRACE(q.sql + " @ dop=" + std::to_string(dop));
+    obs::QueryTrace trace;
+    QueryOptions options;
+    options.degree_of_parallelism = dop;
+    options.trace = &trace;
+    Result<Table> got = db_.Query(q.sql, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const obs::TraceNode* agg = FindNode(trace.root(), "aggregate");
+    ASSERT_NE(agg, nullptr);
+    EXPECT_EQ(agg->detail.rfind("fused ", 0), 0u) << agg->detail;
+    if (q.where != nullptr) {
+      const obs::TraceNode* filter = FindNode(trace.root(), "filter");
+      ASSERT_NE(filter, nullptr);
+      EXPECT_EQ(filter->detail, "fused mask");
+    }
+    Result<Table*> f = db_.catalog().GetTable(q.table);
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    Result<Table> want = FilterThenHashAggregate(**f, q, dop);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(BitIdentical(*got, *want));
+  }
+
+  PctDatabase db_;
+};
+
+// Every aggregate the plain GROUP BY accepts, over NULL group keys (d2) and
+// an INT64 measure with NULLs (a).
+std::vector<AggSpec> AllAggs() {
+  return {{AggFunc::kSum, Col("a"), "s"},
+          {AggFunc::kCountStar, nullptr, "n"},
+          {AggFunc::kCount, Col("a"), "c"},
+          {AggFunc::kAvg, Col("a"), "m"},
+          {AggFunc::kMin, Col("a"), "lo"},
+          {AggFunc::kMax, Col("a"), "hi"}};
+}
+
+TEST_P(PlainGroupBySweep, FilteredGroupByWithNullKeys) {
+  for (const char* table : {"f", "big"}) {
+    ExpectMatchesFilterThenHashAggregate(
+        {std::string("SELECT d1, d2, sum(a) AS s, count(*) AS n, "
+                     "count(a) AS c, avg(a) AS m, min(a) AS lo, max(a) AS hi "
+                     "FROM ") +
+             table + " WHERE d3 <> 1 AND a > 20 GROUP BY d1, d2",
+         table,
+         And(Ne(Col("d3"), Lit(Value::Int64(1))),
+             Gt(Col("a"), Lit(Value::Int64(20)))),
+         {"d1", "d2"},
+         AllAggs(),
+         {"d1", "d2", "s", "n", "c", "m", "lo", "hi"}});
+  }
+}
+
+TEST_P(PlainGroupBySweep, UnfilteredAndReorderedSelectList) {
+  ExpectMatchesFilterThenHashAggregate(
+      {"SELECT sum(a) AS s, d3, count(*) AS n, d1 FROM big GROUP BY d1, d3",
+       "big",
+       nullptr,
+       {"d1", "d3"},
+       {{AggFunc::kSum, Col("a"), "s"}, {AggFunc::kCountStar, nullptr, "n"}},
+       {"s", "d3", "n", "d1"}});
+  ExpectMatchesFilterThenHashAggregate(
+      {"SELECT d2, min(a) AS lo, max(a) AS hi FROM f "
+       "WHERE d2 IS NULL OR d1 = 3 GROUP BY d2",
+       "f",
+       Or(IsNull(Col("d2")), Eq(Col("d1"), Lit(Value::Int64(3)))),
+       {"d2"},
+       {{AggFunc::kMin, Col("a"), "lo"}, {AggFunc::kMax, Col("a"), "hi"}},
+       {"d2", "lo", "hi"}});
+}
+
+TEST_P(PlainGroupBySweep, DictionaryStringKeys) {
+  ExpectMatchesFilterThenHashAggregate(
+      {"SELECT state, city, count(*) AS n, sum(itemId) AS s, "
+       "min(dweek) AS first_day FROM salesn WHERE dept <> 2 "
+       "GROUP BY state, city",
+       "salesn",
+       Ne(Col("dept"), Lit(Value::Int64(2))),
+       {"state", "city"},
+       {{AggFunc::kCountStar, nullptr, "n"},
+        {AggFunc::kSum, Col("itemId"), "s"},
+        {AggFunc::kMin, Col("dweek"), "first_day"}},
+       {"state", "city", "n", "s", "first_day"}});
+  // One small-dictionary string key: the direct-dictionary keying tier.
+  ExpectMatchesFilterThenHashAggregate(
+      {"SELECT state, avg(itemId) AS m FROM salesn WHERE city <> 'city03' "
+       "GROUP BY state",
+       "salesn",
+       Ne(Col("city"), Lit(Value::String("city03"))),
+       {"state"},
+       {{AggFunc::kAvg, Col("itemId"), "m"}},
+       {"state", "m"}});
+}
+
+TEST_P(PlainGroupBySweep, WhereThatKeepsNoRows) {
+  ExpectMatchesFilterThenHashAggregate(
+      {"SELECT d1, sum(a) AS s, count(*) AS n FROM big WHERE d3 > 99 "
+       "GROUP BY d1",
+       "big",
+       Gt(Col("d3"), Lit(Value::Int64(99))),
+       {"d1"},
+       {{AggFunc::kSum, Col("a"), "s"}, {AggFunc::kCountStar, nullptr, "n"}},
+       {"d1", "s", "n"}});
+  // Without GROUP BY the answer is still one row: a NULL sum and count 0.
+  const PlainGroupBy global = {
+      "SELECT sum(a) AS s, count(*) AS n, count(a) AS c FROM big "
+      "WHERE d3 > 99",
+      "big",
+      Gt(Col("d3"), Lit(Value::Int64(99))),
+      {},
+      {{AggFunc::kSum, Col("a"), "s"},
+       {AggFunc::kCountStar, nullptr, "n"},
+       {AggFunc::kCount, Col("a"), "c"}},
+      {"s", "n", "c"}};
+  ExpectMatchesFilterThenHashAggregate(global);
+  QueryOptions options;
+  options.degree_of_parallelism = GetParam();
+  Result<Table> r = db_.Query(global.sql, options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 1u);
+  EXPECT_TRUE(r->column(0).IsNull(0));
+  EXPECT_EQ(r->column(1).Int64At(0), 0);
+  EXPECT_EQ(r->column(2).Int64At(0), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dop, PlainGroupBySweep, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "dop" + std::to_string(info.param);
+                         });
+
 // --- SIMD vs scalar ----------------------------------------------------------
 
 class PipelineSimd : public ::testing::Test {
