@@ -43,7 +43,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/database.h"
-#include "core/lattice_plan.h"
+#include "core/partial_plan.h"
 #include "dist/coordinator.h"
 #include "engine/csv.h"
 #include "engine/merge.h"
@@ -203,8 +203,7 @@ int main(int argc, char** argv) {
   if (!stub.ok()) Die("stub lookup failed", stub.status());
   Result<AnalyzedQuery> query = pctagg::Analyze(*stmt, (*stub)->schema());
   if (!query.ok()) Die("analyze failed", query.status());
-  Result<pctagg::DistPartialPlan> plan =
-      pctagg::BuildDistributedPartialPlan(*query);
+  Result<pctagg::PartialPlan> plan = pctagg::BuildPartialPlan(*query);
   if (!plan.ok()) Die("partial plan failed", plan.status());
 
   std::string agg_json;
@@ -256,8 +255,8 @@ int main(int argc, char** argv) {
     {
       pctagg::ScopedParallelism parallelism(dop);
       auto finest = std::make_shared<const Table>(std::move(merged));
-      Result<Table> a = pctagg::AssembleFromPartials(*query, finest, nullptr,
-                                                     pctagg::CurrentDop());
+      Result<Table> a = pctagg::AssembleFromPartials(
+          *plan, finest, nullptr, nullptr, pctagg::CurrentDop());
       if (!a.ok()) Die("assembly failed", a.status());
       Result<Table> tail = pctagg::ApplyQueryTail(std::move(*a), *query);
       if (!tail.ok()) Die("tail failed", tail.status());

@@ -111,15 +111,28 @@ run_job "bench smoke (mqo)" bench_smoke bench_mqo BENCH_mqo.json PCTAGG_MQO_BENC
 
 # --- EXPLAIN ANALYZE samples -------------------------------------------------
 note "EXPLAIN ANALYZE samples"
+# One file per sample, so every assert reads one plan (mirrors ci.yml).
+explain_sample() {
+  printf '.gen sales sales 100000\nEXPLAIN ANALYZE %s;\n.quit\n' "$2" |
+    build-ci-gcc-release/tools/pctagg_shell > "bench-artifacts/explain_$1.txt"
+}
+explain_samples_ok() {
+  local s
+  for s in vpct hpct cube filtered; do
+    [ "$(grep -c 'fused-scan:' "bench-artifacts/explain_$s.txt")" -eq 1 ] || return 1
+  done
+  [ "$(grep -c 'lattice-rollup:' bench-artifacts/explain_cube.txt)" -eq 7 ] &&
+    [ "$(cat bench-artifacts/explain_*.txt | grep -c 'fused mask')" -eq 1 ] &&
+    [ "$(cat bench-artifacts/explain_*.txt | grep -cE "^' *filter' *$")" -eq 0 ]
+}
 if cmake --build build-ci-gcc-release -j"$JOBS" --target pctagg_shell &&
    mkdir -p bench-artifacts &&
-   printf '.gen sales sales 100000\nEXPLAIN ANALYZE SELECT state, Vpct(salesAmt BY state) FROM sales GROUP BY state;\nEXPLAIN ANALYZE SELECT state, Hpct(salesAmt BY dweek) FROM sales GROUP BY state;\nEXPLAIN ANALYZE SELECT monthNo, dweek, store, Vpct(salesAmt BY dweek) AS pct, sum(salesAmt) AS s FROM sales GROUP BY CUBE(monthNo, dweek, store);\nEXPLAIN ANALYZE SELECT state, sum(salesAmt) AS s, count(*) AS n FROM sales WHERE monthNo <= 6 GROUP BY state;\n.quit\n' \
-     | build-ci-gcc-release/tools/pctagg_shell > bench-artifacts/explain_analyze_samples.txt &&
-   [ "$(grep -c 'fused mask' bench-artifacts/explain_analyze_samples.txt)" -eq 1 ] &&
-   [ "$(grep -cE "^' *filter' *$" bench-artifacts/explain_analyze_samples.txt)" -eq 0 ] &&
-   [ "$(grep -c 'fused-scan:' bench-artifacts/explain_analyze_samples.txt)" -eq 1 ] &&
-   [ "$(grep -c 'lattice-rollup:' bench-artifacts/explain_analyze_samples.txt)" -eq 7 ]; then
-  echo "[explain samples] OK (one fused scan feeds all 7 rollup levels; the filtered GROUP BY is one fused mask scan)"
+   explain_sample vpct 'SELECT state, Vpct(salesAmt BY state) FROM sales GROUP BY state' &&
+   explain_sample hpct 'SELECT state, Hpct(salesAmt BY dweek) FROM sales GROUP BY state' &&
+   explain_sample cube 'SELECT monthNo, dweek, store, Vpct(salesAmt BY dweek) AS pct, sum(salesAmt) AS s FROM sales GROUP BY CUBE(monthNo, dweek, store)' &&
+   explain_sample filtered 'SELECT state, sum(salesAmt) AS s, count(*) AS n FROM sales WHERE monthNo <= 6 GROUP BY state' &&
+   explain_samples_ok; then
+  echo "[explain samples] OK (one fused scan per sample; the CUBE's feeds all 7 rollup levels; the filtered GROUP BY is one fused mask scan)"
 else
   echo "[explain samples] FAILED"
   FAILED+=("explain samples")

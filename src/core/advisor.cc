@@ -144,20 +144,4 @@ bool StrategyAdvisor::AdviseHorizontalFused(const PlannerStats& fact,
   return model.FusedHorizontalCost(s) < model.HorizontalCost(s, materialized);
 }
 
-bool StrategyAdvisor::AdviseLatticeShared(const PlannerStats& fact,
-                                          const AnalyzedQuery& query,
-                                          size_t dop) const {
-  CostModel model;
-  Result<std::vector<double>> level_rows =
-      model.EstimateLatticeLevelRows(fact, query);
-  if (!level_rows.ok()) return true;
-  Result<FactStats> stats =
-      model.EstimateStats(fact, query.group_by, /*totals_by=*/{}, /*by=*/{});
-  if (!stats.ok()) return true;
-  FactStats s = stats.value();
-  s.dop = static_cast<double>(dop < 1 ? 1 : dop);
-  return model.LatticeSharedCost(s, level_rows.value()) <=
-         model.LatticePerLevelCost(s, level_rows.value());
-}
-
 }  // namespace pctagg

@@ -43,24 +43,16 @@ class StrategyAdvisor {
                                       const AnalyzedQuery& query,
                                       size_t dop = 1) const;
 
-  // Whether the fused push-based pipeline (core/pipeline_plan.h) should
-  // replace the materialized plan for this query. Callers check the shape
-  // gates (VpctPipelineSupported / HorizontalPipelineSupported) first; these
-  // only compare costs: fused runs when the fact table is at least
-  // kFusedMinRows and the model prices the pipeline below the best
-  // materialized strategy at this dop. False on estimation failure.
+  // Whether the partial path (core/partial_plan.h) should replace the
+  // materialized plan for this query. Callers check the shape gate
+  // (PartialPlanSupported) first; these only compare costs: the partial
+  // path runs when the fact table is at least kFusedMinRows and the model
+  // prices it below the best materialized strategy at this dop. False on
+  // estimation failure.
   bool AdviseVpctFused(const PlannerStats& fact, const AnalyzedQuery& query,
                        size_t dop = 1) const;
   bool AdviseHorizontalFused(const PlannerStats& fact,
                              const AnalyzedQuery& query, size_t dop = 1) const;
-
-  // Grouping-set lattices (core/lattice_plan.h): true when the shared-scan
-  // rollup should beat recomputing every level from the fact table. Shared
-  // is the safe default — it only loses when the finest level is nearly as
-  // large as the fact table (rollups then rescan ~n rows while writing far
-  // fewer useful partials) — so estimation failure returns true.
-  bool AdviseLatticeShared(const PlannerStats& fact,
-                           const AnalyzedQuery& query, size_t dop = 1) const;
 
   // Cost-model-driven variant (paper future work: characterize strategies
   // with cost models): estimates FactStats for the first horizontal term

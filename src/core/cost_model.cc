@@ -203,17 +203,6 @@ double CostModel::MqoBatchCost(const FactStats& stats, double num_queries,
   return cost;
 }
 
-double CostModel::LatticePerLevelCost(
-    const FactStats& stats, const std::vector<double>& level_rows) const {
-  const double n = stats.rows;
-  const double dop = std::max(1.0, stats.dop);
-  double cost = 0;
-  for (double rows : level_rows) {
-    cost += n * params_.scan / dop + rows * params_.write + params_.statement;
-  }
-  return cost;
-}
-
 Result<std::vector<double>> CostModel::EstimateLatticeLevelRows(
     const PlannerStats& table, const AnalyzedQuery& query) const {
   std::vector<std::string> by;

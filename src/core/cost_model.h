@@ -93,28 +93,23 @@ class CostModel {
   // Abstract cost of the OLAP window formulation of the same Vpct query.
   double OlapCost(const FactStats& stats) const;
 
-  // Fused push-based pipelines (core/pipeline_plan.h). The Vpct pipeline is
+  // The partial path (core/partial_plan.h) for Vpct and Hpct. The Vpct one is
   // the best materialized strategy minus the Fj index build and one
   // statement: WHERE folds into the scan, Fj is probed through its own
   // in-memory hash table, and no temporary catalog tables are created. The
-  // horizontal pipeline is CASE-from-FV minus one statement — so it wins
+  // horizontal one is CASE-from-FV minus one statement — so it wins
   // exactly where from-FV already wins over direct (|FV| << n), which is the
   // crossover the advisor looks for.
   double FusedVpctCost(const FactStats& stats) const;
   double FusedHorizontalCost(const FactStats& stats) const;
 
-  // Grouping-set lattices (core/lattice_plan.h). `level_rows` is the
+  // Grouping-set lattices (core/partial_plan.h). `level_rows` is the
   // estimated result cardinality of each lattice level, sorted descending
   // with the finest level first (the shape EstimateLatticeLevelRows
-  // returns). Shared-scan: one fused pass of F builds the finest level, and
-  // every coarser level re-aggregates at most |finest| cached partial rows.
-  // Per-level: every level pays its own full scan of F — the n·scan term
-  // multiplies by the level count, which is why shared wins whenever
-  // |finest| << n.
+  // returns): one fused pass of F builds the finest level, and every coarser
+  // level re-aggregates at most |finest| partial rows.
   double LatticeSharedCost(const FactStats& stats,
                            const std::vector<double>& level_rows) const;
-  double LatticePerLevelCost(const FactStats& stats,
-                             const std::vector<double>& level_rows) const;
 
   // Estimated result cardinality of every lattice level of `query`
   // (grouping sets already expanded by the analyzer), sorted descending with

@@ -5,14 +5,12 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/cost_model.h"
-#include "core/lattice_plan.h"
 #include "core/olap_planner.h"
-#include "core/pipeline_plan.h"
+#include "core/partial_plan.h"
 #include "engine/aggregate.h"
 #include "engine/csv.h"
 #include "engine/merge.h"
 #include "engine/parallel.h"
-#include "engine/pipeline.h"
 #include "engine/table_ops.h"
 #include "obs/metrics.h"
 #include "sql/parser.h"
@@ -21,70 +19,26 @@ namespace pctagg {
 
 namespace {
 
-// Inline evaluation for plain projections and vertical aggregates (no
-// percentage machinery involved). A plain GROUP BY — every shard worker's
-// PARTIAL among them — is one fused mask scan of the base table: the WHERE
-// never copies a row, and the result is bit-identical to Filter followed by
-// HashAggregate (engine/pipeline.h).
+// Inline evaluation for plain projections. A vertical aggregate gets here
+// only when the partial path refused it: count(DISTINCT) without BY.
 Result<Table> EvaluateSimple(Catalog* catalog, const AnalyzedQuery& query) {
+  if (query.query_class != QueryClass::kProjection) {
+    return Status::InvalidArgument(
+        "count(DISTINCT ...) is only supported with a BY clause");
+  }
   PCTAGG_ASSIGN_OR_RETURN(const Table* base,
                           catalog->GetTable(query.table_name));
-  if (query.query_class == QueryClass::kProjection) {
-    Table filtered;
-    const Table* input = base;
-    if (query.where != nullptr) {
-      PCTAGG_ASSIGN_OR_RETURN(filtered, Filter(*base, query.where));
-      input = &filtered;
-    }
-    std::vector<ProjectSpec> specs;
-    for (const AnalyzedTerm& t : query.terms) {
-      specs.push_back({t.argument, t.output_name});
-    }
-    return Project(*input, specs);
+  Table filtered;
+  const Table* input = base;
+  if (query.where != nullptr) {
+    PCTAGG_ASSIGN_OR_RETURN(filtered, Filter(*base, query.where));
+    input = &filtered;
   }
-  // Vertical aggregate: group columns in SELECT order plus aggregates.
-  std::vector<AggSpec> aggs;
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.func == TermFunc::kScalar) continue;
-    AggFunc func;
-    switch (t.func) {
-      case TermFunc::kSum:
-        func = AggFunc::kSum;
-        break;
-      case TermFunc::kCount:
-        func = AggFunc::kCount;
-        break;
-      case TermFunc::kCountStar:
-        func = AggFunc::kCountStar;
-        break;
-      case TermFunc::kAvg:
-        func = AggFunc::kAvg;
-        break;
-      case TermFunc::kMin:
-        func = AggFunc::kMin;
-        break;
-      case TermFunc::kMax:
-        func = AggFunc::kMax;
-        break;
-      default:
-        return Status::Internal("unexpected term in vertical aggregate");
-    }
-    if (t.distinct) {
-      return Status::InvalidArgument(
-          "count(DISTINCT ...) is only supported with a BY clause");
-    }
-    aggs.push_back({func, t.argument, t.output_name});
-  }
-  PCTAGG_ASSIGN_OR_RETURN(
-      Table agg, FusedAggregate(*base, query.where, query.group_by, aggs));
-  // Reorder to the SELECT list.
   std::vector<ProjectSpec> specs;
   for (const AnalyzedTerm& t : query.terms) {
-    specs.push_back({Col(t.func == TermFunc::kScalar ? t.scalar_column
-                                                     : t.output_name),
-                     t.output_name});
+    specs.push_back({t.argument, t.output_name});
   }
-  return Project(agg, specs);
+  return Project(*input, specs);
 }
 
 // Applies the statement tail — HAVING, ORDER BY, LIMIT — to the
@@ -224,13 +178,12 @@ void FillHorizontalTrace(obs::QueryTrace* trace, const PlannerStats& fact,
   }
 }
 
-// Planning metadata for a grouping-set lattice query: the executed mode,
-// both candidates priced by the model, predicted finest-level cardinality.
+// Planning metadata for a grouping-set lattice query: the shared-scan
+// rollup priced by the model, predicted finest-level cardinality.
 void FillLatticeTrace(obs::QueryTrace* trace, const PlannerStats& fact,
-                      const AnalyzedQuery& query, bool shared, bool forced,
-                      size_t dop) {
-  trace->strategy = shared ? "lattice-shared" : "lattice-per-level";
-  trace->strategy_source = forced ? "forced" : "advisor";
+                      const AnalyzedQuery& query, size_t dop) {
+  trace->strategy = "lattice-shared";
+  trace->strategy_source = "n/a";
   CostModel model;
   Result<std::vector<double>> level_rows =
       model.EstimateLatticeLevelRows(fact, query);
@@ -243,10 +196,26 @@ void FillLatticeTrace(obs::QueryTrace* trace, const PlannerStats& fact,
       level_rows.value().empty() ? s.group_cardinality : level_rows.value()[0];
   trace->predicted_costs.push_back(
       {"lattice-shared", model.LatticeSharedCost(s, level_rows.value()),
-       shared});
-  trace->predicted_costs.push_back(
-      {"lattice-per-level", model.LatticePerLevelCost(s, level_rows.value()),
-       !shared});
+       true});
+}
+
+// The partial path (core/partial_plan.h): finest-level partials from the
+// summary cache or one fused scan, rolled up and assembled, then the tail.
+Result<Table> AnswerFromPartials(const AnalyzedQuery& query, const Table& fact,
+                                 SummaryCache* summaries,
+                                 obs::QueryTrace* trace, size_t dop) {
+  PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
+  PCTAGG_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Table> finest,
+      FinestPartials(query.table_name, query.where, plan.finest_cols,
+                     plan.partials, fact, summaries, trace, dop));
+  if (trace != nullptr) {
+    trace->actual_group_rows = static_cast<double>(finest->num_rows());
+  }
+  PCTAGG_ASSIGN_OR_RETURN(
+      Table out,
+      AssembleFromPartials(plan, std::move(finest), summaries, trace, dop));
+  return ApplyTail(std::move(out), query);
 }
 
 // Append-path delta-maintenance counters (process-wide, like the summary
@@ -373,188 +342,120 @@ Result<Table> PctDatabase::Query(const std::string& sql,
   if (trace != nullptr) {
     trace->query_class = QueryClassName(query.query_class);
   }
-  // Grouping-set lattice: the shared-scan/per-level executor is the only
-  // evaluator for CUBE/ROLLUP/GROUPING SETS, across every query class.
+  PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
+                          catalog_.GetTable(query.table_name));
+  std::string why;
+  const bool partial_ok = PartialPlanSupported(query, &why);
+  // Every branch either returns a materialized answer or falls through to
+  // the one partial path below.
   if (query.has_grouping_sets) {
-    PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
-                            catalog_.GetTable(query.table_name));
-    std::string why;
-    if (!LatticeSupported(query, &why)) {
-      return Status::InvalidArgument("grouping sets: " + why);
-    }
-    const PlannerStats stats = StatsOf(query.table_name, *fact);
-    const bool forced = options.lattice != LatticeMode::kAuto;
-    const bool shared = forced ? options.lattice == LatticeMode::kShared
-                               : advisor_.AdviseLatticeShared(stats, query,
-                                                              dop);
+    // The partial path is the only evaluator for CUBE/ROLLUP/GROUPING SETS.
+    if (!partial_ok) return Status::InvalidArgument("grouping sets: " + why);
     if (trace != nullptr) {
-      FillLatticeTrace(trace, stats, query, shared, forced, dop);
+      FillLatticeTrace(trace, StatsOf(query.table_name, *fact), query, dop);
     }
-    PCTAGG_ASSIGN_OR_RETURN(
-        Table out,
-        ExecuteLatticeQuery(query, *fact, use_cache ? &summaries_ : nullptr,
-                            trace, dop, shared));
-    if (trace != nullptr) {
-      const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
-      if (agg != nullptr) {
-        trace->actual_group_rows = static_cast<double>(agg->stats.rows_out);
-      }
-    }
-    return ApplyTail(std::move(out), query);
-  }
-  switch (query.query_class) {
-    case QueryClass::kProjection:
-    case QueryClass::kVertical: {
-      // Partial-lattice reuse: a plain GROUP BY whose grouping is subsumed
-      // by a cached mergeable summary rolls up from the cache instead of
-      // rescanning the fact table (same rows, same order, bit for bit on
-      // integer measures).
-      if (use_cache && query.query_class == QueryClass::kVertical) {
-        bool answered = false;
-        PCTAGG_ASSIGN_OR_RETURN(
-            Table cached, AnswerFromCachedAncestor(query, &summaries_, trace,
-                                                   dop, &answered));
-        if (answered) {
-          if (trace != nullptr) {
-            trace->strategy = "cache-ancestor";
-            trace->strategy_source = "cache";
-          }
-          return ApplyTail(std::move(cached), query);
+  } else {
+    switch (query.query_class) {
+      case QueryClass::kProjection:
+      case QueryClass::kVertical: {
+        if (trace != nullptr) {
+          trace->strategy = "direct";
+          trace->strategy_source = "n/a";
         }
-      }
-      Table out;
-      if (trace != nullptr) {
-        trace->strategy = "direct";
-        trace->strategy_source = "n/a";
-        obs::TraceNode* node = trace->root().AddChild("select", sql);
+        if (partial_ok) break;
+        obs::TraceNode* node =
+            trace != nullptr ? trace->root().AddChild("select", sql) : nullptr;
         obs::ScopedTraceNode scope(node);
-        PCTAGG_ASSIGN_OR_RETURN(out, EvaluateSimple(&catalog_, query));
-      } else {
-        PCTAGG_ASSIGN_OR_RETURN(out, EvaluateSimple(&catalog_, query));
-      }
-      return ApplyTail(std::move(out), query);
-    }
-    case QueryClass::kVpct: {
-      PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
-                              catalog_.GetTable(query.table_name));
-      const PlannerStats stats = StatsOf(query.table_name, *fact);
-      // Fused-pipeline dispatch: only on the advisor path (a forced strategy
-      // or the OLAP baseline is an explicit request for that plan), and only
-      // for supported shapes. SET exec fused forces it past the cost model.
-      const bool forced_strategy =
-          options.vpct_strategy.has_value() || options.olap_baseline;
-      bool fused = false;
-      if (!forced_strategy &&
-          options.execution != ExecutionMode::kMaterialized &&
-          VpctPipelineSupported(query)) {
-        fused = options.execution == ExecutionMode::kFused ||
-                advisor_.AdviseVpctFused(stats, query, dop);
-      }
-      if (fused) {
-        if (trace != nullptr) {
-          FillVpctTrace(trace, stats, query, VpctStrategy{},
-                        /*olap_baseline=*/false, /*forced=*/false, dop,
-                        /*fused_candidate=*/true, /*fused_chosen=*/true);
-          trace->strategy = "fused-pipeline";
-          trace->strategy_source = options.execution == ExecutionMode::kFused
-                                       ? "forced"
-                                       : "advisor";
-        }
-        PCTAGG_ASSIGN_OR_RETURN(
-            Table out,
-            ExecuteVpctPipeline(query, *fact,
-                                use_cache ? &summaries_ : nullptr, trace,
-                                dop));
-        if (trace != nullptr) {
-          const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
-          if (agg != nullptr) {
-            trace->actual_group_rows =
-                static_cast<double>(agg->stats.rows_out);
-          }
-        }
+        PCTAGG_ASSIGN_OR_RETURN(Table out, EvaluateSimple(&catalog_, query));
         return ApplyTail(std::move(out), query);
       }
-      Plan plan;
-      VpctStrategy strategy;
-      if (!options.olap_baseline) {
-        if (options.vpct_strategy.has_value()) {
-          strategy = *options.vpct_strategy;
+      case QueryClass::kVpct: {
+        const PlannerStats stats = StatsOf(query.table_name, *fact);
+        // The partial path runs only on the advisor path (a forced strategy
+        // or the OLAP baseline is an explicit request for that plan).
+        // SET exec fused forces it past the cost model.
+        const bool forced_strategy =
+            options.vpct_strategy.has_value() || options.olap_baseline;
+        const bool fused =
+            !forced_strategy && partial_ok &&
+            options.execution != ExecutionMode::kMaterialized &&
+            (options.execution == ExecutionMode::kFused ||
+             advisor_.AdviseVpctFused(stats, query, dop));
+        if (fused) {
+          if (trace != nullptr) {
+            FillVpctTrace(trace, stats, query, VpctStrategy{},
+                          /*olap_baseline=*/false, /*forced=*/false, dop,
+                          /*fused_candidate=*/true, /*fused_chosen=*/true);
+            trace->strategy = "fused-pipeline";
+            trace->strategy_source =
+                options.execution == ExecutionMode::kFused ? "forced"
+                                                           : "advisor";
+          }
+          break;
+        }
+        Plan plan;
+        VpctStrategy strategy;
+        if (!options.olap_baseline) {
+          strategy = options.vpct_strategy.has_value()
+                         ? *options.vpct_strategy
+                         : advisor_.AdviseVpct(stats, query, dop);
+          PCTAGG_ASSIGN_OR_RETURN(plan, PlanVpctQuery(query, strategy));
         } else {
-          strategy = advisor_.AdviseVpct(stats, query, dop);
+          PCTAGG_ASSIGN_OR_RETURN(plan, PlanOlapPercentageQuery(query));
         }
-        PCTAGG_ASSIGN_OR_RETURN(plan, PlanVpctQuery(query, strategy));
-      } else {
-        PCTAGG_ASSIGN_OR_RETURN(plan, PlanOlapPercentageQuery(query));
-      }
-      if (trace != nullptr) {
-        FillVpctTrace(trace, stats, query, strategy, options.olap_baseline,
-                      forced_strategy, dop,
-                      /*fused_candidate=*/!forced_strategy,
-                      /*fused_chosen=*/false);
-      }
-      return RunPlan(plan, query, use_cache, trace);
-    }
-    case QueryClass::kHorizontal: {
-      PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
-                              catalog_.GetTable(query.table_name));
-      const PlannerStats stats = StatsOf(query.table_name, *fact);
-      const bool forced_strategy = options.horizontal_strategy.has_value();
-      bool fused = false;
-      if (!forced_strategy &&
-          options.execution != ExecutionMode::kMaterialized &&
-          HorizontalPipelineSupported(query, fact->num_rows())) {
-        fused = options.execution == ExecutionMode::kFused ||
-                advisor_.AdviseHorizontalFused(stats, query, dop);
-      }
-      if (fused) {
         if (trace != nullptr) {
-          FillHorizontalTrace(trace, stats, query, HorizontalStrategy{},
-                              /*forced=*/false, dop,
-                              /*fused_candidate=*/true,
-                              /*fused_chosen=*/true);
-          trace->strategy = "fused-pipeline";
-          trace->strategy_source = options.execution == ExecutionMode::kFused
-                                       ? "forced"
-                                       : "advisor";
+          FillVpctTrace(trace, stats, query, strategy, options.olap_baseline,
+                        forced_strategy, dop,
+                        /*fused_candidate=*/!forced_strategy,
+                        /*fused_chosen=*/false);
         }
-        PCTAGG_ASSIGN_OR_RETURN(
-            Table out,
-            ExecuteHorizontalPipeline(query, *fact,
-                                      use_cache ? &summaries_ : nullptr,
-                                      trace, dop));
-        if (trace != nullptr) {
-          const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
-          if (agg != nullptr) {
-            trace->actual_group_rows =
-                static_cast<double>(agg->stats.rows_out);
+        return RunPlan(plan, query, use_cache, trace);
+      }
+      case QueryClass::kHorizontal: {
+        const PlannerStats stats = StatsOf(query.table_name, *fact);
+        const bool forced_strategy = options.horizontal_strategy.has_value();
+        const bool fused =
+            !forced_strategy && partial_ok &&
+            options.execution != ExecutionMode::kMaterialized &&
+            (options.execution == ExecutionMode::kFused ||
+             advisor_.AdviseHorizontalFused(stats, query, dop));
+        if (fused) {
+          if (trace != nullptr) {
+            FillHorizontalTrace(trace, stats, query, HorizontalStrategy{},
+                                /*forced=*/false, dop,
+                                /*fused_candidate=*/true,
+                                /*fused_chosen=*/true);
+            trace->strategy = "fused-pipeline";
+            trace->strategy_source =
+                options.execution == ExecutionMode::kFused ? "forced"
+                                                           : "advisor";
           }
+          break;
         }
-        return ApplyTail(std::move(out), query);
+        const HorizontalStrategy strategy =
+            forced_strategy ? *options.horizontal_strategy
+                            : advisor_.AdviseHorizontal(stats, query, dop);
+        PCTAGG_ASSIGN_OR_RETURN(Plan plan,
+                                PlanHorizontalQuery(query, strategy));
+        if (trace != nullptr) {
+          FillHorizontalTrace(trace, stats, query, strategy, forced_strategy,
+                              dop, /*fused_candidate=*/!forced_strategy,
+                              /*fused_chosen=*/false);
+        }
+        return RunPlan(plan, query, use_cache, trace);
       }
-      HorizontalStrategy strategy;
-      if (options.horizontal_strategy.has_value()) {
-        strategy = *options.horizontal_strategy;
-      } else {
-        strategy = advisor_.AdviseHorizontal(stats, query, dop);
+      case QueryClass::kWindow: {
+        if (trace != nullptr) {
+          trace->strategy = "OLAP-window";
+          trace->strategy_source = "n/a";
+        }
+        PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanWindowQuery(query));
+        return RunPlan(plan, query, use_cache, trace);
       }
-      PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanHorizontalQuery(query, strategy));
-      if (trace != nullptr) {
-        FillHorizontalTrace(trace, stats, query, strategy, forced_strategy,
-                            dop, /*fused_candidate=*/!forced_strategy,
-                            /*fused_chosen=*/false);
-      }
-      return RunPlan(plan, query, use_cache, trace);
-    }
-    case QueryClass::kWindow: {
-      if (trace != nullptr) {
-        trace->strategy = "OLAP-window";
-        trace->strategy_source = "n/a";
-      }
-      PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanWindowQuery(query));
-      return RunPlan(plan, query, use_cache, trace);
     }
   }
-  return Status::Internal("unhandled query class");
+  return AnswerFromPartials(query, *fact, use_cache ? &summaries_ : nullptr,
+                            trace, dop);
 }
 
 Result<std::string> PctDatabase::ExplainAnalyze(
@@ -936,11 +837,11 @@ Result<std::string> PctDatabase::Explain(const std::string& sql) const {
   const PlannerStats stats = StatsOf(query.table_name, *fact);
   if (query.has_grouping_sets) {
     std::string why;
-    if (!LatticeSupported(query, &why)) {
+    if (!PartialPlanSupported(query, &why)) {
       return Status::InvalidArgument("grouping sets: " + why);
     }
-    return RenderLatticeScript(query,
-                               advisor_.AdviseLatticeShared(stats, query));
+    PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
+    return RenderLatticeScript(plan);
   }
   switch (query.query_class) {
     case QueryClass::kVpct: {

@@ -28,26 +28,18 @@ enum class AppendPolicy {
   kRecompute,  // always drop entries (recompute lazily on next lookup)
 };
 
-// Whether percentage queries run through the fused push-based pipeline
-// (core/pipeline_plan.h) or the materialized multi-statement plans. kAuto
-// asks the StrategyAdvisor per query; kFused forces the pipeline whenever
-// the query shape supports it (silently falling back otherwise); forcing a
-// Vpct/horizontal strategy or the OLAP baseline always materializes.
+// Whether percentage queries run through the partial path
+// (core/partial_plan.h: finest-level partials from the cache or one fused
+// scan, rolled up and assembled) or the materialized multi-statement plans.
+// kAuto asks the StrategyAdvisor per query; kFused forces the partial path
+// whenever the query shape supports it (silently falling back otherwise);
+// forcing a Vpct/horizontal strategy or the OLAP baseline always
+// materializes. Plain aggregates and grouping sets always take the partial
+// path.
 enum class ExecutionMode {
   kAuto,
   kFused,
   kMaterialized,
-};
-
-// How grouping-set queries (GROUP BY CUBE/ROLLUP/GROUPING SETS) evaluate
-// their lattice (core/lattice_plan.h; SET lattice in sessions). kShared
-// computes the finest level with one fused scan and rolls every coarser
-// level up from cached partials; kPerLevel recomputes each level from the
-// fact table; kAuto asks the StrategyAdvisor.
-enum class LatticeMode {
-  kAuto,
-  kShared,
-  kPerLevel,
 };
 
 // Whether the server's multi-query batching gate (server/mqo_gate.h;
@@ -74,10 +66,8 @@ struct QueryOptions {
   std::optional<bool> use_summary_cache;
   // Evaluate a Vpct query through the ANSI OLAP window-function baseline.
   bool olap_baseline = false;
-  // Fused-pipeline dispatch (see ExecutionMode above; SET exec in sessions).
+  // Partial-path dispatch (see ExecutionMode above; SET exec in sessions).
   ExecutionMode execution = ExecutionMode::kAuto;
-  // Grouping-set lattice strategy (see LatticeMode above; SET lattice).
-  LatticeMode lattice = LatticeMode::kAuto;
   // Multi-query shared-scan batching (see MqoMode above; SET mqo).
   MqoMode mqo = MqoMode::kAuto;
   // Degree of parallelism for the engine's morsel-driven operator kernels

@@ -72,11 +72,34 @@ struct BlockSpec {
   AggFunc func = AggFunc::kSum;
   bool percent = false;       // divide cells by the group total (Hpct direct)
   bool default_zero = false;  // coalesce NULL cells to 0
+  // Hpct through FV: coalesce NULL cells to 0 only in rows that have a
+  // percentage at all (see ZeroFillPercentRows).
+  bool zero_fill_percent_rows = false;
   std::string cell_prefix;    // disambiguates cells across terms
   // avg() through FV is computed algebraically: cells combine partial sums
   // (`value`) and partial counts (`count_value`) and divide at the end.
   ExprPtr count_value;  // non-null enables the avg decomposition
 };
+
+// Hpct through FV (the transposed Vpct result): a combination absent from FV
+// is 0% of its group, but a group whose total is zero or NULL has no
+// percentage at all — every one of its FV cells is NULL — and stays NULL, as
+// the direct strategies and Vpct leave it.
+Status ZeroFillPercentRows(Table* block, size_t num_keys) {
+  for (size_t r = 0; r < block->num_rows(); ++r) {
+    bool any = false;
+    for (size_t c = num_keys; c < block->num_columns() && !any; ++c) {
+      any = !block->column(c).IsNull(r);
+    }
+    if (!any) continue;
+    for (size_t c = num_keys; c < block->num_columns(); ++c) {
+      if (!block->column(c).IsNull(r)) continue;
+      PCTAGG_RETURN_IF_ERROR(
+          block->mutable_column(c).SetValue(r, Value::Float64(0.0)));
+    }
+  }
+  return Status::OK();
+}
 
 // Renames cell columns (everything after the group columns) with `prefix`.
 Status PrefixCells(Table* block, size_t num_keys, const std::string& prefix) {
@@ -486,7 +509,7 @@ Result<Plan> PlanHorizontalQuery(const AnalyzedQuery& query,
         spec.func = AggFunc::kSum;
         spec.value = Col("__pv");
         spec.percent = false;
-        spec.default_zero = true;  // absent combinations are 0%
+        spec.zero_fill_percent_rows = true;  // absent combinations are 0%
       } else if (direct_func == AggFunc::kAvg) {
         // avg() is algebraic, not distributive: FV carries the (sum, count)
         // pair and the cells divide the re-aggregated partials.
@@ -552,6 +575,10 @@ Result<Plan> PlanHorizontalQuery(const AnalyzedQuery& query,
                    : ComputeCaseBlock(*input, spec, hash_dispatch);
       }();
       if (!out.ok()) return out.status();
+      if (spec.zero_fill_percent_rows) {
+        PCTAGG_RETURN_IF_ERROR(
+            ZeroFillPercentRows(&out.value(), spec.group_by.size()));
+      }
       ctx->catalog->CreateOrReplaceTable(block, std::move(out).value());
       return Status::OK();
     });

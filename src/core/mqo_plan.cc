@@ -1,40 +1,12 @@
 #include "core/mqo_plan.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/string_util.h"
 #include "core/database.h"
-#include "core/lattice_plan.h"
-#include "engine/pipeline.h"
-#include "obs/metrics.h"
 
 namespace pctagg {
-
-namespace {
-
-// Same (func, argument) rendering PartialSet dedups on, so partials written
-// by any planner — and recipes cached by any path — identify the same way.
-std::string RenderKey(AggFunc func, const ExprPtr& arg) {
-  return std::string(AggFuncName(func)) + "(" +
-         (func == AggFunc::kCountStar ? "*" : arg->ToString()) + ")";
-}
-
-bool ContainsIgnoreCase(const std::vector<std::string>& haystack,
-                        const std::string& needle) {
-  for (const std::string& h : haystack) {
-    if (EqualsIgnoreCase(h, needle)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool MqoSupported(const AnalyzedQuery& query, std::string* why) {
-  // Batching is the distributed decomposition run in-process: one scan
-  // produces finest-level distributive partials, each member assembles from
-  // them. Anything the scatter path can't decompose, a batch can't either.
-  return DistributedSupported(query, why);
-}
 
 std::string MqoCompatibilityKey(const AnalyzedQuery& query) {
   // The union scan runs under one predicate, so WHERE compatibility is
@@ -55,158 +27,77 @@ Result<MqoBatchPlan> PlanMqoBatch(
   plan.table = queries[0]->table_name;
   plan.where = queries[0]->where;
   const std::string key = MqoCompatibilityKey(*queries[0]);
-  std::vector<std::string> union_keys;  // render keys, parallel to partials
-
   for (const AnalyzedQuery* query : queries) {
     if (MqoCompatibilityKey(*query) != key) {
       return Status::InvalidArgument(
           "mqo: incompatible batch member (table or WHERE differs)");
     }
-    PCTAGG_ASSIGN_OR_RETURN(DistPartialPlan dp,
-                            BuildDistributedPartialPlan(*query));
-    MqoMemberPlan member;
-    member.query = query;
-    member.finest_cols = dp.finest_cols;
-    member.partials_requested = dp.partials.size();
-    plan.partials_requested += dp.partials.size();
-    for (const std::string& col : dp.finest_cols) {
-      if (!ContainsIgnoreCase(plan.scan_cols, col)) {
+    PCTAGG_ASSIGN_OR_RETURN(PartialPlan member, BuildPartialPlan(*query));
+    plan.partials_requested += member.partials.size();
+    for (const std::string& col : member.finest_cols) {
+      auto same = [&col](const std::string& c) {
+        return EqualsIgnoreCase(c, col);
+      };
+      if (std::none_of(plan.scan_cols.begin(), plan.scan_cols.end(), same)) {
         plan.scan_cols.push_back(col);
       }
     }
-    for (size_t i = 0; i < dp.partials.size(); ++i) {
-      const AggSpec& p = dp.partials[i];
-      const std::string want = RenderKey(p.func, p.input);
-      size_t slot = union_keys.size();
-      for (size_t u = 0; u < union_keys.size(); ++u) {
-        if (union_keys[u] == want) {
-          slot = u;
-          break;
-        }
-      }
-      if (slot == union_keys.size()) {
-        union_keys.push_back(want);
+    for (const AggSpec& p : member.partials) {
+      std::vector<std::string> found;
+      if (!MatchPartials({p}, plan.scan_partials, &found)) {
         plan.scan_partials.push_back(
-            {p.func, p.input, "__b" + std::to_string(slot + 1)});
+            {p.func, p.input,
+             "__b" + std::to_string(plan.scan_partials.size() + 1)});
       }
-      // Member partial __lN = combine of the batch column __b(slot+1); the
-      // combine func comes from the member's own plan (min->min, max->max,
-      // counts and sums re-sum).
-      member.rollup.push_back({dp.combine[i].func,
-                               Col(plan.scan_partials[slot].output_name),
-                               p.output_name});
-      member.count_typed.push_back(p.func == AggFunc::kCount ||
-                                   p.func == AggFunc::kCountStar);
     }
     plan.members.push_back(std::move(member));
   }
-
-  plan.scan_combine.reserve(plan.scan_partials.size());
-  for (const AggSpec& p : plan.scan_partials) {
-    AggFunc combine = p.func == AggFunc::kMin   ? AggFunc::kMin
-                      : p.func == AggFunc::kMax ? AggFunc::kMax
-                                                : AggFunc::kSum;
-    plan.scan_combine.push_back(
-        {combine, Col(p.output_name), p.output_name});
-  }
-
-  // Rendered exactly like DistPartialPlan.partial_sql so shard workers run
-  // the batch's union scan through their ordinary PARTIAL verb.
-  std::vector<std::string> cols = plan.scan_cols;
-  for (const AggSpec& a : plan.scan_partials) {
-    std::string arg = a.func == AggFunc::kCountStar ? "*" : a.input->ToString();
-    cols.push_back(std::string(AggFuncName(a.func)) + "(" + arg + ") AS " +
-                   a.output_name);
-  }
-  plan.scan_sql = "SELECT " + Join(cols, ", ") + " FROM " + plan.table;
-  if (plan.where != nullptr) {
-    plan.scan_sql += " WHERE " + plan.where->ToString();
-  }
-  if (!plan.scan_cols.empty()) {
-    plan.scan_sql += " GROUP BY " + Join(plan.scan_cols, ", ");
-  }
+  plan.scan_combine = CombineSpecs(plan.scan_partials);
+  // Shard workers run the batch's union scan through their ordinary PARTIAL
+  // verb.
+  plan.scan_sql = RenderPartialSelect(plan.scan_cols, plan.scan_partials,
+                                      plan.table, plan.where);
   return plan;
 }
 
-Result<Table> AssembleMqoMember(const MqoMemberPlan& member,
+Result<Table> AssembleMqoMember(const MqoBatchPlan& plan, size_t index,
                                 const Table& batch_partials,
                                 obs::QueryTrace* trace, size_t dop) {
+  const PartialPlan& member = plan.members[index];
+  std::vector<std::string> inputs;
+  if (!MatchPartials(member.partials, plan.scan_partials, &inputs)) {
+    return Status::Internal("mqo: union scan lacks a member's partial");
+  }
   Table finest;
   {
     obs::TraceNode* node =
         trace != nullptr
             ? trace->root().AddChild(
-                  "mqo", "mqo-rollup: level " +
-                             (member.finest_cols.empty()
-                                  ? std::string("()")
-                                  : Join(member.finest_cols, ", ")) +
-                             " from shared batch partials")
+                  "mqo", "mqo-rollup: level (" +
+                             Join(member.finest_cols, ", ") +
+                             ") from shared batch partials")
             : nullptr;
     obs::ScopedTraceNode scope(node);
     PCTAGG_ASSIGN_OR_RETURN(
-        finest,
-        HashAggregate(batch_partials, member.finest_cols, member.rollup, dop));
-    if (member.finest_cols.empty() && batch_partials.num_rows() == 0) {
-      // Rolling up zero groups leaves the global row's count partials NULL
-      // where a direct scan of the empty fact emits 0 — the same patch every
-      // other rollup path applies.
-      for (size_t a = 0; a < member.rollup.size(); ++a) {
-        if (!member.count_typed[a] || !finest.column(a).IsNull(0)) continue;
-        PCTAGG_RETURN_IF_ERROR(
-            finest.mutable_column(a).SetValue(0, Value::Int64(0)));
-      }
-    }
+        finest, RollUp(member.partials, batch_partials, member.finest_cols,
+                       inputs, dop));
   }
-  auto shared = std::make_shared<const Table>(std::move(finest));
   PCTAGG_ASSIGN_OR_RETURN(
       Table assembled,
-      AssembleFromPartials(*member.query, std::move(shared), trace, dop));
+      AssembleFromPartials(member, std::make_shared<const Table>(
+                                       std::move(finest)),
+                           /*summaries=*/nullptr, trace, dop));
   return ApplyQueryTail(std::move(assembled), *member.query);
 }
 
 Result<std::vector<Table>> ExecuteMqoBatch(
     const MqoBatchPlan& plan, const Table& fact, SummaryCache* summaries,
-    const std::vector<obs::QueryTrace*>& traces, size_t dop,
-    MqoBatchStats* stats) {
-  std::vector<std::string> partial_renders;
-  partial_renders.reserve(plan.scan_partials.size());
-  for (const AggSpec& a : plan.scan_partials) {
-    partial_renders.push_back(RenderKey(a.func, a.input) + " AS " +
-                              a.output_name);
-  }
-  const std::string rendered = Join(partial_renders, ",");
-
-  std::string cache_key;
-  uint64_t generation = 0;
-  std::shared_ptr<const Table> cached;
-  bool own_fill = false;
-  const bool cacheable = plan.where == nullptr && summaries != nullptr;
-  if (cacheable) {
-    cache_key = SummaryCache::KeyFor(plan.table, plan.scan_cols, rendered);
-    own_fill = summaries->LookupOrBeginFill(cache_key, &cached);
-    if (own_fill) generation = summaries->GenerationFor(plan.table);
-  }
-  std::shared_ptr<const Table> batch;
-  {
-    SummaryCache::ScopedFill fill(own_fill ? summaries : nullptr, cache_key);
-    if (cached != nullptr) {
-      obs::MarkCacheHit();
-      if (stats != nullptr) stats->cache_hit = true;
-      batch = std::move(cached);
-    } else {
-      PCTAGG_ASSIGN_OR_RETURN(
-          Table t, FusedAggregate(fact, plan.where, plan.scan_cols,
-                                  plan.scan_partials, dop));
-      if (own_fill) {
-        SummaryRecipe recipe{plan.scan_cols, plan.scan_partials};
-        summaries->Insert(cache_key, t, generation, &recipe);
-        if (stats != nullptr) stats->cache_filled = true;
-      }
-      if (stats != nullptr) stats->rows_scanned = fact.num_rows();
-      batch = std::make_shared<const Table>(std::move(t));
-    }
-  }
-
+    const std::vector<obs::QueryTrace*>& traces, size_t dop) {
+  PCTAGG_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Table> batch,
+      FinestPartials(plan.table, plan.where, plan.scan_cols,
+                     plan.scan_partials, fact, summaries, /*trace=*/nullptr,
+                     dop));
   std::vector<Table> results;
   results.reserve(plan.members.size());
   for (size_t i = 0; i < plan.members.size(); ++i) {
@@ -222,8 +113,8 @@ Result<std::vector<Table>> ExecuteMqoBatch(
                     static_cast<unsigned long long>(fact.num_rows()),
                     plan.members.size()));
     }
-    PCTAGG_ASSIGN_OR_RETURN(
-        Table r, AssembleMqoMember(plan.members[i], *batch, trace, dop));
+    PCTAGG_ASSIGN_OR_RETURN(Table r,
+                            AssembleMqoMember(plan, i, *batch, trace, dop));
     results.push_back(std::move(r));
   }
   return results;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/partial_plan.h"
 #include "core/summary_cache.h"
 #include "engine/aggregate.h"
 #include "engine/table.h"
@@ -18,46 +19,28 @@ namespace pctagg {
 //
 // N concurrently admitted queries over the same fact table usually differ
 // only in their grouping/BY columns and aggregate arguments — the
-// shared-subexpression structure of dashboard bursts. Because every supported
-// query decomposes into distributive finest-level partials (the lattice view
-// of the Data Cube), a whole batch can be fed from ONE fused scan computing
-// the deduplicated union of everyone's partials at the union finest level;
-// each member then rolls that union table down to its own finest level (the
-// AnswerFromCachedAncestor move, applied across concurrent batch-mates
-// instead of across time) and assembles its percentages from there.
+// shared-subexpression structure of dashboard bursts. Every supported query
+// is a PartialPlan (core/partial_plan.h), so a whole batch can be fed from
+// ONE scan computing the deduplicated union of everyone's partials at the
+// union finest level; each member then rolls that union table down to its
+// own finest level — the cached-ancestor move, applied across concurrent
+// batch-mates instead of across time — and assembles its answer from there.
 //
 // Batch compatibility: same table and the same rendered WHERE clause (the
 // union scan runs under one predicate, so predicates must match textually —
-// mixed WHERE never batches). Bit-identity with solo execution holds for the
-// same reason the sharded path is bit-identical: rollups preserve first-seen
-// group order and INT64 partials merge exactly (float sums carry the usual
-// reassociation caveat, see docs/PARALLELISM.md).
-
-// True when `query` can join a shared-scan batch: it must decompose into
-// distributive finest-level partials that assemble back per query — exactly
-// the gate the distributed scatter path uses (no count(DISTINCT), window or
-// projection statements; grouping sets defer to the lattice rules).
-bool MqoSupported(const AnalyzedQuery& query, std::string* why = nullptr);
+// mixed WHERE never batches). A query joins a batch iff PartialPlanSupported
+// accepts it. Bit-identity with solo execution holds for the same reason the
+// sharded path is bit-identical: rollups preserve first-seen group order and
+// INT64 partials merge exactly (float sums carry the usual reassociation
+// caveat, see docs/PARALLELISM.md).
 
 // Batch-compatibility key: queries may batch together iff their keys are
 // equal. Callers append their own execution-context fingerprint (dop, cache
 // setting, ...) before using the key for admission.
 std::string MqoCompatibilityKey(const AnalyzedQuery& query);
 
-// One member's assembly plan: how to roll the batch-level union partials
-// down to this query's own finest level and reassemble its answer.
-struct MqoMemberPlan {
-  const AnalyzedQuery* query = nullptr;
-  std::vector<std::string> finest_cols;  // the member's own finest level
-  // Rollup specs over the batch union table: member partial `__lN` computed
-  // by combining the matching batch partial column `__bM`.
-  std::vector<AggSpec> rollup;
-  std::vector<bool> count_typed;  // per rollup spec: empty-() NULL -> 0 patch
-  size_t partials_requested = 0;  // before batch-level dedup, for traces
-};
-
-// The deduplicated union scan serving every member: one fused pass over the
-// fact table at the union finest level computing the union of every member's
+// The deduplicated union scan serving every member: one pass over the fact
+// table at the union finest level computing the union of every member's
 // partials (named __b1, __b2, ... in first-appearance order).
 struct MqoBatchPlan {
   std::string table;                   // as analyzed (first member's casing)
@@ -66,44 +49,34 @@ struct MqoBatchPlan {
   std::vector<AggSpec> scan_partials;  // deduplicated union partials
   std::vector<AggSpec> scan_combine;   // merge spec for shard partial tables
   std::string scan_sql;     // rendered partial SELECT for the sharded path
-  std::vector<MqoMemberPlan> members;  // one per input query, same order
-  size_t partials_requested = 0;       // sum over members, before dedup
+  std::vector<PartialPlan> members;  // one per input query, same order
+  size_t partials_requested = 0;     // sum over members, before dedup
 };
 
-// Plans the batch: extracts each member's distributive partial requirements
-// (the lattice recipe machinery), dedupes them into one union scan recipe,
-// and maps each member to its rollup + assembly plan. Fails when the members
-// are not mutually compatible (different tables or WHERE clauses) or any
-// member is unsupported — callers gate on MqoCompatibilityKey and
-// MqoSupported first, so a failure here means the gate was bypassed.
+// Plans the batch: lowers each member to its PartialPlan and dedupes their
+// partials into one union scan recipe. Fails when the members are not
+// mutually compatible (different tables or WHERE clauses) or any member is
+// unsupported — callers gate on MqoCompatibilityKey and PartialPlanSupported
+// first, so a failure here means the gate was bypassed.
 Result<MqoBatchPlan> PlanMqoBatch(
     const std::vector<const AnalyzedQuery*>& queries);
 
-// Assembles one member's final result (HAVING/ORDER BY/LIMIT applied) from
-// the batch-level union partial table — used by both the local batch
+// Assembles member `index`'s final result (HAVING/ORDER BY/LIMIT applied)
+// from the batch-level union partial table — used by both the local batch
 // executor below and the coordinator's sharded batch path, which feeds it
 // the gathered cross-shard merge of the union partials.
-Result<Table> AssembleMqoMember(const MqoMemberPlan& member,
+Result<Table> AssembleMqoMember(const MqoBatchPlan& plan, size_t index,
                                 const Table& batch_partials,
                                 obs::QueryTrace* trace, size_t dop);
 
-// What ExecuteMqoBatch actually did, for gate metrics and SHOW.
-struct MqoBatchStats {
-  uint64_t rows_scanned = 0;  // fact rows read by the one shared scan
-  bool cache_hit = false;     // union partials answered from the cache
-  bool cache_filled = false;  // this batch filled the union cache entry
-};
-
-// Executes the whole batch on the calling thread: one fused scan of `fact`
-// at the union level — consulting and filling the summary cache via
-// single-flight when the batch is unfiltered and `summaries` is non-null —
-// then per-member rollup + assembly. `traces` parallels `plan.members`
-// (entries may be null; shorter vectors are padded with null), as does the
-// returned result vector.
+// Executes the whole batch on the calling thread: the union partials from
+// FinestPartials (the cache when the batch is unfiltered and `summaries` is
+// non-null, else one fused scan of `fact`), then per-member rollup +
+// assembly. `traces` parallels `plan.members` (entries may be null; shorter
+// vectors are padded with null), as does the returned result vector.
 Result<std::vector<Table>> ExecuteMqoBatch(
     const MqoBatchPlan& plan, const Table& fact, SummaryCache* summaries,
-    const std::vector<obs::QueryTrace*>& traces, size_t dop,
-    MqoBatchStats* stats = nullptr);
+    const std::vector<obs::QueryTrace*>& traces, size_t dop);
 
 }  // namespace pctagg
 

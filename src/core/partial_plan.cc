@@ -1,0 +1,752 @@
+#include "core/partial_plan.h"
+
+#include <algorithm>
+#include <numeric>
+#include <utility>
+
+#include "common/string_util.h"
+#include "engine/expression.h"
+#include "engine/join.h"
+#include "engine/pipeline.h"
+#include "engine/pivot.h"
+#include "engine/table_ops.h"
+
+namespace pctagg {
+
+namespace {
+
+constexpr size_t kNone = PartialPlan::TermRead::kNone;
+
+// Maps a non-percentage SELECT term onto the engine aggregate.
+Result<AggFunc> TermAggFunc(TermFunc func) {
+  switch (func) {
+    case TermFunc::kSum:
+      return AggFunc::kSum;
+    case TermFunc::kCount:
+      return AggFunc::kCount;
+    case TermFunc::kCountStar:
+      return AggFunc::kCountStar;
+    case TermFunc::kAvg:
+      return AggFunc::kAvg;
+    case TermFunc::kMin:
+      return AggFunc::kMin;
+    case TermFunc::kMax:
+      return AggFunc::kMax;
+    default:
+      return Status::Internal("not a vertical aggregate term");
+  }
+}
+
+// "sum(a)": the identity partials are deduplicated and matched on, so a
+// recipe written by any planner matches whatever it names its columns.
+std::string PartialKey(const AggSpec& a) {
+  return std::string(AggFuncName(a.func)) + "(" +
+         (a.func == AggFunc::kCountStar ? "*" : a.input->ToString()) + ")";
+}
+
+std::string RenderAgg(const AggSpec& a) {
+  return PartialKey(a) + " AS " + a.output_name;
+}
+
+// "sum(a) AS __l1,count(*) AS __l2": the aggregate list as summary-cache keys
+// render it (the materialized planners use the same form).
+std::string RenderAggs(const std::vector<AggSpec>& aggs) {
+  std::vector<std::string> rendered;
+  rendered.reserve(aggs.size());
+  for (const AggSpec& a : aggs) rendered.push_back(RenderAgg(a));
+  return Join(rendered, ",");
+}
+
+Result<size_t> ColIndex(const Table& t, const std::string& name) {
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if (EqualsIgnoreCase(t.schema().column(c).name, name)) return c;
+  }
+  return Status::Internal("partial plan lost column: " + name);
+}
+
+bool ContainsColumn(const std::vector<std::string>& cols,
+                    const std::string& name) {
+  for (const std::string& c : cols) {
+    if (EqualsIgnoreCase(c, name)) return true;
+  }
+  return false;
+}
+
+bool Subsumes(const std::vector<std::string>& outer,
+              const std::vector<std::string>& inner) {
+  for (const std::string& i : inner) {
+    if (!ContainsColumn(outer, i)) return false;
+  }
+  return true;
+}
+
+std::string LevelName(const std::vector<std::string>& cols) {
+  return "(" + Join(cols, ", ") + ")";
+}
+
+// Adds the partial (func, argument) unless an equal one exists, so e.g.
+// Vpct(x BY a) and Vpct(x BY b) — or Hpct(x BY d) and sum(x) — share one sum.
+size_t AddPartial(PartialPlan* plan, AggFunc func, const ExprPtr& argument) {
+  const AggSpec spec{func, argument,
+                     "__l" + std::to_string(plan->partials.size() + 1)};
+  const std::string key = PartialKey(spec);
+  for (size_t i = 0; i < plan->partials.size(); ++i) {
+    if (PartialKey(plan->partials[i]) == key) return i;
+  }
+  plan->partials.push_back(spec);
+  return plan->partials.size() - 1;
+}
+
+// avg = sum / count per row of two partial columns; NULL where either is
+// NULL or the count is zero.
+Column AvgColumn(const Column& sum, const Column& count) {
+  Column out(DataType::kFloat64);
+  out.Reserve(sum.size());
+  for (size_t r = 0; r < sum.size(); ++r) {
+    if (sum.IsNull(r) || count.IsNull(r) || count.NumericAt(r) == 0.0) {
+      out.AppendNull();
+    } else {
+      out.AppendFloat64(sum.NumericAt(r) / count.NumericAt(r));
+    }
+  }
+  return out;
+}
+
+// `rows` copies of `value` (NULL included) in a column of `type`.
+Result<Column> Filled(DataType type, const Value& value, size_t rows) {
+  Column out(type);
+  out.Reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    PCTAGG_RETURN_IF_ERROR(out.AppendValue(value));
+  }
+  return out;
+}
+
+// Vertical/Vpct assembly: one block per emitted level with the full
+// SELECT-order schema (grouping columns the level rolled away become NULL,
+// GROUPING() becomes its 0/1 id, Vpct divides against the level's own
+// totals), concatenated in statement order.
+Result<Table> AssembleVertical(
+    const PartialPlan& plan,
+    const std::vector<std::shared_ptr<const Table>>& tables, size_t dop,
+    obs::QueryTrace* trace) {
+  const AnalyzedQuery& query = *plan.query;
+  obs::TraceNode* node =
+      trace != nullptr
+          ? trace->root().AddChild(
+                "lattice",
+                StrFormat("lattice-assemble: %zu level(s), SELECT-order "
+                          "blocks + GROUPING ids",
+                          plan.emitted_levels))
+          : nullptr;
+  obs::ScopedTraceNode scope(node);
+  obs::OpScope op("assemble");
+  Table out;
+  for (size_t li = 0; li < plan.emitted_levels; ++li) {
+    const std::vector<std::string>& cols = plan.levels[li];
+    const Table& t = *tables[li];
+    Table block;
+    for (size_t ti = 0; ti < query.terms.size(); ++ti) {
+      const AnalyzedTerm& term = query.terms[ti];
+      const PartialPlan::TermRead& read = plan.reads[ti];
+      Column cell(DataType::kFloat64);
+      switch (term.func) {
+        case TermFunc::kScalar: {
+          if (ContainsColumn(cols, term.scalar_column)) {
+            PCTAGG_ASSIGN_OR_RETURN(size_t c,
+                                    ColIndex(t, term.scalar_column));
+            cell = t.column(c);
+          } else {
+            PCTAGG_ASSIGN_OR_RETURN(size_t fc,
+                                    query.schema.FindColumn(term.scalar_column));
+            PCTAGG_ASSIGN_OR_RETURN(cell, Filled(query.schema.column(fc).type,
+                                                 Value::Null(), t.num_rows()));
+          }
+          break;
+        }
+        case TermFunc::kGrouping: {
+          const int64_t id = ContainsColumn(cols, term.scalar_column) ? 0 : 1;
+          PCTAGG_ASSIGN_OR_RETURN(
+              cell, Filled(DataType::kInt64, Value::Int64(id), t.num_rows()));
+          break;
+        }
+        case TermFunc::kVpct: {
+          // The level's own totals: its columns minus BY (grand total when
+          // empty), matching the analyzer's totals_by reading per level.
+          const std::string& sum_col = plan.partials[read.main].output_name;
+          PCTAGG_ASSIGN_OR_RETURN(size_t sc, ColIndex(t, sum_col));
+          std::vector<std::string> totals_by;
+          if (term.has_by) {
+            for (const std::string& c : cols) {
+              if (!ContainsColumn(term.by_columns, c)) totals_by.push_back(c);
+            }
+          }
+          PCTAGG_ASSIGN_OR_RETURN(
+              Table tot,
+              HashAggregate(t, totals_by,
+                            {{AggFunc::kSum, Col(sum_col), "__tot"}}, dop));
+          PCTAGG_ASSIGN_OR_RETURN(size_t tc, ColIndex(tot, "__tot"));
+          if (totals_by.empty()) {
+            if (tot.num_rows() != 1) {
+              return Status::Internal(
+                  "grand-total table must have exactly one row");
+            }
+            PCTAGG_ASSIGN_OR_RETURN(
+                cell,
+                PercentDivideScalar(t.column(sc), tot.column(tc).GetValue(0)));
+          } else {
+            PCTAGG_ASSIGN_OR_RETURN(
+                Column totals, LookupColumn(t, tot, totals_by, totals_by,
+                                            "__tot", nullptr));
+            PCTAGG_ASSIGN_OR_RETURN(
+                cell, PercentDivideColumns(t.column(sc), totals));
+          }
+          break;
+        }
+        default: {
+          PCTAGG_ASSIGN_OR_RETURN(
+              size_t c, ColIndex(t, plan.partials[read.main].output_name));
+          if (read.count == kNone) {
+            cell = t.column(c);
+            break;
+          }
+          PCTAGG_ASSIGN_OR_RETURN(
+              size_t n, ColIndex(t, plan.partials[read.count].output_name));
+          cell = AvgColumn(t.column(c), t.column(n));
+          break;
+        }
+      }
+      const DataType type = cell.type();
+      PCTAGG_RETURN_IF_ERROR(
+          block.AddColumn({term.output_name, type}, std::move(cell)));
+    }
+    if (li == 0) {
+      out = std::move(block);
+    } else {
+      PCTAGG_RETURN_IF_ERROR(InsertInto(&out, block));
+    }
+  }
+  op.SetRows(out.num_rows(), out.num_rows());
+  op.SetDetail("levels=" + std::to_string(plan.emitted_levels));
+  return out;
+}
+
+// Horizontal assembly: each level pivots its partial table at its own
+// grouping columns; blocks land in one result whose schema is the union
+// grouping columns (NULL where rolled away) + GROUPING() ids + the union of
+// all pivot columns + the extra aggregates.
+Result<Table> AssembleHorizontal(
+    const PartialPlan& plan,
+    const std::vector<std::shared_ptr<const Table>>& tables, size_t dop,
+    obs::QueryTrace* trace) {
+  const AnalyzedQuery& query = *plan.query;
+  const AnalyzedTerm& hterm = *plan.by_term;
+  const bool is_pct = hterm.func == TermFunc::kHpct;
+  const size_t hmain = plan.reads[&hterm - query.terms.data()].main;
+  const std::string& hcol = plan.partials[hmain].output_name;
+  PivotOptions popt;
+  // For Hpct the group total is the sum of the partial sums, so
+  // percent-of-group-total over partials equals the direct computation.
+  popt.func = is_pct ? AggFunc::kSum : plan.combine[hmain].func;
+  popt.default_zero = hterm.has_default;
+  popt.percent_of_group_total = is_pct;
+
+  // The extra vertical aggregates, rolled up per level from the same partial
+  // table as the pivot.
+  std::vector<size_t> extras;
+  for (size_t ti = 0; ti < query.terms.size(); ++ti) {
+    const AnalyzedTerm& t = query.terms[ti];
+    if (t.func != TermFunc::kScalar && t.func != TermFunc::kGrouping &&
+        !t.has_by) {
+      extras.push_back(ti);
+    }
+  }
+  std::vector<std::string> names;
+  for (const AggSpec& p : plan.partials) names.push_back(p.output_name);
+
+  struct LevelBlock {
+    std::vector<std::string> set;  // the level's grouping columns
+    Table pivot;
+    std::vector<std::string> pivot_names;
+    Table extras;
+  };
+  std::vector<LevelBlock> blocks(plan.emitted_levels);
+  for (size_t li = 0; li < plan.emitted_levels; ++li) {
+    const Table& t = *tables[li];
+    LevelBlock& b = blocks[li];
+    b.set.assign(plan.levels[li].begin(),
+                 plan.levels[li].end() - hterm.by_columns.size());
+    {
+      obs::TraceNode* node =
+          trace != nullptr
+              ? trace->root().AddChild(
+                    "lattice",
+                    "lattice-pivot: level " + LevelName(b.set) + " " +
+                        std::string(AggFuncName(popt.func)) + "(" + hcol +
+                        ") BY " + Join(hterm.by_columns, ", ") +
+                        (is_pct ? " percent-of-group-total" : ""))
+              : nullptr;
+      obs::ScopedTraceNode scope(node);
+      PCTAGG_ASSIGN_OR_RETURN(
+          b.pivot, HashDispatchPivot(t, b.set, hterm.by_columns, Col(hcol),
+                                     popt, dop));
+    }
+    for (size_t c = b.set.size(); c < b.pivot.num_columns(); ++c) {
+      b.pivot_names.push_back(b.pivot.schema().column(c).name);
+    }
+    if (!extras.empty()) {
+      // Both the pivot and this re-aggregation emit groups in first-seen
+      // order over the same partial table, so the rows align positionally.
+      // A global pivot over no rows has no columns at all, so it cannot hold
+      // the one row the global extras have; the extras decide the rows then.
+      PCTAGG_ASSIGN_OR_RETURN(b.extras,
+                              RollUp(plan.partials, t, b.set, names, dop));
+      if (b.pivot.num_columns() != 0 &&
+          b.extras.num_rows() != b.pivot.num_rows()) {
+        return Status::Internal("extras misaligned with pivot block");
+      }
+    }
+  }
+
+  // Union of the per-level pivot columns, in first-appearance order across
+  // blocks. Every level sees the same BY combinations of the (filtered) fact
+  // in the same first-seen order, so this matches each block's own order; the
+  // union form only matters if a level's pivot came up empty.
+  std::vector<std::string> master;
+  std::vector<DataType> master_types;
+  for (const LevelBlock& b : blocks) {
+    for (size_t i = 0; i < b.pivot_names.size(); ++i) {
+      if (ContainsColumn(master, b.pivot_names[i])) continue;
+      master.push_back(b.pivot_names[i]);
+      master_types.push_back(b.pivot.schema().column(b.set.size() + i).type);
+    }
+  }
+
+  obs::TraceNode* node =
+      trace != nullptr
+          ? trace->root().AddChild(
+                "lattice",
+                StrFormat("lattice-assemble: %zu level(s), %zu pivot "
+                          "column(s) + GROUPING ids",
+                          plan.emitted_levels, master.size()))
+          : nullptr;
+  obs::ScopedTraceNode scope(node);
+  obs::OpScope op("assemble");
+
+  // One block per level, built column-wise in the result's schema: the
+  // union grouping columns (NULL where the level rolled them away), the
+  // GROUPING() ids, every pivot column (NULL, or 0 under DEFAULT, where the
+  // level lacks it) and the extras.
+  Table out;
+  for (size_t li = 0; li < blocks.size(); ++li) {
+    const LevelBlock& b = blocks[li];
+    const size_t rows = b.pivot.num_columns() != 0 ? b.pivot.num_rows()
+                                                   : b.extras.num_rows();
+    Table block;
+    for (const std::string& g : query.group_by) {
+      PCTAGG_ASSIGN_OR_RETURN(size_t fc, query.schema.FindColumn(g));
+      const ColumnDef& def = query.schema.column(fc);
+      Column col(def.type);
+      auto at = std::find_if(b.set.begin(), b.set.end(),
+                             [&g](const std::string& c) {
+                               return EqualsIgnoreCase(c, g);
+                             });
+      if (at != b.set.end()) {
+        col = b.pivot.column(static_cast<size_t>(at - b.set.begin()));
+      } else {
+        PCTAGG_ASSIGN_OR_RETURN(col, Filled(def.type, Value::Null(), rows));
+      }
+      PCTAGG_RETURN_IF_ERROR(block.AddColumn(def, std::move(col)));
+    }
+    for (const AnalyzedTerm& term : query.terms) {
+      if (term.func != TermFunc::kGrouping) continue;
+      const int64_t id = ContainsColumn(b.set, term.scalar_column) ? 0 : 1;
+      PCTAGG_ASSIGN_OR_RETURN(
+          Column ids, Filled(DataType::kInt64, Value::Int64(id), rows));
+      PCTAGG_RETURN_IF_ERROR(block.AddColumn(
+          {term.output_name, DataType::kInt64}, std::move(ids)));
+    }
+    for (size_t mi = 0; mi < master.size(); ++mi) {
+      Column col(master_types[mi]);
+      auto at = std::find_if(b.pivot_names.begin(), b.pivot_names.end(),
+                             [&](const std::string& name) {
+                               return EqualsIgnoreCase(name, master[mi]);
+                             });
+      if (at != b.pivot_names.end()) {
+        col = b.pivot.column(b.set.size() +
+                             static_cast<size_t>(at - b.pivot_names.begin()));
+      } else {
+        const Value fill = !popt.default_zero ? Value::Null()
+                           : master_types[mi] == DataType::kInt64
+                               ? Value::Int64(0)
+                               : Value::Float64(0.0);
+        PCTAGG_ASSIGN_OR_RETURN(col, Filled(master_types[mi], fill, rows));
+      }
+      PCTAGG_RETURN_IF_ERROR(
+          block.AddColumn({master[mi], master_types[mi]}, std::move(col)));
+    }
+    for (size_t ti : extras) {
+      const PartialPlan::TermRead& read = plan.reads[ti];
+      PCTAGG_ASSIGN_OR_RETURN(
+          size_t c, ColIndex(b.extras, plan.partials[read.main].output_name));
+      Column col = b.extras.column(c);
+      if (read.count != kNone) {
+        PCTAGG_ASSIGN_OR_RETURN(
+            size_t n,
+            ColIndex(b.extras, plan.partials[read.count].output_name));
+        col = AvgColumn(col, b.extras.column(n));
+      }
+      const DataType type = col.type();
+      PCTAGG_RETURN_IF_ERROR(block.AddColumn(
+          {query.terms[ti].output_name, type}, std::move(col)));
+    }
+    if (li == 0) {
+      out = std::move(block);
+    } else {
+      PCTAGG_RETURN_IF_ERROR(InsertInto(&out, block));
+    }
+  }
+  op.SetRows(out.num_rows(), out.num_rows());
+  op.SetDetail("levels=" + std::to_string(plan.emitted_levels));
+  return out;
+}
+
+}  // namespace
+
+bool PartialPlanSupported(const AnalyzedQuery& query, std::string* why) {
+  auto fail = [why](const std::string& msg) {
+    if (why != nullptr) *why = msg;
+    return false;
+  };
+  const bool sets = query.has_grouping_sets;
+  if (query.query_class == QueryClass::kWindow) {
+    return fail(sets ? "window functions cannot be combined with grouping sets"
+                     : "window functions are not distributed");
+  }
+  if (!sets && query.query_class == QueryClass::kProjection) {
+    return fail("projection queries have no distributive partials");
+  }
+  size_t by_terms = 0;
+  for (const AnalyzedTerm& t : query.terms) {
+    if (t.func == TermFunc::kScalar || t.func == TermFunc::kGrouping) continue;
+    if (t.distinct) {
+      return fail(sets ? "count(DISTINCT ...) is not supported with grouping "
+                         "sets"
+                       : "count(DISTINCT ...) is not distributive across "
+                         "shards");
+    }
+    if (t.func == TermFunc::kVpct) continue;
+    if (t.has_by) {
+      ++by_terms;
+      if (t.func == TermFunc::kAvg) {
+        return fail(std::string("avg(... BY ...) is not distributive ") +
+                    (sets ? "over the lattice" : "across shards") +
+                    "; use sum and count terms instead");
+      }
+      if (t.func != TermFunc::kHpct && !TermAggFunc(t.func).ok()) {
+        return fail(sets ? "unsupported horizontal aggregate with grouping "
+                           "sets"
+                         : "unsupported horizontal aggregate for distributed "
+                           "execution");
+      }
+    } else if (!TermAggFunc(t.func).ok()) {
+      return fail(sets ? "unsupported aggregate with grouping sets"
+                       : "unsupported aggregate for distributed execution");
+    }
+  }
+  if (query.query_class == QueryClass::kHorizontal && by_terms != 1) {
+    return fail(sets ? "grouping sets support exactly one horizontal (BY) "
+                       "term per statement"
+                     : "distributed execution supports exactly one "
+                       "horizontal (BY) term per statement");
+  }
+  return true;
+}
+
+std::string RenderPartialSelect(const std::vector<std::string>& cols,
+                                const std::vector<AggSpec>& aggs,
+                                const std::string& from,
+                                const ExprPtr& where) {
+  std::vector<std::string> items = cols;
+  for (const AggSpec& a : aggs) items.push_back(RenderAgg(a));
+  std::string sql = "SELECT " + Join(items, ", ") + " FROM " + from;
+  if (where != nullptr) sql += " WHERE " + where->ToString();
+  if (!cols.empty()) sql += " GROUP BY " + Join(cols, ", ");
+  return sql;
+}
+
+std::vector<AggSpec> CombineSpecs(const std::vector<AggSpec>& partials) {
+  std::vector<AggSpec> out;
+  out.reserve(partials.size());
+  for (const AggSpec& p : partials) {
+    const AggFunc combine =
+        p.func == AggFunc::kMin || p.func == AggFunc::kMax ? p.func
+                                                           : AggFunc::kSum;
+    out.push_back({combine, Col(p.output_name), p.output_name});
+  }
+  return out;
+}
+
+Result<PartialPlan> BuildPartialPlan(const AnalyzedQuery& query) {
+  std::string why;
+  if (!PartialPlanSupported(query, &why)) {
+    return Status::InvalidArgument("no partial plan: " + why);
+  }
+  PartialPlan plan;
+  plan.query = &query;
+  plan.reads.assign(query.terms.size(), PartialPlan::TermRead{});
+  for (size_t i = 0; i < query.terms.size(); ++i) {
+    const AnalyzedTerm& t = query.terms[i];
+    PartialPlan::TermRead& read = plan.reads[i];
+    if (t.func == TermFunc::kScalar || t.func == TermFunc::kGrouping) continue;
+    if (t.func == TermFunc::kVpct || t.func == TermFunc::kHpct) {
+      read.main = AddPartial(&plan, AggFunc::kSum, t.argument);
+    } else if (t.func == TermFunc::kAvg) {
+      // avg is algebraic: sum + count keep every partial distributive and
+      // the cache recipes mergeable.
+      read.main = AddPartial(&plan, AggFunc::kSum, t.argument);
+      read.count = AddPartial(&plan, AggFunc::kCount, t.argument);
+    } else {
+      PCTAGG_ASSIGN_OR_RETURN(AggFunc func, TermAggFunc(t.func));
+      read.main = AddPartial(&plan, func, t.argument);
+    }
+    if (t.has_by && t.func != TermFunc::kVpct) plan.by_term = &t;
+  }
+  // A pure grouping query (scalars + GROUPING() only) still needs one
+  // concrete column per level so the () level materializes its single row.
+  if (plan.partials.empty()) AddPartial(&plan, AggFunc::kCountStar, nullptr);
+  plan.combine = CombineSpecs(plan.partials);
+
+  const std::vector<std::string> no_by;
+  const std::vector<std::string>& by =
+      plan.by_term != nullptr ? plan.by_term->by_columns : no_by;
+  std::vector<std::vector<std::string>> sets =
+      query.has_grouping_sets
+          ? query.grouping_sets
+          : std::vector<std::vector<std::string>>{query.group_by};
+  plan.emitted_levels = sets.size();
+  // Levels are normalized subsets of the union, so size equality means
+  // equality: add the union as a rollup-only level when nobody asked for it.
+  if (std::none_of(sets.begin(), sets.end(),
+                   [&query](const std::vector<std::string>& s) {
+                     return s.size() == query.group_by.size();
+                   })) {
+    sets.push_back(query.group_by);
+  }
+  for (std::vector<std::string>& cols : sets) {
+    cols.insert(cols.end(), by.begin(), by.end());
+    plan.levels.push_back(std::move(cols));
+  }
+  plan.finest_cols = query.group_by;
+  plan.finest_cols.insert(plan.finest_cols.end(), by.begin(), by.end());
+  plan.partial_sql = RenderPartialSelect(plan.finest_cols, plan.partials,
+                                         query.table_name, query.where);
+  return plan;
+}
+
+bool MatchPartials(const std::vector<AggSpec>& wanted,
+                   const std::vector<AggSpec>& available,
+                   std::vector<std::string>* inputs) {
+  inputs->clear();
+  for (const AggSpec& w : wanted) {
+    const std::string key = PartialKey(w);
+    auto found = std::find_if(
+        available.begin(), available.end(),
+        [&key](const AggSpec& a) { return PartialKey(a) == key; });
+    if (found == available.end()) return false;
+    inputs->push_back(found->output_name);
+  }
+  return true;
+}
+
+Result<Table> RollUp(const std::vector<AggSpec>& partials, const Table& source,
+                     const std::vector<std::string>& cols,
+                     const std::vector<std::string>& inputs, size_t dop) {
+  std::vector<AggSpec> specs = CombineSpecs(partials);
+  for (size_t i = 0; i < specs.size(); ++i) specs[i].input = Col(inputs[i]);
+  PCTAGG_ASSIGN_OR_RETURN(Table out, HashAggregate(source, cols, specs, dop));
+  if (cols.empty() && source.num_rows() == 0) {
+    // Rolling up zero groups leaves the global row's count partials NULL
+    // where a direct scan of the empty input emits 0.
+    for (size_t a = 0; a < partials.size(); ++a) {
+      const AggFunc func = partials[a].func;
+      if (func != AggFunc::kCount && func != AggFunc::kCountStar) continue;
+      PCTAGG_RETURN_IF_ERROR(out.mutable_column(a).SetValue(0, Value::Int64(0)));
+    }
+  }
+  return out;
+}
+
+Result<std::shared_ptr<const Table>> FinestPartials(
+    const std::string& table, const ExprPtr& where,
+    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
+    const Table& fact, SummaryCache* summaries, obs::QueryTrace* trace,
+    size_t dop) {
+  const bool cacheable = summaries != nullptr && where == nullptr;
+  std::string key;
+  uint64_t generation = 0;
+  std::shared_ptr<const Table> cached;
+  bool own_fill = false;
+  if (cacheable) {
+    key = SummaryCache::KeyFor(table, cols, RenderAggs(partials));
+    // Single-flight: identical concurrent misses block here while one of
+    // them computes; the owner reads the generation only after claiming the
+    // fill, so the stale-insert check still covers its whole scan window.
+    // Nothing below waits on another fill while this one is owned.
+    own_fill = summaries->LookupOrBeginFill(key, &cached);
+    if (own_fill) generation = summaries->GenerationFor(table);
+  }
+  SummaryCache::ScopedFill fill(own_fill ? summaries : nullptr, key);
+  const SummaryRecipe recipe{cols, partials};
+
+  if (own_fill) {
+    // The smallest cached mergeable summary at a finer or equal level that
+    // carries every partial, whatever planner wrote it.
+    const std::vector<SummaryCache::AncestorCandidate> candidates =
+        summaries->MergeableEntriesFor(table);
+    const SummaryCache::AncestorCandidate* best = nullptr;
+    std::vector<std::string> best_inputs;
+    std::vector<std::string> inputs;
+    for (const SummaryCache::AncestorCandidate& cand : candidates) {
+      if (!Subsumes(cand.recipe.group_by, cols) ||
+          !MatchPartials(partials, cand.recipe.aggs, &inputs)) {
+        continue;
+      }
+      if (best == nullptr ||
+          cand.summary->num_rows() < best->summary->num_rows()) {
+        best = &cand;
+        best_inputs = inputs;
+      }
+    }
+    if (best != nullptr) {
+      obs::TraceNode* node =
+          trace != nullptr
+              ? trace->root().AddChild(
+                    "cache", "cache-ancestor-rollup: level " +
+                                 LevelName(cols) + " from cached " +
+                                 LevelName(best->recipe.group_by))
+              : nullptr;
+      obs::ScopedTraceNode scope(node);
+      obs::MarkCacheHit();
+      if (trace != nullptr) {
+        trace->strategy = "cache-ancestor";
+        trace->strategy_source = "cache";
+      }
+      // Count the hit and refresh the LRU position of the entry used.
+      summaries->Lookup(best->key);
+      PCTAGG_ASSIGN_OR_RETURN(
+          Table t, RollUp(partials, *best->summary, cols, best_inputs, dop));
+      summaries->Insert(key, t, generation, &recipe);
+      return std::make_shared<const Table>(std::move(t));
+    }
+  }
+
+  obs::TraceNode* node =
+      trace != nullptr
+          ? trace->root().AddChild(
+                "fused",
+                "fused-scan: " + RenderPartialSelect(cols, partials, table, where))
+          : nullptr;
+  obs::ScopedTraceNode scope(node);
+  if (cached != nullptr) {
+    obs::MarkCacheHit();
+    return cached;
+  }
+  PCTAGG_ASSIGN_OR_RETURN(Table t,
+                          FusedAggregate(fact, where, cols, partials, dop));
+  if (own_fill) summaries->Insert(key, t, generation, &recipe);
+  return std::make_shared<const Table>(std::move(t));
+}
+
+Result<Table> AssembleFromPartials(const PartialPlan& plan,
+                                   std::shared_ptr<const Table> finest,
+                                   SummaryCache* summaries,
+                                   obs::QueryTrace* trace, size_t dop) {
+  const AnalyzedQuery& query = *plan.query;
+  const bool cacheable = summaries != nullptr && query.where == nullptr;
+  const std::string rendered = cacheable ? RenderAggs(plan.partials) : "";
+  std::vector<std::string> names;
+  for (const AggSpec& p : plan.partials) names.push_back(p.output_name);
+
+  // Finest first: every coarser level re-aggregates the smallest
+  // already-computed level whose grouping subsumes its own.
+  std::vector<size_t> order(plan.levels.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&plan](size_t a, size_t b) {
+    return plan.levels[a].size() > plan.levels[b].size();
+  });
+  std::vector<std::shared_ptr<const Table>> tables(plan.levels.size());
+  tables[order[0]] = std::move(finest);
+  for (size_t oi = 1; oi < order.size(); ++oi) {
+    const size_t li = order[oi];
+    const std::vector<std::string>& cols = plan.levels[li];
+    size_t src = order[0];
+    for (size_t pj = 1; pj < oi; ++pj) {
+      const size_t cand = order[pj];
+      if (Subsumes(plan.levels[cand], cols) &&
+          tables[cand]->num_rows() < tables[src]->num_rows()) {
+        src = cand;
+      }
+    }
+
+    std::string key;
+    uint64_t generation = 0;
+    std::shared_ptr<const Table> cached;
+    bool own_fill = false;
+    if (cacheable) {
+      key = SummaryCache::KeyFor(query.table_name, cols, rendered);
+      // Single-flight per level; safe against cross-query deadlock because
+      // each level's fill is released (ScopedFill) before the next lookup.
+      own_fill = summaries->LookupOrBeginFill(key, &cached);
+      if (own_fill) generation = summaries->GenerationFor(query.table_name);
+    }
+    SummaryCache::ScopedFill fill(own_fill ? summaries : nullptr, key);
+    obs::TraceNode* node =
+        trace != nullptr
+            ? trace->root().AddChild("lattice",
+                                     "lattice-rollup: level " + LevelName(cols) +
+                                         " from " +
+                                         LevelName(plan.levels[src]))
+            : nullptr;
+    obs::ScopedTraceNode scope(node);
+    if (cached != nullptr) {
+      obs::MarkCacheHit();
+      tables[li] = std::move(cached);
+      continue;
+    }
+    PCTAGG_ASSIGN_OR_RETURN(
+        Table t, RollUp(plan.partials, *tables[src], cols, names, dop));
+    if (own_fill) {
+      SummaryRecipe recipe{cols, plan.partials};
+      summaries->Insert(key, t, generation, &recipe);
+    }
+    tables[li] = std::make_shared<const Table>(std::move(t));
+  }
+  return plan.by_term != nullptr ? AssembleHorizontal(plan, tables, dop, trace)
+                                 : AssembleVertical(plan, tables, dop, trace);
+}
+
+std::string RenderLatticeScript(const PartialPlan& plan) {
+  const AnalyzedQuery& query = *plan.query;
+  std::string out = StrFormat(
+      "-- grouping-set lattice: %zu level(s) over union %s; strategy: "
+      "shared-scan rollup\n",
+      plan.emitted_levels, LevelName(query.group_by).c_str());
+  for (const std::vector<std::string>& cols : plan.levels) {
+    if (cols.size() == plan.finest_cols.size()) {
+      out += "scan: " + plan.partial_sql + ";\n";
+    } else {
+      out += "rollup: " +
+             RenderPartialSelect(cols, plan.combine,
+                                 "lattice" + LevelName(plan.finest_cols),
+                                 nullptr) +
+             ";\n";
+    }
+  }
+  out +=
+      "-- assemble: per-level percentages + GROUPING() ids, blocks "
+      "concatenated in statement order\n";
+  return out;
+}
+
+}  // namespace pctagg

@@ -1,0 +1,135 @@
+#ifndef PCTAGG_CORE_PARTIAL_PLAN_H_
+#define PCTAGG_CORE_PARTIAL_PLAN_H_
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/result.h"
+#include "core/summary_cache.h"
+#include "engine/aggregate.h"
+#include "engine/table.h"
+#include "obs/trace.h"
+#include "sql/analyzer.h"
+
+namespace pctagg {
+
+// The one partial-aggregation path. The paper computes Fj from Fk because
+// sum() is distributive; Gray et al.'s Data Cube generalizes the move: any
+// lattice level of a distributive or algebraic aggregate rolls up from any
+// finer level. So every fused query — plain aggregates, Vpct, Hpct/Hagg,
+// CUBE/ROLLUP/GROUPING SETS, MQO batch members and sharded queries — lowers
+// to the same PartialPlan: distributive partials (sum/count/min/max; avg
+// decomposed into sum+count) at the query's finest level, GROUP BY ∪ BY,
+// rolled up to each emitted level and assembled into the answer (Vpct
+// divide, Hpct pivot, GROUPING() ids).
+//
+// Only the source of the finest-level table differs between callers:
+//   * the exact summary-cache entry,
+//   * a cached ancestor (a mergeable entry at a finer or equal level that
+//     carries every partial),
+//   * one fused scan of the fact table, filling the cache single-flight,
+//   * an MQO batch's union table (core/mqo_plan.h),
+//   * the merged per-shard partials (dist/coordinator.h).
+// The first three are FinestPartials below; the last two are computed by
+// their callers and handed to AssembleFromPartials directly.
+//
+// Rollups keep first-seen group order and INT64 partials combine exactly, so
+// every source gives bit-identical answers on integer measures; float sums
+// can differ by reassociation only (docs/PARALLELISM.md).
+
+// The single support gate: true when `query` decomposes into distributive
+// partials that assemble back into its answer; otherwise `*why` (when
+// non-null) receives the reason, worded for grouping sets (which have no
+// other evaluator) or for distributed execution (the only other caller that
+// surfaces it).
+bool PartialPlanSupported(const AnalyzedQuery& query,
+                          std::string* why = nullptr);
+
+// The partial-aggregation SELECT a scan of `from` computes: group columns,
+// then the aggregates, with the WHERE and GROUP BY clauses. Shard workers run
+// it through their PARTIAL verb; EXPLAIN ANALYZE shows it per fused scan.
+std::string RenderPartialSelect(const std::vector<std::string>& cols,
+                                const std::vector<AggSpec>& aggs,
+                                const std::string& from, const ExprPtr& where);
+
+// The re-aggregation that merges each partial column under its own name:
+// min stays min, max stays max, sums and counts re-sum.
+std::vector<AggSpec> CombineSpecs(const std::vector<AggSpec>& partials);
+
+// One query lowered to finest-level partials plus its rollup and assembly.
+struct PartialPlan {
+  const AnalyzedQuery* query = nullptr;  // must outlive the plan
+  // GROUP BY ∪ BY: the level every source delivers.
+  std::vector<std::string> finest_cols;
+  // Deduplicated by (function, argument) and named __l1, __l2, ...
+  std::vector<AggSpec> partials;
+  std::vector<AggSpec> combine;  // CombineSpecs(partials)
+  // The aggregation columns of every level the assembly reads (grouping-set
+  // columns + the BY columns of a horizontal query): the emitted levels in
+  // statement order, then the finest level when the statement did not ask
+  // for it.
+  std::vector<std::vector<std::string>> levels;
+  size_t emitted_levels = 0;
+  // Per SELECT term, the partials assembly reads: `main`, plus `count` for
+  // avg (sum / count). Scalars and GROUPING() read none.
+  struct TermRead {
+    static constexpr size_t kNone = static_cast<size_t>(-1);
+    size_t main = kNone;
+    size_t count = kNone;
+  };
+  std::vector<TermRead> reads;
+  // A horizontal query's single BY term; null for vertical and Vpct.
+  const AnalyzedTerm* by_term = nullptr;
+  // RenderPartialSelect of the finest level over the query's table.
+  std::string partial_sql;
+};
+
+// Lowers a supported query; InvalidArgument when PartialPlanSupported says
+// no.
+Result<PartialPlan> BuildPartialPlan(const AnalyzedQuery& query);
+
+// `partials` over `table` (filtered by `where`) grouped by `cols`, from the
+// first source that has them: the exact cache entry, a cached ancestor rolled
+// down, or one fused scan of `fact`. Only unfiltered scans consult the cache
+// (`summaries` may be null); a miss fills it single-flight, so N identical
+// concurrent misses run one scan. An answer rolled down from an ancestor is
+// reported as the "cache-ancestor" strategy on `trace`.
+Result<std::shared_ptr<const Table>> FinestPartials(
+    const std::string& table, const ExprPtr& where,
+    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
+    const Table& fact, SummaryCache* summaries, obs::QueryTrace* trace,
+    size_t dop);
+
+// Maps every aggregate of `wanted` onto the column of `available` that
+// computes the same (function, argument); false when one is missing.
+bool MatchPartials(const std::vector<AggSpec>& wanted,
+                   const std::vector<AggSpec>& available,
+                   std::vector<std::string>* inputs);
+
+// Rolls `source` — grouped at a superset of `cols` — up to `cols`, computing
+// partial i from source column `inputs[i]`. The result has the partials'
+// layout (group columns, then one column per partial under its own name).
+// Rolling zero source rows up to the global level () patches the count
+// partials to 0, as a direct scan of an empty input emits them.
+Result<Table> RollUp(const std::vector<AggSpec>& partials, const Table& source,
+                     const std::vector<std::string>& cols,
+                     const std::vector<std::string>& inputs, size_t dop);
+
+// Rolls every coarser level up from the smallest computed ancestor of the
+// finest table and assembles the answer in statement order; the caller
+// applies HAVING/ORDER BY/LIMIT. With `summaries` non-null (unfiltered local
+// queries), every rolled-up level is looked up in and filled into the cache
+// under its own mergeable recipe, so APPEND maintains all of them.
+Result<Table> AssembleFromPartials(const PartialPlan& plan,
+                                   std::shared_ptr<const Table> finest,
+                                   SummaryCache* summaries,
+                                   obs::QueryTrace* trace, size_t dop);
+
+// Human-readable script of a grouping-set plan for plain EXPLAIN: the finest
+// scan, one rollup per coarser level, and the assembly note.
+std::string RenderLatticeScript(const PartialPlan& plan);
+
+}  // namespace pctagg
+
+#endif  // PCTAGG_CORE_PARTIAL_PLAN_H_

@@ -8,7 +8,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/cost_model.h"
-#include "core/lattice_plan.h"
+#include "core/partial_plan.h"
 #include "dist/shard.h"
 #include "engine/merge.h"
 #include "engine/parallel.h"
@@ -314,7 +314,7 @@ Result<std::optional<Table>> Coordinator::MaybeExecute(
                           db_->catalog().GetTable(stmt->from_table));
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Analyze(*stmt, stub->schema()));
   std::string why;
-  if (!DistributedSupported(query, &why)) {
+  if (!PartialPlanSupported(query, &why)) {
     return Status::InvalidArgument("distributed: " + why + " (table '" +
                                    stmt->from_table + "' is sharded)");
   }
@@ -527,8 +527,7 @@ Result<Table> Coordinator::ExecuteDistributed(const AnalyzedQuery& query,
                                               const ShardedMeta& meta,
                                               const QueryOptions& options,
                                               obs::QueryTrace* trace) {
-  PCTAGG_ASSIGN_OR_RETURN(DistPartialPlan plan,
-                          BuildDistributedPartialPlan(query));
+  PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
   const size_t nshards = links_.size();
   const size_t worker_dop =
       config_.worker_dop != 0 ? config_.worker_dop
@@ -568,13 +567,14 @@ Result<Table> Coordinator::ExecuteDistributed(const AnalyzedQuery& query,
       ScatterGather(plan.partial_sql, plan.finest_cols.size(), plan.combine,
                     worker_dop, trace));
 
-  // Assemble locally at the session's dop, exactly as the single-node
-  // lattice assembles from its fused scan, then apply the statement tail.
+  // Assemble locally at the session's dop, exactly as a single node
+  // assembles from its fused scan, then apply the statement tail.
   ScopedParallelism parallelism(options.degree_of_parallelism);
-  auto finest = std::make_shared<const Table>(std::move(merged));
   PCTAGG_ASSIGN_OR_RETURN(
       Table assembled,
-      AssembleFromPartials(query, finest, trace, CurrentDop()));
+      AssembleFromPartials(plan, std::make_shared<const Table>(
+                                     std::move(merged)),
+                           /*summaries=*/nullptr, trace, CurrentDop()));
   return ApplyQueryTail(std::move(assembled), query);
 }
 
@@ -632,15 +632,14 @@ void Coordinator::ExecuteDistributedBatch(
   const size_t dop = CurrentDop();
   for (size_t i = 0; i < members.size(); ++i) {
     members[i]->result =
-        AssembleMqoMember(plan->members[i], *merged, members[i]->trace, dop);
+        AssembleMqoMember(*plan, i, *merged, members[i]->trace, dop);
   }
 }
 
 Result<Table> Coordinator::ExplainDistributed(const AnalyzedQuery& query,
                                               const ShardedMeta& meta,
                                               const QueryOptions& options) {
-  PCTAGG_ASSIGN_OR_RETURN(DistPartialPlan plan,
-                          BuildDistributedPartialPlan(query));
+  PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
   const size_t worker_dop =
       config_.worker_dop != 0 ? config_.worker_dop
                               : options.degree_of_parallelism;

@@ -57,8 +57,8 @@ struct CoordinatorConfig {
 // stub keeps the schema visible to the analyzer and makes the same
 // database object work as both coordinator and plain server.
 //
-// A distributed SELECT is the lattice machinery run across processes
-// (core/lattice_plan.h): the coordinator rewrites the query into one
+// A distributed SELECT is the partial path run across processes
+// (core/partial_plan.h): the coordinator rewrites the query into one
 // deduplicated partial-aggregation SELECT, scatters it to every shard
 // (PARTIAL verb, serde-encoded response body), merges shard partials *as
 // they arrive* — no barrier; the serial merge of shard k overlaps the

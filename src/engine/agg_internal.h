@@ -28,11 +28,23 @@ struct AggState {
   int64_t isum = 0;
   int64_t count = 0;      // non-null inputs seen
   int64_t row_count = 0;  // all rows (count(*))
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
+  // Running extremes. INT64 inputs keep them as int64 (a double cannot hold
+  // every int64 above 2^53, and casting 2^63 back is undefined); which
+  // member is live depends on the spec's AccKind, and `saw_value` says
+  // whether it holds a value yet.
+  union {
+    double min = std::numeric_limits<double>::infinity();
+    int64_t imin;
+  };
+  union {
+    double max = -std::numeric_limits<double>::infinity();
+    int64_t imax;
+  };
+  // Next to the numeric fields, so a numeric accumulator touches one cache
+  // line.
+  bool saw_value = false;
   std::string smin;
   std::string smax;
-  bool saw_value = false;
 };
 
 inline Result<DataType> AggOutputType(const AggSpec& spec,
@@ -71,6 +83,8 @@ enum class AccKind : uint8_t {
   kSumFloat,   // sum, saw_value
   kAvg,        // sum, count, saw_value
   kAvgStr,     // count, saw_value (degenerate avg-over-string: sum stays 0)
+  kMinInt,     // imin, saw_value
+  kMaxInt,     // imax, saw_value
   kMinNum,     // min, saw_value
   kMaxNum,     // max, saw_value
   kMinStr,     // smin, saw_value
@@ -113,6 +127,7 @@ inline AccPlan MakeAccPlan(const AggSpec& spec, const Column& input) {
       break;
   }
   const bool is_string = input.type() == DataType::kString;
+  const bool is_int = input.type() == DataType::kInt64;
   switch (spec.func) {
     case AggFunc::kCountStar:
       break;  // handled above
@@ -128,10 +143,14 @@ inline AccPlan MakeAccPlan(const AggSpec& spec, const Column& input) {
       ap.kind = is_string ? AccKind::kAvgStr : AccKind::kAvg;
       break;
     case AggFunc::kMin:
-      ap.kind = is_string ? AccKind::kMinStr : AccKind::kMinNum;
+      ap.kind = is_string ? AccKind::kMinStr
+                : is_int  ? AccKind::kMinInt
+                          : AccKind::kMinNum;
       break;
     case AggFunc::kMax:
-      ap.kind = is_string ? AccKind::kMaxStr : AccKind::kMaxNum;
+      ap.kind = is_string ? AccKind::kMaxStr
+                : is_int  ? AccKind::kMaxInt
+                          : AccKind::kMaxNum;
       break;
   }
   return ap;
@@ -226,6 +245,24 @@ inline void AccumulateMorsel(const AccPlan& ap, const std::vector<uint32_t>& gid
         st.saw_value = true;
       }
       break;
+    case AccKind::kMinInt:
+      for (size_t row = begin; row < end; ++row) {
+        if (!no_nulls && !ap.validity[row]) continue;
+        AggState& st = col[gid[row - begin]];
+        const int64_t v = ap.i64[row];
+        st.imin = !st.saw_value || v < st.imin ? v : st.imin;
+        st.saw_value = true;
+      }
+      break;
+    case AccKind::kMaxInt:
+      for (size_t row = begin; row < end; ++row) {
+        if (!no_nulls && !ap.validity[row]) continue;
+        AggState& st = col[gid[row - begin]];
+        const int64_t v = ap.i64[row];
+        st.imax = !st.saw_value || v > st.imax ? v : st.imax;
+        st.saw_value = true;
+      }
+      break;
     case AccKind::kMinNum:
       for (size_t row = begin; row < end; ++row) {
         if (!ap.validity[row]) continue;
@@ -314,6 +351,26 @@ inline void AccumulateRows(const AccPlan& ap, const uint32_t* gid,
         if (!ap.validity[rows[i]]) continue;
         AggState& st = col[gid[i]];
         st.count++;
+        st.saw_value = true;
+      }
+      break;
+    case AccKind::kMinInt:
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t row = rows[i];
+        if (!ap.validity[row]) continue;
+        AggState& st = col[gid[i]];
+        const int64_t v = ap.i64[row];
+        if (!st.saw_value || v < st.imin) st.imin = v;
+        st.saw_value = true;
+      }
+      break;
+    case AccKind::kMaxInt:
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t row = rows[i];
+        if (!ap.validity[row]) continue;
+        AggState& st = col[gid[i]];
+        const int64_t v = ap.i64[row];
+        if (!st.saw_value || v > st.imax) st.imax = v;
         st.saw_value = true;
       }
       break;
@@ -470,15 +527,22 @@ inline bool AccumulateMorselUnrolled(const AccPlan& ap,
   }
 }
 
-// Folds one accumulator into another (associative, commutative up to the
-// first-seen tie-breaks handled by the callers' row ordering).
-inline void MergeState(AggState& d, const AggState& s) {
+// Folds one accumulator of a spec accumulated as `kind` into another
+// (associative, commutative up to the first-seen tie-breaks handled by the
+// callers' row ordering).
+inline void MergeState(AggState& d, const AggState& s, AccKind kind) {
   d.row_count += s.row_count;
   d.count += s.count;
   d.sum += s.sum;
   d.isum += s.isum;
-  if (s.min < d.min) d.min = s.min;
-  if (s.max > d.max) d.max = s.max;
+  if (kind == AccKind::kMinInt) {
+    if (s.saw_value && (!d.saw_value || s.imin < d.imin)) d.imin = s.imin;
+  } else if (kind == AccKind::kMaxInt) {
+    if (s.saw_value && (!d.saw_value || s.imax > d.imax)) d.imax = s.imax;
+  } else {
+    if (s.min < d.min) d.min = s.min;
+    if (s.max > d.max) d.max = s.max;
+  }
   if (s.saw_value) {
     if (!d.saw_value || s.smin < d.smin) d.smin = s.smin;
     if (!d.saw_value || s.smax > d.smax) d.smax = s.smax;
@@ -600,7 +664,7 @@ inline Result<Table> EmitAggOutput(const Table& input,
           } else if (out_types[a] == DataType::kString) {
             row.push_back(Value::String(st.smin));
           } else if (out_types[a] == DataType::kInt64) {
-            row.push_back(Value::Int64(static_cast<int64_t>(st.min)));
+            row.push_back(Value::Int64(st.imin));
           } else {
             row.push_back(Value::Float64(st.min));
           }
@@ -611,7 +675,7 @@ inline Result<Table> EmitAggOutput(const Table& input,
           } else if (out_types[a] == DataType::kString) {
             row.push_back(Value::String(st.smax));
           } else if (out_types[a] == DataType::kInt64) {
-            row.push_back(Value::Int64(static_cast<int64_t>(st.max)));
+            row.push_back(Value::Int64(st.imax));
           } else {
             row.push_back(Value::Float64(st.max));
           }

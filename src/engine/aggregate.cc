@@ -30,9 +30,9 @@ struct AggPartial {
 
 // Folds partial `p`'s accumulators for local group `id` into `dst`.
 void MergeFromPartial(std::vector<AggState>& dst, const AggPartial& p,
-                      size_t id) {
+                      size_t id, const std::vector<AccPlan>& acc_plans) {
   for (size_t a = 0; a < dst.size(); ++a) {
-    aggdetail::MergeState(dst[a], p.spec_states[a][id]);
+    aggdetail::MergeState(dst[a], p.spec_states[a][id], acc_plans[a].kind);
   }
 }
 
@@ -170,7 +170,8 @@ Result<Table> HashAggregate(const Table& input,
       for (size_t g = 0; g < direct_slots; ++g) {
         if (pw.first_row[g] == SIZE_MAX) continue;
         for (size_t a = 0; a < aggs.size(); ++a) {
-          aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][g]);
+          aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][g],
+                                acc_plans[a].kind);
         }
         p0.first_row[g] = std::min(p0.first_row[g], pw.first_row[g]);
       }
@@ -216,7 +217,7 @@ Result<Table> HashAggregate(const Table& input,
             out.push_back(
                 {aggdetail::GatherStates(p.spec_states, id), p.first_row[id]});
           } else {
-            MergeFromPartial(out[g].states, p, id);
+            MergeFromPartial(out[g].states, p, id, acc_plans);
             out[g].first_row = std::min(out[g].first_row, p.first_row[id]);
           }
         });

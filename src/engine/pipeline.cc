@@ -447,7 +447,8 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
       for (size_t g = 0; g < direct_slots; ++g) {
         if (pw.first_row[g] == SIZE_MAX) continue;
         for (size_t a = 0; a < num_specs; ++a) {
-          aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][g]);
+          aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][g],
+                                acc_plans[a].kind);
         }
         p0.first_row[g] = std::min(p0.first_row[g], pw.first_row[g]);
       }
@@ -478,7 +479,8 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
           if (sc.size() < p0.itab.size()) sc.resize(p0.itab.size());
         }
         for (size_t a = 0; a < num_specs; ++a) {
-          aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][id]);
+          aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][id],
+                                acc_plans[a].kind);
         }
       }
     }
@@ -519,7 +521,8 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
                 {aggdetail::GatherStates(p.spec_states, id), p.first_row[id]});
           } else {
             for (size_t a = 0; a < num_specs; ++a) {
-              aggdetail::MergeState(merged[g].states[a], p.spec_states[a][id]);
+              aggdetail::MergeState(merged[g].states[a],
+                                    p.spec_states[a][id], acc_plans[a].kind);
             }
             merged[g].first_row = std::min(merged[g].first_row, p.first_row[id]);
           }

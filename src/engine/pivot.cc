@@ -19,18 +19,31 @@ struct CellState {
   int64_t isum = 0;
   int64_t count = 0;
   int64_t rows = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
+  // Extremes: int64 for INT64 measures (a double cannot hold them all),
+  // double otherwise; `saw_value` says whether they hold a value yet.
+  union {
+    double min = std::numeric_limits<double>::infinity();
+    int64_t imin;
+  };
+  union {
+    double max = -std::numeric_limits<double>::infinity();
+    int64_t imax;
+  };
   bool saw_value = false;
 };
 
-void MergeCell(CellState& d, const CellState& s) {
+void MergeCell(CellState& d, const CellState& s, bool int_values) {
   d.sum += s.sum;
   d.isum += s.isum;
   d.count += s.count;
   d.rows += s.rows;
-  if (s.min < d.min) d.min = s.min;
-  if (s.max > d.max) d.max = s.max;
+  if (!int_values) {
+    if (s.min < d.min) d.min = s.min;
+    if (s.max > d.max) d.max = s.max;
+  } else if (s.saw_value) {
+    if (!d.saw_value || s.imin < d.imin) d.imin = s.imin;
+    if (!d.saw_value || s.imax > d.imax) d.imax = s.imax;
+  }
   d.saw_value = d.saw_value || s.saw_value;
 }
 
@@ -100,6 +113,9 @@ Result<Table> HashDispatchPivot(const Table& input,
     }
     PCTAGG_ASSIGN_OR_RETURN(vals, value_expr->Evaluate(input));
   }
+  const bool int_values = val_type == DataType::kInt64;
+  const bool extremes =
+      options.func == AggFunc::kMin || options.func == AggFunc::kMax;
 
   // Phase 1: each worker runs the O(1) hash dispatch over its morsels into a
   // thread-local PivotPartial — two probes per row (group map, combo map),
@@ -149,16 +165,24 @@ Result<Table> HashDispatchPivot(const Table& input,
       double v = vals.NumericAt(row);
       st.count++;
       tot.count++;
-      st.saw_value = true;
-      tot.saw_value = true;
       st.sum += v;
       tot.sum += v;
-      if (val_type == DataType::kInt64) {
-        st.isum += vals.Int64At(row);
-        tot.isum += vals.Int64At(row);
+      if (int_values && extremes) {
+        const int64_t iv = vals.Int64At(row);
+        if (!st.saw_value || iv < st.imin) st.imin = iv;
+        if (!st.saw_value || iv > st.imax) st.imax = iv;
+      } else if (int_values) {
+        // Only sums read isum; min/max values may be the type's extremes,
+        // whose int64 sum would overflow.
+        const int64_t iv = vals.Int64At(row);
+        st.isum += iv;
+        tot.isum += iv;
+      } else {
+        if (v < st.min) st.min = v;
+        if (v > st.max) st.max = v;
       }
-      if (v < st.min) st.min = v;
-      if (v > st.max) st.max = v;
+      st.saw_value = true;
+      tot.saw_value = true;
     }
   });
 
@@ -230,13 +254,15 @@ Result<Table> HashDispatchPivot(const Table& input,
             out.push_back({{}, p.group_total[id], p.group_first[id]});
             out.back().cells.resize(combo_rep_row.size());
           } else {
-            MergeCell(out[g].total, p.group_total[id]);
+            MergeCell(out[g].total, p.group_total[id], int_values);
             out[g].first_row = std::min(out[g].first_row, p.group_first[id]);
           }
           std::vector<CellState>& dst = out[g].cells;
           const std::vector<CellState>& src = p.cells[id];
           for (size_t c = 0; c < src.size(); ++c) {
-            if (src[c].rows > 0) MergeCell(dst[combo_remap[pi][c]], src[c]);
+            if (src[c].rows > 0) {
+              MergeCell(dst[combo_remap[pi][c]], src[c], int_values);
+            }
           }
         });
       }
@@ -331,12 +357,12 @@ Result<Table> HashDispatchPivot(const Table& input,
       case AggFunc::kMin:
         if (!st.saw_value) return Value::Null();
         return cell_type == DataType::kInt64
-                   ? Value::Int64(static_cast<int64_t>(st.min))
+                   ? Value::Int64(st.imin)
                    : Value::Float64(st.min);
       case AggFunc::kMax:
         if (!st.saw_value) return Value::Null();
         return cell_type == DataType::kInt64
-                   ? Value::Int64(static_cast<int64_t>(st.max))
+                   ? Value::Int64(st.imax)
                    : Value::Float64(st.max);
     }
     return Value::Null();

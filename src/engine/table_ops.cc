@@ -54,38 +54,64 @@ Result<Table> Distinct(const Table& input,
   return out;
 }
 
-Result<std::vector<size_t>> SortPermutation(
-    const Table& input, const std::vector<std::string>& columns) {
+namespace {
+
+// Three-way comparison of two non-NULL cells of one column: strings by
+// bytes, INT64 exactly as int64 (a double cannot tell 2^53 from 2^53 + 1),
+// FLOAT64 as doubles (NaN compares equal to every value).
+int CompareCells(const Column& c, size_t a, size_t b) {
+  switch (c.type()) {
+    case DataType::kString:
+      return c.StringAt(a).compare(c.StringAt(b));
+    case DataType::kInt64: {
+      const int64_t x = c.Int64At(a);
+      const int64_t y = c.Int64At(b);
+      return (x > y) - (x < y);
+    }
+    case DataType::kFloat64:
+      break;
+  }
+  const double x = c.Float64At(a);
+  const double y = c.Float64At(b);
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+// The stable row order of `input` under `keys`, the one comparator behind
+// both SortPermutation and SortBy: NULLs first ascending, last descending.
+Result<std::vector<size_t>> SortOrder(const Table& input,
+                                      const std::vector<SortKey>& keys) {
   std::vector<size_t> col_idx;
-  for (const std::string& name : columns) {
-    PCTAGG_ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(name));
+  for (const SortKey& k : keys) {
+    PCTAGG_ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(k.column));
     col_idx.push_back(idx);
   }
   std::vector<size_t> order(input.num_rows());
   std::iota(order.begin(), order.end(), 0);
   auto less_at = [&](size_t a, size_t b) {
-    for (size_t ci : col_idx) {
-      const Column& c = input.column(ci);
-      bool an = c.IsNull(a);
-      bool bn = c.IsNull(b);
+    for (size_t k = 0; k < col_idx.size(); ++k) {
+      const Column& c = input.column(col_idx[k]);
+      const bool an = c.IsNull(a);
+      const bool bn = c.IsNull(b);
       if (an || bn) {
         if (an && bn) continue;
-        return an;  // NULLs first
+        return keys[k].descending ? bn : an;
       }
-      int cmp = 0;
-      if (c.type() == DataType::kString) {
-        cmp = c.StringAt(a).compare(c.StringAt(b));
-      } else {
-        double x = c.NumericAt(a);
-        double y = c.NumericAt(b);
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      if (cmp != 0) return cmp < 0;
+      const int cmp = CompareCells(c, a, b);
+      if (cmp != 0) return keys[k].descending ? cmp > 0 : cmp < 0;
     }
     return false;
   };
   std::stable_sort(order.begin(), order.end(), less_at);
   return order;
+}
+
+}  // namespace
+
+Result<std::vector<size_t>> SortPermutation(
+    const Table& input, const std::vector<std::string>& columns) {
+  std::vector<SortKey> keys;
+  for (const std::string& name : columns) keys.push_back({name, false});
+  return SortOrder(input, keys);
 }
 
 Result<Table> Sort(const Table& input,
@@ -99,38 +125,7 @@ Result<Table> Sort(const Table& input,
 }
 
 Result<Table> SortBy(const Table& input, const std::vector<SortKey>& keys) {
-  std::vector<size_t> col_idx;
-  std::vector<bool> desc;
-  for (const SortKey& k : keys) {
-    PCTAGG_ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(k.column));
-    col_idx.push_back(idx);
-    desc.push_back(k.descending);
-  }
-  std::vector<size_t> order(input.num_rows());
-  std::iota(order.begin(), order.end(), 0);
-  auto less_at = [&](size_t a, size_t b) {
-    for (size_t k = 0; k < col_idx.size(); ++k) {
-      const Column& c = input.column(col_idx[k]);
-      bool an = c.IsNull(a);
-      bool bn = c.IsNull(b);
-      if (an || bn) {
-        if (an && bn) continue;
-        // NULLs first ascending, last descending.
-        return desc[k] ? bn : an;
-      }
-      int cmp = 0;
-      if (c.type() == DataType::kString) {
-        cmp = c.StringAt(a).compare(c.StringAt(b));
-      } else {
-        double x = c.NumericAt(a);
-        double y = c.NumericAt(b);
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      if (cmp != 0) return desc[k] ? cmp > 0 : cmp < 0;
-    }
-    return false;
-  };
-  std::stable_sort(order.begin(), order.end(), less_at);
+  PCTAGG_ASSIGN_OR_RETURN(std::vector<size_t> order, SortOrder(input, keys));
   Table out(input.schema());
   out.Reserve(input.num_rows());
   for (size_t row : order) out.AppendRowFrom(input, row);

@@ -292,8 +292,7 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
   }
   Result<AnalyzedQuery> prepared = db_->PrepareQuery(inner);
   if (!prepared.ok()) return db_->Query(sql, opts);
-  std::string why;
-  if (!MqoSupported(*prepared, &why)) return db_->Query(sql, opts);
+  if (!PartialPlanSupported(*prepared)) return db_->Query(sql, opts);
   Result<const Table*> fact =
       static_cast<const PctDatabase*>(db_)->catalog().GetTable(
           prepared->table_name);
@@ -305,8 +304,7 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
       opts.use_summary_cache.value_or(db_->summary_cache_enabled());
   const std::string key =
       MqoCompatibilityKey(*prepared) +
-      StrFormat("|c%d|d%zu|l%d", use_cache ? 1 : 0, opts.degree_of_parallelism,
-                static_cast<int>(opts.lattice));
+      StrFormat("|c%d|d%zu", use_cache ? 1 : 0, opts.degree_of_parallelism);
 
   MqoGate::Member member;
   member.query = &*prepared;
@@ -394,9 +392,8 @@ void QueryExecutor::ExecuteMqoMembers(const QueryOptions& opts,
   std::vector<obs::QueryTrace*> traces;
   traces.reserve(members.size());
   for (MqoGate::Member* m : members) traces.push_back(m->trace);
-  MqoBatchStats bstats;
   Result<std::vector<Table>> results =
-      ExecuteMqoBatch(*plan, **fact, summaries, traces, dop, &bstats);
+      ExecuteMqoBatch(*plan, **fact, summaries, traces, dop);
   if (!results.ok()) {
     // A batch-level failure (e.g. a mid-flight DROP) re-runs every member
     // solo so each gets its own precise error or result.

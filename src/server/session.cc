@@ -153,24 +153,6 @@ Result<std::string> Session::ApplySet(const std::string& args) {
     }
     return "exec = " + exec_name_;
   }
-  if (option == "lattice") {
-    // Grouping-set lattice strategy: auto = cost-model advisor, shared = one
-    // fused scan feeding every level, per-level = recompute each level.
-    if (value == "auto" || value == "default") {
-      options_.lattice = LatticeMode::kAuto;
-      lattice_name_ = "auto";
-    } else if (value == "shared") {
-      options_.lattice = LatticeMode::kShared;
-      lattice_name_ = value;
-    } else if (value == "per-level" || value == "per_level") {
-      options_.lattice = LatticeMode::kPerLevel;
-      lattice_name_ = "per-level";
-    } else {
-      return Status::InvalidArgument(
-          "SET lattice expects auto|shared|per-level");
-    }
-    return "lattice = " + lattice_name_;
-  }
   if (option == "mqo") {
     // Multi-query shared-scan batching: auto = cost-model decision per
     // batch, on = always batch compatible queries, off = never batch.
@@ -219,7 +201,6 @@ std::string Session::Describe() const {
       "vpct = %s\n"
       "horizontal = %s\n"
       "exec = %s\n"
-      "lattice = %s\n"
       "mqo = %s\n"
       "dop = %s\n"
       "trace = %s\n"
@@ -227,7 +208,7 @@ std::string Session::Describe() const {
       "queries = %llu (%llu errors, %.3f ms total)\n",
       (unsigned long long)id_, (unsigned long long)timeout_ms_, cache.c_str(),
       vpct_name_.c_str(), horizontal_name_.c_str(), exec_name_.c_str(),
-      lattice_name_.c_str(), mqo_name_.c_str(), DescribeDop().c_str(),
+      mqo_name_.c_str(), DescribeDop().c_str(),
       trace_ ? "on" : "off", append_policy_name_.c_str(),
       (unsigned long long)queries_, (unsigned long long)errors_,
       static_cast<double>(total_micros_) / 1000.0);

@@ -34,7 +34,6 @@ class Session {
   //   vpct auto|best|noindex|update|rescan
   //   horizontal auto|case|case_fv|spj|spj_fv
   //   trace on|off                append the executed-plan trace to results
-  //   lattice auto|shared|per-level   grouping-set lattice strategy
   //   mqo auto|on|off             multi-query shared-scan batching
   //   append_policy auto|merge|recompute   summary maintenance for INSERT/COPY
   // (SET summary_cache_mb is database-wide and handled by the server.)
@@ -68,7 +67,6 @@ class Session {
   std::string vpct_name_ = "auto";
   std::string horizontal_name_ = "auto";
   std::string exec_name_ = "auto";
-  std::string lattice_name_ = "auto";
   std::string mqo_name_ = "auto";
   std::string append_policy_name_ = "auto";
   bool trace_ = false;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -162,6 +163,93 @@ TEST(DatabaseTest, Int64PredicatesAbove2To53AreExact) {
   EXPECT_EQ(cased->column(1).Int64At(0), 0);
   EXPECT_EQ(cased->column(1).Int64At(1), 1);
   EXPECT_EQ(cased->column(1).Int64At(2), 0);
+}
+
+// INT64 values above 2^53, and the extremes of the type, in three groups.
+Table BigIdTable() {
+  constexpr int64_t k2To53 = 9007199254740992;
+  Table t(Schema({{"k", DataType::kInt64}, {"id", DataType::kInt64}}));
+  t.AppendRow({Value::Int64(1), Value::Int64(k2To53)});
+  t.AppendRow({Value::Int64(1), Value::Int64(k2To53 + 1)});
+  t.AppendRow({Value::Int64(2), Value::Int64(k2To53 + 3)});
+  t.AppendRow({Value::Int64(2), Value::Int64(k2To53 + 2)});
+  t.AppendRow({Value::Int64(3), Value::Int64(INT64_MAX)});
+  t.AppendRow({Value::Int64(3), Value::Int64(INT64_MIN + 1)});
+  return t;
+}
+
+// min/max keep int64 state for INT64 inputs: through a double, max over
+// {2^53, 2^53 + 1} was 2^53, max over {2^53 + 2, 2^53 + 3} was 2^53 + 4 (not
+// in the column), and INT64_MAX cast back from 2^63 was INT64_MIN.
+TEST(DatabaseTest, Int64MinMaxAreExact) {
+  constexpr int64_t k2To53 = 9007199254740992;
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("t", BigIdTable()).ok());
+  Result<Table> r = db.Query(
+      "SELECT k, max(id) AS hi, min(id) AS lo FROM t GROUP BY k ORDER BY k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 3u);
+  EXPECT_EQ(r->column(1).Int64At(0), k2To53 + 1);
+  EXPECT_EQ(r->column(2).Int64At(0), k2To53);
+  EXPECT_EQ(r->column(1).Int64At(1), k2To53 + 3);
+  EXPECT_EQ(r->column(2).Int64At(1), k2To53 + 2);
+  EXPECT_EQ(r->column(1).Int64At(2), INT64_MAX);
+  EXPECT_EQ(r->column(2).Int64At(2), INT64_MIN + 1);
+
+  // The horizontal form, fused (partials + pivot) and materialized.
+  for (ExecutionMode mode :
+       {ExecutionMode::kFused, ExecutionMode::kMaterialized}) {
+    QueryOptions options;
+    options.execution = mode;
+    Result<Table> h = db.Query("SELECT max(id BY k) FROM t", options);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    ASSERT_EQ(h->num_rows(), 1u);
+    EXPECT_EQ(h->ColumnByName("k=1").value()->Int64At(0), k2To53 + 1);
+    EXPECT_EQ(h->ColumnByName("k=2").value()->Int64At(0), k2To53 + 3);
+    EXPECT_EQ(h->ColumnByName("k=3").value()->Int64At(0), INT64_MAX);
+  }
+}
+
+// Every CUBE level rolls min/max up from the finest partials, exactly.
+TEST(DatabaseTest, Int64MinMaxAreExactAcrossCubeLevels) {
+  constexpr int64_t k2To53 = 9007199254740992;
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("t", BigIdTable()).ok());
+  Result<Table> r = db.Query(
+      "SELECT k, max(id) AS hi, min(id) AS lo FROM t WHERE k <> 3 "
+      "GROUP BY CUBE(k)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 3u);  // k = 1, k = 2, ()
+  EXPECT_TRUE(r->column(0).IsNull(2));
+  EXPECT_EQ(r->column(1).Int64At(2), k2To53 + 3);
+  EXPECT_EQ(r->column(2).Int64At(2), k2To53);
+  Result<Table> all =
+      db.Query("SELECT k, max(id) AS hi, min(id) AS lo FROM t "
+               "GROUP BY ROLLUP(k)");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->num_rows(), 4u);
+  EXPECT_EQ(all->column(1).Int64At(3), INT64_MAX);
+  EXPECT_EQ(all->column(2).Int64At(3), INT64_MIN + 1);
+}
+
+// ORDER BY compares INT64 as int64: through a double, 2^53 and 2^53 + 1
+// compared equal and the stable sort kept input order.
+TEST(DatabaseTest, OrderByInt64Above2To53IsExact) {
+  constexpr int64_t k2To53 = 9007199254740992;
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("t", BigIdTable()).ok());
+  Result<Table> r =
+      db.Query("SELECT id FROM t WHERE k = 1 ORDER BY id DESC");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 2u);
+  EXPECT_EQ(r->column(0).Int64At(0), k2To53 + 1);
+  EXPECT_EQ(r->column(0).Int64At(1), k2To53);
+  Result<Table> grouped = db.Query(
+      "SELECT id, count(*) AS n FROM t WHERE k = 2 GROUP BY id ORDER BY id");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_EQ(grouped->num_rows(), 2u);
+  EXPECT_EQ(grouped->column(0).Int64At(0), k2To53 + 2);
+  EXPECT_EQ(grouped->column(0).Int64At(1), k2To53 + 3);
 }
 
 // AND, OR, NOT and CASE WHEN over a FLOAT64 operand are type errors; they

@@ -1,0 +1,451 @@
+// Cross-evaluator differential test: a fixed-seed generator produces ~200
+// percentage and aggregate queries (Vpct with one or two terms, Hpct/Hagg
+// with and without extras, plain aggregates, CUBE/ROLLUP, optional WHERE,
+// HAVING, ORDER BY and LIMIT) over INT64 measures with NULL keys, a
+// dictionary-string key and an all-zero group, plus an empty fact. Every
+// query must give the same answer from
+//   * PctDatabase::Query with the advisor, with SET exec fused (the partial
+//     path) and with SET exec materialized (the paper's plans, where the
+//     shape has one),
+//   * one ExecuteMqoBatch of the compatible queries, and
+//   * an in-process cluster of two shards,
+// at dop 1 and 4. Merge-on-arrival reorders groups and first-seen Hpct pivot
+// columns, so answers compare as row multisets with columns matched by name.
+//
+// FLOAT64 measures are left out: at dop 4 the fused scan's float sums still
+// depend on morsel scheduling (ROADMAP, deterministic floats).
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/string_util.h"
+#include "core/database.h"
+#include "core/mqo_plan.h"
+#include "core/partial_plan.h"
+#include "dist/coordinator.h"
+#include "server/server.h"
+
+namespace pctagg {
+namespace {
+
+constexpr size_t kRows = 6000;
+constexpr size_t kDops[] = {1, 4};
+
+// f(d1, d2, d3, s, m1, m2): d2 has ~10% NULL keys, s is a dictionary string,
+// m1 has ~8% NULL measures, and m2 is 0 on every d1 = 3 row (an all-zero
+// group: its Vpct denominators are zero, so its percentages are NULL).
+Table Fact(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Table t(Schema({{"d1", DataType::kInt64},
+                  {"d2", DataType::kInt64},
+                  {"d3", DataType::kInt64},
+                  {"s", DataType::kString},
+                  {"m1", DataType::kInt64},
+                  {"m2", DataType::kInt64}}));
+  const char* const names[] = {"alpha", "beta", "gamma"};
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t d1 = static_cast<int64_t>(rng.Uniform(4));
+    Value d2 = rng.Uniform(10) == 0
+                   ? Value::Null()
+                   : Value::Int64(static_cast<int64_t>(rng.Uniform(5)));
+    Value m1 = rng.Uniform(12) == 0 ? Value::Null()
+                                    : Value::Int64(rng.UniformRange(1, 100));
+    t.AppendRow({Value::Int64(d1), d2,
+                 Value::Int64(static_cast<int64_t>(rng.Uniform(3))),
+                 Value::String(names[rng.Uniform(3)]), m1,
+                 Value::Int64(d1 == 3 ? 0 : rng.UniformRange(0, 50))});
+  }
+  return t;
+}
+
+// --- Query generator ---------------------------------------------------------
+
+const char* const kDims[] = {"d1", "d2", "d3", "s"};
+const char* const kMeasures[] = {"m1", "m2"};
+const char* const kWheres[] = {"",         "",         "",
+                               " WHERE d1 <> 2", " WHERE m2 > 10",
+                               " WHERE s <> 'beta'", " WHERE d3 = 99"};
+
+class QueryGen {
+ public:
+  explicit QueryGen(uint64_t seed) : rng_(seed) {}
+
+  // One random statement of a random shape.
+  std::string Next() {
+    switch (rng_.Uniform(4)) {
+      case 0:
+        return Vpct();
+      case 1:
+        return Horizontal();
+      case 2:
+        return Plain();
+      default:
+        return Lattice();
+    }
+  }
+
+ private:
+  bool Coin() { return rng_.Uniform(2) == 0; }
+  const char* Measure() { return kMeasures[rng_.Uniform(2)]; }
+
+  // `min`..`max` distinct dimensions in random order.
+  std::vector<std::string> Dims(size_t min, size_t max,
+                                const std::vector<std::string>& avoid = {}) {
+    std::vector<std::string> pool;
+    for (const char* d : kDims) {
+      if (std::find(avoid.begin(), avoid.end(), d) == avoid.end()) {
+        pool.push_back(d);
+      }
+    }
+    for (size_t i = pool.size(); i > 1; --i) {
+      std::swap(pool[i - 1], pool[rng_.Uniform(i)]);
+    }
+    const size_t n = min + rng_.Uniform(max - min + 1);
+    pool.resize(std::min(n, pool.size()));
+    return pool;
+  }
+
+  // A random subset of `cols`, in their order.
+  std::vector<std::string> Subset(const std::vector<std::string>& cols) {
+    std::vector<std::string> out;
+    for (const std::string& c : cols) {
+      if (Coin()) out.push_back(c);
+    }
+    return out;
+  }
+
+  // Extra plain aggregates x1.., plus count(*) AS n when `with_n`.
+  std::vector<std::string> Extras(size_t max, bool with_n) {
+    const char* const funcs[] = {"sum", "count", "avg", "min", "max"};
+    std::vector<std::string> out;
+    const size_t k = rng_.Uniform(max + 1);
+    for (size_t i = 0; i < k; ++i) {
+      out.push_back(StrFormat("%s(%s) AS x%zu", funcs[rng_.Uniform(5)],
+                              Measure(), i + 1));
+    }
+    if (with_n) out.push_back("count(*) AS n");
+    return out;
+  }
+
+  // WHERE, then GROUP BY `group`, then HAVING over n and ORDER BY/LIMIT
+  // over every group column (a total order, so LIMIT keeps the same rows
+  // on every evaluator).
+  std::string Finish(const std::string& select, const std::string& group_by,
+                     const std::vector<std::string>& order, bool with_n,
+                     bool limit_ok) {
+    std::string sql = "SELECT " + select + " FROM f" +
+                      kWheres[rng_.Uniform(std::size(kWheres))];
+    if (!group_by.empty()) sql += " GROUP BY " + group_by;
+    if (with_n && Coin()) sql += " HAVING n > 40";
+    if (!order.empty() && Coin()) {
+      sql += " ORDER BY " + Join(order, ", ");
+      if (limit_ok && Coin()) sql += " LIMIT 5";
+    }
+    return sql;
+  }
+
+  std::string Vpct() {
+    const std::vector<std::string> group = Dims(1, 3);
+    std::vector<std::string> items = group;
+    const size_t terms = 1 + rng_.Uniform(2);
+    for (size_t i = 0; i < terms; ++i) {
+      const std::vector<std::string> by = Subset(group);
+      items.push_back(StrFormat(
+          "Vpct(%s%s) AS p%zu", Measure(),
+          by.empty() ? "" : (" BY " + Join(by, ", ")).c_str(), i + 1));
+    }
+    const bool with_n = Coin();
+    for (const std::string& e : Extras(2, with_n)) items.push_back(e);
+    return Finish(Join(items, ", "), Join(group, ", "), group, with_n, true);
+  }
+
+  std::string Horizontal() {
+    const std::vector<std::string> group = Dims(0, 2);
+    const std::vector<std::string> by = Dims(1, 2, group);
+    std::vector<std::string> items = group;
+    const std::string cols = Join(by, ", ");
+    switch (rng_.Uniform(3)) {
+      case 0:
+        items.push_back(StrFormat("Hpct(%s BY %s)", Measure(), cols.c_str()));
+        break;
+      case 1: {
+        const char* const funcs[] = {"sum", "count", "min", "max"};
+        items.push_back(StrFormat("%s(%s BY %s%s)", funcs[rng_.Uniform(4)],
+                                  Measure(), cols.c_str(),
+                                  Coin() ? " DEFAULT 0" : ""));
+        break;
+      }
+      default:
+        items.push_back(StrFormat("sum(%s BY %s DEFAULT 0)", Measure(),
+                                  cols.c_str()));
+    }
+    for (const std::string& e : Extras(2, false)) items.push_back(e);
+    return Finish(Join(items, ", "), Join(group, ", "), group, false, true);
+  }
+
+  std::string Plain() {
+    const std::vector<std::string> group = Dims(0, 3);
+    std::vector<std::string> items = group;
+    const bool with_n = Coin();
+    std::vector<std::string> aggs = Extras(3, with_n);
+    if (aggs.empty()) aggs.push_back("sum(m1) AS x1");
+    for (const std::string& e : aggs) items.push_back(e);
+    return Finish(Join(items, ", "), Join(group, ", "), group, with_n, true);
+  }
+
+  std::string Lattice() {
+    const std::vector<std::string> cols = Dims(1, 3);
+    const std::string kind = Coin() ? "CUBE" : "ROLLUP";
+    std::vector<std::string> items = cols;
+    bool with_n = false;
+    switch (rng_.Uniform(3)) {
+      case 0: {
+        const std::vector<std::string> by = Subset(cols);
+        items.push_back(StrFormat(
+            "Vpct(%s%s) AS p1", Measure(),
+            by.empty() ? "" : (" BY " + Join(by, ", ")).c_str()));
+        items.push_back("sum(m2) AS x9");
+        break;
+      }
+      case 1:
+        with_n = Coin();
+        for (const std::string& e : Extras(3, with_n)) items.push_back(e);
+        items.push_back("GROUPING(" + cols[0] + ") AS g");
+        break;
+      default: {
+        const std::vector<std::string> by = Dims(1, 1, cols);
+        items.push_back(StrFormat("Hpct(%s BY %s)", Measure(), by[0].c_str()));
+        if (Coin()) items.push_back("count(*) AS n");
+      }
+    }
+    // No LIMIT: rows of different levels can tie on the visible columns.
+    return Finish(Join(items, ", "), kind + "(" + Join(cols, ", ") + ")",
+                  cols, with_n, false);
+  }
+
+  Rng rng_;
+};
+
+// --- Canonical answers -------------------------------------------------------
+
+std::string Cell(const Column& c, size_t row) {
+  if (c.IsNull(row)) return "NULL";
+  switch (c.type()) {
+    case DataType::kInt64:
+      return std::to_string(c.Int64At(row));
+    case DataType::kString:
+      return "'" + c.StringAt(row) + "'";
+    case DataType::kFloat64:
+      break;
+  }
+  uint64_t bits;
+  const double d = c.Float64At(row);
+  std::memcpy(&bits, &d, sizeof(bits));
+  return StrFormat("%.17g/%016llx", d, static_cast<unsigned long long>(bits));
+}
+
+// An answer as its column names (sorted) and its rows with cells in that
+// column order (sorted): equal iff the tables hold the same rows, whatever
+// the row and column order.
+struct Canonical {
+  std::vector<std::string> columns;
+  std::vector<std::string> rows;
+  bool operator==(const Canonical& o) const {
+    return columns == o.columns && rows == o.rows;
+  }
+};
+
+Canonical Canonicalize(const Table& t) {
+  Canonical out;
+  std::vector<std::pair<std::string, size_t>> cols;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const ColumnDef& def = t.schema().column(c);
+    cols.push_back({def.name + ":" + DataTypeName(def.type), c});
+  }
+  std::sort(cols.begin(), cols.end());
+  for (const auto& col : cols) out.columns.push_back(col.first);
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    std::string row;
+    for (const auto& col : cols) row += Cell(t.column(col.second), r) + "|";
+    out.rows.push_back(std::move(row));
+  }
+  std::sort(out.rows.begin(), out.rows.end());
+  return out;
+}
+
+// The columns, then the rows of `c` that `other` lacks (at most 8).
+std::string Describe(const Canonical& c, const Canonical& other) {
+  std::string out = Join(c.columns, ", ") + StrFormat(" (%zu rows)\n",
+                                                      c.rows.size());
+  std::vector<std::string> only;
+  std::set_difference(c.rows.begin(), c.rows.end(), other.rows.begin(),
+                      other.rows.end(), std::back_inserter(only));
+  for (size_t i = 0; i < only.size() && i < 8; ++i) {
+    out += "  " + only[i] + "\n";
+  }
+  return out;
+}
+
+// --- Fixture -----------------------------------------------------------------
+
+class DifferentialTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const Table fact = Fact(kRows, 20261017);
+    const Table empty(fact.schema());
+    ASSERT_TRUE(db_.CreateTable("f", fact).ok());
+    ASSERT_TRUE(db_.CreateTable("e", empty).ok());
+
+    std::vector<dist::WorkerEndpoint> endpoints;
+    for (size_t i = 0; i < 2; ++i) {
+      worker_dbs_.push_back(std::make_unique<PctDatabase>());
+      ServerConfig config;
+      config.port = 0;
+      config.worker_threads = 2;
+      workers_.push_back(
+          std::make_unique<PctServer>(worker_dbs_.back().get(), config));
+      ASSERT_TRUE(workers_.back()->Start().ok());
+      endpoints.push_back({"127.0.0.1", workers_.back()->port()});
+    }
+    dist::CoordinatorConfig config;
+    config.shard_timeout_ms = 10000;
+    config.shard_attempts = 2;
+    coordinator_ =
+        std::make_unique<dist::Coordinator>(&coord_db_, endpoints, config);
+    ASSERT_TRUE(coord_db_.CreateTable("f", fact).ok());
+    ASSERT_TRUE(coord_db_.CreateTable("e", empty).ok());
+    ASSERT_TRUE(coordinator_->ShardTable("f", "d2").ok());
+    ASSERT_TRUE(coordinator_->ShardTable("e", "d1").ok());
+  }
+
+  Result<Table> Local(const std::string& sql, ExecutionMode mode,
+                      size_t dop) const {
+    QueryOptions options;
+    options.execution = mode;
+    options.degree_of_parallelism = dop;
+    return db_.Query(sql, options);
+  }
+
+  Result<Table> Sharded(const std::string& sql, size_t dop) {
+    QueryOptions options;
+    options.degree_of_parallelism = dop;
+    options.mqo = MqoMode::kOff;
+    PCTAGG_ASSIGN_OR_RETURN(std::optional<Table> r,
+                            coordinator_->MaybeExecute(sql, options, nullptr));
+    if (!r.has_value()) return Status::Internal("router declined " + sql);
+    return std::move(*r);
+  }
+
+  PctDatabase db_;
+  PctDatabase coord_db_;
+  std::vector<std::unique_ptr<PctDatabase>> worker_dbs_;
+  std::vector<std::unique_ptr<PctServer>> workers_;
+  std::unique_ptr<dist::Coordinator> coordinator_;
+};
+
+// The shapes the fused horizontal pipeline used to refuse, and other edges
+// the generator reaches only by luck.
+const char* const kEdgeQueries[] = {
+    "SELECT Hpct(m1 BY d2) FROM f WHERE d3 = 99",
+    "SELECT Hpct(m1 BY d2) FROM e",
+    "SELECT d1, Hpct(m1 BY d2), sum(m2) AS x1 FROM e GROUP BY d1",
+    "SELECT Hpct(m1 BY d2), sum(m2) AS x1, avg(m1) AS x2 FROM f",
+    "SELECT Hpct(m1 BY s), count(*) AS n FROM f WHERE d1 <> 2",
+    "SELECT d1, Vpct(m2 BY d1) AS p1, sum(m2) AS x1 FROM f GROUP BY d1",
+    "SELECT d1, d2, Vpct(m1) AS p1 FROM e GROUP BY d1, d2",
+    "SELECT sum(m1) AS x1, count(*) AS n, min(m2) AS x2 FROM e",
+    "SELECT d1, sum(m1) AS x1, count(m1) AS x2 FROM e GROUP BY CUBE(d1)",
+    "SELECT s, d2, Vpct(m1 BY d2) AS p1 FROM f GROUP BY ROLLUP(s, d2)",
+};
+
+TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
+  std::vector<std::string> sqls(std::begin(kEdgeQueries),
+                                std::end(kEdgeQueries));
+  QueryGen gen(17);
+  while (sqls.size() < 200) {
+    std::string sql = gen.Next();
+    // The generator may compose a statement the analyzer rejects (e.g. two
+    // Vpct terms with the same BY list); those are not evaluator questions.
+    if (db_.PrepareQuery(sql).ok()) sqls.push_back(std::move(sql));
+  }
+
+  size_t compared = 0;
+  for (size_t dop : kDops) {
+    // The partial path's answers at this dop, the reference for the rest.
+    std::vector<Canonical> want(sqls.size());
+    for (size_t i = 0; i < sqls.size(); ++i) {
+      SCOPED_TRACE(sqls[i] + " @ dop=" + std::to_string(dop));
+      Result<AnalyzedQuery> q = db_.PrepareQuery(sqls[i]);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      Result<Table> fused = Local(sqls[i], ExecutionMode::kFused, dop);
+      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+      want[i] = Canonicalize(*fused);
+
+      std::vector<std::pair<const char*, Result<Table>>> others;
+      others.emplace_back("advisor", Local(sqls[i], ExecutionMode::kAuto, dop));
+      const bool has_plan = !q->has_grouping_sets &&
+                            (q->query_class == QueryClass::kVpct ||
+                             q->query_class == QueryClass::kHorizontal);
+      if (has_plan) {
+        others.emplace_back("materialized",
+                            Local(sqls[i], ExecutionMode::kMaterialized, dop));
+      }
+      others.emplace_back("2 shards", Sharded(sqls[i], dop));
+      for (auto& [name, got] : others) {
+        ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+        const Canonical c = Canonicalize(*got);
+        EXPECT_TRUE(c == want[i]) << name << " differs from the partial path\n"
+                                  << Describe(c, want[i]) << "vs\n"
+                                  << Describe(want[i], c);
+        ++compared;
+      }
+    }
+
+    // One ExecuteMqoBatch per group of batch-compatible queries.
+    std::vector<AnalyzedQuery> analyzed;
+    analyzed.reserve(sqls.size());
+    for (const std::string& sql : sqls) {
+      analyzed.push_back(*db_.PrepareQuery(sql));
+    }
+    std::map<std::string, std::vector<size_t>> batches;
+    for (size_t i = 0; i < analyzed.size(); ++i) {
+      batches[MqoCompatibilityKey(analyzed[i])].push_back(i);
+    }
+    for (const auto& [key, members] : batches) {
+      SCOPED_TRACE("batch " + key + " @ dop=" + std::to_string(dop));
+      std::vector<const AnalyzedQuery*> queries;
+      for (size_t i : members) queries.push_back(&analyzed[i]);
+      Result<MqoBatchPlan> plan = PlanMqoBatch(queries);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      Result<Table*> fact = db_.catalog().GetTable(plan->table);
+      ASSERT_TRUE(fact.ok());
+      Result<std::vector<Table>> results =
+          ExecuteMqoBatch(*plan, **fact, nullptr, {}, dop);
+      ASSERT_TRUE(results.ok()) << results.status().ToString();
+      for (size_t m = 0; m < members.size(); ++m) {
+        const Canonical c = Canonicalize((*results)[m]);
+        EXPECT_TRUE(c == want[members[m]])
+            << sqls[members[m]] << ": MQO batch member differs\n"
+            << Describe(c, want[members[m]]) << "vs\n"
+            << Describe(want[members[m]], c);
+        ++compared;
+      }
+    }
+  }
+  // 200 queries x 2 dops x (advisor, 2 shards, MQO) at least.
+  EXPECT_GE(compared, 1200u);
+}
+
+}  // namespace
+}  // namespace pctagg

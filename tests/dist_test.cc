@@ -333,6 +333,38 @@ TEST(DistTest, WhereNoShardRowPassesMatchesSingleNode) {
   EXPECT_EQ(want[2], "s,n,c\n,0,0\n");
 }
 
+// min/max of INT64 values above 2^53 (and of the type's extremes) stay exact
+// through every worker's partial and the coordinator's merge.
+TEST(DistTest, Int64MinMaxAreExactAcrossShards) {
+  constexpr int64_t k2To53 = 9007199254740992;
+  Table t(Schema({{"s", DataType::kInt64},
+                  {"k", DataType::kInt64},
+                  {"id", DataType::kInt64}}));
+  const int64_t ids[][2] = {{1, k2To53},          {1, k2To53 + 1},
+                            {2, k2To53 + 3},      {2, k2To53 + 2},
+                            {3, INT64_MAX},       {3, INT64_MIN + 1}};
+  for (size_t i = 0; i < 6; ++i) {
+    t.AppendRow({Value::Int64(static_cast<int64_t>(i)), Value::Int64(ids[i][0]),
+                 Value::Int64(ids[i][1])});
+  }
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.db().CreateTable("t", std::move(t)).ok());
+  ASSERT_TRUE(cluster.coordinator().ShardTable("t", "s").ok());
+  Result<Table> got = cluster.Distributed(
+      "SELECT k, max(id) AS hi, min(id) AS lo FROM t GROUP BY k ORDER BY k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(FormatCsv(*got),
+            "k,hi,lo\n"
+            "1,9007199254740993,9007199254740992\n"
+            "2,9007199254740995,9007199254740994\n"
+            "3,9223372036854775807,-9223372036854775807\n");
+  Result<Table> global =
+      cluster.Distributed("SELECT max(id) AS hi, min(id) AS lo FROM t", 4);
+  ASSERT_TRUE(global.ok()) << global.status().ToString();
+  EXPECT_EQ(FormatCsv(*global),
+            "hi,lo\n9223372036854775807,-9223372036854775807\n");
+}
+
 // --- Failure semantics -------------------------------------------------------
 
 // Killing a worker mid-topology turns the next query into a typed

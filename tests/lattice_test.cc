@@ -1,13 +1,13 @@
-// Tests for the grouping-set lattice (core/lattice_plan.h): analyzer
+// Tests for the grouping-set lattice (core/partial_plan.h): analyzer
 // expansion of CUBE/ROLLUP/GROUPING SETS, hand-checked small-table results
 // with Vpct/Hpct/GROUPING(), the LatticeSweep property suite asserting the
-// shared-scan rollup is bit-identical to per-level recompute across dop
-// {1, 4} (NULL keys, dictionary string keys, WHERE, the empty set ()),
-// summary-cache reuse across lattice levels (including delta maintenance
-// after an APPEND), EXPLAIN ANALYZE shape (one fused scan feeding every
-// rollup), and the SET lattice session option.
+// shared-scan rollup is bit-identical to one single-level statement per
+// level across dop {1, 4} (NULL keys, dictionary string keys, WHERE, the
+// empty set ()), summary-cache reuse across lattice levels (including delta
+// maintenance after an APPEND), and the EXPLAIN ANALYZE shape (one fused
+// scan feeding every rollup).
 //
-// Integer measures keep double sums exact, so shared and per-level agree
+// Integer measures keep double sums exact, so rollups and direct scans agree
 // bitwise at every dop; float sums would differ by reassociation only (the
 // standard cross-dop caveat — docs/PARALLELISM.md).
 //
@@ -17,17 +17,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/advisor.h"
+#include "common/string_util.h"
 #include "core/database.h"
-#include "core/lattice_plan.h"
+#include "core/partial_plan.h"
+#include "engine/table_ops.h"
 #include "obs/trace.h"
-#include "server/session.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
 #include "workload/generators.h"
@@ -214,19 +215,21 @@ TEST(LatticeAnalyzer, LatticeSupportGates) {
   Result<AnalyzedQuery> q1 = AnalyzeSql(
       "SELECT d1, count(DISTINCT d2) FROM f GROUP BY CUBE(d1)", FactSchema());
   ASSERT_TRUE(q1.ok()) << q1.status().ToString();
-  EXPECT_FALSE(LatticeSupported(q1.value(), &why));
+  EXPECT_FALSE(PartialPlanSupported(q1.value(), &why));
   EXPECT_NE(why.find("DISTINCT"), std::string::npos) << why;
-  // A plain grouped query without grouping sets is not lattice work.
+  EXPECT_NE(why.find("grouping sets"), std::string::npos) << why;
+  // One gate serves every shape: a plain grouped query is a one-level
+  // lattice.
   Result<AnalyzedQuery> q2 =
       AnalyzeSql("SELECT d1, sum(a) FROM f GROUP BY d1", FactSchema());
   ASSERT_TRUE(q2.ok());
-  EXPECT_FALSE(LatticeSupported(q2.value(), &why));
+  EXPECT_TRUE(PartialPlanSupported(q2.value(), &why)) << why;
   // The supported shape passes.
   Result<AnalyzedQuery> q3 = AnalyzeSql(
       "SELECT d1, d2, Vpct(a BY d2), GROUPING(d1) FROM f GROUP BY CUBE(d1, d2)",
       FactSchema());
   ASSERT_TRUE(q3.ok()) << q3.status().ToString();
-  EXPECT_TRUE(LatticeSupported(q3.value(), &why)) << why;
+  EXPECT_TRUE(PartialPlanSupported(q3.value(), &why)) << why;
 }
 
 // --- Hand-checked results ---------------------------------------------------
@@ -344,34 +347,193 @@ TEST(LatticeQuery, ForcedStrategyShortcutsRejectGroupingSets) {
             StatusCode::kInvalidArgument);
 }
 
-// --- Shared-scan vs per-level bit-identity sweep ----------------------------
+// --- Shared-scan rollups vs single-level statements -------------------------
 
-// Runs `sql` under both lattice modes at `dop` and checks bit-identity; the
-// forced shared run must really report the shared strategy (and vice versa)
-// so the comparison can't collapse into same-mode-twice.
-void ExpectSharedMatchesPerLevel(const PctDatabase& db, const std::string& sql,
-                                 size_t dop) {
+// "avg(a) AS m", "count(*) AS n", "sum(a BY d3 DEFAULT 0)": one term of a
+// single-level statement. `by` replaces the term's BY list.
+std::string RenderTerm(const AnalyzedTerm& t, const std::string& name,
+                       const std::vector<std::string>& by) {
+  std::string sql = StrFormat(
+      "%s(%s", TermFuncName(t.func),
+      t.argument == nullptr ? "*" : t.argument->ToString().c_str());
+  if (!by.empty()) sql += " BY " + Join(by, ", ");
+  if (t.has_default) sql += StrFormat(" DEFAULT %g", t.default_value);
+  return sql + ") AS " + name;
+}
+
+// The lattice's answer computed without rollups: one statement per grouping
+// set, grouped by that level, with every Vpct BY list cut to the level and
+// Vpct/Hpct/Hagg forced onto the materialized plans. Where every BY column is
+// rolled away a Vpct is 100% of its own group: 1.0, or NULL for a NULL or
+// zero sum. The blocks are shaped into the lattice's output and put through
+// the same HAVING/ORDER BY/LIMIT.
+Result<Table> SingleLevelReference(const PctDatabase& db,
+                                   const std::string& sql, size_t dop) {
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery q, db.PrepareQuery(sql));
+  QueryOptions options;
+  options.execution = ExecutionMode::kMaterialized;
+  options.degree_of_parallelism = dop;
+  const bool horizontal = q.query_class == QueryClass::kHorizontal;
+  auto in_level = [](const std::vector<std::string>& level,
+                     const std::string& col) {
+    for (const std::string& c : level) {
+      if (c == col) return true;
+    }
+    return false;
+  };
+  struct Block {
+    const std::vector<std::string>* level;
+    Table result;
+  };
+  std::vector<Block> blocks;
+  for (const std::vector<std::string>& level : q.grouping_sets) {
+    std::vector<std::string> items = level;
+    for (size_t ti = 0; ti < q.terms.size(); ++ti) {
+      const AnalyzedTerm& t = q.terms[ti];
+      const std::string name = StrFormat("t%zu", ti);
+      if (t.func == TermFunc::kScalar || t.func == TermFunc::kGrouping) {
+        continue;
+      }
+      std::vector<std::string> by = t.by_columns;
+      if (t.func == TermFunc::kVpct) {
+        by.clear();
+        for (const std::string& c : t.by_columns) {
+          if (in_level(level, c)) by.push_back(c);
+        }
+        const bool unit = level.empty() || (t.has_by && by.empty());
+        if (unit) {
+          AnalyzedTerm sum = t;
+          sum.func = TermFunc::kSum;
+          items.push_back(RenderTerm(sum, name, {}));
+          continue;
+        }
+      }
+      items.push_back(RenderTerm(t, name, by));
+    }
+    std::string stmt = "SELECT " + Join(items, ", ") + " FROM " + q.table_name;
+    if (q.where != nullptr) stmt += " WHERE " + q.where->ToString();
+    if (!level.empty()) stmt += " GROUP BY " + Join(level, ", ");
+    Result<Table> r = db.Query(stmt, options);
+    if (!r.ok()) return Status::Internal(stmt + ": " + r.status().ToString());
+    blocks.push_back({&level, std::move(*r)});
+  }
+
+  // The union of the pivot columns in first-appearance order (horizontal).
+  std::vector<std::string> pivots;
+  std::vector<DataType> pivot_types;
+  if (horizontal) {
+    for (const Block& b : blocks) {
+      for (size_t c = 0; c < b.result.num_columns(); ++c) {
+        const ColumnDef& def = b.result.schema().column(c);
+        const bool term = def.name.rfind("t", 0) == 0 &&
+                          def.name.find('=') == std::string::npos;
+        if (in_level(*b.level, def.name) || term ||
+            std::find(pivots.begin(), pivots.end(), def.name) !=
+                pivots.end()) {
+          continue;
+        }
+        pivots.push_back(def.name);
+        pivot_types.push_back(def.type);
+      }
+    }
+  }
+
+  Table expected;
+  for (const Block& b : blocks) {
+    const Table& r = b.result;
+    const size_t n = r.num_rows();
+    Table block;
+    auto add = [&block](const std::string& name, Column col) {
+      const DataType type = col.type();
+      return block.AddColumn({name, type}, std::move(col));
+    };
+    auto scalar = [&](const std::string& col, const std::string& name) {
+      if (in_level(*b.level, col)) return add(name, *r.ColumnByName(col).value());
+      Column nulls(q.schema.column(q.schema.FindColumn(col).value()).type);
+      for (size_t i = 0; i < n; ++i) nulls.AppendNull();
+      return add(name, std::move(nulls));
+    };
+    auto grouping = [&](const std::string& col, const std::string& name) {
+      Column ids(DataType::kInt64);
+      for (size_t i = 0; i < n; ++i) ids.AppendInt64(in_level(*b.level, col) ? 0 : 1);
+      return add(name, std::move(ids));
+    };
+    if (horizontal) {
+      for (const std::string& g : q.group_by) {
+        PCTAGG_RETURN_IF_ERROR(scalar(g, g));
+      }
+      for (const AnalyzedTerm& t : q.terms) {
+        if (t.func == TermFunc::kGrouping) {
+          PCTAGG_RETURN_IF_ERROR(grouping(t.scalar_column, t.output_name));
+        }
+      }
+      for (size_t p = 0; p < pivots.size(); ++p) {
+        Result<const Column*> col = r.ColumnByName(pivots[p]);
+        if (col.ok()) {
+          PCTAGG_RETURN_IF_ERROR(add(pivots[p], **col));
+          continue;
+        }
+        Column fill(pivot_types[p]);
+        for (size_t i = 0; i < n; ++i) fill.AppendNull();
+        PCTAGG_RETURN_IF_ERROR(add(pivots[p], std::move(fill)));
+      }
+    }
+    for (size_t ti = 0; ti < q.terms.size(); ++ti) {
+      const AnalyzedTerm& t = q.terms[ti];
+      const std::string name = StrFormat("t%zu", ti);
+      if (t.func == TermFunc::kScalar) {
+        if (!horizontal) {
+          PCTAGG_RETURN_IF_ERROR(scalar(t.scalar_column, t.output_name));
+        }
+      } else if (t.func == TermFunc::kGrouping) {
+        if (!horizontal) {
+          PCTAGG_RETURN_IF_ERROR(grouping(t.scalar_column, t.output_name));
+        }
+      } else if (horizontal && t.has_by) {
+        continue;  // the pivot columns above
+      } else {
+        PCTAGG_ASSIGN_OR_RETURN(const Column* col, r.ColumnByName(name));
+        if (t.func == TermFunc::kVpct && col->type() != DataType::kFloat64) {
+          // A sum standing in for a Vpct whose BY columns are all rolled
+          // away: each group is 100% of itself.
+          Column unit(DataType::kFloat64);
+          for (size_t i = 0; i < n; ++i) {
+            if (col->IsNull(i) || col->NumericAt(i) == 0.0) {
+              unit.AppendNull();
+            } else {
+              unit.AppendFloat64(1.0);
+            }
+          }
+          PCTAGG_RETURN_IF_ERROR(add(t.output_name, std::move(unit)));
+        } else {
+          PCTAGG_RETURN_IF_ERROR(add(t.output_name, *col));
+        }
+      }
+    }
+    if (expected.num_columns() == 0) {
+      expected = std::move(block);
+    } else {
+      PCTAGG_RETURN_IF_ERROR(InsertInto(&expected, block));
+    }
+  }
+  return ApplyQueryTail(std::move(expected), q);
+}
+
+// Runs the grouping-set `sql` at `dop` and checks it bit for bit against the
+// single-level statements.
+void ExpectLatticeMatchesSingleLevels(const PctDatabase& db,
+                                      const std::string& sql, size_t dop) {
   SCOPED_TRACE(sql + " @ dop=" + std::to_string(dop));
-  obs::QueryTrace shared_trace;
-  QueryOptions shared;
-  shared.lattice = LatticeMode::kShared;
-  shared.degree_of_parallelism = dop;
-  shared.trace = &shared_trace;
-  Result<Table> rs = db.Query(sql, shared);
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_EQ(shared_trace.strategy, "lattice-shared");
-  EXPECT_EQ(shared_trace.strategy_source, "forced");
-
-  obs::QueryTrace per_trace;
-  QueryOptions per_level;
-  per_level.lattice = LatticeMode::kPerLevel;
-  per_level.degree_of_parallelism = dop;
-  per_level.trace = &per_trace;
-  Result<Table> rp = db.Query(sql, per_level);
-  ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-  EXPECT_EQ(per_trace.strategy, "lattice-per-level");
-
-  EXPECT_TRUE(BitIdentical(*rs, *rp));
+  obs::QueryTrace trace;
+  QueryOptions options;
+  options.degree_of_parallelism = dop;
+  options.trace = &trace;
+  Result<Table> got = db.Query(sql, options);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(trace.strategy, "lattice-shared");
+  Result<Table> want = SingleLevelReference(db, sql, dop);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(BitIdentical(*got, *want));
 }
 
 class LatticeSweep : public ::testing::TestWithParam<size_t> {
@@ -385,7 +547,7 @@ class LatticeSweep : public ::testing::TestWithParam<size_t> {
 
 TEST_P(LatticeSweep, CubeVpctWithNullKeys) {
   // d2 has ~10% NULL keys and the measure has NULLs; 3-dim CUBE = 8 levels.
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_,
       "SELECT d1, d2, d3, Vpct(a BY d3) AS pct, sum(a) AS s, "
       "GROUPING(d2) AS g2 FROM f GROUP BY CUBE(d1, d2, d3)",
@@ -393,7 +555,7 @@ TEST_P(LatticeSweep, CubeVpctWithNullKeys) {
 }
 
 TEST_P(LatticeSweep, CubeVerticalAggregatesWithAvg) {
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_,
       "SELECT d1, d2, avg(a) AS m, min(a) AS lo, max(a) AS hi, "
       "count(a) AS c, count(*) AS n FROM f GROUP BY CUBE(d1, d2)",
@@ -403,7 +565,7 @@ TEST_P(LatticeSweep, CubeVerticalAggregatesWithAvg) {
 TEST_P(LatticeSweep, RollupStringDictionaryKeys) {
   // String group keys exercise the dictionary-code path; itemId is INT64 so
   // sums stay exact.
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_,
       "SELECT state, city, Vpct(itemId BY state) AS pct, sum(itemId) AS s "
       "FROM salesn GROUP BY ROLLUP(state, city)",
@@ -411,7 +573,7 @@ TEST_P(LatticeSweep, RollupStringDictionaryKeys) {
 }
 
 TEST_P(LatticeSweep, GroupingSetsWithEmptySet) {
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_,
       "SELECT d1, d2, d3, sum(a) AS s, GROUPING(d1) AS g1, "
       "GROUPING(d3) AS g3 FROM f "
@@ -422,7 +584,7 @@ TEST_P(LatticeSweep, GroupingSetsWithEmptySet) {
 TEST_P(LatticeSweep, CubeWithWhereClause) {
   // A WHERE clause disables the summary cache for the lattice; both modes
   // must filter before aggregating.
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_,
       "SELECT d1, d2, Vpct(a BY d2) AS pct FROM f WHERE d3 >= 1 "
       "GROUP BY CUBE(d1, d2)",
@@ -430,7 +592,7 @@ TEST_P(LatticeSweep, CubeWithWhereClause) {
 }
 
 TEST_P(LatticeSweep, CubeWhereMatchesNothing) {
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_,
       "SELECT d1, sum(a) AS s, count(*) AS c FROM f WHERE d3 = 99 "
       "GROUP BY CUBE(d1)",
@@ -438,7 +600,7 @@ TEST_P(LatticeSweep, CubeWhereMatchesNothing) {
 }
 
 TEST_P(LatticeSweep, RollupHorizontalPct) {
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_,
       "SELECT d1, d2, Hpct(a BY d3), count(*) AS c FROM f "
       "GROUP BY ROLLUP(d1, d2)",
@@ -446,13 +608,13 @@ TEST_P(LatticeSweep, RollupHorizontalPct) {
 }
 
 TEST_P(LatticeSweep, CubeHorizontalAggWithDefault) {
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_, "SELECT d1, d2, sum(a BY d3 DEFAULT 0) FROM f GROUP BY CUBE(d1, d2)",
       GetParam());
 }
 
 TEST_P(LatticeSweep, RollupWithHavingOrderLimit) {
-  ExpectSharedMatchesPerLevel(
+  ExpectLatticeMatchesSingleLevels(
       db_,
       "SELECT d1, d2, sum(a) AS s FROM f GROUP BY ROLLUP(d1, d2) "
       "HAVING s > 0 ORDER BY s DESC LIMIT 10",
@@ -497,20 +659,12 @@ TEST(LatticeCache, AllLevelsCachedAndDeltaMaintainedAfterAppend) {
   EXPECT_EQ(levels, 8u);
   EXPECT_EQ(hits, 0u);
 
-  // Warm run: every level is a cache hit, shared and per-level alike (both
-  // modes key the same per-level recipes).
+  // Warm run: every level is a cache hit.
   obs::QueryTrace warm;
   opt.trace = &warm;
   ASSERT_TRUE(db.Query(sql, opt).ok());
   CountLevelNodes(warm, &levels, &hits);
   EXPECT_EQ(levels, 8u);
-  EXPECT_EQ(hits, 8u);
-  obs::QueryTrace warm_per;
-  QueryOptions per;
-  per.lattice = LatticeMode::kPerLevel;
-  per.trace = &warm_per;
-  ASSERT_TRUE(db.Query(sql, per).ok());
-  CountLevelNodes(warm_per, &levels, &hits);
   EXPECT_EQ(hits, 8u);
 
   // APPEND a delta of existing keys: every level's entry is delta-merged in
@@ -586,12 +740,10 @@ size_t CountOccurrences(const std::string& haystack, const std::string& what) {
 TEST(LatticeExplain, SharedScanShowsOneFusedScanFeedingAllLevels) {
   PctDatabase db;
   ASSERT_TRUE(db.CreateTable("f", IntFact(3000, 7)).ok());
-  QueryOptions shared;
-  shared.lattice = LatticeMode::kShared;
   Result<std::string> r = db.ExplainAnalyze(
       "SELECT d1, d2, d3, Vpct(a BY d3) AS pct, sum(a) AS s "
       "FROM f GROUP BY CUBE(d1, d2, d3)",
-      shared);
+      QueryOptions());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const std::string& plan = r.value();
   EXPECT_NE(plan.find("lattice-shared"), std::string::npos) << plan;
@@ -599,18 +751,6 @@ TEST(LatticeExplain, SharedScanShowsOneFusedScanFeedingAllLevels) {
   // every other level rolled up from an already-computed ancestor.
   EXPECT_EQ(CountOccurrences(plan, "fused-scan:"), 1u) << plan;
   EXPECT_EQ(CountOccurrences(plan, "lattice-rollup:"), 7u) << plan;
-}
-
-TEST(LatticeExplain, PerLevelModeScansOncePerLevel) {
-  PctDatabase db;
-  ASSERT_TRUE(db.CreateTable("f", IntFact(3000, 7)).ok());
-  QueryOptions per;
-  per.lattice = LatticeMode::kPerLevel;
-  Result<std::string> r = db.ExplainAnalyze(
-      "SELECT d1, d2, d3, sum(a) AS s FROM f GROUP BY CUBE(d1, d2, d3)", per);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(CountOccurrences(r.value(), "fused-scan:"), 8u) << r.value();
-  EXPECT_EQ(CountOccurrences(r.value(), "lattice-rollup:"), 0u) << r.value();
 }
 
 TEST(LatticeExplain, PlainExplainRendersLatticeScript) {
@@ -622,35 +762,6 @@ TEST(LatticeExplain, PlainExplainRendersLatticeScript) {
   EXPECT_NE(r.value().find("grouping-set lattice:"), std::string::npos)
       << r.value();
   EXPECT_NE(r.value().find("4 level(s)"), std::string::npos) << r.value();
-}
-
-// --- Advisor and session plumbing -------------------------------------------
-
-TEST(LatticeAdvisor, SharedWinsOnMultiLevelLattices) {
-  PctDatabase db;
-  ASSERT_TRUE(db.CreateTable("f", IntFact(3000, 7)).ok());
-  const PlannerStats fact = db.PlannerStatistics("f").value();
-  Result<AnalyzedQuery> q = AnalyzeSql(
-      "SELECT d1, d2, d3, sum(a) FROM f GROUP BY CUBE(d1, d2, d3)",
-      FactSchema());
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  StrategyAdvisor advisor;
-  EXPECT_TRUE(advisor.AdviseLatticeShared(fact, q.value()));
-  EXPECT_TRUE(advisor.AdviseLatticeShared(fact, q.value(), /*dop=*/4));
-}
-
-TEST(LatticeSession, SetLatticeOption) {
-  Session s(1, 1000);
-  Result<std::string> r = s.ApplySet("lattice shared");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value(), "lattice = shared");
-  EXPECT_EQ(s.query_options().lattice, LatticeMode::kShared);
-  ASSERT_TRUE(s.ApplySet("lattice per_level").ok());
-  EXPECT_EQ(s.query_options().lattice, LatticeMode::kPerLevel);
-  EXPECT_NE(s.Describe().find("lattice = per-level"), std::string::npos);
-  ASSERT_TRUE(s.ApplySet("lattice auto").ok());
-  EXPECT_EQ(s.query_options().lattice, LatticeMode::kAuto);
-  EXPECT_FALSE(s.ApplySet("lattice sideways").ok());
 }
 
 }  // namespace

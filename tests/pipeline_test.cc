@@ -226,6 +226,11 @@ TEST_P(PipelineSweep, HpctGlobalNoGroupBy) {
                                  GetParam());
 }
 
+TEST_P(PipelineSweep, HpctGlobalWithWhere) {
+  ExpectFusedMatchesMaterialized(
+      db_, "SELECT Hpct(a BY d2) FROM f WHERE d3 = 1", GetParam());
+}
+
 TEST_P(PipelineSweep, HpctStringKeysWithWhere) {
   // Hpct(1 ...) makes the measure an exact integer count. A float measure
   // would not be bitwise here: the fused pipeline folds per-combination
@@ -651,12 +656,9 @@ TEST_F(PipelineDispatch, AutoPicksFusedAboveRowThreshold) {
 }
 
 TEST_F(PipelineDispatch, ForcedFusedFallsBackOnUnsupportedShapes) {
-  // avg as the BY term has no distributive combine step over FVh partials;
-  // a global horizontal with WHERE has no fused shape either. Both must run
-  // and must not claim the fused strategy.
-  for (const char* sql :
-       {"SELECT d1, avg(a BY d2) FROM f GROUP BY d1",
-        "SELECT Hpct(a BY d2) FROM f WHERE d3 = 1"}) {
+  // avg as the BY term has no distributive combine step over FVh partials.
+  // It must run and must not claim the fused strategy.
+  for (const char* sql : {"SELECT d1, avg(a BY d2) FROM f GROUP BY d1"}) {
     SCOPED_TRACE(sql);
     obs::QueryTrace trace;
     QueryOptions options;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pctagg {
 namespace {
 
@@ -108,6 +110,26 @@ TEST(SortTest, StringsSortLexicographically) {
   t.AppendRow({Value::String("apple")});
   Table out = Sort(t, {"s"}).value();
   EXPECT_EQ(out.column(0).StringAt(0), "apple");
+}
+
+// Sort and SortBy share one comparator, which compares INT64 as int64: a
+// double cannot tell 2^53 from 2^53 + 1.
+TEST(SortTest, Int64KeysAbove2To53AreExact) {
+  Table t(Schema({{"id", DataType::kInt64}}));
+  t.AppendRow({Value::Int64(9007199254740993)});
+  t.AppendRow({Value::Int64(9007199254740992)});
+  t.AppendRow({Value::Int64(std::numeric_limits<int64_t>::max())});
+  t.AppendRow({Value::Int64(std::numeric_limits<int64_t>::max() - 1)});
+  Table asc = Sort(t, {"id"}).value();
+  EXPECT_EQ(asc.column(0).Int64At(0), 9007199254740992);
+  EXPECT_EQ(asc.column(0).Int64At(1), 9007199254740993);
+  EXPECT_EQ(asc.column(0).Int64At(2), std::numeric_limits<int64_t>::max() - 1);
+  EXPECT_EQ(asc.column(0).Int64At(3), std::numeric_limits<int64_t>::max());
+  Table desc = SortBy(t, {{"id", true}}).value();
+  EXPECT_EQ(desc.column(0).Int64At(0), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(desc.column(0).Int64At(1), std::numeric_limits<int64_t>::max() - 1);
+  EXPECT_EQ(desc.column(0).Int64At(2), 9007199254740993);
+  EXPECT_EQ(desc.column(0).Int64At(3), 9007199254740992);
 }
 
 TEST(InsertIntoTest, AppendsAllRows) {
