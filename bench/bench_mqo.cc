@@ -8,9 +8,9 @@
 //   * solo_total_ms — the 8 queries executed one after another with mqo off:
 //     the work a server does for the burst without batching. Sequential on
 //     purpose, so the number is host-core-count independent.
-//   * ms — the same 8 queries planned as one batch (PlanMqoBatch) and
-//     executed through ExecuteMqoBatch: one shared scan at the union finest
-//     level, then per-query rollup + assembly.
+//   * ms — the same 8 queries planned as one batch (PlanMqoBatch): one
+//     shared scan at the union finest level (FinestPartials), then each
+//     member's rollup + assembly (AssembleMqoMember), one after another.
 // "speedup_vs_seed" is solo_total_ms / ms at the same DOP on the same host,
 // so the ratio transfers across CI hardware. The DOP=1 row is the guard: the
 // batch must stay >= 2x the aggregate throughput of solo execution (enforced
@@ -18,14 +18,16 @@
 // byte-for-byte against its solo CSV at every DOP — any mismatch fails, any
 // size.
 //
-// Also measured:
+// Also measured, each as kPairs alternating pairs of rounds (the order
+// within a pair alternates too) so host noise hits both sides alike:
 //   * e2e — the burst through the real QueryExecutor gate, 8 caller threads
 //     at once, batched (SET mqo on) vs unbatched (SET mqo off): aggregate
-//     throughput and p99 per-query latency. Reported, not guarded (on a
-//     1-core CI host the unbatched burst time-slices one core).
+//     throughput, p99 per-query latency, and the median and IQR of the
+//     per-pair throughput gain. Reported, not guarded (on a 1-core CI host
+//     the unbatched burst time-slices one core).
 //   * mqo_off_overhead_pct — the executor's read path with SET mqo off vs
-//     calling the database directly: the gate must cost nothing when off
-//     (<= 3% enforced at full size).
+//     calling the database directly: the median of the per-pair differences
+//     (<= 3% enforced at full size), with their IQR beside it.
 //
 // The summary cache stays disabled throughout so the solo baseline measures
 // real scans, not cache hits.
@@ -33,12 +35,14 @@
 // Flags / environment:
 //   --smoke                 tiny rows (CI smoke)
 //   PCTAGG_MQO_BENCH_ROWS   transactionLine rows (default 1000000)
-//   PCTAGG_MQO_BENCH_REPS   repetitions, best-of (default 3)
+//   PCTAGG_MQO_BENCH_REPS   best-of repetitions of the per-DOP timings
+//                           (default 3)
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,6 +103,9 @@ const char* const kSqls[] = {
 };
 constexpr size_t kQueries = sizeof(kSqls) / sizeof(kSqls[0]);
 
+// Alternating pairs for the e2e and mqo-off measurements.
+constexpr size_t kPairs = 11;
+
 template <typename Fn>
 double BestOf(size_t reps, Fn&& fn) {
   double best = fn();
@@ -120,6 +127,29 @@ double Percentile(std::vector<double> samples, double p) {
   size_t idx = static_cast<size_t>(p * static_cast<double>(samples.size()));
   if (idx >= samples.size()) idx = samples.size() - 1;
   return samples[idx];
+}
+
+// Runs `a` and `b` kPairs times each, alternating which goes first, and
+// returns the per-pair percentage differences 100 * (b - a) / a.
+template <typename A, typename B>
+std::vector<double> PairedPctDiffs(A&& a, B&& b) {
+  std::vector<double> diffs;
+  for (size_t i = 0; i < kPairs; ++i) {
+    double ta = 0, tb = 0;
+    if (i % 2 == 0) {
+      ta = a();
+      tb = b();
+    } else {
+      tb = b();
+      ta = a();
+    }
+    diffs.push_back((tb - ta) / ta * 100.0);
+  }
+  return diffs;
+}
+
+double Iqr(const std::vector<double>& samples) {
+  return Percentile(samples, 0.75) - Percentile(samples, 0.25);
 }
 
 }  // namespace
@@ -183,13 +213,17 @@ int main(int argc, char** argv) {
     std::vector<std::string> batch_csv(kQueries);
     double batch_ms = BestOf(reps, [&] {
       pctagg::Stopwatch timer;
-      Result<std::vector<Table>> results =
-          pctagg::ExecuteMqoBatch(*plan, *fact, nullptr, {}, dop);
-      if (!results.ok()) Die("batch execution failed", results.status());
+      Result<std::shared_ptr<const Table>> partials = pctagg::FinestPartials(
+          plan->table, plan->where, plan->scan_cols, plan->scan_partials,
+          *fact, nullptr, nullptr, dop);
+      if (!partials.ok()) Die("batch scan failed", partials.status());
       for (size_t i = 0; i < kQueries; ++i) {
-        batch_csv[i] = FormatCsv((*results)[i]);
+        Result<Table> r =
+            pctagg::AssembleMqoMember(*plan, i, **partials, nullptr, dop);
+        if (!r.ok()) Die(kSqls[i], r.status());
+        batch_csv[i] = FormatCsv(*r);
+        if (i == 0) result_rows = r->num_rows();
       }
-      result_rows = (*results)[0].num_rows();
       return timer.ElapsedMillis();
     });
     for (size_t i = 0; i < kQueries; ++i) {
@@ -218,75 +252,101 @@ int main(int argc, char** argv) {
       (batch_dop1_ms - solo_dop1_ms) / solo_dop1_ms * 100.0;
 
   // --- e2e through the executor gate: 8 caller threads at once, batched
-  // (gate collects the burst into one batch) vs unbatched (mqo off).
-  auto e2e_round = [&](MqoMode mode, std::vector<double>* latencies) {
+  // (gate collects the burst into one batch) vs unbatched (mqo off), in
+  // alternating rounds.
+  auto make_e2e_executor = [&] {
     ExecutorConfig config;
     config.worker_threads = kQueries;
     config.mqo_window_ms = 250;  // max_batch closes the batch early
     config.mqo_max_batch = kQueries;
-    QueryExecutor executor(&db, config);
-    double round_ms = 0;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      std::vector<std::thread> threads;
-      std::vector<double> lat(kQueries);
-      pctagg::Stopwatch round;
-      for (size_t i = 0; i < kQueries; ++i) {
-        threads.emplace_back([&, i] {
-          QueryOptions opts;
-          opts.degree_of_parallelism = 1;
-          opts.mqo = mode;
-          pctagg::Stopwatch timer;
-          Result<Table> r = executor.ExecuteStatement(kSqls[i], opts, 0);
-          lat[i] = timer.ElapsedMillis();
-          if (!r.ok()) Die(kSqls[i], r.status());
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      round_ms += round.ElapsedMillis();
-      latencies->insert(latencies->end(), lat.begin(), lat.end());
-    }
-    return round_ms;  // total over reps rounds
+    return std::make_unique<QueryExecutor>(&db, config);
   };
+  std::unique_ptr<QueryExecutor> solo_executor = make_e2e_executor();
+  std::unique_ptr<QueryExecutor> batch_executor = make_e2e_executor();
   std::vector<double> solo_lat, batch_lat;
-  double e2e_solo_ms = e2e_round(MqoMode::kOff, &solo_lat);
-  double e2e_batch_ms = e2e_round(MqoMode::kOn, &batch_lat);
-  const double total_queries = static_cast<double>(kQueries * reps);
+  double e2e_solo_ms = 0, e2e_batch_ms = 0;
+  auto e2e_round = [&](QueryExecutor* executor, MqoMode mode,
+                       std::vector<double>* latencies, double* total_ms) {
+    std::vector<std::thread> threads;
+    std::vector<double> lat(kQueries);
+    pctagg::Stopwatch round;
+    for (size_t i = 0; i < kQueries; ++i) {
+      threads.emplace_back([&, i] {
+        QueryOptions opts;
+        opts.degree_of_parallelism = 1;
+        opts.mqo = mode;
+        pctagg::Stopwatch timer;
+        Result<Table> r = executor->ExecuteStatement(kSqls[i], opts, 0);
+        lat[i] = timer.ElapsedMillis();
+        if (!r.ok()) Die(kSqls[i], r.status());
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    const double ms = round.ElapsedMillis();
+    *total_ms += ms;
+    latencies->insert(latencies->end(), lat.begin(), lat.end());
+    return kQueries / (ms / 1e3);  // this round's throughput, q/s
+  };
+  // Per pair: 100 * (batched q/s - unbatched q/s) / unbatched q/s.
+  const std::vector<double> e2e_gain = PairedPctDiffs(
+      [&] {
+        return e2e_round(solo_executor.get(), MqoMode::kOff, &solo_lat,
+                         &e2e_solo_ms);
+      },
+      [&] {
+        return e2e_round(batch_executor.get(), MqoMode::kOn, &batch_lat,
+                         &e2e_batch_ms);
+      });
+  solo_executor.reset();
+  batch_executor.reset();
+  const double total_queries = static_cast<double>(kQueries * kPairs);
   double solo_qps = total_queries / (e2e_solo_ms / 1e3);
   double batch_qps = total_queries / (e2e_batch_ms / 1e3);
   double solo_p99 = Percentile(solo_lat, 0.99);
   double batch_p99 = Percentile(batch_lat, 0.99);
+  const double e2e_gain_pct = Percentile(e2e_gain, 0.5);
+  const double e2e_gain_iqr = Iqr(e2e_gain);
   std::fprintf(stderr,
                "[e2e] unbatched %.1f q/s p99 %.2f ms; batched %.1f q/s p99 "
-               "%.2f ms\n",
-               solo_qps, solo_p99, batch_qps, batch_p99);
+               "%.2f ms; paired gain median %+.1f%% (IQR %.1f) over %zu "
+               "pairs\n",
+               solo_qps, solo_p99, batch_qps, batch_p99, e2e_gain_pct,
+               e2e_gain_iqr, kPairs);
 
-  // --- SET mqo off must cost nothing: executor read path vs direct calls.
+  // --- SET mqo off must cost nothing: executor read path vs direct calls,
+  // in alternating rounds.
   QueryOptions off_opts;
   off_opts.degree_of_parallelism = 1;
   off_opts.mqo = MqoMode::kOff;
-  double direct_ms = BestOf(reps, [&] {
-    pctagg::Stopwatch timer;
-    for (size_t i = 0; i < kQueries; ++i) {
-      Result<Table> r = db.Query(kSqls[i], off_opts);
-      if (!r.ok()) Die(kSqls[i], r.status());
-    }
-    return timer.ElapsedMillis();
-  });
-  double via_executor_ms;
-  {
-    QueryExecutor executor(&db, ExecutorConfig{2, 64});
-    via_executor_ms = BestOf(reps, [&] {
-      pctagg::Stopwatch timer;
-      for (size_t i = 0; i < kQueries; ++i) {
-        Result<Table> r = executor.ExecuteStatement(kSqls[i], off_opts, 0);
-        if (!r.ok()) Die(kSqls[i], r.status());
-      }
-      return timer.ElapsedMillis();
-    });
-  }
-  double off_overhead_pct = (via_executor_ms - direct_ms) / direct_ms * 100.0;
-  std::fprintf(stderr, "[off] direct %.2f ms, via executor %.2f ms (%+.2f%%)\n",
-               direct_ms, via_executor_ms, off_overhead_pct);
+  QueryExecutor off_executor(&db, ExecutorConfig{2, 64});
+  std::vector<double> direct_ms, via_executor_ms;
+  const std::vector<double> off_diffs = PairedPctDiffs(
+      [&] {
+        pctagg::Stopwatch timer;
+        for (size_t i = 0; i < kQueries; ++i) {
+          Result<Table> r = db.Query(kSqls[i], off_opts);
+          if (!r.ok()) Die(kSqls[i], r.status());
+        }
+        direct_ms.push_back(timer.ElapsedMillis());
+        return direct_ms.back();
+      },
+      [&] {
+        pctagg::Stopwatch timer;
+        for (size_t i = 0; i < kQueries; ++i) {
+          Result<Table> r =
+              off_executor.ExecuteStatement(kSqls[i], off_opts, 0);
+          if (!r.ok()) Die(kSqls[i], r.status());
+        }
+        via_executor_ms.push_back(timer.ElapsedMillis());
+        return via_executor_ms.back();
+      });
+  const double off_overhead_pct = Percentile(off_diffs, 0.5);
+  const double off_overhead_iqr = Iqr(off_diffs);
+  std::fprintf(stderr,
+               "[off] direct %.2f ms, via executor %.2f ms (medians); paired "
+               "difference median %+.2f%% (IQR %.2f) over %zu pairs\n",
+               Percentile(direct_ms, 0.5), Percentile(via_executor_ms, 0.5),
+               off_overhead_pct, off_overhead_iqr, kPairs);
 
   std::string json = StrFormat(
       "{\n"
@@ -304,17 +364,22 @@ int main(int argc, char** argv) {
       "    \"dop1_regression_pct\": %.2f,\n"
       "    \"dop\": [\n%s    ]\n"
       "  },\n"
+      "  \"pairs\": %zu,\n"
       "  \"e2e\": {\n"
       "    \"unbatched\": {\"throughput_qps\": %.1f, \"p99_ms\": %.3f},\n"
-      "    \"batched\": {\"throughput_qps\": %.1f, \"p99_ms\": %.3f}\n"
+      "    \"batched\": {\"throughput_qps\": %.1f, \"p99_ms\": %.3f},\n"
+      "    \"paired_gain_pct\": %.2f,\n"
+      "    \"paired_gain_iqr_pct\": %.2f\n"
       "  },\n"
       "  \"mqo_off_overhead_pct\": %.2f,\n"
+      "  \"mqo_off_overhead_iqr_pct\": %.2f,\n"
       "  \"bit_identical\": %s\n"
       "}\n",
       rows, num_cores, reps, kQueries, plan->scan_partials.size(),
       plan->partials_requested, result_rows, solo_dop1_ms, dop1_speedup,
-      dop1_regression_pct, agg_json.c_str(), solo_qps, solo_p99, batch_qps,
-      batch_p99, off_overhead_pct, identical ? "true" : "false");
+      dop1_regression_pct, agg_json.c_str(), kPairs, solo_qps, solo_p99,
+      batch_qps, batch_p99, e2e_gain_pct, e2e_gain_iqr, off_overhead_pct,
+      off_overhead_iqr, identical ? "true" : "false");
 
   std::fputs(json.c_str(), stdout);
   FILE* f = std::fopen("BENCH_mqo.json", "w");
@@ -344,10 +409,10 @@ int main(int argc, char** argv) {
   }
   if (off_overhead_pct > 3.0) {
     std::fprintf(stderr,
-                 "%s: SET mqo off costs %.2f%% over calling the database "
-                 "directly (budget 3%%)\n",
+                 "%s: SET mqo off costs %.2f%% (median of %zu paired rounds, "
+                 "IQR %.2f) over calling the database directly (budget 3%%)\n",
                  hard ? "FAIL" : "warning (smoke-size run, not enforced)",
-                 off_overhead_pct);
+                 off_overhead_pct, kPairs, off_overhead_iqr);
     if (hard) return 1;
   }
   return 0;

@@ -90,34 +90,21 @@ Result<Table> AssembleMqoMember(const MqoBatchPlan& plan, size_t index,
   return ApplyQueryTail(std::move(assembled), *member.query);
 }
 
-Result<std::vector<Table>> ExecuteMqoBatch(
-    const MqoBatchPlan& plan, const Table& fact, SummaryCache* summaries,
-    const std::vector<obs::QueryTrace*>& traces, size_t dop) {
-  PCTAGG_ASSIGN_OR_RETURN(
-      std::shared_ptr<const Table> batch,
-      FinestPartials(plan.table, plan.where, plan.scan_cols,
-                     plan.scan_partials, fact, summaries, /*trace=*/nullptr,
-                     dop));
-  std::vector<Table> results;
-  results.reserve(plan.members.size());
-  for (size_t i = 0; i < plan.members.size(); ++i) {
-    obs::QueryTrace* trace = i < traces.size() ? traces[i] : nullptr;
-    if (trace != nullptr) {
-      trace->root().AddChild(
-          "mqo",
-          StrFormat("mqo-batch: %zu queries share one scan of %s "
-                    "(%zu partials deduped from %zu; rows scanned once: "
-                    "%llu instead of %zu times)",
-                    plan.members.size(), plan.table.c_str(),
-                    plan.scan_partials.size(), plan.partials_requested,
-                    static_cast<unsigned long long>(fact.num_rows()),
-                    plan.members.size()));
-    }
-    PCTAGG_ASSIGN_OR_RETURN(Table r,
-                            AssembleMqoMember(plan, i, *batch, trace, dop));
-    results.push_back(std::move(r));
+void AttachMqoScanTrace(MqoBatchScan* batch, std::string detail,
+                        obs::QueryTrace* scan_trace) {
+  obs::TraceNode& node = batch->node;
+  node.detail = std::move(detail);
+  node.children = std::move(scan_trace->root().children);
+  for (const auto& child : node.children) {
+    node.stats.wall_ms += child->stats.wall_ms;
+    node.stats.cpu_ms += child->stats.cpu_ms;
   }
-  return results;
+}
+
+Result<Table> AnswerMqoMember(const MqoBatchScan& batch, size_t index,
+                              obs::QueryTrace* trace, size_t dop) {
+  if (trace != nullptr) trace->root().AddCopy(batch.node);
+  return AssembleMqoMember(batch.plan, index, *batch.partials, trace, dop);
 }
 
 }  // namespace pctagg

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "core/partial_plan.h"
-#include "core/summary_cache.h"
 #include "engine/aggregate.h"
 #include "engine/table.h"
 #include "obs/trace.h"
@@ -62,21 +61,41 @@ Result<MqoBatchPlan> PlanMqoBatch(
     const std::vector<const AnalyzedQuery*>& queries);
 
 // Assembles member `index`'s final result (HAVING/ORDER BY/LIMIT applied)
-// from the batch-level union partial table — used by both the local batch
-// executor below and the coordinator's sharded batch path, which feeds it
-// the gathered cross-shard merge of the union partials.
+// from the batch-level union partial table — the local batch and the
+// coordinator's sharded batch, which feeds it the gathered cross-shard merge
+// of the union partials, both call it on the member's own thread.
 Result<Table> AssembleMqoMember(const MqoBatchPlan& plan, size_t index,
                                 const Table& batch_partials,
                                 obs::QueryTrace* trace, size_t dop);
 
-// Executes the whole batch on the calling thread: the union partials from
-// FinestPartials (the cache when the batch is unfiltered and `summaries` is
-// non-null, else one fused scan of `fact`), then per-member rollup +
-// assembly. `traces` parallels `plan.members` (entries may be null; shorter
-// vectors are padded with null), as does the returned result vector.
-Result<std::vector<Table>> ExecuteMqoBatch(
-    const MqoBatchPlan& plan, const Table& fact, SummaryCache* summaries,
-    const std::vector<obs::QueryTrace*>& traces, size_t dop);
+// What a batch leader publishes to every member, once: the plan, the shared
+// union-level partials, and what a traced member shows. plan.members[i]
+// points into member i's own AnalyzedQuery, so after publication only
+// member i reads its entry; the others may already have returned.
+struct MqoBatchScan {
+  MqoBatchPlan plan;
+  // The table every member rolls down from; null when the batch was
+  // declined or its scan failed, so every member answers solo.
+  std::shared_ptr<const Table> partials;
+  // The batch and solo candidates as the leader priced them; empty when
+  // nothing was priced.
+  std::vector<obs::QueryTrace::PredictedCost> costs;
+  // The "mqo-batch" node each traced member copies into its trace: what
+  // the batch shared, timed by the scan it ran once, with the traced scan
+  // (its morsels and workers=) as children.
+  obs::TraceNode node{"mqo-batch", "", {}, {}};
+};
+
+// Moves the leader's traced scan under `batch->node`, which takes the
+// scan's wall and CPU time and `detail`.
+void AttachMqoScanTrace(MqoBatchScan* batch, std::string detail,
+                        obs::QueryTrace* scan_trace);
+
+// Member `index`'s answer from a published batch with non-null partials:
+// the batch node (with the scan) goes into `trace`, then
+// AssembleMqoMember at the member's own `dop`.
+Result<Table> AnswerMqoMember(const MqoBatchScan& batch, size_t index,
+                              obs::QueryTrace* trace, size_t dop);
 
 }  // namespace pctagg
 

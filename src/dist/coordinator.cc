@@ -339,20 +339,30 @@ Result<std::optional<Table>> Coordinator::MaybeExecute(
   }
   // Route plain distributed SELECTs through the MQO gate: compatible queries
   // arriving within the collection window scatter ONE merged PARTIAL per
-  // worker instead of N. Singletons fall through to the plain path inside
-  // ExecuteDistributedBatch.
+  // worker instead of N.
   if (options.mqo != MqoMode::kOff && meta.total_rows > 0) {
     const std::string key =
         MqoCompatibilityKey(query) +
         StrFormat("|dist|d%zu", options.degree_of_parallelism);
-    MqoGate::Member member{&query, kind->select_sql, trace};
-    Result<Table> batched = mqo_gate_.Run(
+    MqoGate::Member member{&query, options.degree_of_parallelism, trace};
+    const MqoGate::Seat seat = mqo_gate_.Run(
         key, member,
-        [this, &meta, &options](std::vector<MqoGate::Member*>& members) {
-          ExecuteDistributedBatch(members, meta, options);
+        [this, &meta, &options](const std::vector<MqoGate::Member*>& members) {
+          return ScatterMqoBatch(members, meta, options);
         });
-    if (!batched.ok()) return batched.status();
-    return std::optional<Table>(std::move(*batched));
+    // Every member assembles on its own thread; a singleton, or a batch
+    // whose plan or scatter failed, runs its own scatter for its own error
+    // or result.
+    if (seat.batch != nullptr && seat.batch->partials != nullptr) {
+      if (trace != nullptr) {
+        trace->strategy = "distributed mqo batch";
+        trace->strategy_source = "mqo-gate";
+      }
+      ScopedParallelism parallelism(options.degree_of_parallelism);
+      Result<Table> batched =
+          AnswerMqoMember(*seat.batch, seat.index, trace, CurrentDop());
+      if (batched.ok()) return std::optional<Table>(std::move(*batched));
+    }
   }
   PCTAGG_ASSIGN_OR_RETURN(Table result,
                           ExecuteDistributed(query, meta, options, trace));
@@ -578,62 +588,43 @@ Result<Table> Coordinator::ExecuteDistributed(const AnalyzedQuery& query,
   return ApplyQueryTail(std::move(assembled), query);
 }
 
-void Coordinator::ExecuteDistributedBatch(
-    std::vector<MqoGate::Member*>& members, const ShardedMeta& meta,
+std::shared_ptr<const MqoBatchScan> Coordinator::ScatterMqoBatch(
+    const std::vector<MqoGate::Member*>& members, const ShardedMeta& meta,
     const QueryOptions& options) {
-  auto run_solo = [this, &meta, &options](MqoGate::Member* m) {
-    m->result = ExecuteDistributed(*m->query, meta, options, m->trace);
-  };
-  if (members.size() < 2) {
-    for (MqoGate::Member* m : members) run_solo(m);
-    return;
-  }
+  if (members.size() < 2) return nullptr;
   std::vector<const AnalyzedQuery*> queries;
   queries.reserve(members.size());
-  for (MqoGate::Member* m : members) queries.push_back(m->query);
-  Result<MqoBatchPlan> plan = PlanMqoBatch(queries);
-  if (!plan.ok()) {
-    for (MqoGate::Member* m : members) run_solo(m);
-    return;
+  bool traced = false;
+  for (const MqoGate::Member* m : members) {
+    queries.push_back(m->query);
+    traced |= m->trace != nullptr;
   }
+  Result<MqoBatchPlan> plan = PlanMqoBatch(queries);
+  if (!plan.ok()) return nullptr;
+  auto batch = std::make_shared<MqoBatchScan>();
+  batch->plan = std::move(*plan);
+  const MqoBatchPlan& bp = batch->plan;
   const size_t worker_dop =
       config_.worker_dop != 0 ? config_.worker_dop
                               : options.degree_of_parallelism;
 
-  obs::QueryTrace* lead_trace = nullptr;
-  for (MqoGate::Member* m : members) {
-    if (m->trace == nullptr) continue;
-    if (lead_trace == nullptr) lead_trace = m->trace;
-    m->trace->strategy = "distributed mqo batch";
-    m->trace->strategy_source = "mqo-gate";
-    m->trace->root().AddChild(
-        "mqo-batch",
-        StrFormat("%zu queries share one scatter of %s (%zu partials deduped "
-                  "from %zu; %zu shards scanned once instead of %zu times)",
-                  members.size(), plan->table.c_str(),
-                  plan->scan_partials.size(), plan->partials_requested,
-                  links_.size(), members.size()));
-  }
-
-  // One scatter of the merged partial statement serves the whole batch; the
-  // scatter/shard trace nodes land on the first traced member only (the
-  // scatter genuinely ran once).
+  // One scatter of the merged partial statement serves the whole batch.
+  obs::QueryTrace scan_trace;
   Result<Table> merged =
-      ScatterGather(plan->scan_sql, plan->scan_cols.size(),
-                    plan->scan_combine, worker_dop, lead_trace);
-  if (!merged.ok()) {
-    for (MqoGate::Member* m : members) run_solo(m);
-    return;
-  }
+      ScatterGather(bp.scan_sql, bp.scan_cols.size(), bp.scan_combine,
+                    worker_dop, traced ? &scan_trace : nullptr);
+  if (!merged.ok()) return batch;
+  batch->partials = std::make_shared<const Table>(std::move(*merged));
+  AttachMqoScanTrace(
+      batch.get(),
+      StrFormat("%zu queries share one scatter of %s (%zu partials deduped "
+                "from %zu; %zu shards scanned once instead of %zu times)",
+                members.size(), bp.table.c_str(), bp.scan_partials.size(),
+                bp.partials_requested, links_.size(), members.size()),
+      &scan_trace);
   mqo_gate_.RecordScanRowsSaved(static_cast<uint64_t>(meta.total_rows) *
                                 (members.size() - 1));
-
-  ScopedParallelism parallelism(options.degree_of_parallelism);
-  const size_t dop = CurrentDop();
-  for (size_t i = 0; i < members.size(); ++i) {
-    members[i]->result =
-        AssembleMqoMember(*plan, i, *merged, members[i]->trace, dop);
-  }
+  return batch;
 }
 
 Result<Table> Coordinator::ExplainDistributed(const AnalyzedQuery& query,

@@ -134,11 +134,12 @@ class Coordinator : public DistRouter {
                                    obs::QueryTrace* trace);
 
   // Batch leader body for the MQO gate: one scatter of the merged partial
-  // statement serves every member; falls back to per-member
-  // ExecuteDistributed when planning or the shared scatter fails.
-  void ExecuteDistributedBatch(std::vector<MqoGate::Member*>& members,
-                               const ShardedMeta& meta,
-                               const QueryOptions& options);
+  // statement serves every member, which then assembles on its own thread.
+  // Null (a singleton, or a failed plan) or null partials (a failed
+  // scatter) sends every member down its own ExecuteDistributed.
+  std::shared_ptr<const MqoBatchScan> ScatterMqoBatch(
+      const std::vector<MqoGate::Member*>& members, const ShardedMeta& meta,
+      const QueryOptions& options);
 
   // Plain-EXPLAIN rendering of the distributed plan.
   Result<Table> ExplainDistributed(const AnalyzedQuery& query,

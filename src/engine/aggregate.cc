@@ -104,7 +104,7 @@ Result<Table> HashAggregate(const Table& input,
       p.first_row.assign(direct_slots, SIZE_MAX);
     }
   }
-  RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
+  size_t ran = RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
     AggPartial& p = partials[worker];
     const size_t count = end - begin;
     if (p.gid.size() < count) p.gid.resize(count);
@@ -261,7 +261,7 @@ Result<Table> HashAggregate(const Table& input,
                    "B)");
     }
     op.SetRows(n, states.size());
-    op.SetMorsels(plan.num_morsels, plan.num_workers);
+    op.SetMorsels(plan.num_morsels, ran);
     if (plan.num_workers > 1) op.SetPartialsMerged(partials.size());
   }
 

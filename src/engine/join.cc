@@ -104,7 +104,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   MorselPlan plan = MorselPlan::For(left.num_rows(), CurrentDop());
   std::vector<std::vector<std::pair<size_t, size_t>>> morsel_matches(
       plan.num_morsels);
-  RunMorsels(plan, [&](size_t /*worker*/, size_t begin, size_t end) {
+  size_t ran = RunMorsels(plan, [&](size_t, size_t begin, size_t end) {
     std::vector<std::pair<size_t, size_t>>& found =
         morsel_matches[begin / plan.morsel_rows];
     std::string key;
@@ -134,7 +134,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   for (const auto& mm : morsel_matches) total += mm.size();
   if (op.active()) {
     op.SetRows(left.num_rows() + right.num_rows(), total);
-    op.SetMorsels(plan.num_morsels, plan.num_workers);
+    op.SetMorsels(plan.num_morsels, ran);
     op.SetHashTable(use_index ? 0 : built.size(),
                     use_index ? 0 : built.bucket_count());
     op.SetDetail(use_index ? "probe=index" : "probe=built");
@@ -205,7 +205,7 @@ Result<Column> LookupColumn(const Table& left, const Table& right,
   const KeyEncoder lenc(left, lkeys, right, rkeys);
   std::vector<size_t> match_row(n, kNoMatch);
   MorselPlan plan = MorselPlan::For(n, CurrentDop());
-  RunMorsels(plan, [&](size_t /*worker*/, size_t begin, size_t end) {
+  size_t ran = RunMorsels(plan, [&](size_t, size_t begin, size_t end) {
     std::string key;
     for (size_t row = begin; row < end; ++row) {
       key.clear();
@@ -226,7 +226,7 @@ Result<Column> LookupColumn(const Table& left, const Table& right,
       if (m != kNoMatch) ++matched;
     }
     op.SetRows(n + right.num_rows(), matched);
-    op.SetMorsels(plan.num_morsels, plan.num_workers);
+    op.SetMorsels(plan.num_morsels, ran);
     op.SetHashTable(use_index ? 0 : built.size(),
                     use_index ? 0 : built.bucket_count());
     op.SetDetail(use_index ? "probe=index" : "probe=built");

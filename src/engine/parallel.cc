@@ -27,6 +27,7 @@ struct MorselRun {
   MorselPlan plan;
   const std::function<void(size_t, size_t, size_t)>* fn = nullptr;
   std::atomic<size_t> next{0};
+  std::atomic<size_t> participants{0};  // workers that ran >= 1 morsel
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -35,9 +36,14 @@ struct MorselRun {
   // Claims morsels until none remain. Returns after this worker can claim
   // nothing more; other workers may still be mid-morsel.
   void Drain(size_t worker) {
+    bool ran = false;
     for (;;) {
       size_t m = next.fetch_add(1, std::memory_order_relaxed);
       if (m >= plan.num_morsels) return;
+      // Counted before the morsel's `done` increment, so the dispatcher
+      // reads the final count once WaitAllDone returns.
+      if (!ran) participants.fetch_add(1, std::memory_order_relaxed);
+      ran = true;
       (*fn)(worker, plan.Begin(m), plan.End(m));
       bool all = false;
       {
@@ -105,14 +111,14 @@ MorselPlan MorselPlan::Auto(size_t num_rows, size_t dop) {
   return For(num_rows, effective, target);
 }
 
-void RunMorsels(const MorselPlan& plan,
-                const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (plan.num_morsels == 0) return;
+size_t RunMorsels(const MorselPlan& plan,
+                  const std::function<void(size_t, size_t, size_t)>& fn) {
+  if (plan.num_morsels == 0) return 0;
   if (plan.num_workers <= 1) {
     for (size_t m = 0; m < plan.num_morsels; ++m) {
       fn(0, plan.Begin(m), plan.End(m));
     }
-    return;
+    return 1;
   }
   auto run = std::make_shared<MorselRun>();
   run->plan = plan;
@@ -136,6 +142,7 @@ void RunMorsels(const MorselPlan& plan,
   // Helpers scheduled late will see every morsel claimed and drop their
   // reference; `fn` is not touched after WaitAllDone returns.
   run->fn = nullptr;
+  return run->participants.load(std::memory_order_relaxed);
 }
 
 void RunPartitions(size_t count, size_t dop,

@@ -97,8 +97,12 @@ struct MorselPlan {
 // `fn` must not block on other pool tasks (leaf work only) and must not
 // throw. Calls with plan.num_workers <= 1 run entirely on the calling
 // thread, in morsel order.
-void RunMorsels(const MorselPlan& plan,
-                const std::function<void(size_t, size_t, size_t)>& fn);
+//
+// Returns how many workers ran at least one morsel: at most
+// plan.num_workers, and fewer when the pool was too busy for some helpers
+// to start before the morsels ran out (0 for a plan with no morsels).
+size_t RunMorsels(const MorselPlan& plan,
+                  const std::function<void(size_t, size_t, size_t)>& fn);
 
 // Convenience: partition-parallel loop over `count` independent items (used
 // for the partitioned merge phase of two-phase aggregation). Runs

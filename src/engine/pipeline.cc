@@ -306,7 +306,7 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
   }
   const uint8_t* mask_data = mask.empty() ? nullptr : mask.data();
 
-  RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
+  size_t ran = RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
     FusedPartial& p = partials[worker];
     const size_t span = end - begin;
     if (p.gid.size() < span) p.gid.resize(span);
@@ -577,7 +577,7 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
     if (mask_data != nullptr) detail += "+where";
     op.SetDetail(detail);
     op.SetRows(n, states.size());
-    op.SetMorsels(plan.num_morsels, plan.num_workers);
+    op.SetMorsels(plan.num_morsels, ran);
     if (plan.num_workers > 1) op.SetPartialsMerged(partials.size());
   }
 

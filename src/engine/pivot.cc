@@ -126,7 +126,7 @@ Result<Table> HashDispatchPivot(const Table& input,
   const KeyEncoder group_encoder(input, group_idx);
   const KeyEncoder pivot_encoder(input, pivot_idx);
   std::vector<PivotPartial> partials(plan.num_workers);
-  RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
+  size_t ran = RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
     PivotPartial& p = partials[worker];
     // Batch keying: every key is fixed width (dictionary codes made string
     // columns fixed too), so both key sets for the whole morsel are encoded
@@ -294,7 +294,7 @@ Result<Table> HashDispatchPivot(const Table& input,
       }
     }
     op.SetRows(n, num_groups);
-    op.SetMorsels(plan.num_morsels, plan.num_workers);
+    op.SetMorsels(plan.num_morsels, ran);
     op.SetHashTable(peak_groups, peak_slots);
     if (plan.num_workers > 1) op.SetPartialsMerged(partials.size());
     op.SetDetail("combos=" + std::to_string(num_combos));

@@ -10,6 +10,8 @@ namespace pctagg {
 
 namespace {
 
+// INT64 inputs keep their extremes in imin/imax: through a double, max over
+// {2^53, 2^53 + 1} was 2^53 and INT64_MAX came back as INT64_MIN.
 struct PartState {
   double sum = 0.0;
   int64_t isum = 0;
@@ -17,16 +19,27 @@ struct PartState {
   int64_t rows = 0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
+  int64_t imin = std::numeric_limits<int64_t>::max();
+  int64_t imax = std::numeric_limits<int64_t>::min();
   bool saw_value = false;
 };
 
+// INT64 sums wrap on overflow, as two's complement does, without a signed
+// overflow's undefined behaviour.
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 void MergePart(PartState& d, const PartState& s) {
   d.sum += s.sum;
-  d.isum += s.isum;
+  d.isum = WrapAdd(d.isum, s.isum);
   d.count += s.count;
   d.rows += s.rows;
   if (s.min < d.min) d.min = s.min;
   if (s.max > d.max) d.max = s.max;
+  if (s.imin < d.imin) d.imin = s.imin;
+  if (s.imax > d.imax) d.imax = s.imax;
   d.saw_value = d.saw_value || s.saw_value;
 }
 
@@ -73,7 +86,7 @@ Result<Column> WindowAggregate(const Table& input,
   std::vector<WinPartial> partials(plan.num_workers);
   std::vector<uint32_t> row_local(n);
   std::vector<uint32_t> morsel_owner(plan.num_morsels, 0);
-  RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
+  size_t ran = RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
     WinPartial& p = partials[worker];
     if (plan.morsel_rows > 0 && begin < n) {
       morsel_owner[begin / plan.morsel_rows] = static_cast<uint32_t>(worker);
@@ -97,10 +110,15 @@ Result<Column> WindowAggregate(const Table& input,
       if (in.IsNull(row)) continue;
       st.count++;
       st.saw_value = true;
-      if (in.type() != DataType::kString) {
-        double v = in.NumericAt(row);
+      if (in.type() == DataType::kInt64) {
+        const int64_t v = in.Int64At(row);
+        st.sum += static_cast<double>(v);
+        st.isum = WrapAdd(st.isum, v);
+        if (v < st.imin) st.imin = v;
+        if (v > st.imax) st.imax = v;
+      } else if (in.type() != DataType::kString) {
+        const double v = in.NumericAt(row);
         st.sum += v;
-        if (in.type() == DataType::kInt64) st.isum += in.Int64At(row);
         if (v < st.min) st.min = v;
         if (v > st.max) st.max = v;
       }
@@ -136,7 +154,7 @@ Result<Column> WindowAggregate(const Table& input,
       }
     }
     op.SetRows(n, n);
-    op.SetMorsels(plan.num_morsels, plan.num_workers);
+    op.SetMorsels(plan.num_morsels, ran);
     op.SetHashTable(peak_parts, peak_slots);
     if (plan.num_workers > 1) op.SetPartialsMerged(partials.size());
     op.SetDetail("partitions=" + std::to_string(global_states.size()));
@@ -193,7 +211,7 @@ Result<Column> WindowAggregate(const Table& input,
         if (!st.saw_value) {
           out.AppendNull();
         } else if (out_type == DataType::kInt64) {
-          out.AppendInt64(static_cast<int64_t>(st.min));
+          out.AppendInt64(st.imin);
         } else {
           out.AppendFloat64(st.min);
         }
@@ -202,7 +220,7 @@ Result<Column> WindowAggregate(const Table& input,
         if (!st.saw_value) {
           out.AppendNull();
         } else if (out_type == DataType::kInt64) {
-          out.AppendInt64(static_cast<int64_t>(st.max));
+          out.AppendInt64(st.imax);
         } else {
           out.AppendFloat64(st.max);
         }

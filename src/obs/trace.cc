@@ -70,6 +70,13 @@ TraceNode* TraceNode::AddChild(std::string child_label,
   return child;
 }
 
+TraceNode* TraceNode::AddCopy(const TraceNode& node) {
+  TraceNode* copy = AddChild(node.label, node.detail);
+  copy->stats = node.stats;
+  for (const auto& child : node.children) copy->AddCopy(*child);
+  return copy;
+}
+
 uint64_t QueryTrace::ActualRowOps() const {
   uint64_t total = 0;
   // Statement nodes hold operator children; only leaves scan rows, so

@@ -26,7 +26,7 @@ struct OpStats {
   uint64_t rows_in = 0;    // input rows scanned / probed
   uint64_t rows_out = 0;   // result rows / matches emitted
   uint64_t morsels = 0;    // morsel count of the parallel dispatch (0=serial)
-  uint64_t workers = 0;    // workers that participated
+  uint64_t workers = 0;    // workers that ran >= 1 morsel (<= planned)
   uint64_t hash_groups = 0;   // entries in the operator's hash table (peak)
   uint64_t hash_slots = 0;    // open-addressing slots backing them (peak)
   uint64_t partials_merged = 0;  // thread-local partial tables merged
@@ -51,6 +51,8 @@ struct TraceNode {
   std::vector<std::unique_ptr<TraceNode>> children;
 
   TraceNode* AddChild(std::string child_label, std::string child_detail = "");
+  // Appends a deep copy of `node` (stats and subtree) as a child.
+  TraceNode* AddCopy(const TraceNode& node);
 };
 
 // The trace of one query: the executed plan plus the planning metadata

@@ -1,5 +1,6 @@
 #include "server/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -308,14 +309,34 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
 
   MqoGate::Member member;
   member.query = &*prepared;
-  member.sql = inner;
+  member.dop = opts.degree_of_parallelism;
   obs::QueryTrace analyze_trace;
   member.trace = analyze ? &analyze_trace : opts.trace;
   Stopwatch timer;
-  Result<Table> result = mqo_gate_.Run(
-      key, member, [this, &opts](std::vector<MqoGate::Member*>& members) {
-        ExecuteMqoMembers(opts, members);
+  const MqoGate::Seat seat = mqo_gate_.Run(
+      key, member, [this, &opts](const std::vector<MqoGate::Member*>& members) {
+        return PlanAndScanMqoBatch(opts, members);
       });
+
+  // Every member finishes on its own thread, at its own dop.
+  const MqoBatchScan* batch = seat.batch.get();
+  if (batch != nullptr && member.trace != nullptr) {
+    member.trace->predicted_costs.insert(member.trace->predicted_costs.end(),
+                                         batch->costs.begin(),
+                                         batch->costs.end());
+  }
+  QueryOptions own = opts;
+  own.trace = member.trace;
+  Result<Table> result = Table();
+  bool answered = false;
+  if (batch != nullptr && batch->partials != nullptr) {
+    ScopedParallelism parallelism(own.degree_of_parallelism);
+    result = AnswerMqoMember(*batch, seat.index, member.trace, CurrentDop());
+    answered = result.ok();
+  }
+  // A declined or failed batch — or this member's own failed assembly —
+  // answers solo here, so each member gets its own precise error or result.
+  if (!answered) result = db_->Query(inner, own);
   if (!analyze || !result.ok()) return result;
   analyze_trace.total_ms = timer.ElapsedMillis();
   if (analyze_trace.query_class.empty()) {
@@ -324,88 +345,92 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
   return TextToPlanTable(analyze_trace.Render());
 }
 
-void QueryExecutor::ExecuteMqoMembers(const QueryOptions& opts,
-                                      std::vector<MqoGate::Member*>& members) {
-  auto run_solo = [this, &opts](MqoGate::Member* m) {
-    QueryOptions o = opts;
-    o.trace = m->trace;
-    m->result = db_->Query(m->sql, o);
-  };
-  bool want_costs = false;
-  for (MqoGate::Member* m : members) want_costs |= m->trace != nullptr;
-  if (members.size() == 1 && !want_costs) {
-    run_solo(members[0]);
-    return;
-  }
+std::shared_ptr<const MqoBatchScan> QueryExecutor::PlanAndScanMqoBatch(
+    const QueryOptions& opts, const std::vector<MqoGate::Member*>& members) {
+  bool traced = false;
+  for (const MqoGate::Member* m : members) traced |= m->trace != nullptr;
+  // A lone untraced query has nothing to share or to show.
+  if (members.size() == 1 && !traced) return nullptr;
   std::vector<const AnalyzedQuery*> queries;
   queries.reserve(members.size());
-  for (MqoGate::Member* m : members) queries.push_back(m->query);
+  for (const MqoGate::Member* m : members) queries.push_back(m->query);
   Result<MqoBatchPlan> plan = PlanMqoBatch(queries);
+  if (!plan.ok()) return nullptr;
   Result<const Table*> fact =
-      plan.ok() ? static_cast<const PctDatabase*>(db_)->catalog().GetTable(
-                      plan->table)
-                : Result<const Table*>(plan.status());
-  if (!plan.ok() || !fact.ok()) {
-    for (MqoGate::Member* m : members) run_solo(m);
-    return;
+      static_cast<const PctDatabase*>(db_)->catalog().GetTable(plan->table);
+  if (!fact.ok()) return nullptr;
+  auto batch = std::make_shared<MqoBatchScan>();
+  batch->plan = std::move(*plan);
+  const MqoBatchPlan& bp = batch->plan;
+
+  // Every member's executor thread is parked for the whole scan, so the
+  // scan runs with the cores they brought: min(Σ dop, cores), a member at
+  // dop 0 bringing all of them.
+  const size_t cores = AvailableParallelism();
+  size_t brought = 0;
+  for (const MqoGate::Member* m : members) {
+    brought += m->dop == 0 ? cores : m->dop;
   }
+  const size_t dop = std::max<size_t>(1, std::min(brought, cores));
 
-  ScopedParallelism parallelism(opts.degree_of_parallelism);
-  const size_t dop = CurrentDop();
-
-  // Price batch vs N independent fused scans; EXPLAIN ANALYZE and SET trace
-  // render both candidates. kAuto lets the model decide; kOn always batches
-  // when >= 2 members made it this far.
+  // Price batch vs N independent fused scans, both at the batch dop;
+  // EXPLAIN ANALYZE and SET trace render both candidates. auto lets the
+  // model decide; on always batches when >= 2 members made it this far.
   bool batch_it = members.size() >= 2;
-  CostModel model;
-  Result<PlannerStats> table = db_->PlannerStatistics(plan->table);
-  Result<FactStats> stats =
-      table.ok() ? model.EstimateStats(*table, plan->scan_cols, {}, {})
-                 : Result<FactStats>(table.status());
-  if (stats.ok()) {
-    stats->dop = static_cast<double>(dop);
-    const double batch_cost = model.MqoBatchCost(
-        *stats, static_cast<double>(members.size()),
-        static_cast<double>(plan->scan_partials.size()));
-    const double solo_cost =
-        static_cast<double>(members.size()) * model.FusedVpctCost(*stats);
-    if (opts.mqo == MqoMode::kAuto && batch_it) batch_it = batch_cost <= solo_cost;
-    for (MqoGate::Member* m : members) {
-      if (m->trace == nullptr) continue;
-      m->trace->predicted_costs.push_back(
-          {StrFormat("mqo-batch (%zu queries, %zu shared partials)",
-                     members.size(), plan->scan_partials.size()),
-           batch_cost, batch_it});
-      m->trace->predicted_costs.push_back(
-          {StrFormat("solo fused scans (x%zu)", members.size()), solo_cost,
-           !batch_it});
+  if (opts.mqo == MqoMode::kAuto || traced) {
+    CostModel model;
+    Result<PlannerStats> table = db_->PlannerStatistics(bp.table);
+    Result<FactStats> stats =
+        table.ok() ? model.EstimateStats(*table, bp.scan_cols, {}, {})
+                   : Result<FactStats>(table.status());
+    if (stats.ok()) {
+      stats->dop = static_cast<double>(dop);
+      const double batch_cost = model.MqoBatchCost(
+          *stats, static_cast<double>(members.size()),
+          static_cast<double>(bp.scan_partials.size()));
+      const double solo_cost =
+          static_cast<double>(members.size()) * model.FusedVpctCost(*stats);
+      if (opts.mqo == MqoMode::kAuto && batch_it) {
+        batch_it = batch_cost <= solo_cost;
+      }
+      if (traced) {
+        batch->costs.push_back(
+            {StrFormat("mqo-batch (%zu queries, %zu shared partials, dop %zu)",
+                       members.size(), bp.scan_partials.size(), dop),
+             batch_cost, batch_it});
+        batch->costs.push_back(
+            {StrFormat("solo fused scans (x%zu)", members.size()), solo_cost,
+             !batch_it});
+      }
     }
   }
-  if (!batch_it) {
-    for (MqoGate::Member* m : members) run_solo(m);
-    return;
-  }
+  if (!batch_it) return batch;
 
   const bool use_cache =
       opts.use_summary_cache.value_or(db_->summary_cache_enabled());
-  SummaryCache* summaries = use_cache ? &db_->summaries() : nullptr;
-  std::vector<obs::QueryTrace*> traces;
-  traces.reserve(members.size());
-  for (MqoGate::Member* m : members) traces.push_back(m->trace);
-  Result<std::vector<Table>> results =
-      ExecuteMqoBatch(*plan, **fact, summaries, traces, dop);
-  if (!results.ok()) {
-    // A batch-level failure (e.g. a mid-flight DROP) re-runs every member
-    // solo so each gets its own precise error or result.
-    for (MqoGate::Member* m : members) run_solo(m);
-    return;
-  }
-  mqo_gate_.RecordScanRowsSaved(
-      static_cast<uint64_t>((*fact)->num_rows()) *
-      static_cast<uint64_t>(members.size() - 1));
-  for (size_t i = 0; i < members.size(); ++i) {
-    members[i]->result = std::move((*results)[i]);
-  }
+  obs::QueryTrace scan_trace;
+  ScopedParallelism parallelism(dop);
+  Result<std::shared_ptr<const Table>> partials = FinestPartials(
+      bp.table, bp.where, bp.scan_cols, bp.scan_partials, **fact,
+      use_cache ? &db_->summaries() : nullptr, traced ? &scan_trace : nullptr,
+      dop);
+  // A failed scan (e.g. a WHERE that fails at run time) publishes no
+  // partials: every member reruns solo for its own error or result.
+  if (!partials.ok()) return batch;
+  batch->partials = std::move(*partials);
+  AttachMqoScanTrace(
+      batch.get(),
+      StrFormat("%zu queries share one scan of %s at dop %zu (%zu partials "
+                "deduped from %zu; rows scanned once: %llu instead of %zu "
+                "times)",
+                members.size(), bp.table.c_str(), dop, bp.scan_partials.size(),
+                bp.partials_requested,
+                static_cast<unsigned long long>((*fact)->num_rows()),
+                members.size()),
+      &scan_trace);
+  mqo_gate_.RecordScanRowsSaved(static_cast<uint64_t>((*fact)->num_rows()) *
+                                static_cast<uint64_t>(members.size() - 1));
+  return batch;
 }
 
 Status QueryExecutor::ExecuteWrite(std::function<Status()> fn,

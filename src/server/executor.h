@@ -109,11 +109,12 @@ class QueryExecutor {
   Result<Table> RunMqoRead(const std::string& sql, const QueryOptions& opts,
                            uint64_t timeout_ms);
 
-  // Batch leader body: plans and executes one closed batch (or falls back to
-  // per-member solo execution when planning fails, the batch is a singleton,
-  // or the cost model prefers solo under SET mqo auto).
-  void ExecuteMqoMembers(const QueryOptions& opts,
-                         std::vector<MqoGate::Member*>& members);
+  // Batch leader body: plans and prices one closed batch and, unless a
+  // singleton or SET mqo auto's cost model says solo, runs its union scan
+  // once at min(Σ members' dop, cores). Null (or null partials) sends every
+  // member down its own solo path.
+  std::shared_ptr<const MqoBatchScan> PlanAndScanMqoBatch(
+      const QueryOptions& opts, const std::vector<MqoGate::Member*>& members);
 
   PctDatabase* db_;
   ExecutorConfig config_;

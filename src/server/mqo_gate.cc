@@ -44,25 +44,26 @@ obs::Histogram& WindowHist() {
 
 }  // namespace
 
-Result<Table> MqoGate::Run(const std::string& key, Member& member,
-                           const BatchFn& execute) {
+MqoGate::Seat MqoGate::Run(const std::string& key, Member& member,
+                           const BatchFn& plan_and_scan) {
   std::shared_ptr<Batch> batch;
   {
     std::unique_lock<std::mutex> lock(mu_);
     auto it = open_.find(key);
     if (it != open_.end() && it->second->open) {
-      // Follower: park on the open batch until the leader publishes results.
+      // Follower: park on the open batch until the leader publishes its scan.
       batch = it->second;
+      const size_t index = batch->members.size();
       batch->members.push_back(&member);
       if (batch->members.size() >= config_.max_batch) {
         batch->cv.notify_all();  // wake the leader to close early
       }
       batch->cv.wait(lock, [&batch] { return batch->finished; });
-      return std::move(member.result);
+      return {batch->scan, index};
     }
     // Leader: open a batch, collect followers for one window (closing early
     // when the batch fills), then take it off the open map so later arrivals
-    // start a fresh batch while this one executes.
+    // start a fresh batch while this one scans.
     batch = std::make_shared<Batch>();
     batch->members.push_back(&member);
     open_[key] = batch;
@@ -76,22 +77,27 @@ Result<Table> MqoGate::Run(const std::string& key, Member& member,
     WindowHist().Observe(static_cast<uint64_t>(window.ElapsedMillis()));
   }
 
-  // Execute outside the gate lock; the members vector is frozen (open was
-  // cleared under the lock) and every Member outlives Run by construction.
+  // Plan and scan outside the gate lock; the members vector is frozen (open
+  // was cleared under the lock) and no member leaves Run before the scan is
+  // published, so the leader's pointers stay valid.
   batches_.fetch_add(1);
   BatchesCounter().Add();
-  if (batch->members.size() >= 2) {
+  std::shared_ptr<const MqoBatchScan> scan = plan_and_scan(batch->members);
+  // Only a published scan serves its members; a declined or failed batch
+  // answers solo.
+  if (batch->members.size() >= 2 && scan != nullptr &&
+      scan->partials != nullptr) {
     queries_batched_.fetch_add(batch->members.size());
     QueriesBatchedCounter().Add(batch->members.size());
   }
-  execute(batch->members);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
+    batch->scan = scan;
     batch->finished = true;
   }
   batch->cv.notify_all();
-  return std::move(member.result);
+  return {std::move(scan), 0};
 }
 
 void MqoGate::RecordSoloEscape() {

@@ -11,8 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
-#include "engine/table.h"
+#include "core/mqo_plan.h"
 #include "obs/trace.h"
 #include "sql/analyzer.h"
 
@@ -22,10 +21,13 @@ namespace pctagg {
 // a leader/follower gate keyed by MqoCompatibilityKey. The first reader to
 // arrive for a key becomes the batch leader and waits a bounded collection
 // window for compatible readers to join (closing early when the batch
-// fills); followers that arrive while the batch is open park on it and wake
-// with their result once the leader has executed the whole batch through one
-// shared scan. Queries with tight deadlines skip the gate (ShouldRunSolo) so
-// batching never violates a per-query timeout.
+// fills); followers that arrive while the batch is open park on it. The
+// leader then does only the shared work — plan, price, and one union scan —
+// and publishes the result to every member; each member, the leader
+// included, finishes on its own thread: it rolls the shared partials down
+// to its level, assembles and applies its tail, or answers solo when the
+// batch was declined or failed. Queries with tight deadlines skip the gate
+// (ShouldRunSolo) so batching never violates a per-query timeout.
 struct MqoGateConfig {
   // Collection window the leader waits for followers before executing.
   // Short on purpose: dashboard bursts arrive within a few ms, and every
@@ -39,18 +41,24 @@ struct MqoGateConfig {
 
 class MqoGate {
  public:
-  // One query parked in a batch. Lives on its caller's stack for the whole
-  // Run() call — no member leaves Run before the leader publishes results,
-  // so the leader's pointers stay valid.
+  // One query in a batch. Lives on its caller's stack for the whole Run()
+  // call; the leader reads every member while they are parked.
   struct Member {
     const AnalyzedQuery* query = nullptr;
-    std::string sql;  // original statement, for solo fallback paths
+    size_t dop = 1;  // the session's dop; 0 means all cores
     obs::QueryTrace* trace = nullptr;
-    Result<Table> result{Table()};
   };
-  // Executes a closed batch, filling every member's `result`. Runs on the
-  // leader's thread, outside the gate lock.
-  using BatchFn = std::function<void(std::vector<Member*>&)>;
+  // Plans, prices and scans a closed batch on the leader's thread, outside
+  // the gate lock. Returns what every member reads (core/mqo_plan.h), or
+  // null when the members should answer solo without a plan.
+  using BatchFn = std::function<std::shared_ptr<const MqoBatchScan>(
+      const std::vector<Member*>&)>;
+  // This caller's place in its closed batch: the published scan (null:
+  // answer solo) and the caller's index into its members.
+  struct Seat {
+    std::shared_ptr<const MqoBatchScan> batch;
+    size_t index = 0;
+  };
 
   explicit MqoGate(MqoGateConfig config = MqoGateConfig()) : config_(config) {}
 
@@ -64,9 +72,10 @@ class MqoGate {
     return timeout_ms != 0 && timeout_ms < config_.window_ms * 4;
   }
 
-  // Joins (or opens) the batch for `key` and returns this caller's result.
-  Result<Table> Run(const std::string& key, Member& member,
-                    const BatchFn& execute);
+  // Joins (or opens) the batch for `key` and returns once the leader
+  // published its scan; the caller then finishes on its own thread.
+  Seat Run(const std::string& key, Member& member,
+           const BatchFn& plan_and_scan);
 
   // Bumps the deadline-escape counter (the caller decides to run solo, so
   // the gate can't observe it from Run).
@@ -88,8 +97,9 @@ class MqoGate {
  private:
   struct Batch {
     std::vector<Member*> members;
-    bool open = true;      // accepting joiners
-    bool finished = false; // results published
+    bool open = true;       // accepting joiners
+    bool finished = false;  // `scan` published
+    std::shared_ptr<const MqoBatchScan> scan;
     std::condition_variable cv;
   };
 

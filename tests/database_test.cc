@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 
+#include "engine/csv.h"
 #include "workload/generators.h"
 
 namespace pctagg {
@@ -230,6 +232,39 @@ TEST(DatabaseTest, Int64MinMaxAreExactAcrossCubeLevels) {
   ASSERT_EQ(all->num_rows(), 4u);
   EXPECT_EQ(all->column(1).Int64At(3), INT64_MAX);
   EXPECT_EQ(all->column(2).Int64At(3), INT64_MIN + 1);
+}
+
+// The window forms keep int64 extremes too: through a double, max(v) OVER
+// over {2^53, 2^53 + 1} was 2^53, and over {INT64_MAX, 5} it was INT64_MIN.
+TEST(DatabaseTest, Int64WindowMinMaxAreExact) {
+  constexpr int64_t k2To53 = 9007199254740992;
+  Result<Table> t = ParseCsvAuto(
+      "g,v\n"
+      "1,9007199254740992\n"
+      "1,9007199254740993\n"
+      "2,9223372036854775807\n"
+      "2,5\n");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->schema().column(1).type, DataType::kInt64);
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("t", std::move(*t)).ok());
+  Result<Table> r = db.Query(
+      "SELECT g, v, max(v) OVER (PARTITION BY g) AS hi, "
+      "min(v) OVER (PARTITION BY g) AS lo FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 4u);
+  const Column* hi = r->ColumnByName("hi").value();
+  const Column* lo = r->ColumnByName("lo").value();
+  ASSERT_EQ(hi->type(), DataType::kInt64);
+  ASSERT_EQ(lo->type(), DataType::kInt64);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(hi->Int64At(i), k2To53 + 1);
+    EXPECT_EQ(lo->Int64At(i), k2To53);
+  }
+  for (size_t i = 2; i < 4; ++i) {
+    EXPECT_EQ(hi->Int64At(i), INT64_MAX);
+    EXPECT_EQ(lo->Int64At(i), 5);
+  }
 }
 
 // ORDER BY compares INT64 as int64: through a double, 2^53 and 2^53 + 1

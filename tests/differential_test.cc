@@ -7,7 +7,8 @@
 //   * PctDatabase::Query with the advisor, with SET exec fused (the partial
 //     path) and with SET exec materialized (the paper's plans, where the
 //     shape has one),
-//   * one ExecuteMqoBatch of the compatible queries, and
+//   * one MQO batch of the compatible queries (one union scan, then each
+//     member's rollup and assembly), and
 //   * an in-process cluster of two shards,
 // at dop 1 and 4. Merge-on-arrival reorders groups and first-seen Hpct pivot
 // columns, so answers compare as row multisets with columns matched by name.
@@ -412,7 +413,7 @@ TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
       }
     }
 
-    // One ExecuteMqoBatch per group of batch-compatible queries.
+    // One MQO batch per group of batch-compatible queries.
     std::vector<AnalyzedQuery> analyzed;
     analyzed.reserve(sqls.size());
     for (const std::string& sql : sqls) {
@@ -430,11 +431,15 @@ TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
       Result<Table*> fact = db_.catalog().GetTable(plan->table);
       ASSERT_TRUE(fact.ok());
-      Result<std::vector<Table>> results =
-          ExecuteMqoBatch(*plan, **fact, nullptr, {}, dop);
-      ASSERT_TRUE(results.ok()) << results.status().ToString();
+      Result<std::shared_ptr<const Table>> partials =
+          FinestPartials(plan->table, plan->where, plan->scan_cols,
+                         plan->scan_partials, **fact, nullptr, nullptr, dop);
+      ASSERT_TRUE(partials.ok()) << partials.status().ToString();
       for (size_t m = 0; m < members.size(); ++m) {
-        const Canonical c = Canonicalize((*results)[m]);
+        Result<Table> got =
+            AssembleMqoMember(*plan, m, **partials, nullptr, dop);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const Canonical c = Canonicalize(*got);
         EXPECT_TRUE(c == want[members[m]])
             << sqls[members[m]] << ": MQO batch member differs\n"
             << Describe(c, want[members[m]]) << "vs\n"

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -17,11 +18,14 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/database.h"
 #include "dist/coordinator.h"
 #include "engine/csv.h"
+#include "engine/parallel.h"
 #include "engine/table.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "server/executor.h"
 #include "server/server.h"
 #include "workload/generators.h"
@@ -92,12 +96,14 @@ void ExpectBatchBitIdentical(PctDatabase* db,
   Result<const Table*> fact =
       static_cast<const PctDatabase*>(db)->catalog().GetTable(plan->table);
   ASSERT_TRUE(fact.ok());
-  Result<std::vector<Table>> results =
-      ExecuteMqoBatch(*plan, **fact, nullptr, {}, dop);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_EQ(results->size(), sqls.size());
+  Result<std::shared_ptr<const Table>> partials =
+      FinestPartials(plan->table, plan->where, plan->scan_cols,
+                     plan->scan_partials, **fact, nullptr, nullptr, dop);
+  ASSERT_TRUE(partials.ok()) << partials.status().ToString();
   for (size_t i = 0; i < sqls.size(); ++i) {
-    EXPECT_EQ(FormatCsv((*results)[i]), SoloCsv(db, sqls[i], dop))
+    Result<Table> r = AssembleMqoMember(*plan, i, **partials, nullptr, dop);
+    ASSERT_TRUE(r.ok()) << sqls[i] << ": " << r.status().ToString();
+    EXPECT_EQ(FormatCsv(*r), SoloCsv(db, sqls[i], dop))
         << "dop=" << dop << " sql=" << sqls[i];
   }
 }
@@ -409,6 +415,153 @@ TEST(MqoGateTest, ExplainAnalyzeShowsBatchCandidate) {
   }
   EXPECT_NE(plan.find("mqo-batch"), std::string::npos) << plan;
   EXPECT_NE(plan.find("solo fused scans"), std::string::npos) << plan;
+}
+
+// Runs `sqls` concurrently through `executor` as one gate batch, each with
+// its own trace; returns each member's result.
+std::vector<Result<Table>> RunTracedBatch(
+    QueryExecutor* executor, const std::vector<std::string>& sqls,
+    MqoMode mode, std::vector<std::shared_ptr<obs::QueryTrace>>* traces) {
+  std::vector<Result<Table>> got(sqls.size(), Result<Table>(Table()));
+  traces->clear();
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    traces->push_back(std::make_shared<obs::QueryTrace>());
+  }
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    threads.emplace_back([&, i] {
+      QueryOptions opts;
+      opts.degree_of_parallelism = 1;
+      opts.mqo = mode;
+      got[i] = executor->ExecuteStatement(sqls[i], opts, 0, (*traces)[i]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return got;
+}
+
+// The first node under `node` whose operator ran a morsel dispatch.
+const obs::TraceNode* FindMorselNode(const obs::TraceNode& node) {
+  if (node.stats.morsels != 0) return &node;
+  for (const auto& child : node.children) {
+    const obs::TraceNode* found = FindMorselNode(*child);
+    if (found != nullptr) return found;
+  }
+  return nullptr;
+}
+
+// An error's text without the temp-table names a materialized plan puts in
+// its "while executing" suffix.
+std::string ErrorHead(const Status& status) {
+  const std::string text = status.ToString();
+  return text.substr(0, text.find(" (while executing"));
+}
+
+// Every member's executor thread is parked while the leader scans, so a
+// batch of N dop-1 sessions scans at dop min(N, cores) — read off the
+// mqo-batch node every traced member shows. The union scan under it reports
+// the workers that ran a morsel: at most that dop, and fewer only when the
+// engine's pool was too busy to start a helper in time.
+TEST(MqoGateTest, BatchScansWithTheCoresItsMembersBrought) {
+  PctDatabase db;
+  // Enough rows that the union scan splits into more morsels than workers.
+  ASSERT_TRUE(db.CreateTable("f", GenerateTransactionLine(100000)).ok());
+  const std::vector<std::string> sqls(kBatchSqls, kBatchSqls + kNumBatchSqls);
+  ExecutorConfig config;
+  config.worker_threads = 8;
+  config.mqo_window_ms = 2000;  // max_batch closes the batch early
+  config.mqo_max_batch = sqls.size();
+  QueryExecutor executor(&db, config);
+  std::vector<std::shared_ptr<obs::QueryTrace>> traces;
+  std::vector<Result<Table>> got =
+      RunTracedBatch(&executor, sqls, MqoMode::kOn, &traces);
+  EXPECT_EQ(executor.mqo_gate().batches(), 1u);
+  EXPECT_EQ(executor.mqo_gate().queries_batched(), sqls.size());
+
+  const size_t want_dop = std::min(sqls.size(), AvailableParallelism());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    SCOPED_TRACE(sqls[i]);
+    ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+    EXPECT_EQ(FormatCsv(*got[i]), SoloCsv(&db, sqls[i], 1));
+    const obs::TraceNode* batch_node = nullptr;
+    for (const auto& child : traces[i]->root().children) {
+      if (child->label == "mqo-batch") batch_node = child.get();
+    }
+    ASSERT_NE(batch_node, nullptr) << traces[i]->Render();
+    EXPECT_NE(batch_node->detail.find(StrFormat("at dop %zu ", want_dop)),
+              std::string::npos)
+        << traces[i]->Render();
+    EXPECT_GT(batch_node->stats.wall_ms, 0) << traces[i]->Render();
+    const obs::TraceNode* scan = FindMorselNode(*batch_node);
+    ASSERT_NE(scan, nullptr) << traces[i]->Render();
+    EXPECT_GE(scan->stats.morsels, want_dop) << traces[i]->Render();
+    EXPECT_GE(scan->stats.workers, 1u) << traces[i]->Render();
+    EXPECT_LE(scan->stats.workers, want_dop) << traces[i]->Render();
+    EXPECT_EQ(scan->stats.rows_in, 100000u);
+  }
+}
+
+// A batch whose union scan fails publishes no partials, and a member whose
+// own tail fails after a good scan is answered apart from its batch-mates:
+// either way every member gets exactly its solo error or result.
+TEST(MqoGateTest, FailedBatchReturnsEachMembersOwnErrorOrResult) {
+  Table t(Schema({{"g", DataType::kInt64},
+                  {"v", DataType::kInt64},
+                  {"w", DataType::kFloat64}}));
+  for (int64_t i = 0; i < 4000; ++i) {
+    t.AppendRow({Value::Int64(i % 7), Value::Int64(i % 13),
+                 Value::Float64(0.5)});
+  }
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("f", std::move(t)).ok());
+  auto solo = [&](const std::string& sql) {
+    QueryOptions options;
+    options.mqo = MqoMode::kOff;
+    return db.Query(sql, options);
+  };
+  ExecutorConfig config;
+  config.worker_threads = 4;
+  config.mqo_window_ms = 2000;
+  config.mqo_max_batch = 3;
+  QueryExecutor executor(&db, config);
+  std::vector<std::shared_ptr<obs::QueryTrace>> traces;
+
+  // The shared WHERE is not boolean: the union scan itself fails.
+  const std::vector<std::string> bad_scan = {
+      "SELECT g, sum(v) AS s FROM f WHERE w GROUP BY g",
+      "SELECT count(*) AS n FROM f WHERE w",
+      "SELECT g, Vpct(v) AS p FROM f WHERE w GROUP BY g",
+  };
+  std::vector<Result<Table>> got =
+      RunTracedBatch(&executor, bad_scan, MqoMode::kOn, &traces);
+  for (size_t i = 0; i < bad_scan.size(); ++i) {
+    SCOPED_TRACE(bad_scan[i]);
+    const Result<Table> want = solo(bad_scan[i]);
+    ASSERT_FALSE(want.ok());
+    ASSERT_FALSE(got[i].ok());
+    EXPECT_EQ(ErrorHead(got[i].status()), ErrorHead(want.status()));
+  }
+  EXPECT_EQ(executor.mqo_gate().queries_batched(), 0u);
+
+  // The scan succeeds; one member's HAVING fails on its own rows.
+  const std::vector<std::string> bad_tail = {
+      "SELECT g, sum(v) AS s FROM f GROUP BY g ORDER BY g",
+      "SELECT g, sum(v) AS s, avg(v) AS a FROM f GROUP BY g HAVING a AND s > 0",
+      "SELECT count(*) AS n, sum(v) AS s FROM f",
+  };
+  got = RunTracedBatch(&executor, bad_tail, MqoMode::kOn, &traces);
+  EXPECT_EQ(executor.mqo_gate().queries_batched(), bad_tail.size());
+  for (size_t i = 0; i < bad_tail.size(); ++i) {
+    SCOPED_TRACE(bad_tail[i]);
+    const Result<Table> want = solo(bad_tail[i]);
+    ASSERT_EQ(got[i].ok(), want.ok()) << got[i].status().ToString();
+    if (want.ok()) {
+      EXPECT_EQ(FormatCsv(*got[i]), FormatCsv(*want));
+    } else {
+      EXPECT_EQ(ErrorHead(got[i].status()), ErrorHead(want.status()));
+    }
+  }
+  EXPECT_FALSE(solo(bad_tail[1]).ok());
 }
 
 }  // namespace

@@ -210,6 +210,30 @@ TEST(ParallelOpsDispatch, EveryRowRunsExactlyOnce) {
   }
 }
 
+// RunMorsels reports the workers that ran at least one morsel (a trace's
+// workers=), not the ones it planned: a helper the pool never started
+// before the morsels ran out is not counted.
+TEST(ParallelOpsDispatch, ReportsTheWorkersThatRan) {
+  EXPECT_EQ(RunMorsels(MorselPlan::For(0, 4), [](size_t, size_t, size_t) {}),
+            0u);
+  EXPECT_EQ(RunMorsels(MorselPlan::For(1000, 1, 10),
+                       [](size_t, size_t, size_t) {}),
+            1u);
+  for (size_t dop : {2, 4, 8}) {
+    MorselPlan plan = MorselPlan::For(20000, dop, 100);
+    std::vector<std::atomic<int>> ran(plan.num_workers);
+    const size_t reported =
+        RunMorsels(plan, [&](size_t worker, size_t, size_t) {
+          ran[worker].store(1);
+        });
+    size_t distinct = 0;
+    for (const std::atomic<int>& r : ran) distinct += r.load();
+    EXPECT_EQ(reported, distinct) << "dop " << dop;
+    EXPECT_GE(reported, 1u);
+    EXPECT_LE(reported, plan.num_workers);
+  }
+}
+
 // A dispatch from inside a pool task must not deadlock even when every pool
 // worker is itself dispatching (the caller self-drains its morsels).
 TEST(ParallelOpsDispatch, NestedDispatchFromPoolTasksDoesNotDeadlock) {
