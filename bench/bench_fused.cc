@@ -12,8 +12,9 @@
 //      across CI hardware. The DOP=1 row doubles as the regression guard
 //      (dop1_regression_pct must stay <= 5: fusing must never lose to
 //      materializing serially).
-//   2. End-to-end Vpct / Hpct queries through PctDatabase::Query with
-//      ExecutionMode::kFused vs kMaterialized at each DOP.
+//   2. End-to-end Vpct / Hpct queries at each DOP: the partial path
+//      (PctDatabase::QueryPartial) vs the materialized plan the advisor
+//      picks at that DOP, forced through QueryOptions.
 //
 // Scaling soft-check: the fused kernel at DOP=4 must not be slower than its
 // own DOP=1 by more than 15% — MorselPlan::Auto clamps workers to the cores
@@ -36,6 +37,7 @@
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "core/advisor.h"
 #include "core/database.h"
 #include "engine/aggregate.h"
 #include "engine/pipeline.h"
@@ -47,7 +49,6 @@ namespace {
 using pctagg::AggFunc;
 using pctagg::AggSpec;
 using pctagg::Col;
-using pctagg::ExecutionMode;
 using pctagg::ExprPtr;
 using pctagg::Lit;
 using pctagg::PctDatabase;
@@ -117,32 +118,53 @@ double FusedAggregateMs(const Table& t, size_t dop, size_t* out_groups) {
 struct BenchQuery {
   const char* name;
   const char* sql;
-  ExecutionMode mode;
+  bool partial;  // the partial path; else the advisor's materialized pick
 };
 
 constexpr BenchQuery kQueries[] = {
     {"vpct_fused",
      "SELECT monthNo, dweek, Vpct(salesAmt BY dweek) AS pct FROM sales "
      "GROUP BY monthNo, dweek",
-     ExecutionMode::kFused},
+     true},
     {"vpct_materialized",
      "SELECT monthNo, dweek, Vpct(salesAmt BY dweek) AS pct FROM sales "
      "GROUP BY monthNo, dweek",
-     ExecutionMode::kMaterialized},
+     false},
     {"hpct_fused",
-     "SELECT store, Hpct(salesAmt BY dweek) FROM sales GROUP BY store",
-     ExecutionMode::kFused},
+     "SELECT store, Hpct(salesAmt BY dweek) FROM sales GROUP BY store", true},
     {"hpct_materialized",
-     "SELECT store, Hpct(salesAmt BY dweek) FROM sales GROUP BY store",
-     ExecutionMode::kMaterialized},
+     "SELECT store, Hpct(salesAmt BY dweek) FROM sales GROUP BY store", false},
 };
+
+// Forces the materialized plan the advisor picks for `sql` at `dop`: the
+// plan the partial path is priced against.
+void ForceAdvisedPlan(const PctDatabase& db, const char* sql, size_t dop,
+                      QueryOptions* options) {
+  Result<pctagg::AnalyzedQuery> query = db.PrepareQuery(sql);
+  Result<pctagg::PlannerStats> stats =
+      query.ok() ? db.PlannerStatistics(query->table_name)
+                 : Result<pctagg::PlannerStats>(query.status());
+  if (!stats.ok()) {
+    std::fprintf(stderr, "benchmark query failed to plan: %s\n%s\n",
+                 stats.status().ToString().c_str(), sql);
+    std::abort();
+  }
+  pctagg::StrategyAdvisor advisor;
+  if (query->query_class == pctagg::QueryClass::kVpct) {
+    options->vpct_strategy = advisor.AdviseVpct(*stats, *query, dop);
+  } else {
+    options->horizontal_strategy =
+        advisor.AdviseHorizontal(*stats, *query, dop);
+  }
+}
 
 double QueryMs(const PctDatabase& db, const BenchQuery& q, size_t dop) {
   QueryOptions options;
   options.degree_of_parallelism = dop;
-  options.execution = q.mode;
+  if (!q.partial) ForceAdvisedPlan(db, q.sql, dop, &options);
   pctagg::Stopwatch timer;
-  Result<Table> r = db.Query(q.sql, options);
+  Result<Table> r = q.partial ? db.QueryPartial(q.sql, options)
+                              : db.Query(q.sql, options);
   double ms = timer.ElapsedMillis();
   if (!r.ok() || r.value().num_rows() == 0) {
     std::fprintf(stderr, "benchmark query failed: %s\n%s\n",
@@ -213,7 +235,7 @@ int main(int argc, char** argv) {
   // Regression guard: fusing must not lose to materializing at DOP=1.
   double dop1_regression_pct = (dop1_ms - seed_ms) / seed_ms * 100.0;
 
-  // --- End-to-end queries per DOP, fused vs materialized dispatch.
+  // --- End-to-end queries per DOP, partial path vs the advised plan.
   std::string query_json;
   for (size_t qi = 0; qi < sizeof(kQueries) / sizeof(kQueries[0]); ++qi) {
     const BenchQuery& q = kQueries[qi];

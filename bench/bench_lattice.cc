@@ -87,13 +87,12 @@ std::vector<std::string> SingleLevelSqls() {
 double QueriesMs(const PctDatabase& db, const std::vector<std::string>& sqls,
                  size_t dop, size_t* out_rows) {
   QueryOptions options;
-  options.execution = pctagg::ExecutionMode::kFused;
   options.use_summary_cache = false;
   options.degree_of_parallelism = dop;
   *out_rows = 0;
   pctagg::Stopwatch timer;
   for (const std::string& sql : sqls) {
-    Result<Table> r = db.Query(sql, options);
+    Result<Table> r = db.QueryPartial(sql, options);
     if (!r.ok()) {
       std::fprintf(stderr, "query failed: %s: %s\n", sql.c_str(),
                    r.status().ToString().c_str());

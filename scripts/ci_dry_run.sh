@@ -111,11 +111,15 @@ run_job "bench smoke (mqo)" bench_smoke bench_mqo BENCH_mqo.json PCTAGG_MQO_BENC
 
 # --- EXPLAIN ANALYZE samples -------------------------------------------------
 note "EXPLAIN ANALYZE samples"
-# One file per sample, so every assert reads one plan (mirrors ci.yml).
+# One file per sample, so every assert reads one plan, with the sample's
+# plain EXPLAIN beside it (mirrors ci.yml).
 explain_sample() {
   printf '.gen sales sales 100000\nEXPLAIN ANALYZE %s;\n.quit\n' "$2" |
     build-ci-gcc-release/tools/pctagg_shell > "bench-artifacts/explain_$1.txt"
+  printf '.gen sales sales 100000\nEXPLAIN %s;\n.quit\n' "$2" |
+    build-ci-gcc-release/tools/pctagg_shell > "bench-artifacts/plain_explain_$1.txt"
 }
+explain_scan() { grep -o "fused-scan: [^']*" "$1"; }
 explain_samples_ok() {
   local s
   for s in vpct hpct cube filtered; do
@@ -123,7 +127,16 @@ explain_samples_ok() {
   done
   [ "$(grep -c 'lattice-rollup:' bench-artifacts/explain_cube.txt)" -eq 7 ] &&
     [ "$(cat bench-artifacts/explain_*.txt | grep -c 'fused mask')" -eq 1 ] &&
-    [ "$(cat bench-artifacts/explain_*.txt | grep -cE "^' *filter' *$")" -eq 0 ]
+    [ "$(cat bench-artifacts/explain_*.txt | grep -cE "^' *filter' *$")" -eq 0 ] ||
+    return 1
+  # Plain EXPLAIN prints the plan that runs: one scan line per sample, whose
+  # partial SELECT is the executed fused scan's, and the CUBE's 7 rollups.
+  for s in vpct hpct cube filtered; do
+    [ "$(grep -c 'fused-scan:' "bench-artifacts/plain_explain_$s.txt")" -eq 1 ] &&
+      [ "$(explain_scan "bench-artifacts/plain_explain_$s.txt")" = \
+        "$(explain_scan "bench-artifacts/explain_$s.txt")" ] || return 1
+  done
+  [ "$(grep -c 'lattice-rollup:' bench-artifacts/plain_explain_cube.txt)" -eq 7 ]
 }
 if cmake --build build-ci-gcc-release -j"$JOBS" --target pctagg_shell &&
    mkdir -p bench-artifacts &&
@@ -132,7 +145,7 @@ if cmake --build build-ci-gcc-release -j"$JOBS" --target pctagg_shell &&
    explain_sample cube 'SELECT monthNo, dweek, store, Vpct(salesAmt BY dweek) AS pct, sum(salesAmt) AS s FROM sales GROUP BY CUBE(monthNo, dweek, store)' &&
    explain_sample filtered 'SELECT state, sum(salesAmt) AS s, count(*) AS n FROM sales WHERE monthNo <= 6 GROUP BY state' &&
    explain_samples_ok; then
-  echo "[explain samples] OK (one fused scan per sample; the CUBE's feeds all 7 rollup levels; the filtered GROUP BY is one fused mask scan)"
+  echo "[explain samples] OK (one fused scan per sample; the CUBE's feeds all 7 rollup levels; the filtered GROUP BY is one fused mask scan; plain EXPLAIN lists the same scan and rollups)"
 else
   echo "[explain samples] FAILED"
   FAILED+=("explain samples")

@@ -2,33 +2,46 @@
 
 #include <algorithm>
 
-#include "core/cost_model.h"
-
 namespace pctagg {
+
+const AnalyzedTerm* FirstByTerm(const AnalyzedQuery& query) {
+  for (const AnalyzedTerm& t : query.terms) {
+    if (t.has_by) return &t;
+  }
+  return nullptr;
+}
+
+Result<FactStats> EstimateQueryStats(const PlannerStats& fact,
+                                     const AnalyzedQuery& query) {
+  const AnalyzedTerm* term = FirstByTerm(query);
+  const std::vector<std::string> by =
+      term != nullptr ? term->by_columns : std::vector<std::string>{};
+  if (query.query_class == QueryClass::kVpct) {
+    return CostModel().EstimateStats(fact, query.group_by, by, /*by=*/{});
+  }
+  if (term == nullptr) return Status::NotFound("no BY term to price");
+  std::vector<std::string> full_group = query.group_by;
+  full_group.insert(full_group.end(), by.begin(), by.end());
+  return CostModel().EstimateStats(fact, full_group, query.group_by, by);
+}
 
 VpctStrategy StrategyAdvisor::AdviseVpct(const PlannerStats& fact,
                                          const AnalyzedQuery& query,
                                          size_t dop) const {
-  if (dop > 1) {
+  Result<FactStats> stats = EstimateQueryStats(fact, query);
+  return AdviseVpct(
+      stats.ok() && FirstByTerm(query) != nullptr ? &stats.value() : nullptr,
+      dop);
+}
+
+VpctStrategy StrategyAdvisor::AdviseVpct(const FactStats* stats,
+                                         size_t dop) const {
+  if (dop > 1 && stats != nullptr) {
     // Parallel scans change the trade-offs Table 4 was measured under, so
     // rank the strategy space with the dop-aware cost model instead.
-    const AnalyzedTerm* term = nullptr;
-    for (const AnalyzedTerm& t : query.terms) {
-      if (t.has_by) {
-        term = &t;
-        break;
-      }
-    }
-    if (term != nullptr) {
-      CostModel model;
-      Result<FactStats> stats = model.EstimateStats(
-          fact, query.group_by, term->by_columns, /*by=*/{});
-      if (stats.ok()) {
-        FactStats s = stats.value();
-        s.dop = static_cast<double>(dop);
-        return model.PickVpct(s);
-      }
-    }
+    FactStats s = *stats;
+    s.dop = static_cast<double>(dop);
+    return CostModel().PickVpct(s);
   }
   // Table 4's winner in every configuration: create matching indexes on the
   // common subkey, compute Fj from Fk (sum() is distributive) and produce FV
@@ -38,7 +51,27 @@ VpctStrategy StrategyAdvisor::AdviseVpct(const PlannerStats& fact,
 
 HorizontalStrategy StrategyAdvisor::AdviseHorizontal(
     const PlannerStats& fact, const AnalyzedQuery& query, size_t dop) const {
-  if (dop > 1) return AdviseHorizontalByCost(fact, query, dop);
+  Result<FactStats> stats = EstimateQueryStats(fact, query);
+  return AdviseHorizontal(fact, query, stats.ok() ? &stats.value() : nullptr,
+                          dop);
+}
+
+HorizontalStrategy StrategyAdvisor::AdviseHorizontal(
+    const PlannerStats& fact, const AnalyzedQuery& query,
+    const FactStats* stats, size_t dop) const {
+  if (dop > 1 && stats != nullptr) {
+    // Cost-model-driven choice (paper future work: characterize strategies
+    // with cost models) with dop-scaled scans.
+    FactStats s = *stats;
+    s.dop = static_cast<double>(dop);
+    HorizontalStrategy strategy = CostModel().PickHorizontal(s);
+    // DISTINCT terms still require a direct strategy.
+    const AnalyzedTerm* term = FirstByTerm(query);
+    if (term != nullptr && term->distinct) {
+      strategy.method = HorizontalMethod::kCaseDirect;
+    }
+    return strategy;
+  }
   HorizontalStrategy strategy;
   strategy.method = HorizontalMethod::kCaseDirect;  // CASE always beats SPJ
 
@@ -69,79 +102,6 @@ HorizontalStrategy StrategyAdvisor::AdviseHorizontal(
     }
   }
   return strategy;
-}
-
-HorizontalStrategy StrategyAdvisor::AdviseHorizontalByCost(
-    const PlannerStats& fact, const AnalyzedQuery& query, size_t dop) const {
-  const AnalyzedTerm* term = nullptr;
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.has_by) {
-      term = &t;
-      break;
-    }
-  }
-  if (term == nullptr) return AdviseHorizontal(fact, query);
-  CostModel model;
-  std::vector<std::string> full_group = query.group_by;
-  full_group.insert(full_group.end(), term->by_columns.begin(),
-                    term->by_columns.end());
-  Result<FactStats> stats =
-      model.EstimateStats(fact, full_group, query.group_by, term->by_columns);
-  if (!stats.ok()) return AdviseHorizontal(fact, query);
-  FactStats s = stats.value();
-  s.dop = static_cast<double>(dop < 1 ? 1 : dop);
-  HorizontalStrategy strategy = model.PickHorizontal(s);
-  // DISTINCT terms still require a direct strategy.
-  if (term->distinct) strategy.method = HorizontalMethod::kCaseDirect;
-  return strategy;
-}
-
-bool StrategyAdvisor::AdviseVpctFused(const PlannerStats& fact,
-                                      const AnalyzedQuery& query,
-                                      size_t dop) const {
-  if (fact.rows() < kFusedMinRows) return false;
-  const AnalyzedTerm* term = nullptr;
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.has_by) {
-      term = &t;
-      break;
-    }
-  }
-  CostModel model;
-  Result<FactStats> stats = model.EstimateStats(
-      fact, query.group_by,
-      term != nullptr ? term->by_columns : std::vector<std::string>{},
-      /*by=*/{});
-  if (!stats.ok()) return false;
-  FactStats s = stats.value();
-  s.dop = static_cast<double>(dop < 1 ? 1 : dop);
-  const VpctStrategy materialized = AdviseVpct(fact, query, dop);
-  return model.FusedVpctCost(s) < model.VpctCost(s, materialized);
-}
-
-bool StrategyAdvisor::AdviseHorizontalFused(const PlannerStats& fact,
-                                            const AnalyzedQuery& query,
-                                            size_t dop) const {
-  if (fact.rows() < kFusedMinRows) return false;
-  const AnalyzedTerm* term = nullptr;
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.has_by) {
-      term = &t;
-      break;
-    }
-  }
-  if (term == nullptr) return false;
-  CostModel model;
-  std::vector<std::string> full_group = query.group_by;
-  full_group.insert(full_group.end(), term->by_columns.begin(),
-                    term->by_columns.end());
-  Result<FactStats> stats =
-      model.EstimateStats(fact, full_group, query.group_by, term->by_columns);
-  if (!stats.ok()) return false;
-  FactStats s = stats.value();
-  s.dop = static_cast<double>(dop < 1 ? 1 : dop);
-  const HorizontalStrategy materialized = AdviseHorizontal(fact, query, dop);
-  return model.FusedHorizontalCost(s) < model.HorizontalCost(s, materialized);
 }
 
 }  // namespace pctagg

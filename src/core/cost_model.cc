@@ -203,37 +203,6 @@ double CostModel::MqoBatchCost(const FactStats& stats, double num_queries,
   return cost;
 }
 
-Result<std::vector<double>> CostModel::EstimateLatticeLevelRows(
-    const PlannerStats& table, const AnalyzedQuery& query) const {
-  std::vector<std::string> by;
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.func != TermFunc::kScalar && t.func != TermFunc::kGrouping &&
-        t.func != TermFunc::kVpct && t.has_by) {
-      by = t.by_columns;
-      break;
-    }
-  }
-  std::vector<double> rows;
-  rows.reserve(query.grouping_sets.size() + 1);
-  bool has_finest = false;
-  for (const std::vector<std::string>& level : query.grouping_sets) {
-    std::vector<std::string> cols = level;
-    cols.insert(cols.end(), by.begin(), by.end());
-    PCTAGG_ASSIGN_OR_RETURN(double card, table.ComboCardinality(cols));
-    rows.push_back(card);
-    has_finest = has_finest || level.size() == query.group_by.size();
-  }
-  if (!has_finest) {
-    std::vector<std::string> cols = query.group_by;
-    cols.insert(cols.end(), by.begin(), by.end());
-    PCTAGG_ASSIGN_OR_RETURN(double card, table.ComboCardinality(cols));
-    rows.push_back(card);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](double a, double b) { return a > b; });
-  return rows;
-}
-
 double CostModel::DeltaMergeCost(double delta_rows, double summary_rows,
                                  double dop) const {
   dop = std::max(1.0, dop);

@@ -104,20 +104,12 @@ class CostModel {
   double FusedHorizontalCost(const FactStats& stats) const;
 
   // Grouping-set lattices (core/partial_plan.h). `level_rows` is the
-  // estimated result cardinality of each lattice level, sorted descending
-  // with the finest level first (the shape EstimateLatticeLevelRows
-  // returns): one fused pass of F builds the finest level, and every coarser
-  // level re-aggregates at most |finest| partial rows.
+  // estimated result cardinality of each lattice level (EstimateLevelRows),
+  // sorted descending with the finest level first: one fused pass of F
+  // builds the finest level, and every coarser level re-aggregates at most
+  // |finest| partial rows.
   double LatticeSharedCost(const FactStats& stats,
                            const std::vector<double>& level_rows) const;
-
-  // Estimated result cardinality of every lattice level of `query`
-  // (grouping sets already expanded by the analyzer), sorted descending with
-  // the finest level first; includes the synthetic finest level when the
-  // union itself was not requested. For horizontal queries the single BY
-  // term's columns join every level (the lattice aggregates at level ∪ BY).
-  Result<std::vector<double>> EstimateLatticeLevelRows(
-      const PlannerStats& table, const AnalyzedQuery& query) const;
 
   // Sharded scatter/gather execution (src/dist/). Each of `num_shards`
   // workers scans its rows/num_shards share at `shard_dop` and ships a

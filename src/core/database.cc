@@ -7,6 +7,7 @@
 #include "core/cost_model.h"
 #include "core/olap_planner.h"
 #include "core/partial_plan.h"
+#include "core/select_plan.h"
 #include "engine/aggregate.h"
 #include "engine/csv.h"
 #include "engine/merge.h"
@@ -69,155 +70,6 @@ Result<Table> ApplyTail(Table table, const AnalyzedQuery& query) {
   return table;
 }
 
-// Human name of an executed Vpct configuration, mirroring the Table 4 knobs.
-std::string VpctStrategyName(const VpctStrategy& s) {
-  std::string name = s.fj_from_fk ? "Fj-from-Fk" : "Fj-from-F";
-  name += s.insert_result ? "+INSERT" : "+UPDATE";
-  if (!s.matching_indexes) name += "+mismatched-indexes";
-  if (s.fj_from_fk && s.lattice_reuse) name += "+lattice";
-  return name;
-}
-
-// First term with a BY list (the one the advisor's estimates key off).
-const AnalyzedTerm* FirstByTerm(const AnalyzedQuery& query) {
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.has_by) return &t;
-  }
-  return nullptr;
-}
-
-// Records the planning metadata EXPLAIN ANALYZE audits for a Vpct query:
-// executed strategy, cost-model prediction per candidate (chosen marked),
-// predicted |Fk|.
-void FillVpctTrace(obs::QueryTrace* trace, const PlannerStats& fact,
-                   const AnalyzedQuery& query, const VpctStrategy& strategy,
-                   bool olap_baseline, bool forced, size_t dop,
-                   bool fused_candidate = false, bool fused_chosen = false) {
-  trace->strategy =
-      olap_baseline ? "OLAP-window" : VpctStrategyName(strategy);
-  trace->strategy_source = forced ? "forced" : "advisor";
-  const AnalyzedTerm* term = FirstByTerm(query);
-  CostModel model;
-  Result<FactStats> stats = model.EstimateStats(
-      fact, query.group_by,
-      term != nullptr ? term->by_columns : std::vector<std::string>{},
-      /*by=*/{});
-  if (!stats.ok()) return;
-  FactStats s = stats.value();
-  s.dop = static_cast<double>(dop < 1 ? 1 : dop);
-  trace->predicted_group_rows = s.group_cardinality;
-  auto add_candidate = [&](const char* name, bool fj_from_fk,
-                           bool insert_result) {
-    VpctStrategy candidate = strategy;
-    candidate.fj_from_fk = fj_from_fk;
-    candidate.insert_result = insert_result;
-    bool chosen = !fused_chosen && !olap_baseline &&
-                  strategy.fj_from_fk == fj_from_fk &&
-                  strategy.insert_result == insert_result;
-    trace->predicted_costs.push_back(
-        {name, model.VpctCost(s, candidate), chosen});
-  };
-  add_candidate("Fj-from-Fk+INSERT", true, true);
-  add_candidate("Fj-from-F+INSERT", false, true);
-  add_candidate("Fj-from-Fk+UPDATE", true, false);
-  trace->predicted_costs.push_back(
-      {"OLAP-window", model.OlapCost(s), olap_baseline});
-  // The fused pipeline competes only on the advisor path; a forced strategy
-  // keeps the original four-candidate audit the goldens pin.
-  if (fused_candidate) {
-    trace->predicted_costs.push_back(
-        {"fused-pipeline", model.FusedVpctCost(s), fused_chosen});
-  }
-}
-
-// Same for a horizontal query: the four SIGMOD Table 5 / DMKD Table 3
-// methods ranked by the model, predicted |FV|.
-void FillHorizontalTrace(obs::QueryTrace* trace, const PlannerStats& fact,
-                         const AnalyzedQuery& query,
-                         const HorizontalStrategy& strategy, bool forced,
-                         size_t dop, bool fused_candidate = false,
-                         bool fused_chosen = false) {
-  trace->strategy = std::string(HorizontalMethodName(strategy.method)) +
-                    (strategy.hash_dispatch ? "+hash-dispatch" : "+naive-case");
-  trace->strategy_source = forced ? "forced" : "advisor";
-  const AnalyzedTerm* term = FirstByTerm(query);
-  if (term == nullptr) return;
-  std::vector<std::string> full_group = query.group_by;
-  full_group.insert(full_group.end(), term->by_columns.begin(),
-                    term->by_columns.end());
-  CostModel model;
-  Result<FactStats> stats =
-      model.EstimateStats(fact, full_group, query.group_by, term->by_columns);
-  if (!stats.ok()) return;
-  FactStats s = stats.value();
-  s.dop = static_cast<double>(dop < 1 ? 1 : dop);
-  // Predict the cardinality of the first level the plan materializes, so the
-  // "actual" read off the executed trace compares like with like: direct
-  // methods aggregate straight to the result level D1..Dj, the from-FV
-  // methods materialize FV at D1..Dj ∪ BY first.
-  bool from_fv = strategy.method == HorizontalMethod::kCaseFromFV ||
-                 strategy.method == HorizontalMethod::kSpjFromFV;
-  // The fused pipeline materializes FVh (GROUP BY ∪ BY) first, like the
-  // from-FV methods.
-  trace->predicted_group_rows = from_fv || fused_chosen
-                                    ? s.group_cardinality
-                                    : s.totals_cardinality;
-  for (HorizontalMethod method :
-       {HorizontalMethod::kCaseDirect, HorizontalMethod::kCaseFromFV,
-        HorizontalMethod::kSpjDirect, HorizontalMethod::kSpjFromFV}) {
-    HorizontalStrategy candidate = strategy;
-    candidate.method = method;
-    trace->predicted_costs.push_back({HorizontalMethodName(method),
-                                      model.HorizontalCost(s, candidate),
-                                      !fused_chosen &&
-                                          method == strategy.method});
-  }
-  if (fused_candidate) {
-    trace->predicted_costs.push_back(
-        {"fused-pipeline", model.FusedHorizontalCost(s), fused_chosen});
-  }
-}
-
-// Planning metadata for a grouping-set lattice query: the shared-scan
-// rollup priced by the model, predicted finest-level cardinality.
-void FillLatticeTrace(obs::QueryTrace* trace, const PlannerStats& fact,
-                      const AnalyzedQuery& query, size_t dop) {
-  trace->strategy = "lattice-shared";
-  trace->strategy_source = "n/a";
-  CostModel model;
-  Result<std::vector<double>> level_rows =
-      model.EstimateLatticeLevelRows(fact, query);
-  Result<FactStats> stats =
-      model.EstimateStats(fact, query.group_by, /*totals_by=*/{}, /*by=*/{});
-  if (!level_rows.ok() || !stats.ok()) return;
-  FactStats s = stats.value();
-  s.dop = static_cast<double>(dop < 1 ? 1 : dop);
-  trace->predicted_group_rows =
-      level_rows.value().empty() ? s.group_cardinality : level_rows.value()[0];
-  trace->predicted_costs.push_back(
-      {"lattice-shared", model.LatticeSharedCost(s, level_rows.value()),
-       true});
-}
-
-// The partial path (core/partial_plan.h): finest-level partials from the
-// summary cache or one fused scan, rolled up and assembled, then the tail.
-Result<Table> AnswerFromPartials(const AnalyzedQuery& query, const Table& fact,
-                                 SummaryCache* summaries,
-                                 obs::QueryTrace* trace, size_t dop) {
-  PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
-  PCTAGG_ASSIGN_OR_RETURN(
-      std::shared_ptr<const Table> finest,
-      FinestPartials(query.table_name, query.where, plan.finest_cols,
-                     plan.partials, fact, summaries, trace, dop));
-  if (trace != nullptr) {
-    trace->actual_group_rows = static_cast<double>(finest->num_rows());
-  }
-  PCTAGG_ASSIGN_OR_RETURN(
-      Table out,
-      AssembleFromPartials(plan, std::move(finest), summaries, trace, dop));
-  return ApplyTail(std::move(out), query);
-}
-
 // Append-path delta-maintenance counters (process-wide, like the summary
 // cache's own counters in core/summary_cache.cc).
 obs::Counter& DeltaMergeCounter() {
@@ -236,22 +88,6 @@ obs::Counter& DeltaRowsCounter() {
   static obs::Counter& c = obs::GlobalMetrics().GetCounter(
       "pctagg_summary_delta_rows_total", "Rows appended through AppendRows");
   return c;
-}
-
-// Renders multi-line text as the single-column "plan" table every surface
-// (CSV, wire protocol, shell) prints without special casing.
-Table TextToPlanTable(const std::string& text) {
-  Schema schema;
-  schema.AddColumn({"plan", DataType::kString});
-  Table out(schema);
-  size_t begin = 0;
-  while (begin < text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    out.mutable_column(0).AppendString(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
 }
 
 // One-row result of an append statement.
@@ -324,138 +160,67 @@ Result<Table> PctDatabase::Query(const std::string& sql,
         "INSERT/COPY are write statements; run them through Execute()");
   }
   if (stmt_kind.explain) {
-    Result<std::string> text = stmt_kind.analyze
-                                   ? ExplainAnalyze(stmt_kind.select_sql,
-                                                    options)
-                                   : Explain(stmt_kind.select_sql);
+    Result<std::string> text =
+        stmt_kind.analyze ? ExplainAnalyze(stmt_kind.select_sql, options)
+                          : Explain(stmt_kind.select_sql, options);
     if (!text.ok()) return text.status();
     return TextToPlanTable(*text);
   }
-
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  return Select(query, sql, options, /*partial_forced=*/false);
+}
+
+Result<Table> PctDatabase::QueryPartial(const std::string& sql,
+                                        const QueryOptions& options) const {
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  std::string why;
+  if (!PartialPlanSupported(query, &why)) {
+    return Status::InvalidArgument("no partial plan: " + why);
+  }
+  return Select(query, sql, options, /*partial_forced=*/true);
+}
+
+Result<Table> PctDatabase::Select(const AnalyzedQuery& query,
+                                  const std::string& sql,
+                                  const QueryOptions& options,
+                                  bool partial_forced) const {
   bool use_cache = options.use_summary_cache.value_or(summary_cache_enabled_);
   // Engine kernels called anywhere below this frame (planner steps run
   // synchronously on this thread) pick the knob up via CurrentDop().
   ScopedParallelism parallelism(options.degree_of_parallelism);
   const size_t dop = CurrentDop();
-  obs::QueryTrace* trace = options.trace;
-  if (trace != nullptr) {
-    trace->query_class = QueryClassName(query.query_class);
-  }
   PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                           catalog_.GetTable(query.table_name));
-  std::string why;
-  const bool partial_ok = PartialPlanSupported(query, &why);
-  // Every branch either returns a materialized answer or falls through to
-  // the one partial path below.
-  if (query.has_grouping_sets) {
-    // The partial path is the only evaluator for CUBE/ROLLUP/GROUPING SETS.
-    if (!partial_ok) return Status::InvalidArgument("grouping sets: " + why);
-    if (trace != nullptr) {
-      FillLatticeTrace(trace, StatsOf(query.table_name, *fact), query, dop);
-    }
-  } else {
-    switch (query.query_class) {
-      case QueryClass::kProjection:
-      case QueryClass::kVertical: {
-        if (trace != nullptr) {
-          trace->strategy = "direct";
-          trace->strategy_source = "n/a";
-        }
-        if (partial_ok) break;
-        obs::TraceNode* node =
-            trace != nullptr ? trace->root().AddChild("select", sql) : nullptr;
-        obs::ScopedTraceNode scope(node);
-        PCTAGG_ASSIGN_OR_RETURN(Table out, EvaluateSimple(&catalog_, query));
-        return ApplyTail(std::move(out), query);
-      }
-      case QueryClass::kVpct: {
-        const PlannerStats stats = StatsOf(query.table_name, *fact);
-        // The partial path runs only on the advisor path (a forced strategy
-        // or the OLAP baseline is an explicit request for that plan).
-        // SET exec fused forces it past the cost model.
-        const bool forced_strategy =
-            options.vpct_strategy.has_value() || options.olap_baseline;
-        const bool fused =
-            !forced_strategy && partial_ok &&
-            options.execution != ExecutionMode::kMaterialized &&
-            (options.execution == ExecutionMode::kFused ||
-             advisor_.AdviseVpctFused(stats, query, dop));
-        if (fused) {
-          if (trace != nullptr) {
-            FillVpctTrace(trace, stats, query, VpctStrategy{},
-                          /*olap_baseline=*/false, /*forced=*/false, dop,
-                          /*fused_candidate=*/true, /*fused_chosen=*/true);
-            trace->strategy = "fused-pipeline";
-            trace->strategy_source =
-                options.execution == ExecutionMode::kFused ? "forced"
-                                                           : "advisor";
-          }
-          break;
-        }
-        Plan plan;
-        VpctStrategy strategy;
-        if (!options.olap_baseline) {
-          strategy = options.vpct_strategy.has_value()
-                         ? *options.vpct_strategy
-                         : advisor_.AdviseVpct(stats, query, dop);
-          PCTAGG_ASSIGN_OR_RETURN(plan, PlanVpctQuery(query, strategy));
-        } else {
-          PCTAGG_ASSIGN_OR_RETURN(plan, PlanOlapPercentageQuery(query));
-        }
-        if (trace != nullptr) {
-          FillVpctTrace(trace, stats, query, strategy, options.olap_baseline,
-                        forced_strategy, dop,
-                        /*fused_candidate=*/!forced_strategy,
-                        /*fused_chosen=*/false);
-        }
-        return RunPlan(plan, query, use_cache, trace);
-      }
-      case QueryClass::kHorizontal: {
-        const PlannerStats stats = StatsOf(query.table_name, *fact);
-        const bool forced_strategy = options.horizontal_strategy.has_value();
-        const bool fused =
-            !forced_strategy && partial_ok &&
-            options.execution != ExecutionMode::kMaterialized &&
-            (options.execution == ExecutionMode::kFused ||
-             advisor_.AdviseHorizontalFused(stats, query, dop));
-        if (fused) {
-          if (trace != nullptr) {
-            FillHorizontalTrace(trace, stats, query, HorizontalStrategy{},
-                                /*forced=*/false, dop,
-                                /*fused_candidate=*/true,
-                                /*fused_chosen=*/true);
-            trace->strategy = "fused-pipeline";
-            trace->strategy_source =
-                options.execution == ExecutionMode::kFused ? "forced"
-                                                           : "advisor";
-          }
-          break;
-        }
-        const HorizontalStrategy strategy =
-            forced_strategy ? *options.horizontal_strategy
-                            : advisor_.AdviseHorizontal(stats, query, dop);
-        PCTAGG_ASSIGN_OR_RETURN(Plan plan,
-                                PlanHorizontalQuery(query, strategy));
-        if (trace != nullptr) {
-          FillHorizontalTrace(trace, stats, query, strategy, forced_strategy,
-                              dop, /*fused_candidate=*/!forced_strategy,
-                              /*fused_chosen=*/false);
-        }
-        return RunPlan(plan, query, use_cache, trace);
-      }
-      case QueryClass::kWindow: {
-        if (trace != nullptr) {
-          trace->strategy = "OLAP-window";
-          trace->strategy_source = "n/a";
-        }
-        PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanWindowQuery(query));
-        return RunPlan(plan, query, use_cache, trace);
-      }
-    }
+  PCTAGG_ASSIGN_OR_RETURN(
+      SelectPlan plan, PlanSelect(query, StatsOf(query.table_name, *fact),
+                                  options, dop, partial_forced));
+  obs::QueryTrace* trace = options.trace;
+  if (trace != nullptr) static_cast<obs::PlanHeader&>(*trace) = plan.header;
+  if (plan.script()) {
+    PCTAGG_ASSIGN_OR_RETURN(Plan script, BuildScript(query, plan));
+    return RunPlan(script, query, use_cache, trace);
   }
-  return AnswerFromPartials(query, *fact, use_cache ? &summaries_ : nullptr,
-                            trace, dop);
+  if (plan.evaluator == SelectPlan::Evaluator::kProjection) {
+    obs::TraceNode* node =
+        trace != nullptr ? trace->root().AddChild("select", sql) : nullptr;
+    obs::ScopedTraceNode scope(node);
+    PCTAGG_ASSIGN_OR_RETURN(Table out, EvaluateSimple(&catalog_, query));
+    return ApplyTail(std::move(out), query);
+  }
+  // The partial path: finest-level partials from the summary cache or one
+  // fused scan, rolled up and assembled, then the tail.
+  SummaryCache* summaries = use_cache ? &summaries_ : nullptr;
+  PCTAGG_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Table> finest,
+      FinestPartials(query.table_name, query.where, plan.partial->finest_cols,
+                     plan.partial->partials, *fact, summaries, trace, dop));
+  if (trace != nullptr) {
+    trace->actual_group_rows = static_cast<double>(finest->num_rows());
+  }
+  PCTAGG_ASSIGN_OR_RETURN(Table out,
+                          AssembleFromPartials(*plan.partial, std::move(finest),
+                                               summaries, trace, dop));
+  return ApplyTail(std::move(out), query);
 }
 
 Result<std::string> PctDatabase::ExplainAnalyze(
@@ -830,37 +595,44 @@ Result<Table> PctDatabase::Execute(const std::string& sql,
   return AppendOutcomeTable(outcome);
 }
 
-Result<std::string> PctDatabase::Explain(const std::string& sql) const {
+Result<std::string> PctDatabase::Explain(const std::string& sql,
+                                         const QueryOptions& options) const {
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
   PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                           catalog_.GetTable(query.table_name));
   const PlannerStats stats = StatsOf(query.table_name, *fact);
-  if (query.has_grouping_sets) {
-    std::string why;
-    if (!PartialPlanSupported(query, &why)) {
-      return Status::InvalidArgument("grouping sets: " + why);
-    }
-    PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
-    return RenderLatticeScript(plan);
+  // The dop Query would resolve, so the advisor prices the same candidates.
+  ScopedParallelism parallelism(options.degree_of_parallelism);
+  PCTAGG_ASSIGN_OR_RETURN(SelectPlan plan,
+                          PlanSelect(query, stats, options, CurrentDop()));
+  if (plan.script()) {
+    PCTAGG_ASSIGN_OR_RETURN(Plan script, BuildScript(query, plan));
+    return RenderExplain(plan.header, {}, script.ToSql());
   }
-  switch (query.query_class) {
-    case QueryClass::kVpct: {
-      VpctStrategy strategy = advisor_.AdviseVpct(stats, query);
-      PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanVpctQuery(query, strategy));
-      return plan.ToSql();
-    }
-    case QueryClass::kHorizontal: {
-      HorizontalStrategy strategy = advisor_.AdviseHorizontal(stats, query);
-      PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanHorizontalQuery(query, strategy));
-      return plan.ToSql();
-    }
-    default:
-      return std::string("/* evaluated directly, no generated script */\n");
+  if (plan.evaluator == SelectPlan::Evaluator::kProjection) {
+    return RenderExplain(plan.header, {{"select", sql}});
   }
+  std::vector<PlanStep> steps = AssemblySteps(*plan.partial, stats);
+  steps.insert(steps.begin(), FusedScanStep(plan.partial->partial_sql));
+  return RenderExplain(plan.header, steps);
 }
 
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query) {
   return ApplyTail(std::move(table), query);
+}
+
+Table TextToPlanTable(const std::string& text) {
+  Schema schema;
+  schema.AddColumn({"plan", DataType::kString});
+  Table out(schema);
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    out.mutable_column(0).AppendString(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return out;
 }
 
 }  // namespace pctagg

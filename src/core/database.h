@@ -8,7 +8,6 @@
 #include <string>
 
 #include "common/result.h"
-#include "core/advisor.h"
 #include "core/horizontal_planner.h"
 #include "core/table_stats.h"
 #include "core/vpct_planner.h"
@@ -28,20 +27,6 @@ enum class AppendPolicy {
   kRecompute,  // always drop entries (recompute lazily on next lookup)
 };
 
-// Whether percentage queries run through the partial path
-// (core/partial_plan.h: finest-level partials from the cache or one fused
-// scan, rolled up and assembled) or the materialized multi-statement plans.
-// kAuto asks the StrategyAdvisor per query; kFused forces the partial path
-// whenever the query shape supports it (silently falling back otherwise);
-// forcing a Vpct/horizontal strategy or the OLAP baseline always
-// materializes. Plain aggregates and grouping sets always take the partial
-// path.
-enum class ExecutionMode {
-  kAuto,
-  kFused,
-  kMaterialized,
-};
-
 // Whether the server's multi-query batching gate (server/mqo_gate.h;
 // SET mqo in sessions) may merge a statement into a shared scan with
 // concurrently admitted compatible reads (core/mqo_plan.h). kAuto prices
@@ -59,15 +44,13 @@ enum class MqoMode {
 // cache without mutating shared database state.
 struct QueryOptions {
   // Force the Vpct / horizontal evaluation strategy instead of asking the
-  // StrategyAdvisor.
+  // StrategyAdvisor: the paper's materialized plan runs.
   std::optional<VpctStrategy> vpct_strategy;
   std::optional<HorizontalStrategy> horizontal_strategy;
   // Overrides EnableSummaryCache() for this call only.
   std::optional<bool> use_summary_cache;
   // Evaluate a Vpct query through the ANSI OLAP window-function baseline.
   bool olap_baseline = false;
-  // Partial-path dispatch (see ExecutionMode above; SET exec in sessions).
-  ExecutionMode execution = ExecutionMode::kAuto;
   // Multi-query shared-scan batching (see MqoMode above; SET mqo).
   MqoMode mqo = MqoMode::kAuto;
   // Degree of parallelism for the engine's morsel-driven operator kernels
@@ -196,8 +179,8 @@ class PctDatabase {
   // pre-filter once, then run percentage queries against the result.
   Status CreateTableAs(const std::string& name, const std::string& sql);
 
-  // Parses, analyzes, plans (strategies picked by the StrategyAdvisor),
-  // executes and returns the result. Temporary tables are cleaned up.
+  // Parses, analyzes, plans (PlanSelect, core/select_plan.h), executes and
+  // returns the result. Temporary tables are cleaned up.
   //
   // Query is *logically* const and safe to call from many threads at once:
   // every table it materializes has a process-unique temporary name, the
@@ -221,9 +204,19 @@ class PctDatabase {
   // Evaluates a Vpct query through the ANSI OLAP window-function baseline.
   Result<Table> QueryOlapBaseline(const std::string& sql) const;
 
-  // The generated multi-statement SQL script for `sql` under the advised (or
-  // given) strategy, without executing it.
-  Result<std::string> Explain(const std::string& sql) const;
+  // Evaluates `sql` on the partial path (core/partial_plan.h) whatever the
+  // advisor or `options` would pick; InvalidArgument with the support
+  // gate's reason when the query has no partial plan.
+  Result<Table> QueryPartial(const std::string& sql,
+                             const QueryOptions& options) const;
+
+  // Plain EXPLAIN: the plan Query would run for `sql` under `options`
+  // (RenderExplain, core/select_plan.h), without executing it.
+  Result<std::string> Explain(const std::string& sql) const {
+    return Explain(sql, QueryOptions{});
+  }
+  Result<std::string> Explain(const std::string& sql,
+                              const QueryOptions& options) const;
 
   // EXPLAIN ANALYZE: executes `sql` with tracing on and returns the rendered
   // executed plan — strategy chosen (and why: advisor vs forced), cost-model
@@ -241,6 +234,11 @@ class PctDatabase {
                                       const QueryOptions& options);
   Result<AppendOutcome> ExecuteCopy(const std::string& sql,
                                     const QueryOptions& options);
+
+  // Plans `query` with PlanSelect and runs the plan.
+  Result<Table> Select(const AnalyzedQuery& query, const std::string& sql,
+                       const QueryOptions& options,
+                       bool partial_forced) const;
 
   // Shared tail: execute `plan`, pull out the result, drop temps.
   Result<Table> RunPlan(const Plan& plan, const AnalyzedQuery& query,
@@ -262,7 +260,6 @@ class PctDatabase {
   // process-uniquely-named temporaries in the internally synchronized
   // catalog and fills the internally synchronized summary cache.
   mutable Catalog catalog_;
-  StrategyAdvisor advisor_;
   mutable SummaryCache summaries_;
   // One planner-statistics record per base table, keyed by lower-cased name
   // and kept current by the same writers that invalidate summaries_.
@@ -277,6 +274,10 @@ class PctDatabase {
 // which assembles query results outside PctDatabase::Query but must match
 // its tail semantics exactly.
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query);
+
+// Multi-line text as the one-column "plan" table every surface (CSV, wire
+// protocol, shell) prints EXPLAIN output in, one row per line.
+Table TextToPlanTable(const std::string& text);
 
 }  // namespace pctagg
 

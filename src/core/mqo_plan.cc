@@ -103,7 +103,13 @@ void AttachMqoScanTrace(MqoBatchScan* batch, std::string detail,
 
 Result<Table> AnswerMqoMember(const MqoBatchScan& batch, size_t index,
                               obs::QueryTrace* trace, size_t dop) {
-  if (trace != nullptr) trace->root().AddCopy(batch.node);
+  if (trace != nullptr) {
+    trace->query_class =
+        QueryClassName(batch.plan.members[index].query->query_class);
+    trace->strategy = "partial from mqo batch";
+    trace->strategy_source = "mqo-gate";
+    trace->root().AddCopy(batch.node);
+  }
   return AssembleMqoMember(batch.plan, index, *batch.partials, trace, dop);
 }
 

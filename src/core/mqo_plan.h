@@ -92,8 +92,8 @@ void AttachMqoScanTrace(MqoBatchScan* batch, std::string detail,
                         obs::QueryTrace* scan_trace);
 
 // Member `index`'s answer from a published batch with non-null partials:
-// the batch node (with the scan) goes into `trace`, then
-// AssembleMqoMember at the member's own `dop`.
+// the strategy ("partial from mqo batch") and the batch node (with the
+// scan) go into `trace`, then AssembleMqoMember at the member's own `dop`.
 Result<Table> AnswerMqoMember(const MqoBatchScan& batch, size_t index,
                               obs::QueryTrace* trace, size_t dop);
 

@@ -122,6 +122,72 @@ Result<Column> Filled(DataType type, const Value& value, size_t rows) {
   return out;
 }
 
+// The trace nodes AssembleFromPartials opens, one builder per kind, shared
+// with AssemblySteps so plain EXPLAIN lists what the executor runs.
+PlanStep RollupStep(const std::vector<std::string>& cols,
+                    const std::vector<std::string>& from) {
+  return {"lattice",
+          "lattice-rollup: level " + LevelName(cols) + " from " +
+              LevelName(from)};
+}
+
+PlanStep PivotStep(const PartialPlan& plan, size_t level) {
+  const AnalyzedTerm& h = *plan.by_term;
+  const size_t read = plan.reads[&h - plan.query->terms.data()].main;
+  const bool pct = h.func == TermFunc::kHpct;
+  const std::vector<std::string>& cols = plan.levels[level];
+  return {"lattice",
+          "lattice-pivot: level " +
+              LevelName({cols.begin(), cols.end() - h.by_columns.size()}) +
+              " " + AggFuncName(pct ? AggFunc::kSum : plan.combine[read].func) +
+              "(" + plan.partials[read].output_name + ") BY " +
+              Join(h.by_columns, ", ") +
+              (pct ? " percent-of-group-total" : "")};
+}
+
+PlanStep AssembleStep(const PartialPlan& plan) {
+  return {"lattice",
+          StrFormat("lattice-assemble: %zu level(s), %s + GROUPING ids",
+                    plan.emitted_levels,
+                    plan.by_term != nullptr ? "pivot columns"
+                                            : "SELECT-order blocks")};
+}
+
+// Opens the step `make` builds as a top-level node of `trace`; untraced,
+// nothing is built and the node is null.
+template <typename Make>
+obs::TraceNode* OpenStep(obs::QueryTrace* trace, Make make) {
+  if (trace == nullptr) return nullptr;
+  PlanStep step = make();
+  return trace->root().AddChild(std::move(step.label), std::move(step.detail));
+}
+
+// The levels in execution order: the finest first, then by descending
+// width (stable, so statement order among equals).
+std::vector<size_t> LevelOrder(const PartialPlan& plan) {
+  std::vector<size_t> order(plan.levels.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&plan](size_t a, size_t b) {
+    return plan.levels[a].size() > plan.levels[b].size();
+  });
+  return order;
+}
+
+// The computed level (order[0..oi)) that level order[oi] rolls up from: the
+// one with the fewest `rows` whose grouping subsumes it, the finest on ties.
+size_t RollupSource(const PartialPlan& plan, const std::vector<size_t>& order,
+                    size_t oi, const std::vector<double>& rows) {
+  size_t src = order[0];
+  for (size_t pj = 1; pj < oi; ++pj) {
+    const size_t cand = order[pj];
+    if (Subsumes(plan.levels[cand], plan.levels[order[oi]]) &&
+        rows[cand] < rows[src]) {
+      src = cand;
+    }
+  }
+  return src;
+}
+
 // Vertical/Vpct assembly: one block per emitted level with the full
 // SELECT-order schema (grouping columns the level rolled away become NULL,
 // GROUPING() becomes its 0/1 id, Vpct divides against the level's own
@@ -131,15 +197,8 @@ Result<Table> AssembleVertical(
     const std::vector<std::shared_ptr<const Table>>& tables, size_t dop,
     obs::QueryTrace* trace) {
   const AnalyzedQuery& query = *plan.query;
-  obs::TraceNode* node =
-      trace != nullptr
-          ? trace->root().AddChild(
-                "lattice",
-                StrFormat("lattice-assemble: %zu level(s), SELECT-order "
-                          "blocks + GROUPING ids",
-                          plan.emitted_levels))
-          : nullptr;
-  obs::ScopedTraceNode scope(node);
+  obs::ScopedTraceNode scope(
+      OpenStep(trace, [&plan] { return AssembleStep(plan); }));
   obs::OpScope op("assemble");
   Table out;
   for (size_t li = 0; li < plan.emitted_levels; ++li) {
@@ -277,16 +336,8 @@ Result<Table> AssembleHorizontal(
     b.set.assign(plan.levels[li].begin(),
                  plan.levels[li].end() - hterm.by_columns.size());
     {
-      obs::TraceNode* node =
-          trace != nullptr
-              ? trace->root().AddChild(
-                    "lattice",
-                    "lattice-pivot: level " + LevelName(b.set) + " " +
-                        std::string(AggFuncName(popt.func)) + "(" + hcol +
-                        ") BY " + Join(hterm.by_columns, ", ") +
-                        (is_pct ? " percent-of-group-total" : ""))
-              : nullptr;
-      obs::ScopedTraceNode scope(node);
+      obs::ScopedTraceNode scope(
+          OpenStep(trace, [&plan, li] { return PivotStep(plan, li); }));
       PCTAGG_ASSIGN_OR_RETURN(
           b.pivot, HashDispatchPivot(t, b.set, hterm.by_columns, Col(hcol),
                                      popt, dop));
@@ -322,15 +373,8 @@ Result<Table> AssembleHorizontal(
     }
   }
 
-  obs::TraceNode* node =
-      trace != nullptr
-          ? trace->root().AddChild(
-                "lattice",
-                StrFormat("lattice-assemble: %zu level(s), %zu pivot "
-                          "column(s) + GROUPING ids",
-                          plan.emitted_levels, master.size()))
-          : nullptr;
-  obs::ScopedTraceNode scope(node);
+  obs::ScopedTraceNode scope(
+      OpenStep(trace, [&plan] { return AssembleStep(plan); }));
   obs::OpScope op("assemble");
 
   // One block per level, built column-wise in the result's schema: the
@@ -407,11 +451,47 @@ Result<Table> AssembleHorizontal(
     }
   }
   op.SetRows(out.num_rows(), out.num_rows());
-  op.SetDetail("levels=" + std::to_string(plan.emitted_levels));
+  op.SetDetail(StrFormat("levels=%zu pivot_columns=%zu", plan.emitted_levels,
+                         master.size()));
   return out;
 }
 
 }  // namespace
+
+PlanStep FusedScanStep(const std::string& partial_sql) {
+  return {"fused", "fused-scan: " + partial_sql};
+}
+
+std::vector<double> EstimateLevelRows(const PartialPlan& plan,
+                                      const PlannerStats& stats) {
+  std::vector<double> rows;
+  rows.reserve(plan.levels.size());
+  for (const std::vector<std::string>& cols : plan.levels) {
+    // Unknown to the statistics (never, for an analyzed query): at most n.
+    Result<double> card = stats.ComboCardinality(cols);
+    rows.push_back(card.ok() ? card.value() : stats.rows());
+  }
+  return rows;
+}
+
+std::vector<PlanStep> AssemblySteps(const PartialPlan& plan,
+                                    const PlannerStats& stats) {
+  const std::vector<double> rows = EstimateLevelRows(plan, stats);
+  std::vector<PlanStep> steps;
+  const std::vector<size_t> order = LevelOrder(plan);
+  for (size_t oi = 1; oi < order.size(); ++oi) {
+    steps.push_back(RollupStep(plan.levels[order[oi]],
+                               plan.levels[RollupSource(plan, order, oi,
+                                                        rows)]));
+  }
+  if (plan.by_term != nullptr) {
+    for (size_t li = 0; li < plan.emitted_levels; ++li) {
+      steps.push_back(PivotStep(plan, li));
+    }
+  }
+  steps.push_back(AssembleStep(plan));
+  return steps;
+}
 
 bool PartialPlanSupported(const AnalyzedQuery& query, std::string* why) {
   auto fail = [why](const std::string& msg) {
@@ -629,7 +709,7 @@ Result<std::shared_ptr<const Table>> FinestPartials(
       obs::ScopedTraceNode scope(node);
       obs::MarkCacheHit();
       if (trace != nullptr) {
-        trace->strategy = "cache-ancestor";
+        trace->strategy = "partial from cached ancestor";
         trace->strategy_source = "cache";
       }
       // Count the hit and refresh the LRU position of the entry used.
@@ -641,15 +721,15 @@ Result<std::shared_ptr<const Table>> FinestPartials(
     }
   }
 
-  obs::TraceNode* node =
-      trace != nullptr
-          ? trace->root().AddChild(
-                "fused",
-                "fused-scan: " + RenderPartialSelect(cols, partials, table, where))
-          : nullptr;
-  obs::ScopedTraceNode scope(node);
+  obs::ScopedTraceNode scope(OpenStep(trace, [&] {
+    return FusedScanStep(RenderPartialSelect(cols, partials, table, where));
+  }));
   if (cached != nullptr) {
     obs::MarkCacheHit();
+    if (trace != nullptr) {
+      trace->strategy = "partial from cache entry";
+      trace->strategy_source = "cache";
+    }
     return cached;
   }
   PCTAGG_ASSIGN_OR_RETURN(Table t,
@@ -670,24 +750,15 @@ Result<Table> AssembleFromPartials(const PartialPlan& plan,
 
   // Finest first: every coarser level re-aggregates the smallest
   // already-computed level whose grouping subsumes its own.
-  std::vector<size_t> order(plan.levels.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&plan](size_t a, size_t b) {
-    return plan.levels[a].size() > plan.levels[b].size();
-  });
+  const std::vector<size_t> order = LevelOrder(plan);
   std::vector<std::shared_ptr<const Table>> tables(plan.levels.size());
+  std::vector<double> rows(plan.levels.size());
+  rows[order[0]] = static_cast<double>(finest->num_rows());
   tables[order[0]] = std::move(finest);
   for (size_t oi = 1; oi < order.size(); ++oi) {
     const size_t li = order[oi];
     const std::vector<std::string>& cols = plan.levels[li];
-    size_t src = order[0];
-    for (size_t pj = 1; pj < oi; ++pj) {
-      const size_t cand = order[pj];
-      if (Subsumes(plan.levels[cand], cols) &&
-          tables[cand]->num_rows() < tables[src]->num_rows()) {
-        src = cand;
-      }
-    }
+    const size_t src = RollupSource(plan, order, oi, rows);
 
     std::string key;
     uint64_t generation = 0;
@@ -701,52 +772,24 @@ Result<Table> AssembleFromPartials(const PartialPlan& plan,
       if (own_fill) generation = summaries->GenerationFor(query.table_name);
     }
     SummaryCache::ScopedFill fill(own_fill ? summaries : nullptr, key);
-    obs::TraceNode* node =
-        trace != nullptr
-            ? trace->root().AddChild("lattice",
-                                     "lattice-rollup: level " + LevelName(cols) +
-                                         " from " +
-                                         LevelName(plan.levels[src]))
-            : nullptr;
-    obs::ScopedTraceNode scope(node);
+    obs::ScopedTraceNode scope(OpenStep(
+        trace, [&] { return RollupStep(cols, plan.levels[src]); }));
     if (cached != nullptr) {
       obs::MarkCacheHit();
       tables[li] = std::move(cached);
-      continue;
+    } else {
+      PCTAGG_ASSIGN_OR_RETURN(
+          Table t, RollUp(plan.partials, *tables[src], cols, names, dop));
+      if (own_fill) {
+        SummaryRecipe recipe{cols, plan.partials};
+        summaries->Insert(key, t, generation, &recipe);
+      }
+      tables[li] = std::make_shared<const Table>(std::move(t));
     }
-    PCTAGG_ASSIGN_OR_RETURN(
-        Table t, RollUp(plan.partials, *tables[src], cols, names, dop));
-    if (own_fill) {
-      SummaryRecipe recipe{cols, plan.partials};
-      summaries->Insert(key, t, generation, &recipe);
-    }
-    tables[li] = std::make_shared<const Table>(std::move(t));
+    rows[li] = static_cast<double>(tables[li]->num_rows());
   }
   return plan.by_term != nullptr ? AssembleHorizontal(plan, tables, dop, trace)
                                  : AssembleVertical(plan, tables, dop, trace);
-}
-
-std::string RenderLatticeScript(const PartialPlan& plan) {
-  const AnalyzedQuery& query = *plan.query;
-  std::string out = StrFormat(
-      "-- grouping-set lattice: %zu level(s) over union %s; strategy: "
-      "shared-scan rollup\n",
-      plan.emitted_levels, LevelName(query.group_by).c_str());
-  for (const std::vector<std::string>& cols : plan.levels) {
-    if (cols.size() == plan.finest_cols.size()) {
-      out += "scan: " + plan.partial_sql + ";\n";
-    } else {
-      out += "rollup: " +
-             RenderPartialSelect(cols, plan.combine,
-                                 "lattice" + LevelName(plan.finest_cols),
-                                 nullptr) +
-             ";\n";
-    }
-  }
-  out +=
-      "-- assemble: per-level percentages + GROUPING() ids, blocks "
-      "concatenated in statement order\n";
-  return out;
 }
 
 }  // namespace pctagg

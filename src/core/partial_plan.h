@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "core/summary_cache.h"
+#include "core/table_stats.h"
 #include "engine/aggregate.h"
 #include "engine/table.h"
 #include "obs/trace.h"
@@ -89,12 +90,32 @@ struct PartialPlan {
 // no.
 Result<PartialPlan> BuildPartialPlan(const AnalyzedQuery& query);
 
+// One top-level step of the partial path, labelled and described as the
+// trace node the executor opens for it: what plain EXPLAIN lists.
+struct PlanStep {
+  std::string label;
+  std::string detail;
+};
+
+// The local source step: one fused scan computing `partial_sql`.
+PlanStep FusedScanStep(const std::string& partial_sql);
+
+// The estimated rows of every level of `plan`, in plan.levels order.
+std::vector<double> EstimateLevelRows(const PartialPlan& plan,
+                                      const PlannerStats& stats);
+
+// The steps after the source, in execution order: the rollups, the pivots
+// (horizontal), the assembly. A rollup's "from" level is the ancestor with
+// the fewest estimated rows; the executor picks by actual rows.
+std::vector<PlanStep> AssemblySteps(const PartialPlan& plan,
+                                    const PlannerStats& stats);
+
 // `partials` over `table` (filtered by `where`) grouped by `cols`, from the
 // first source that has them: the exact cache entry, a cached ancestor rolled
 // down, or one fused scan of `fact`. Only unfiltered scans consult the cache
 // (`summaries` may be null); a miss fills it single-flight, so N identical
-// concurrent misses run one scan. An answer rolled down from an ancestor is
-// reported as the "cache-ancestor" strategy on `trace`.
+// concurrent misses run one scan. An answer from the cache renames the
+// strategy on `trace` after its source.
 Result<std::shared_ptr<const Table>> FinestPartials(
     const std::string& table, const ExprPtr& where,
     const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
@@ -125,10 +146,6 @@ Result<Table> AssembleFromPartials(const PartialPlan& plan,
                                    std::shared_ptr<const Table> finest,
                                    SummaryCache* summaries,
                                    obs::QueryTrace* trace, size_t dop);
-
-// Human-readable script of a grouping-set plan for plain EXPLAIN: the finest
-// scan, one rollup per coarser level, and the assembly note.
-std::string RenderLatticeScript(const PartialPlan& plan);
 
 }  // namespace pctagg
 

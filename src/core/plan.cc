@@ -8,6 +8,22 @@
 
 namespace pctagg {
 
+std::string StatementLabel(const std::string& sql) {
+  // The leading SQL keyword, skipping any /* annotation */ prefix.
+  std::string_view sql_view = sql;
+  if (sql_view.substr(0, 2) == "/*") {
+    size_t close = sql_view.find("*/");
+    if (close != std::string_view::npos) sql_view.remove_prefix(close + 2);
+    while (!sql_view.empty() && sql_view.front() == ' ') {
+      sql_view.remove_prefix(1);
+    }
+  }
+  std::string label(sql_view.substr(0, sql_view.find_first_of(" \n")));
+  for (char& c : label) c = static_cast<char>(std::tolower(c));
+  if (label.empty()) label = "statement";  // comment-only annotation step
+  return label;
+}
+
 void Plan::AddStep(std::string sql, StepFn run) {
   steps_.push_back({std::move(sql), std::move(run)});
 }
@@ -28,25 +44,10 @@ Status Plan::Execute(Catalog* catalog, SummaryCache* summaries,
   for (const Step& step : steps_) {
     Status s;
     if (trace != nullptr) {
-      // One trace node per generated statement, labelled with its leading
-      // SQL keyword (skipping any /* annotation */ prefix); kernels invoked
-      // by the step attach operator children.
-      std::string_view sql_view = step.sql;
-      if (sql_view.substr(0, 2) == "/*") {
-        size_t close = sql_view.find("*/");
-        if (close != std::string_view::npos) {
-          sql_view.remove_prefix(close + 2);
-        }
-        while (!sql_view.empty() && sql_view.front() == ' ') {
-          sql_view.remove_prefix(1);
-        }
-      }
-      std::string label(
-          sql_view.substr(0, sql_view.find_first_of(" \n")));
-      for (char& c : label) c = static_cast<char>(std::tolower(c));
-      if (label.empty()) label = "statement";  // comment-only annotation step
+      // One trace node per generated statement; kernels invoked by the step
+      // attach operator children.
       obs::TraceNode* node =
-          trace->root().AddChild(std::move(label), step.sql);
+          trace->root().AddChild(StatementLabel(step.sql), step.sql);
       obs::ScopedTraceNode scope(node);
       s = step.run(&ctx);
     } else {

@@ -86,6 +86,11 @@ class Plan {
   std::string result_table_;
 };
 
+// The trace label of a generated statement: its leading SQL keyword in
+// lower case ("insert", "update", ...), skipping a /* annotation */ prefix;
+// "statement" for a comment-only step.
+std::string StatementLabel(const std::string& sql);
+
 // Process-unique temporary table name with the given prefix ("Fk" ->
 // "Fk_0007"). Plans built concurrently never collide.
 std::string NewTempName(const std::string& prefix);

@@ -1,0 +1,194 @@
+#include "core/select_plan.h"
+
+#include <algorithm>
+#include <functional>
+#include <tuple>
+
+#include "core/advisor.h"
+#include "core/cost_model.h"
+#include "core/olap_planner.h"
+
+namespace pctagg {
+
+namespace {
+
+// The partial path's strategy, named after the source of its partials: the
+// planned fused scan, renamed at run time when the cache answers instead
+// (FinestPartials), the MQO batch or the shards.
+const char kPartialFromScan[] = "partial from fused scan";
+
+// Human name of a Vpct configuration, mirroring the Table 4 knobs.
+std::string VpctStrategyName(const VpctStrategy& s) {
+  std::string name = s.fj_from_fk ? "Fj-from-Fk" : "Fj-from-F";
+  name += s.insert_result ? "+INSERT" : "+UPDATE";
+  if (!s.matching_indexes) name += "+mismatched-indexes";
+  if (s.fj_from_fk && s.lattice_reuse) name += "+lattice";
+  return name;
+}
+
+// Vpct and Hpct/Hagg: the paper's strategies (Tables 4 and 5), the OLAP
+// baseline for Vpct and, unless a plan was forced, the partial path.
+void PlanPercentage(const AnalyzedQuery& query, const PlannerStats& fact,
+                    const QueryOptions& options, size_t dop,
+                    bool partial_forced, bool partial_ok, SelectPlan* plan) {
+  const bool vpct = query.query_class == QueryClass::kVpct;
+  const CostModel model;
+  const AnalyzedTerm* term = FirstByTerm(query);
+  const Result<FactStats> estimated = EstimateQueryStats(fact, query);
+  FactStats s = estimated.ok() ? estimated.value() : FactStats{};
+  s.dop = static_cast<double>(dop);
+  const FactStats* advised = estimated.ok() && term != nullptr ? &s : nullptr;
+
+  const bool olap = vpct && !partial_forced && options.olap_baseline;
+  const bool forced =
+      !partial_forced &&
+      (olap || (vpct ? options.vpct_strategy.has_value()
+                     : options.horizontal_strategy.has_value()));
+  StrategyAdvisor advisor;
+  if (vpct) {
+    plan->vpct = olap     ? VpctStrategy{}
+                 : forced ? *options.vpct_strategy
+                          : advisor.AdviseVpct(advised, dop);
+  } else {
+    plan->horizontal = forced ? *options.horizontal_strategy
+                              : advisor.AdviseHorizontal(fact, query,
+                                                         advised, dop);
+  }
+  const double partial_cost =
+      vpct ? model.FusedVpctCost(s) : model.FusedHorizontalCost(s);
+  const double pick_cost = vpct ? model.VpctCost(s, plan->vpct)
+                                : model.HorizontalCost(s, plan->horizontal);
+  const bool partial =
+      partial_forced ||
+      (!forced && partial_ok && (vpct || term != nullptr) &&
+       fact.rows() >= StrategyAdvisor::kFusedMinRows && estimated.ok() &&
+       partial_cost < pick_cost);
+
+  plan->evaluator = partial ? SelectPlan::Evaluator::kPartial
+                    : olap  ? SelectPlan::Evaluator::kOlapScript
+                    : vpct  ? SelectPlan::Evaluator::kVpctScript
+                            : SelectPlan::Evaluator::kHorizontalScript;
+  const HorizontalStrategy& h = plan->horizontal;
+  plan->header.strategy =
+      partial ? kPartialFromScan
+      : olap  ? "OLAP-window"
+      : vpct  ? VpctStrategyName(plan->vpct)
+              : std::string(HorizontalMethodName(h.method)) +
+                   (h.hash_dispatch ? "+hash-dispatch" : "+naive-case");
+  plan->header.strategy_source =
+      forced || partial_forced ? "forced" : "advisor";
+  if (!estimated.ok()) return;
+
+  if (vpct) {
+    plan->header.predicted_group_rows = s.group_cardinality;
+    for (const auto& [name, fj_from_fk, insert] :
+         {std::tuple{"Fj-from-Fk+INSERT", true, true},
+          std::tuple{"Fj-from-F+INSERT", false, true},
+          std::tuple{"Fj-from-Fk+UPDATE", true, false}}) {
+      VpctStrategy candidate = plan->vpct;
+      candidate.fj_from_fk = fj_from_fk;
+      candidate.insert_result = insert;
+      plan->header.predicted_costs.push_back(
+          {name, model.VpctCost(s, candidate),
+           !partial && !olap && plan->vpct.fj_from_fk == fj_from_fk &&
+               plan->vpct.insert_result == insert});
+    }
+    plan->header.predicted_costs.push_back(
+        {"OLAP-window", model.OlapCost(s), olap});
+  } else {
+    // The first level the plan materializes, so the actual read off the
+    // trace compares like with like: direct methods aggregate straight to
+    // D1..Dj; the from-FV methods and the partial path build D1..Dj ∪ BY.
+    const bool from_fv = h.method == HorizontalMethod::kCaseFromFV ||
+                         h.method == HorizontalMethod::kSpjFromFV;
+    plan->header.predicted_group_rows =
+        from_fv || partial ? s.group_cardinality : s.totals_cardinality;
+    for (HorizontalMethod method :
+         {HorizontalMethod::kCaseDirect, HorizontalMethod::kCaseFromFV,
+          HorizontalMethod::kSpjDirect, HorizontalMethod::kSpjFromFV}) {
+      HorizontalStrategy candidate = h;
+      candidate.method = method;
+      plan->header.predicted_costs.push_back(
+          {HorizontalMethodName(method), model.HorizontalCost(s, candidate),
+           !partial && method == h.method});
+    }
+  }
+  // A forced strategy keeps the paper's candidates only.
+  if (!forced) {
+    plan->header.predicted_costs.push_back({"partial", partial_cost, partial});
+  }
+}
+
+}  // namespace
+
+Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
+                              const PlannerStats& stats,
+                              const QueryOptions& options, size_t dop,
+                              bool partial_forced) {
+  SelectPlan plan;
+  plan.header.query_class = QueryClassName(query.query_class);
+  plan.header.strategy = kPartialFromScan;
+  plan.header.strategy_source = "n/a";
+  dop = std::max<size_t>(1, dop);
+  std::string why;
+  const bool partial_ok = PartialPlanSupported(query, &why);
+  if (query.has_grouping_sets) {
+    if (!partial_ok) return Status::InvalidArgument("grouping sets: " + why);
+    // The one fused scan and every rollup, priced together.
+    PCTAGG_ASSIGN_OR_RETURN(plan.partial, BuildPartialPlan(query));
+    Result<FactStats> s = CostModel().EstimateStats(stats, query.group_by,
+                                                    /*totals_by=*/{}, {});
+    if (s.ok()) {
+      // LatticeSharedCost reads the finest level first.
+      std::vector<double> rows = EstimateLevelRows(*plan.partial, stats);
+      std::sort(rows.begin(), rows.end(), std::greater<double>());
+      s->dop = static_cast<double>(dop);
+      plan.header.predicted_group_rows = rows.front();
+      plan.header.predicted_costs.push_back(
+          {"partial", CostModel().LatticeSharedCost(*s, rows), true});
+    }
+  } else if (query.query_class == QueryClass::kVpct ||
+             query.query_class == QueryClass::kHorizontal) {
+    PlanPercentage(query, stats, options, dop, partial_forced, partial_ok,
+                   &plan);
+  } else if (query.query_class == QueryClass::kWindow) {
+    plan.evaluator = SelectPlan::Evaluator::kWindowScript;
+    plan.header.strategy = "OLAP-window";
+  } else if (!partial_ok) {
+    // A projection; a plain aggregate gets here only when the partial path
+    // refused it, which EvaluateSimple reports.
+    plan.evaluator = SelectPlan::Evaluator::kProjection;
+    plan.header.strategy = "projection";
+  }
+  if (plan.evaluator == SelectPlan::Evaluator::kPartial && !plan.partial) {
+    PCTAGG_ASSIGN_OR_RETURN(plan.partial, BuildPartialPlan(query));
+  }
+  return plan;
+}
+
+Result<Plan> BuildScript(const AnalyzedQuery& query, const SelectPlan& plan) {
+  switch (plan.evaluator) {
+    case SelectPlan::Evaluator::kVpctScript:
+      return PlanVpctQuery(query, plan.vpct);
+    case SelectPlan::Evaluator::kHorizontalScript:
+      return PlanHorizontalQuery(query, plan.horizontal);
+    case SelectPlan::Evaluator::kOlapScript:
+      return PlanOlapPercentageQuery(query);
+    case SelectPlan::Evaluator::kWindowScript:
+      return PlanWindowQuery(query);
+    default:
+      return Status::Internal("no script: the plan is not materialized");
+  }
+}
+
+std::string RenderExplain(const obs::PlanHeader& header,
+                          const std::vector<PlanStep>& steps,
+                          const std::string& script) {
+  std::string out = header.RenderHeader("-- ");
+  for (const PlanStep& step : steps) {
+    out += step.label + ": " + step.detail + "\n";
+  }
+  return out + script;
+}
+
+}  // namespace pctagg

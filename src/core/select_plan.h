@@ -1,0 +1,66 @@
+#ifndef PCTAGG_CORE_SELECT_PLAN_H_
+#define PCTAGG_CORE_SELECT_PLAN_H_
+
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/result.h"
+#include "core/database.h"
+#include "core/partial_plan.h"
+#include "core/plan.h"
+#include "obs/trace.h"
+
+namespace pctagg {
+
+// How one SELECT is evaluated, decided once: PctDatabase::Query runs it,
+// plain EXPLAIN prints it and EXPLAIN ANALYZE copies its header into the
+// trace, so the three cannot disagree.
+struct SelectPlan {
+  enum class Evaluator {
+    kVpctScript,        // the paper's Vpct strategies (core/vpct_planner.h)
+    kHorizontalScript,  // the paper's Hpct/Hagg strategies
+    kOlapScript,        // the OLAP window-function baseline of a Vpct query
+    kWindowScript,      // a query with OVER (...) terms
+    kPartial,           // finest-level partials, rollups, assembly
+    kProjection,        // a projection, evaluated directly
+  };
+  Evaluator evaluator = Evaluator::kPartial;
+  VpctStrategy vpct;              // kVpctScript
+  HorizontalStrategy horizontal;  // kHorizontalScript
+  std::optional<PartialPlan> partial;  // kPartial
+  obs::PlanHeader header;  // what EXPLAIN prints and the trace starts with
+
+  bool script() const {
+    return evaluator != Evaluator::kPartial &&
+           evaluator != Evaluator::kProjection;
+  }
+};
+
+// Decides how `query` runs. A forced Vpct or horizontal strategy, or the
+// OLAP baseline, runs that script. Otherwise a Vpct or Hpct/Hagg query takes
+// the partial path when PartialPlanSupported accepts it, the table has
+// StrategyAdvisor::kFusedMinRows rows or more and the cost model prices it
+// below the advisor's materialized pick, which runs if not. Plain aggregates
+// and grouping sets take the partial path, a window query runs its script
+// and a projection is evaluated directly. `partial_forced` (QueryPartial)
+// takes the partial path regardless. One EstimateStats call prices every
+// candidate at `dop`; no script is built here.
+Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
+                              const PlannerStats& stats,
+                              const QueryOptions& options, size_t dop,
+                              bool partial_forced = false);
+
+// The generated script of a plan whose script() is true.
+Result<Plan> BuildScript(const AnalyzedQuery& query, const SelectPlan& plan);
+
+// Plain EXPLAIN's text: the header as SQL comments, then one "label:
+// detail" line per step, as EXPLAIN ANALYZE prints the same nodes, then
+// `script` (a generated plan's SQL).
+std::string RenderExplain(const obs::PlanHeader& header,
+                          const std::vector<PlanStep>& steps,
+                          const std::string& script = "");
+
+}  // namespace pctagg
+
+#endif  // PCTAGG_CORE_SELECT_PLAN_H_

@@ -9,6 +9,7 @@
 #include "common/string_util.h"
 #include "core/cost_model.h"
 #include "core/partial_plan.h"
+#include "core/select_plan.h"
 #include "dist/shard.h"
 #include "engine/merge.h"
 #include "engine/parallel.h"
@@ -80,21 +81,19 @@ uint64_t ToMicros(double ms) {
   return ms <= 0 ? 0 : static_cast<uint64_t>(ms * 1e3);
 }
 
-// Same single-column "plan" rendering PctDatabase uses for EXPLAIN, so the
-// wire protocol, CSV and shell print distributed plans without special
-// casing.
-Table TextToPlanTable(const std::string& text) {
-  Schema schema;
-  schema.AddColumn({"plan", DataType::kString});
-  Table out(schema);
-  size_t begin = 0;
-  while (begin < text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    out.mutable_column(0).AppendString(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
+// The source steps of a distributed partial plan, as ScatterGather's trace
+// nodes name them: the fan-out of one PARTIAL statement, then the merge.
+PlanStep ScatterStep(size_t worker_dop, const std::string& partial_sql,
+                     size_t nshards) {
+  return {"scatter", StrFormat("PARTIAL %zu %s -> %zu shards", worker_dop,
+                               partial_sql.c_str(), nshards)};
+}
+
+PlanStep GatherStep(size_t nshards, size_t num_key_cols, size_t num_aggs) {
+  return {"gather-merge",
+          StrFormat("merged %zu shard partials (%zu group cols, %zu "
+                    "aggregates)",
+                    nshards, num_key_cols, num_aggs)};
 }
 
 // Errors the worker could only produce if the coordinator shipped a bad
@@ -189,7 +188,6 @@ Status Coordinator::ShardTable(const std::string& table,
   full = nullptr;  // invalidated by ReplaceTable below
 
   for (size_t i = 0; i < shards.size(); ++i) {
-    meta.shard_rows.push_back(shards[i].num_rows());
     std::string bytes;
     storage::EncodeTable(shards[i], &bytes);
     ShardLink* link = links_[i].get();
@@ -320,22 +318,25 @@ Result<std::optional<Table>> Coordinator::MaybeExecute(
   }
 
   if (kind->explain && !kind->analyze) {
-    PCTAGG_ASSIGN_OR_RETURN(Table plan,
-                            ExplainDistributed(query, meta, options));
-    return std::optional<Table>(std::move(plan));
+    // The steps ExecuteDistributed's trace opens, the scatter as source.
+    PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
+    std::vector<PlanStep> steps = AssemblySteps(plan, meta.stats);
+    steps.insert(
+        steps.begin(),
+        {ScatterStep(WorkerDop(options), plan.partial_sql, links_.size()),
+         GatherStep(links_.size(), plan.finest_cols.size(),
+                    plan.combine.size())});
+    return std::optional<Table>(TextToPlanTable(
+        RenderExplain(PlanDistributed(query, plan, meta, options), steps)));
   }
   if (kind->explain) {
     obs::QueryTrace analyze_trace;
-    analyze_trace.query_class = QueryClassName(query.query_class);
     Stopwatch timer;
     PCTAGG_ASSIGN_OR_RETURN(
         Table result, ExecuteDistributed(query, meta, options, &analyze_trace));
     analyze_trace.total_ms = timer.ElapsedSeconds() * 1e3;
     (void)result;
     return std::optional<Table>(TextToPlanTable(analyze_trace.Render()));
-  }
-  if (trace != nullptr) {
-    trace->query_class = QueryClassName(query.query_class);
   }
   // Route plain distributed SELECTs through the MQO gate: compatible queries
   // arriving within the collection window scatter ONE merged PARTIAL per
@@ -354,10 +355,6 @@ Result<std::optional<Table>> Coordinator::MaybeExecute(
     // whose plan or scatter failed, runs its own scatter for its own error
     // or result.
     if (seat.batch != nullptr && seat.batch->partials != nullptr) {
-      if (trace != nullptr) {
-        trace->strategy = "distributed mqo batch";
-        trace->strategy_source = "mqo-gate";
-      }
       ScopedParallelism parallelism(options.degree_of_parallelism);
       Result<Table> batched =
           AnswerMqoMember(*seat.batch, seat.index, trace, CurrentDop());
@@ -381,9 +378,9 @@ Result<Table> Coordinator::ScatterGather(const std::string& partial_sql,
 
   obs::TraceNode* scatter_node = nullptr;
   if (trace != nullptr) {
-    scatter_node = trace->root().AddChild(
-        "scatter", StrFormat("PARTIAL %zu %s -> %zu shards", worker_dop,
-                             partial_sql.c_str(), nshards));
+    PlanStep step = ScatterStep(worker_dop, partial_sql, nshards);
+    scatter_node = trace->root().AddChild(std::move(step.label),
+                                          std::move(step.detail));
   }
 
   // Scatter: one thread per shard holds that link's mutex for the whole
@@ -521,10 +518,9 @@ Result<Table> Coordinator::ScatterGather(const std::string& partial_sql,
 
   obs::TraceNode* gather_node = nullptr;
   if (trace != nullptr) {
-    gather_node = trace->root().AddChild(
-        "gather-merge",
-        StrFormat("merged %zu shard partials (%zu group cols, %zu aggregates)",
-                  nshards, num_key_cols, combine.size()));
+    PlanStep step = GatherStep(nshards, num_key_cols, combine.size());
+    gather_node = trace->root().AddChild(std::move(step.label),
+                                         std::move(step.detail));
     gather_node->stats.rows_in = rows_gathered;
     gather_node->stats.rows_out = merged.num_rows();
     gather_node->stats.wall_ms = merge_ms;
@@ -533,49 +529,59 @@ Result<Table> Coordinator::ScatterGather(const std::string& partial_sql,
   return merged;
 }
 
+size_t Coordinator::WorkerDop(const QueryOptions& options) const {
+  return config_.worker_dop != 0 ? config_.worker_dop
+                                 : options.degree_of_parallelism;
+}
+
+obs::PlanHeader Coordinator::PlanDistributed(
+    const AnalyzedQuery& query, const PartialPlan& plan,
+    const ShardedMeta& meta, const QueryOptions& options) const {
+  // The distributed plan next to the single-node fused scan it replaces,
+  // both priced from the planner statistics resolved at SHARD time (the
+  // stub has no rows left to describe).
+  obs::PlanHeader header;
+  header.query_class = QueryClassName(query.query_class);
+  header.strategy = "partial from shards";
+  header.strategy_source = "topology";
+  const size_t nshards = links_.size();
+  const size_t worker_dop = std::max<size_t>(1, WorkerDop(options));
+  const size_t dop = std::max<size_t>(1, options.degree_of_parallelism);
+  CostModel model;
+  FactStats stats;
+  stats.rows = meta.stats.rows();
+  Result<FactStats> estimated =
+      model.EstimateStats(meta.stats, plan.finest_cols, {}, {});
+  if (estimated.ok()) stats = *estimated;
+  header.predicted_costs.push_back(
+      {StrFormat("distributed (%zu shards x dop %zu)", nshards, worker_dop),
+       model.DistributedCost(
+           stats, static_cast<double>(nshards),
+           static_cast<double>(worker_dop),
+           static_cast<double>(plan.finest_cols.size() +
+                               plan.partials.size())),
+       true});
+  stats.dop = static_cast<double>(dop);
+  header.predicted_costs.push_back(
+      {StrFormat("single-node fused scan (dop %zu)", dop),
+       model.FusedVpctCost(stats), false});
+  header.predicted_group_rows = stats.group_cardinality;
+  return header;
+}
+
 Result<Table> Coordinator::ExecuteDistributed(const AnalyzedQuery& query,
                                               const ShardedMeta& meta,
                                               const QueryOptions& options,
                                               obs::QueryTrace* trace) {
   PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
-  const size_t nshards = links_.size();
-  const size_t worker_dop =
-      config_.worker_dop != 0 ? config_.worker_dop
-                              : options.degree_of_parallelism;
-
-  // Cost-model bookkeeping for EXPLAIN ANALYZE: the distributed plan next to
-  // the single-node fused scan it replaces, both from the planner statistics
-  // resolved at SHARD time (the stub has no rows left to describe).
   if (trace != nullptr) {
-    trace->strategy = "distributed scatter/gather";
-    trace->strategy_source = "topology";
-    CostModel model;
-    FactStats stats;
-    stats.rows = meta.stats.rows();
-    Result<FactStats> estimated =
-        model.EstimateStats(meta.stats, plan.finest_cols, {}, {});
-    if (estimated.ok()) stats = *estimated;
-    const double dist_cost = model.DistributedCost(
-        stats, static_cast<double>(nshards),
-        static_cast<double>(std::max<size_t>(1, worker_dop)),
-        static_cast<double>(plan.finest_cols.size() + plan.partials.size()));
-    trace->predicted_costs.push_back(
-        {StrFormat("distributed (%zu shards x dop %zu)", nshards,
-                   std::max<size_t>(1, worker_dop)),
-         dist_cost, true});
-    stats.dop = static_cast<double>(std::max<size_t>(
-        1, options.degree_of_parallelism));
-    trace->predicted_costs.push_back(
-        {StrFormat("single-node fused scan (dop %zu)",
-                   std::max<size_t>(1, options.degree_of_parallelism)),
-         model.FusedVpctCost(stats), false});
-    trace->predicted_group_rows = stats.group_cardinality;
+    static_cast<obs::PlanHeader&>(*trace) =
+        PlanDistributed(query, plan, meta, options);
   }
-
   PCTAGG_ASSIGN_OR_RETURN(
       Table merged,
       ScatterGather(plan.partial_sql, plan.finest_cols.size(), plan.combine,
-                    worker_dop, trace));
+                    WorkerDop(options), trace));
 
   // Assemble locally at the session's dop, exactly as a single node
   // assembles from its fused scan, then apply the statement tail.
@@ -604,15 +610,12 @@ std::shared_ptr<const MqoBatchScan> Coordinator::ScatterMqoBatch(
   auto batch = std::make_shared<MqoBatchScan>();
   batch->plan = std::move(*plan);
   const MqoBatchPlan& bp = batch->plan;
-  const size_t worker_dop =
-      config_.worker_dop != 0 ? config_.worker_dop
-                              : options.degree_of_parallelism;
 
   // One scatter of the merged partial statement serves the whole batch.
   obs::QueryTrace scan_trace;
   Result<Table> merged =
       ScatterGather(bp.scan_sql, bp.scan_cols.size(), bp.scan_combine,
-                    worker_dop, traced ? &scan_trace : nullptr);
+                    WorkerDop(options), traced ? &scan_trace : nullptr);
   if (!merged.ok()) return batch;
   batch->partials = std::make_shared<const Table>(std::move(*merged));
   AttachMqoScanTrace(
@@ -625,36 +628,6 @@ std::shared_ptr<const MqoBatchScan> Coordinator::ScatterMqoBatch(
   mqo_gate_.RecordScanRowsSaved(static_cast<uint64_t>(meta.total_rows) *
                                 (members.size() - 1));
   return batch;
-}
-
-Result<Table> Coordinator::ExplainDistributed(const AnalyzedQuery& query,
-                                              const ShardedMeta& meta,
-                                              const QueryOptions& options) {
-  PCTAGG_ASSIGN_OR_RETURN(PartialPlan plan, BuildPartialPlan(query));
-  const size_t worker_dop =
-      config_.worker_dop != 0 ? config_.worker_dop
-                              : options.degree_of_parallelism;
-  std::string text = StrFormat(
-      "-- distributed scatter/gather: %zu shards of %s (hash on %s, %zu "
-      "rows)\n",
-      links_.size(), query.table_name.c_str(), meta.key_column.c_str(),
-      meta.total_rows);
-  for (size_t i = 0; i < links_.size(); ++i) {
-    text += StrFormat("-- shard %zu @ %s:%d: %zu rows\n", i,
-                      links_[i]->endpoint.host.c_str(),
-                      links_[i]->endpoint.port,
-                      i < meta.shard_rows.size() ? meta.shard_rows[i] : 0);
-  }
-  text += StrFormat("scatter: PARTIAL %zu %s\n", worker_dop,
-                    plan.partial_sql.c_str());
-  text +=
-      "gather: merge shard partials as they arrive (keyed upsert on [" +
-      Join(plan.finest_cols, ", ") +
-      "], dictionaries translated; no barrier)\n";
-  text +=
-      "assemble: roll up lattice levels / percentages from the merged "
-      "partials, then HAVING / ORDER BY / LIMIT coordinator-side\n";
-  return TextToPlanTable(text);
 }
 
 std::string Coordinator::Describe() const {

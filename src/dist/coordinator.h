@@ -15,6 +15,7 @@
 #include "engine/table.h"
 #include "obs/trace.h"
 #include "core/mqo_plan.h"
+#include "core/partial_plan.h"
 #include "server/client.h"
 #include "server/dist_router.h"
 #include "server/mqo_gate.h"
@@ -110,7 +111,6 @@ class Coordinator : public DistRouter {
   struct ShardedMeta {
     std::string key_column;
     size_t total_rows = 0;
-    std::vector<size_t> shard_rows;  // one entry per worker
     PlannerStats stats;
   };
 
@@ -127,6 +127,15 @@ class Coordinator : public DistRouter {
                               const std::vector<AggSpec>& combine,
                               size_t worker_dop, obs::QueryTrace* trace);
 
+  // The degree of parallelism each worker runs its partial aggregation at.
+  size_t WorkerDop(const QueryOptions& options) const;
+
+  // The partial path from the shards, priced against a single-node scan.
+  obs::PlanHeader PlanDistributed(const AnalyzedQuery& query,
+                                  const PartialPlan& plan,
+                                  const ShardedMeta& meta,
+                                  const QueryOptions& options) const;
+
   // Runs the distributed scatter/gather for an analyzed SELECT.
   Result<Table> ExecuteDistributed(const AnalyzedQuery& query,
                                    const ShardedMeta& meta,
@@ -140,11 +149,6 @@ class Coordinator : public DistRouter {
   std::shared_ptr<const MqoBatchScan> ScatterMqoBatch(
       const std::vector<MqoGate::Member*>& members, const ShardedMeta& meta,
       const QueryOptions& options);
-
-  // Plain-EXPLAIN rendering of the distributed plan.
-  Result<Table> ExplainDistributed(const AnalyzedQuery& query,
-                                   const ShardedMeta& meta,
-                                   const QueryOptions& options);
 
   PctDatabase* db_;
   CoordinatorConfig config_;

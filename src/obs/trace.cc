@@ -92,14 +92,14 @@ uint64_t QueryTrace::ActualRowOps() const {
   return total;
 }
 
-std::string QueryTrace::Render() const {
+std::string PlanHeader::RenderHeader(const std::string& prefix) const {
   std::string out;
-  out += "query class: " + query_class + "\n";
+  out += prefix + "query class: " + query_class + "\n";
   if (!strategy.empty()) {
-    out += "strategy: " + strategy + " (" + strategy_source + ")\n";
+    out += prefix + "strategy: " + strategy + " (" + strategy_source + ")\n";
   }
   if (!predicted_costs.empty()) {
-    out += "cost model:";
+    out += prefix + "cost model:";
     for (const PredictedCost& pc : predicted_costs) {
       out += StrFormat(" %s=%.0f%s", pc.name.c_str(), pc.cost,
                        pc.chosen ? "*" : "");
@@ -107,12 +107,18 @@ std::string QueryTrace::Render() const {
     out += "  (*=chosen, abstract row-op units)\n";
   }
   if (predicted_group_rows >= 0) {
-    out += StrFormat("predicted group rows: %.0f", predicted_group_rows);
+    out += prefix +
+           StrFormat("predicted group rows: %.0f", predicted_group_rows);
     if (actual_group_rows >= 0) {
       out += StrFormat("  actual: %.0f", actual_group_rows);
     }
     out += "\n";
   }
+  return out;
+}
+
+std::string QueryTrace::Render() const {
+  std::string out = RenderHeader();
   out += StrFormat("actual row ops: %llu\n",
                    (unsigned long long)ActualRowOps());
   out += StrFormat("total: %.3f ms\n", total_ms);

@@ -55,18 +55,14 @@ struct TraceNode {
   TraceNode* AddCopy(const TraceNode& node);
 };
 
-// The trace of one query: the executed plan plus the planning metadata
-// needed to audit the advisor (strategy chosen, cost model predicted vs
-// actual).
-class QueryTrace {
- public:
-  TraceNode& root() { return root_; }
-  const TraceNode& root() const { return root_; }
-
-  // Planning metadata, filled by PctDatabase.
-  std::string query_class;    // "Vpct", "Horizontal", ...
-  std::string strategy;       // human name of the executed strategy
-  std::string strategy_source;  // "advisor" | "forced" | "n/a"
+// What a plan says about itself before it runs: the query class, the
+// strategy that runs and why, the cost model's candidates and predicted
+// group rows. The planner decides it (PlanSelect, core/select_plan.h), plain
+// EXPLAIN prints it and every QueryTrace starts with it.
+struct PlanHeader {
+  std::string query_class;      // "vertical-percentage", "horizontal", ...
+  std::string strategy;         // human name of the strategy that runs
+  std::string strategy_source;  // "advisor" | "forced" | "n/a" | ...
   // Cost-model predictions per candidate strategy, in evaluation order;
   // `chosen` marks the one that ran. Costs are abstract row-operation units.
   struct PredictedCost {
@@ -77,6 +73,18 @@ class QueryTrace {
   std::vector<PredictedCost> predicted_costs;
   double predicted_group_rows = -1;  // cost model's |Fk| / |FV| estimate
   double actual_group_rows = -1;     // rows the finest aggregate produced
+
+  // One line per field that is set, each after `prefix`.
+  std::string RenderHeader(const std::string& prefix = "") const;
+};
+
+// The trace of one query: the executed plan under the header of the plan
+// that ran, whose predictions it audits against the actuals.
+class QueryTrace : public PlanHeader {
+ public:
+  TraceNode& root() { return root_; }
+  const TraceNode& root() const { return root_; }
+
   double total_ms = 0;
 
   // Sum of rows_in over all operator nodes: the "actual row operations" the

@@ -250,21 +250,6 @@ bool SplitExplainAnalyze(const std::string& sql, std::string* inner) {
   return IsPlainSelect(*inner);
 }
 
-// Same single-column "plan" rendering PctDatabase uses for EXPLAIN output.
-Table TextToPlanTable(const std::string& text) {
-  Schema schema;
-  schema.AddColumn({"plan", DataType::kString});
-  Table out(schema);
-  size_t begin = 0;
-  while (begin < text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    out.mutable_column(0).AppendString(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
@@ -273,10 +258,9 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
   // Anything that can't batch falls through to the ordinary solo path with
   // identical semantics and error text. Forced strategies and the OLAP
   // baseline bypass the gate because the batch executor would override the
-  // forced plan; materialized execution likewise.
+  // forced plan.
   if (opts.mqo == MqoMode::kOff || opts.olap_baseline ||
-      opts.vpct_strategy.has_value() || opts.horizontal_strategy.has_value() ||
-      opts.execution == ExecutionMode::kMaterialized) {
+      opts.vpct_strategy.has_value() || opts.horizontal_strategy.has_value()) {
     return db_->Query(sql, opts);
   }
   std::string inner;
@@ -320,11 +304,6 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
 
   // Every member finishes on its own thread, at its own dop.
   const MqoBatchScan* batch = seat.batch.get();
-  if (batch != nullptr && member.trace != nullptr) {
-    member.trace->predicted_costs.insert(member.trace->predicted_costs.end(),
-                                         batch->costs.begin(),
-                                         batch->costs.end());
-  }
   QueryOptions own = opts;
   own.trace = member.trace;
   Result<Table> result = Table();
@@ -337,11 +316,15 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
   // A declined or failed batch — or this member's own failed assembly —
   // answers solo here, so each member gets its own precise error or result.
   if (!answered) result = db_->Query(inner, own);
+  // After the answer: a solo answer sets the trace's header, candidates
+  // included.
+  if (batch != nullptr && member.trace != nullptr) {
+    member.trace->predicted_costs.insert(member.trace->predicted_costs.end(),
+                                         batch->costs.begin(),
+                                         batch->costs.end());
+  }
   if (!analyze || !result.ok()) return result;
   analyze_trace.total_ms = timer.ElapsedMillis();
-  if (analyze_trace.query_class.empty()) {
-    analyze_trace.query_class = QueryClassName(prepared->query_class);
-  }
   return TextToPlanTable(analyze_trace.Render());
 }
 

@@ -28,7 +28,7 @@ inline constexpr size_t kMaxBodyBytes = 1 << 28;
 enum class RequestVerb {
   kQuery,    // QUERY <sql>       run a statement (SELECT / CREATE TABLE AS)
   kAppend,   // APPEND <sql>      run a write (INSERT / COPY ... (APPEND))
-  kExplain,  // EXPLAIN <sql>     return the generated evaluation script
+  kExplain,  // EXPLAIN <sql>     return the plan that would run
   kOlap,     // OLAP <sql>        run a Vpct query via the OLAP baseline
   kSet,      // SET <opt> <val>   change a session option
   kShow,     // SHOW              session + server status text

@@ -192,46 +192,7 @@ WireResponse PctServer::RunStatement(Session* session, const std::string& sql,
   std::shared_ptr<obs::QueryTrace> trace;
   if (session->trace_enabled()) trace = std::make_shared<obs::QueryTrace>();
   Stopwatch timer;
-  Result<Table> result = Table();
-  bool routed = false;
-  if (config_.router != nullptr) {
-    // Offer the statement to the distributed router first, under the same
-    // executor admission a local statement would get: distributed SELECTs
-    // only read the local stub catalog, while a routed DROP (or the
-    // rejection of a write on a sharded table) takes the exclusive path.
-    Result<ParsedStatement> kind = ParseStatementKind(sql);
-    const bool exclusive =
-        kind.ok() && (kind->kind == ParsedStatement::Kind::kDrop ||
-                      kind->kind == ParsedStatement::Kind::kInsert ||
-                      kind->kind == ParsedStatement::Kind::kCopy);
-    // Shared with the worker lambda for the same outlive-on-timeout reason
-    // as `trace` above.
-    auto routed_table = std::make_shared<std::optional<Table>>();
-    auto run = [router = config_.router, routed_table, sql, options,
-                trace]() -> Status {
-      QueryOptions opts = options;
-      opts.trace = trace ? trace.get() : nullptr;
-      Result<std::optional<Table>> r =
-          router->MaybeExecute(sql, opts, opts.trace);
-      if (!r.ok()) return r.status();
-      *routed_table = std::move(*r);
-      return Status::OK();
-    };
-    Status st = exclusive
-                    ? executor_.ExecuteWrite(run, session->timeout_ms())
-                    : executor_.ExecuteRead(run, session->timeout_ms());
-    if (!st.ok()) {
-      routed = true;
-      result = st;
-    } else if (routed_table->has_value()) {
-      routed = true;
-      result = std::move(**routed_table);
-    }
-  }
-  if (!routed) {
-    result =
-        executor_.ExecuteStatement(sql, options, session->timeout_ms(), trace);
-  }
+  Result<Table> result = ExecuteSql(session, sql, options, trace);
   resp.micros = static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
   QueryLatencyHistogram().Observe(resp.micros);
   session->RecordQuery(resp.micros, result.ok());
@@ -248,6 +209,41 @@ WireResponse PctServer::RunStatement(Session* session, const std::string& sql,
     resp.body += trace->Render();
   }
   return resp;
+}
+
+Result<Table> PctServer::ExecuteSql(Session* session, const std::string& sql,
+                                    const QueryOptions& options,
+                                    std::shared_ptr<obs::QueryTrace> trace) {
+  if (config_.router != nullptr) {
+    // Offer the statement to the distributed router first, under the same
+    // executor admission a local statement would get: distributed SELECTs
+    // only read the local stub catalog, while a routed DROP (or the
+    // rejection of a write on a sharded table) takes the exclusive path.
+    Result<ParsedStatement> kind = ParseStatementKind(sql);
+    const bool exclusive =
+        kind.ok() && (kind->kind == ParsedStatement::Kind::kDrop ||
+                      kind->kind == ParsedStatement::Kind::kInsert ||
+                      kind->kind == ParsedStatement::Kind::kCopy);
+    // Shared with the worker lambda for the same outlive-on-timeout reason
+    // as `trace`.
+    auto routed_table = std::make_shared<std::optional<Table>>();
+    auto run = [router = config_.router, routed_table, sql, options,
+                trace]() -> Status {
+      QueryOptions opts = options;
+      opts.trace = trace ? trace.get() : nullptr;
+      Result<std::optional<Table>> r =
+          router->MaybeExecute(sql, opts, opts.trace);
+      if (!r.ok()) return r.status();
+      *routed_table = std::move(*r);
+      return Status::OK();
+    };
+    PCTAGG_RETURN_IF_ERROR(
+        exclusive ? executor_.ExecuteWrite(run, session->timeout_ms())
+                  : executor_.ExecuteRead(run, session->timeout_ms()));
+    if (routed_table->has_value()) return std::move(**routed_table);
+  }
+  return executor_.ExecuteStatement(sql, options, session->timeout_ms(),
+                                    std::move(trace));
 }
 
 WireResponse PctServer::HandleShardData(Session* session,
@@ -317,24 +313,19 @@ WireResponse PctServer::HandleRequest(Session* session,
     case RequestVerb::kOlap:
       return RunStatement(session, request.payload, /*olap_baseline=*/true);
     case RequestVerb::kExplain: {
-      // Outputs are shared with the worker: on timeout this frame returns
-      // while the lambda may still be running, so it must not hold
-      // references into our stack.
-      auto script = std::make_shared<std::string>();
+      // The statement path of QUERY "EXPLAIN ...": the session's options
+      // and the shard router apply, so both print the plan that would run.
+      // The body stays plain text, one plan line per line.
       Stopwatch timer;
-      Status st = executor_.ExecuteRead(
-          [this, script, sql = request.payload]() -> Status {
-            Result<std::string> r = db_->Explain(sql);
-            if (!r.ok()) return r.status();
-            *script = std::move(r).value();
-            return Status::OK();
-          },
-          session->timeout_ms());
+      Result<Table> plan = ExecuteSql(session, "EXPLAIN " + request.payload,
+                                      session->query_options(), nullptr);
       resp.micros = static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
-      if (!st.ok()) {
-        resp.status = st;
-      } else {
-        resp.body = std::move(*script);
+      if (!plan.ok()) {
+        resp.status = plan.status();
+        return resp;
+      }
+      for (size_t i = 0; i < plan->num_rows(); ++i) {
+        resp.body += plan->column(0).StringAt(i) + "\n";
       }
       return resp;
     }

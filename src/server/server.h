@@ -69,6 +69,11 @@ class PctServer {
                              bool* quit);
   WireResponse RunStatement(Session* session, const std::string& sql,
                             bool olap_baseline);
+  // Runs one statement under the session's deadline, through the shard
+  // router when it takes it, else the executor: QUERY, OLAP and EXPLAIN.
+  Result<Table> ExecuteSql(Session* session, const std::string& sql,
+                           const QueryOptions& options,
+                           std::shared_ptr<obs::QueryTrace> trace);
   // SHARDDATA carries the only request body; it is read from the
   // connection's own LineReader, so the handler lives outside HandleRequest.
   // Sets `*quit` when the frame is too malformed to keep the stream in sync.

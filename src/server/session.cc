@@ -134,25 +134,6 @@ Result<std::string> Session::ApplySet(const std::string& args) {
     horizontal_name_ = value;
     return "horizontal = " + value;
   }
-  if (option == "exec") {
-    // Fused-pipeline dispatch: auto = cost-model advisor, fused = force the
-    // push-based pipeline on supported shapes, materialized = always the
-    // multi-statement plans.
-    if (value == "auto" || value == "default") {
-      options_.execution = ExecutionMode::kAuto;
-      exec_name_ = "auto";
-    } else if (value == "fused") {
-      options_.execution = ExecutionMode::kFused;
-      exec_name_ = value;
-    } else if (value == "materialized") {
-      options_.execution = ExecutionMode::kMaterialized;
-      exec_name_ = value;
-    } else {
-      return Status::InvalidArgument(
-          "SET exec expects auto|fused|materialized");
-    }
-    return "exec = " + exec_name_;
-  }
   if (option == "mqo") {
     // Multi-query shared-scan batching: auto = cost-model decision per
     // batch, on = always batch compatible queries, off = never batch.
@@ -200,15 +181,13 @@ std::string Session::Describe() const {
       "cache = %s\n"
       "vpct = %s\n"
       "horizontal = %s\n"
-      "exec = %s\n"
       "mqo = %s\n"
       "dop = %s\n"
       "trace = %s\n"
       "append_policy = %s\n"
       "queries = %llu (%llu errors, %.3f ms total)\n",
       (unsigned long long)id_, (unsigned long long)timeout_ms_, cache.c_str(),
-      vpct_name_.c_str(), horizontal_name_.c_str(), exec_name_.c_str(),
-      mqo_name_.c_str(), DescribeDop().c_str(),
+      vpct_name_.c_str(), horizontal_name_.c_str(), mqo_name_.c_str(), DescribeDop().c_str(),
       trace_ ? "on" : "off", append_policy_name_.c_str(),
       (unsigned long long)queries_, (unsigned long long)errors_,
       static_cast<double>(total_micros_) / 1000.0);

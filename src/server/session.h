@@ -33,6 +33,7 @@ class Session {
   //   cache on|off|default        summary-cache override for this session
   //   vpct auto|best|noindex|update|rescan
   //   horizontal auto|case|case_fv|spj|spj_fv
+  //   dop <n>|auto|default        engine kernel parallelism (1..64)
   //   trace on|off                append the executed-plan trace to results
   //   mqo auto|on|off             multi-query shared-scan batching
   //   append_policy auto|merge|recompute   summary maintenance for INSERT/COPY
@@ -66,7 +67,6 @@ class Session {
   QueryOptions options_;
   std::string vpct_name_ = "auto";
   std::string horizontal_name_ = "auto";
-  std::string exec_name_ = "auto";
   std::string mqo_name_ = "auto";
   std::string append_policy_name_ = "auto";
   bool trace_ = false;

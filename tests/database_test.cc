@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "core/advisor.h"
 #include "engine/csv.h"
 #include "workload/generators.h"
 
@@ -198,12 +199,16 @@ TEST(DatabaseTest, Int64MinMaxAreExact) {
   EXPECT_EQ(r->column(1).Int64At(2), INT64_MAX);
   EXPECT_EQ(r->column(2).Int64At(2), INT64_MIN + 1);
 
-  // The horizontal form, fused (partials + pivot) and materialized.
-  for (ExecutionMode mode :
-       {ExecutionMode::kFused, ExecutionMode::kMaterialized}) {
-    QueryOptions options;
-    options.execution = mode;
-    Result<Table> h = db.Query("SELECT max(id BY k) FROM t", options);
+  // The horizontal form, on the partial path (partials + pivot) and on the
+  // materialized plan the advisor picks.
+  const std::string hagg = "SELECT max(id BY k) FROM t";
+  Result<AnalyzedQuery> q = db.PrepareQuery(hagg);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  QueryOptions materialized;
+  materialized.horizontal_strategy = StrategyAdvisor().AdviseHorizontal(
+      db.PlannerStatistics("t").value(), *q);
+  for (Result<Table> h : {db.QueryPartial(hagg, QueryOptions{}),
+                          db.Query(hagg, materialized)}) {
     ASSERT_TRUE(h.ok()) << h.status().ToString();
     ASSERT_EQ(h->num_rows(), 1u);
     EXPECT_EQ(h->ColumnByName("k=1").value()->Int64At(0), k2To53 + 1);

@@ -4,14 +4,22 @@
 // HAVING, ORDER BY and LIMIT) over INT64 measures with NULL keys, a
 // dictionary-string key and an all-zero group, plus an empty fact. Every
 // query must give the same answer from
-//   * PctDatabase::Query with the advisor, with SET exec fused (the partial
-//     path) and with SET exec materialized (the paper's plans, where the
-//     shape has one),
+//   * PctDatabase::QueryPartial (the partial path, the reference),
+//     PctDatabase::Query with the advisor, and the materialized plan the
+//     advisor picks at that dop, forced (the paper's plans, where the shape
+//     has one),
+//   * the OLAP-window baseline, for every Vpct without grouping sets,
+//   * the partial path on a cache-on database, twice: first rolled up from a
+//     warmed finest-level cached ancestor, then from the query's own exact
+//     entry,
 //   * one MQO batch of the compatible queries (one union scan, then each
 //     member's rollup and assembly), and
 //   * an in-process cluster of two shards,
 // at dop 1 and 4. Merge-on-arrival reorders groups and first-seen Hpct pivot
 // columns, so answers compare as row multisets with columns matched by name.
+//
+// A second test checks that plain EXPLAIN prints the plan that runs: the
+// same strategy line and the same top-level steps as EXPLAIN ANALYZE.
 //
 // FLOAT64 measures are left out: at dop 4 the fused scan's float sums still
 // depend on morsel scheduling (ROADMAP, deterministic floats).
@@ -25,15 +33,18 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "core/advisor.h"
 #include "core/database.h"
 #include "core/mqo_plan.h"
 #include "core/partial_plan.h"
+#include "core/plan.h"
 #include "dist/coordinator.h"
 #include "server/server.h"
 
@@ -298,6 +309,21 @@ std::string Describe(const Canonical& c, const Canonical& other) {
   return out;
 }
 
+// The shapes the fused horizontal pipeline used to refuse, and other edges
+// the generator reaches only by luck.
+const char* const kEdgeQueries[] = {
+    "SELECT Hpct(m1 BY d2) FROM f WHERE d3 = 99",
+    "SELECT Hpct(m1 BY d2) FROM e",
+    "SELECT d1, Hpct(m1 BY d2), sum(m2) AS x1 FROM e GROUP BY d1",
+    "SELECT Hpct(m1 BY d2), sum(m2) AS x1, avg(m1) AS x2 FROM f",
+    "SELECT Hpct(m1 BY s), count(*) AS n FROM f WHERE d1 <> 2",
+    "SELECT d1, Vpct(m2 BY d1) AS p1, sum(m2) AS x1 FROM f GROUP BY d1",
+    "SELECT d1, d2, Vpct(m1) AS p1 FROM e GROUP BY d1, d2",
+    "SELECT sum(m1) AS x1, count(*) AS n, min(m2) AS x2 FROM e",
+    "SELECT d1, sum(m1) AS x1, count(m1) AS x2 FROM e GROUP BY CUBE(d1)",
+    "SELECT s, d2, Vpct(m1 BY d2) AS p1 FROM f GROUP BY ROLLUP(s, d2)",
+};
+
 // --- Fixture -----------------------------------------------------------------
 
 class DifferentialTest : public ::testing::Test {
@@ -328,13 +354,42 @@ class DifferentialTest : public ::testing::Test {
     ASSERT_TRUE(coord_db_.CreateTable("e", empty).ok());
     ASSERT_TRUE(coordinator_->ShardTable("f", "d2").ok());
     ASSERT_TRUE(coordinator_->ShardTable("e", "d1").ok());
+
+    QueryGen gen(17);
+    sqls_.assign(std::begin(kEdgeQueries), std::end(kEdgeQueries));
+    while (sqls_.size() < 200) {
+      std::string sql = gen.Next();
+      // The generator may compose a statement the analyzer rejects (e.g.
+      // two Vpct terms with the same BY list); those are not evaluator
+      // questions.
+      if (db_.PrepareQuery(sql).ok()) sqls_.push_back(std::move(sql));
+    }
   }
 
-  Result<Table> Local(const std::string& sql, ExecutionMode mode,
-                      size_t dop) const {
+  static QueryOptions AtDop(size_t dop) {
     QueryOptions options;
-    options.execution = mode;
     options.degree_of_parallelism = dop;
+    return options;
+  }
+
+  // The materialized plan the advisor picks for `q` at `dop`, forced.
+  Result<Table> Materialized(const std::string& sql, const AnalyzedQuery& q,
+                             size_t dop) const {
+    QueryOptions options = AtDop(dop);
+    PCTAGG_ASSIGN_OR_RETURN(PlannerStats stats,
+                            db_.PlannerStatistics(q.table_name));
+    if (q.query_class == QueryClass::kVpct) {
+      options.vpct_strategy = StrategyAdvisor().AdviseVpct(stats, q, dop);
+    } else {
+      options.horizontal_strategy =
+          StrategyAdvisor().AdviseHorizontal(stats, q, dop);
+    }
+    return db_.Query(sql, options);
+  }
+
+  Result<Table> Olap(const std::string& sql, size_t dop) const {
+    QueryOptions options = AtDop(dop);
+    options.olap_baseline = true;
     return db_.Query(sql, options);
   }
 
@@ -353,54 +408,65 @@ class DifferentialTest : public ::testing::Test {
   std::vector<std::unique_ptr<PctDatabase>> worker_dbs_;
   std::vector<std::unique_ptr<PctServer>> workers_;
   std::unique_ptr<dist::Coordinator> coordinator_;
+  std::vector<std::string> sqls_;
 };
 
-// The shapes the fused horizontal pipeline used to refuse, and other edges
-// the generator reaches only by luck.
-const char* const kEdgeQueries[] = {
-    "SELECT Hpct(m1 BY d2) FROM f WHERE d3 = 99",
-    "SELECT Hpct(m1 BY d2) FROM e",
-    "SELECT d1, Hpct(m1 BY d2), sum(m2) AS x1 FROM e GROUP BY d1",
-    "SELECT Hpct(m1 BY d2), sum(m2) AS x1, avg(m1) AS x2 FROM f",
-    "SELECT Hpct(m1 BY s), count(*) AS n FROM f WHERE d1 <> 2",
-    "SELECT d1, Vpct(m2 BY d1) AS p1, sum(m2) AS x1 FROM f GROUP BY d1",
-    "SELECT d1, d2, Vpct(m1) AS p1 FROM e GROUP BY d1, d2",
-    "SELECT sum(m1) AS x1, count(*) AS n, min(m2) AS x2 FROM e",
-    "SELECT d1, sum(m1) AS x1, count(m1) AS x2 FROM e GROUP BY CUBE(d1)",
-    "SELECT s, d2, Vpct(m1 BY d2) AS p1 FROM f GROUP BY ROLLUP(s, d2)",
-};
+// Every unfiltered query's finest level and partials are a subset of this
+// plain GROUP BY's, so a cache holding it answers them by rollup.
+constexpr char kWarmFinest[] =
+    "SELECT d1, d2, d3, s, sum(m1) AS a1, count(m1) AS a2, min(m1) AS a3, "
+    "max(m1) AS a4, sum(m2) AS b1, count(m2) AS b2, min(m2) AS b3, "
+    "max(m2) AS b4, count(*) AS n FROM %s GROUP BY d1, d2, d3, s";
 
 TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
-  std::vector<std::string> sqls(std::begin(kEdgeQueries),
-                                std::end(kEdgeQueries));
-  QueryGen gen(17);
-  while (sqls.size() < 200) {
-    std::string sql = gen.Next();
-    // The generator may compose a statement the analyzer rejects (e.g. two
-    // Vpct terms with the same BY list); those are not evaluator questions.
-    if (db_.PrepareQuery(sql).ok()) sqls.push_back(std::move(sql));
-  }
-
+  const std::vector<std::string>& sqls = sqls_;
   size_t compared = 0;
   for (size_t dop : kDops) {
+    // A cache-on database holding only the warmed finest levels.
+    PctDatabase cached;
+    cached.EnableSummaryCache(true);
+    for (const char* table : {"f", "e"}) {
+      ASSERT_TRUE(cached
+                      .CreateTable(table,
+                                   **db_.catalog().GetTable(table))
+                      .ok());
+      ASSERT_TRUE(
+          cached.QueryPartial(StrFormat(kWarmFinest, table), AtDop(dop)).ok());
+    }
+
     // The partial path's answers at this dop, the reference for the rest.
     std::vector<Canonical> want(sqls.size());
     for (size_t i = 0; i < sqls.size(); ++i) {
       SCOPED_TRACE(sqls[i] + " @ dop=" + std::to_string(dop));
       Result<AnalyzedQuery> q = db_.PrepareQuery(sqls[i]);
       ASSERT_TRUE(q.ok()) << q.status().ToString();
-      Result<Table> fused = Local(sqls[i], ExecutionMode::kFused, dop);
+      Result<Table> fused = db_.QueryPartial(sqls[i], AtDop(dop));
       ASSERT_TRUE(fused.ok()) << fused.status().ToString();
       want[i] = Canonicalize(*fused);
 
       std::vector<std::pair<const char*, Result<Table>>> others;
-      others.emplace_back("advisor", Local(sqls[i], ExecutionMode::kAuto, dop));
+      others.emplace_back("advisor", db_.Query(sqls[i], AtDop(dop)));
       const bool has_plan = !q->has_grouping_sets &&
                             (q->query_class == QueryClass::kVpct ||
                              q->query_class == QueryClass::kHorizontal);
       if (has_plan) {
-        others.emplace_back("materialized",
-                            Local(sqls[i], ExecutionMode::kMaterialized, dop));
+        others.emplace_back("materialized", Materialized(sqls[i], *q, dop));
+      }
+      if (has_plan && q->query_class == QueryClass::kVpct) {
+        others.emplace_back("OLAP window", Olap(sqls[i], dop));
+      }
+      // Only unfiltered queries read the cache: the first run from the
+      // warmed ancestor (or an exact entry an earlier query left), the
+      // second from the entry the first run filled.
+      const size_t hits_before = cached.summaries().hits();
+      others.emplace_back("cached ancestor",
+                          cached.QueryPartial(sqls[i], AtDop(dop)));
+      const size_t hits_between = cached.summaries().hits();
+      others.emplace_back("cache entry",
+                          cached.QueryPartial(sqls[i], AtDop(dop)));
+      if (q->where == nullptr) {
+        EXPECT_GT(hits_between, hits_before) << "no cache read";
+        EXPECT_GT(cached.summaries().hits(), hits_between) << "no cache read";
       }
       others.emplace_back("2 shards", Sharded(sqls[i], dop));
       for (auto& [name, got] : others) {
@@ -448,8 +514,172 @@ TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
       }
     }
   }
-  // 200 queries x 2 dops x (advisor, 2 shards, MQO) at least.
-  EXPECT_GE(compared, 1200u);
+  // 200 queries x 2 dops x (advisor, 2 cache runs, 2 shards, MQO) at least.
+  EXPECT_GE(compared, 2000u);
+}
+
+// --- EXPLAIN prints the plan that runs ---------------------------------------
+
+// One top-level step of a plan: its trace label and detail.
+struct Step {
+  std::string label;
+  std::string detail;
+};
+
+// A plan's "strategy:" line and top-level steps.
+struct Listing {
+  std::string strategy;
+  std::vector<Step> steps;
+};
+
+std::vector<std::string> PlanLines(const Table& plan) {
+  std::vector<std::string> lines;
+  for (size_t r = 0; r < plan.num_rows(); ++r) {
+    lines.push_back(plan.column(0).StringAt(r));
+  }
+  return lines;
+}
+
+// "label: detail" (or a bare label) as EXPLAIN prints a step.
+Step ParseStep(const std::string& line) {
+  const size_t colon = line.find(": ");
+  if (colon == std::string::npos) return {line, ""};
+  return {line.substr(0, colon), line.substr(colon + 2)};
+}
+
+// Plain EXPLAIN: the "-- " header, then a script's statements (labelled as
+// Plan::Execute labels their trace nodes) or the partial path's and a
+// projection's "label: detail" lines.
+Listing FromExplain(const Table& plan) {
+  Listing out;
+  for (const std::string& line : PlanLines(plan)) {
+    if (line.rfind("-- ", 0) == 0) {
+      if (line.rfind("-- strategy: ", 0) == 0) out.strategy = line.substr(13);
+      continue;
+    }
+    const bool script = out.strategy.rfind("partial", 0) != 0 &&
+                        out.strategy.rfind("projection", 0) != 0;
+    if (!script) {
+      out.steps.push_back(ParseStep(line));
+      continue;
+    }
+    const std::string sql = line.substr(0, line.size() - 1);  // the ';'
+    out.steps.push_back({StatementLabel(sql), sql});
+  }
+  return out;
+}
+
+// EXPLAIN ANALYZE: its "strategy:" line and the plan's top-level nodes (two
+// spaces deep; their stats lines open with '[').
+Listing FromAnalyze(const Table& plan) {
+  Listing out;
+  bool in_plan = false;
+  for (const std::string& line : PlanLines(plan)) {
+    if (line.rfind("strategy: ", 0) == 0) out.strategy = line.substr(10);
+    if (line == "plan:") in_plan = true;
+    if (in_plan && line.size() > 2 && line.rfind("  ", 0) == 0 &&
+        line[2] != ' ' && line[2] != '[') {
+      out.steps.push_back(ParseStep(line.substr(2)));
+    }
+  }
+  return out;
+}
+
+// Temp tables carry a process-unique suffix (Fk_0007), so two builds of one
+// script differ only there.
+std::string Unnumbered(const std::string& sql) {
+  static const std::regex kTempSuffix("_[0-9]{4,}");
+  return std::regex_replace(sql, kTempSuffix, "_#");
+}
+
+std::string Show(const Listing& l) {
+  std::string out = "strategy: " + l.strategy + "\n";
+  for (const Step& s : l.steps) out += "  " + s.label + ": " + s.detail + "\n";
+  return out;
+}
+
+// The same evaluator, and the same steps in the same order: equal labels,
+// and equal SQL for every statement and scan. A rollup's "from" level is
+// the one plain EXPLAIN estimates smallest and EXPLAIN ANALYZE the one that
+// was, so only the level it builds is compared.
+void ExpectSamePlan(const Listing& plain, const Listing& analyzed) {
+  EXPECT_FALSE(plain.strategy.empty());
+  EXPECT_EQ(plain.strategy, analyzed.strategy);
+  ASSERT_EQ(plain.steps.size(), analyzed.steps.size())
+      << "EXPLAIN\n" << Show(plain) << "EXPLAIN ANALYZE\n" << Show(analyzed);
+  for (size_t i = 0; i < plain.steps.size(); ++i) {
+    const Step& p = plain.steps[i];
+    const Step& a = analyzed.steps[i];
+    EXPECT_EQ(p.label, a.label) << "step " << i;
+    auto built = [](const std::string& detail) {
+      return detail.rfind("lattice-rollup:", 0) == 0
+                 ? detail.substr(0, detail.find(" from "))
+                 : Unnumbered(detail);
+    };
+    EXPECT_EQ(built(p.detail), built(a.detail)) << "step " << i;
+  }
+}
+
+// pipeline_test's IntFact: d1(4) x d2(5, ~10% NULL) x d3(3), INT64 measure
+// a with ~8% NULLs.
+Table IntFact(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Table t(Schema({{"d1", DataType::kInt64},
+                  {"d2", DataType::kInt64},
+                  {"d3", DataType::kInt64},
+                  {"a", DataType::kInt64}}));
+  for (size_t i = 0; i < n; ++i) {
+    Value d2 = rng.Uniform(10) == 0
+                   ? Value::Null()
+                   : Value::Int64(static_cast<int64_t>(rng.Uniform(5)));
+    Value a = rng.Uniform(12) == 0
+                  ? Value::Null()
+                  : Value::Int64(static_cast<int64_t>(rng.Uniform(100)) + 1);
+    t.AppendRow({Value::Int64(static_cast<int64_t>(rng.Uniform(4))), d2,
+                 Value::Int64(static_cast<int64_t>(rng.Uniform(3))), a});
+  }
+  return t;
+}
+
+TEST_F(DifferentialTest, ExplainShowsThePlanThatRuns) {
+  std::vector<std::string> local = sqls_;
+  local.push_back(
+      "SELECT d1, m1, sum(m1) OVER (PARTITION BY d1) AS w FROM f");
+  local.push_back("SELECT d1, s, m2 FROM f WHERE d2 = 1");
+  // Above kFusedMinRows the advisor itself puts a Vpct on the partial path.
+  PctDatabase big;
+  ASSERT_TRUE(big.CreateTable("f", IntFact(70000, 43)).ok());
+  const std::string big_sql =
+      "SELECT d1, d2, Vpct(a BY d2) AS pct FROM f GROUP BY d1, d2";
+
+  size_t partial = 0;
+  for (size_t dop : kDops) {
+    auto local_check = [&](const PctDatabase& db, const std::string& sql) {
+      SCOPED_TRACE(sql + " @ dop=" + std::to_string(dop));
+      Result<Table> plain = db.Query("EXPLAIN " + sql, AtDop(dop));
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      Result<Table> analyzed = db.Query("EXPLAIN ANALYZE " + sql, AtDop(dop));
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+      const Listing p = FromExplain(*plain);
+      ExpectSamePlan(p, FromAnalyze(*analyzed));
+      if (p.strategy.rfind("partial", 0) == 0) ++partial;
+    };
+    for (const std::string& sql : local) local_check(db_, sql);
+    local_check(big, big_sql);
+
+    for (const std::string& sql : sqls_) {
+      SCOPED_TRACE("2 shards: " + sql + " @ dop=" + std::to_string(dop));
+      Result<Table> plain = Sharded("EXPLAIN " + sql, dop);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      Result<Table> analyzed = Sharded("EXPLAIN ANALYZE " + sql, dop);
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+      ExpectSamePlan(FromExplain(*plain), FromAnalyze(*analyzed));
+    }
+  }
+  // Both evaluators were seen locally: the partial path (plain aggregates,
+  // grouping sets, the 70,000-row Vpct) and the paper's scripts.
+  EXPECT_GT(partial, 2u);
+  EXPECT_LT(partial, 2 * (local.size() + 1));
 }
 
 }  // namespace

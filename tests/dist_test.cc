@@ -454,11 +454,48 @@ TEST(DistTest, ExplainAndExplainAnalyzeShowFanout) {
       cluster.Distributed(std::string("EXPLAIN ANALYZE ") + kVpctSql);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   text = FormatCsv(*analyzed);
-  EXPECT_NE(text.find("distributed scatter/gather"), std::string::npos)
-      << text;
+  EXPECT_NE(text.find("partial from shards"), std::string::npos) << text;
   EXPECT_NE(text.find("shard 0"), std::string::npos) << text;
   EXPECT_NE(text.find("shard 1"), std::string::npos) << text;
   EXPECT_NE(text.find("gather-merge"), std::string::npos) << text;
+}
+
+// The server's EXPLAIN verb (the clients' .explain) takes the statement path
+// of QUERY "EXPLAIN ...": on a coordinator it reaches the shard router and
+// prints the scatter, not the materialized script over the zero-row stub,
+// and it plans with the session's settings.
+TEST(DistTest, ExplainVerbFollowsTheRouterAndTheSession) {
+  Cluster cluster(2);
+  ASSERT_TRUE(
+      cluster.db().CreateTable("f", GenerateTransactionLine(3000)).ok());
+  ASSERT_TRUE(cluster.coordinator().ShardTable("f", "cityId").ok());
+  int port = cluster.StartCoordinatorServer();
+  Result<PctClient> client = PctClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  Result<WireResponse> set = client->Call(RequestVerb::kSet, "dop 2");
+  ASSERT_TRUE(set.ok() && set->status.ok());
+  Result<WireResponse> verb = client->Explain(kVpctSql);
+  ASSERT_TRUE(verb.ok()) << verb.status().ToString();
+  ASSERT_TRUE(verb->status.ok()) << verb->status.ToString();
+  EXPECT_NE(verb->body.find("\nscatter: PARTIAL 2 SELECT"), std::string::npos)
+      << verb->body;
+  EXPECT_NE(verb->body.find("-> 2 shards"), std::string::npos) << verb->body;
+  EXPECT_EQ(verb->body.find("INSERT INTO"), std::string::npos) << verb->body;
+
+  // The same plan as EXPLAIN sent through QUERY, line for line.
+  Result<WireResponse> query =
+      client->Query(std::string("EXPLAIN ") + kVpctSql);
+  ASSERT_TRUE(query.ok() && query->status.ok());
+  Schema plan_schema;
+  plan_schema.AddColumn({"plan", DataType::kString});
+  Result<Table> rows = ParseCsv(query->body, plan_schema);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::string lines;
+  for (size_t i = 0; i < rows->num_rows(); ++i) {
+    lines += rows->column(0).StringAt(i) + "\n";
+  }
+  EXPECT_EQ(verb->body, lines);
 }
 
 // The "predicted group rows: N" line of a rendered EXPLAIN ANALYZE.
@@ -619,7 +656,7 @@ TEST(CacheAncestorTest, SubsumedGroupByAnswersFromCachedSummary) {
   options.trace = &trace;
   Result<Table> got = db.Query(sql, options);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(trace.strategy, "cache-ancestor");
+  EXPECT_EQ(trace.strategy, "partial from cached ancestor");
   EXPECT_EQ(trace.strategy_source, "cache");
 
   PctDatabase fresh;
@@ -636,7 +673,7 @@ TEST(CacheAncestorTest, SubsumedGroupByAnswersFromCachedSummary) {
       "SELECT d1, sum(v) AS s FROM f WHERE d2 = 1 GROUP BY d1 ORDER BY d1",
       options);
   ASSERT_TRUE(filtered.ok());
-  EXPECT_NE(filtered_trace.strategy, "cache-ancestor");
+  EXPECT_NE(filtered_trace.strategy, "partial from cached ancestor");
 }
 
 }  // namespace

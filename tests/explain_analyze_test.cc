@@ -194,6 +194,53 @@ TEST_F(ExplainAnalyzeTest, PlainExplainStillReturnsScript) {
   EXPECT_GT(t->num_rows(), 0u);
 }
 
+// The rows of a one-column "plan" table as text.
+std::string PlanText(const Table& plan) {
+  std::string text;
+  for (size_t i = 0; i < plan.num_rows(); ++i) {
+    text += plan.column(0).StringAt(i) + "\n";
+  }
+  return text;
+}
+
+// The "strategy: ..." line of an EXPLAIN or EXPLAIN ANALYZE text.
+std::string StrategyLine(const std::string& text) {
+  const size_t begin = text.find("strategy: ");
+  if (begin == std::string::npos) return "";
+  return text.substr(begin, text.find('\n', begin) - begin);
+}
+
+// Plain EXPLAIN plans under the caller's options, so it prints the plan
+// EXPLAIN ANALYZE runs: a forced strategy and the dop both reach it.
+TEST_F(ExplainAnalyzeTest, PlainExplainFollowsTheOptions) {
+  QueryOptions update;
+  update.vpct_strategy = VpctStrategy{};
+  update.vpct_strategy->insert_result = false;
+  Result<Table> plain =
+      db_.Query(std::string("EXPLAIN ") + kVpctSql, update);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  std::string text = PlanText(*plain);
+  EXPECT_EQ(StrategyLine(text),
+            "strategy: Fj-from-Fk+UPDATE+lattice (forced)")
+      << text;
+  EXPECT_NE(text.find("\nUPDATE Fk_"), std::string::npos) << text;
+  EXPECT_EQ(text.find("INSERT INTO FV_"), std::string::npos) << text;
+
+  // At dop 4 the advisor ranks the horizontal methods by cost and picks
+  // CASE-from-FV here, where the paper's dop-1 rule picks CASE-from-F.
+  QueryOptions dop4;
+  dop4.degree_of_parallelism = 4;
+  plain = db_.Query(std::string("EXPLAIN ") + kHpctSql, dop4);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  text = PlanText(*plain);
+  Result<std::string> analyzed = db_.ExplainAnalyze(kHpctSql, dop4);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(StrategyLine(text), StrategyLine(*analyzed)) << text;
+  EXPECT_EQ(StrategyLine(text),
+            "strategy: CASE-from-FV+hash-dispatch (advisor)")
+      << text;
+}
+
 TEST_F(ExplainAnalyzeTest, ForcedStrategyIsReportedAsForced) {
   QueryOptions options;
   options.vpct_strategy = VpctStrategy{};

@@ -25,6 +25,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "core/advisor.h"
 #include "core/database.h"
 #include "core/partial_plan.h"
 #include "engine/table_ops.h"
@@ -361,6 +362,24 @@ std::string RenderTerm(const AnalyzedTerm& t, const std::string& name,
   return sql + ") AS " + name;
 }
 
+// Runs `sql` at `dop` on the materialized plan the advisor picks for it; a
+// plain aggregate has none and takes the partial path.
+Result<Table> QueryMaterialized(const PctDatabase& db, const std::string& sql,
+                                size_t dop) {
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery q, db.PrepareQuery(sql));
+  PCTAGG_ASSIGN_OR_RETURN(PlannerStats stats,
+                          db.PlannerStatistics(q.table_name));
+  QueryOptions options;
+  options.degree_of_parallelism = dop;
+  if (q.query_class == QueryClass::kVpct) {
+    options.vpct_strategy = StrategyAdvisor().AdviseVpct(stats, q, dop);
+  } else if (q.query_class == QueryClass::kHorizontal) {
+    options.horizontal_strategy =
+        StrategyAdvisor().AdviseHorizontal(stats, q, dop);
+  }
+  return db.Query(sql, options);
+}
+
 // The lattice's answer computed without rollups: one statement per grouping
 // set, grouped by that level, with every Vpct BY list cut to the level and
 // Vpct/Hpct/Hagg forced onto the materialized plans. Where every BY column is
@@ -370,9 +389,6 @@ std::string RenderTerm(const AnalyzedTerm& t, const std::string& name,
 Result<Table> SingleLevelReference(const PctDatabase& db,
                                    const std::string& sql, size_t dop) {
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery q, db.PrepareQuery(sql));
-  QueryOptions options;
-  options.execution = ExecutionMode::kMaterialized;
-  options.degree_of_parallelism = dop;
   const bool horizontal = q.query_class == QueryClass::kHorizontal;
   auto in_level = [](const std::vector<std::string>& level,
                      const std::string& col) {
@@ -413,7 +429,7 @@ Result<Table> SingleLevelReference(const PctDatabase& db,
     std::string stmt = "SELECT " + Join(items, ", ") + " FROM " + q.table_name;
     if (q.where != nullptr) stmt += " WHERE " + q.where->ToString();
     if (!level.empty()) stmt += " GROUP BY " + Join(level, ", ");
-    Result<Table> r = db.Query(stmt, options);
+    Result<Table> r = QueryMaterialized(db, stmt, dop);
     if (!r.ok()) return Status::Internal(stmt + ": " + r.status().ToString());
     blocks.push_back({&level, std::move(*r)});
   }
@@ -530,7 +546,7 @@ void ExpectLatticeMatchesSingleLevels(const PctDatabase& db,
   options.trace = &trace;
   Result<Table> got = db.Query(sql, options);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(trace.strategy, "lattice-shared");
+  EXPECT_EQ(trace.strategy, "partial from fused scan");
   Result<Table> want = SingleLevelReference(db, sql, dop);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   EXPECT_TRUE(BitIdentical(*got, *want));
@@ -746,7 +762,8 @@ TEST(LatticeExplain, SharedScanShowsOneFusedScanFeedingAllLevels) {
       QueryOptions());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const std::string& plan = r.value();
-  EXPECT_NE(plan.find("lattice-shared"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("strategy: partial from fused scan"), std::string::npos)
+      << plan;
   // The acceptance shape: exactly one fused scan of the fact table, with
   // every other level rolled up from an already-computed ancestor.
   EXPECT_EQ(CountOccurrences(plan, "fused-scan:"), 1u) << plan;
@@ -759,7 +776,8 @@ TEST(LatticeExplain, PlainExplainRendersLatticeScript) {
   Result<std::string> r = db.Explain(
       "SELECT d1, d2, Vpct(a BY d2) AS pct FROM f GROUP BY CUBE(d1, d2)");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_NE(r.value().find("grouping-set lattice:"), std::string::npos)
+  EXPECT_NE(r.value().find("-- strategy: partial from fused scan (n/a)"),
+            std::string::npos)
       << r.value();
   EXPECT_NE(r.value().find("4 level(s)"), std::string::npos) << r.value();
 }

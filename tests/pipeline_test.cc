@@ -1,6 +1,7 @@
 // Property sweep for the fused push-based percentage pipelines: every query
-// runs twice — ExecutionMode::kFused vs kMaterialized — and the results must
-// be bit-identical (exact value bits, including FLOAT64), across dop {1,4},
+// runs twice — on the partial path (QueryPartial) and on the materialized
+// plan the advisor picks at that dop — and the results must be
+// bit-identical (exact value bits, including FLOAT64), across dop {1,4},
 // NULL keys, numeric and string/dictionary group keys, WHERE clauses,
 // multi-term Vpct with lattice reuse, grand totals, and the horizontal
 // variants with extras. Float measures stay under one morsel (<= 16384 rows)
@@ -20,11 +21,11 @@
 
 #include "common/cpu.h"
 #include "common/rng.h"
+#include "core/advisor.h"
 #include "core/database.h"
 #include "engine/pipeline.h"
 #include "engine/table_ops.h"
 #include "obs/trace.h"
-#include "server/session.h"
 #include "workload/generators.h"
 
 namespace pctagg {
@@ -106,30 +107,39 @@ uint64_t DoubleBits(double d) {
   return ::testing::AssertionSuccess();
 }
 
-// Runs `sql` under both execution modes at `dop` and checks bit-identity.
-// `expect_fused` additionally asserts the fused pipeline really ran (the
-// forced mode falls back silently on unsupported shapes, which would turn
-// the comparison into materialized-vs-materialized and prove nothing).
+// `options` with the materialized plan the advisor picks for the Vpct or
+// horizontal `sql` at `dop` forced.
+QueryOptions Materialized(const PctDatabase& db, const std::string& sql,
+                          size_t dop, QueryOptions options = QueryOptions()) {
+  options.degree_of_parallelism = dop;
+  Result<AnalyzedQuery> q = db.PrepareQuery(sql);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (!q.ok()) return options;
+  const PlannerStats stats = db.PlannerStatistics(q->table_name).value();
+  if (q->query_class == QueryClass::kVpct) {
+    options.vpct_strategy = StrategyAdvisor().AdviseVpct(stats, *q, dop);
+  } else if (q->query_class == QueryClass::kHorizontal) {
+    options.horizontal_strategy =
+        StrategyAdvisor().AdviseHorizontal(stats, *q, dop);
+  }
+  return options;
+}
+
+// Runs `sql` on the partial path and on the advisor's materialized plan at
+// `dop` and checks bit-identity; the trace shows the partial path ran.
 void ExpectFusedMatchesMaterialized(const PctDatabase& db,
-                                    const std::string& sql, size_t dop,
-                                    bool expect_fused = true) {
+                                    const std::string& sql, size_t dop) {
   SCOPED_TRACE(sql + " @ dop=" + std::to_string(dop));
   obs::QueryTrace trace;
   QueryOptions fused;
-  fused.execution = ExecutionMode::kFused;
   fused.degree_of_parallelism = dop;
   fused.trace = &trace;
-  Result<Table> rf = db.Query(sql, fused);
+  Result<Table> rf = db.QueryPartial(sql, fused);
   ASSERT_TRUE(rf.ok()) << rf.status().ToString();
-  if (expect_fused) {
-    EXPECT_EQ(trace.strategy, "fused-pipeline");
-    EXPECT_EQ(trace.strategy_source, "forced");
-  }
+  EXPECT_EQ(trace.strategy, "partial from fused scan");
+  EXPECT_EQ(trace.strategy_source, "forced");
 
-  QueryOptions mat;
-  mat.execution = ExecutionMode::kMaterialized;
-  mat.degree_of_parallelism = dop;
-  Result<Table> rm = db.Query(sql, mat);
+  Result<Table> rm = db.Query(sql, Materialized(db, sql, dop));
   ASSERT_TRUE(rm.ok()) << rm.status().ToString();
   EXPECT_TRUE(BitIdentical(*rf, *rm));
 }
@@ -572,17 +582,16 @@ class PipelineDispatch : public ::testing::Test {
 TEST_F(PipelineDispatch, FusedTraceShowsPipelineNodesAndCandidates) {
   obs::QueryTrace trace;
   QueryOptions options;
-  options.execution = ExecutionMode::kFused;
   options.trace = &trace;
-  Result<Table> r = db_.Query(
+  Result<Table> r = db_.QueryPartial(
       "SELECT d1, d2, Vpct(a BY d2) AS pct FROM f GROUP BY d1, d2", options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   EXPECT_EQ(trace.query_class, "vertical-percentage");
-  EXPECT_EQ(trace.strategy, "fused-pipeline");
+  EXPECT_EQ(trace.strategy, "partial from fused scan");
   EXPECT_EQ(trace.strategy_source, "forced");
-  // All four materialized candidates plus the fused pipeline, exactly one
-  // chosen — and the chosen one is the fused entry.
+  // All four materialized candidates plus the partial path, exactly one
+  // chosen — and the chosen one is the partial entry.
   ASSERT_EQ(trace.predicted_costs.size(), 5u);
   int chosen = 0;
   bool fused_chosen = false;
@@ -590,7 +599,7 @@ TEST_F(PipelineDispatch, FusedTraceShowsPipelineNodesAndCandidates) {
     EXPECT_GT(c.cost, 0.0);
     if (c.chosen) {
       ++chosen;
-      fused_chosen = c.name == "fused-pipeline";
+      fused_chosen = c.name == "partial";
     }
   }
   EXPECT_EQ(chosen, 1);
@@ -608,16 +617,18 @@ TEST_F(PipelineDispatch, FusedTraceShowsPipelineNodesAndCandidates) {
 }
 
 TEST_F(PipelineDispatch, ExplainAnalyzeRendersFusedTree) {
+  obs::QueryTrace trace;
   QueryOptions options;
-  options.execution = ExecutionMode::kFused;
-  Result<std::string> rendered = db_.ExplainAnalyze(
-      "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", options);
-  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
-  EXPECT_NE(rendered->find("fused-pipeline"), std::string::npos);
-  EXPECT_NE(rendered->find("fused"), std::string::npos);
+  options.trace = &trace;
+  ASSERT_TRUE(
+      db_.QueryPartial("SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", options)
+          .ok());
+  const std::string rendered = trace.Render();
+  EXPECT_NE(rendered.find("partial from fused scan"), std::string::npos);
+  EXPECT_NE(rendered.find("fused"), std::string::npos);
   // Per-node operator stats made it into the render.
-  EXPECT_NE(rendered->find("rows_in="), std::string::npos);
-  EXPECT_NE(rendered->find("fused-pipeline="), std::string::npos);
+  EXPECT_NE(rendered.find("rows_in="), std::string::npos);
+  EXPECT_NE(rendered.find("partial="), std::string::npos);
 }
 
 TEST_F(PipelineDispatch, AdvisorPathListsFusedCandidateUnchosenOnSmallInput) {
@@ -630,11 +641,11 @@ TEST_F(PipelineDispatch, AdvisorPathListsFusedCandidateUnchosenOnSmallInput) {
       db_.Query("SELECT d1, d2, Vpct(a BY d2) AS pct FROM f GROUP BY d1, d2",
                 options)
           .ok());
-  EXPECT_NE(trace.strategy, "fused-pipeline");
+  EXPECT_NE(trace.strategy, "partial from fused scan");
   ASSERT_EQ(trace.predicted_costs.size(), 5u);
   bool fused_listed = false;
   for (const auto& c : trace.predicted_costs) {
-    if (c.name == "fused-pipeline") {
+    if (c.name == "partial") {
       fused_listed = true;
       EXPECT_FALSE(c.chosen);
     }
@@ -651,41 +662,39 @@ TEST_F(PipelineDispatch, AutoPicksFusedAboveRowThreshold) {
   Result<Table> r = big.Query(
       "SELECT d1, d2, Vpct(a BY d2) AS pct FROM f GROUP BY d1, d2", options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(trace.strategy, "fused-pipeline");
+  EXPECT_EQ(trace.strategy, "partial from fused scan");
   EXPECT_EQ(trace.strategy_source, "advisor");
 }
 
-TEST_F(PipelineDispatch, ForcedFusedFallsBackOnUnsupportedShapes) {
-  // avg as the BY term has no distributive combine step over FVh partials.
-  // It must run and must not claim the fused strategy.
+TEST_F(PipelineDispatch, QueryPartialRefusesUnsupportedShapes) {
+  // avg as the BY term has no distributive combine step over FVh partials:
+  // QueryPartial returns the support gate's error, and Query still answers
+  // on a materialized plan.
   for (const char* sql : {"SELECT d1, avg(a BY d2) FROM f GROUP BY d1"}) {
     SCOPED_TRACE(sql);
+    Result<Table> r = db_.QueryPartial(sql, QueryOptions());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("avg(... BY ...) is not distributive"),
+              std::string::npos)
+        << r.status().ToString();
     obs::QueryTrace trace;
     QueryOptions options;
-    options.execution = ExecutionMode::kFused;
     options.trace = &trace;
-    Result<Table> r = db_.Query(sql, options);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_NE(trace.strategy, "fused-pipeline");
-    // Still bit-identical to the materialized run (trivially, it is one).
-    QueryOptions mat;
-    mat.execution = ExecutionMode::kMaterialized;
-    Result<Table> rm = db_.Query(sql, mat);
-    ASSERT_TRUE(rm.ok());
-    EXPECT_TRUE(BitIdentical(*r, *rm));
+    ASSERT_TRUE(db_.Query(sql, options).ok());
+    EXPECT_NE(trace.strategy, "partial from fused scan");
   }
 }
 
 TEST_F(PipelineDispatch, ForcedMaterializedStrategyIsNeverFused) {
   obs::QueryTrace trace;
   QueryOptions options;
-  options.execution = ExecutionMode::kFused;  // loses to the explicit strategy
   options.vpct_strategy = VpctStrategy{};
   options.trace = &trace;
   ASSERT_TRUE(
       db_.Query("SELECT d1, Vpct(a BY d1) AS pct FROM f GROUP BY d1", options)
           .ok());
-  EXPECT_NE(trace.strategy, "fused-pipeline");
+  EXPECT_NE(trace.strategy, "partial from fused scan");
   EXPECT_EQ(trace.strategy_source, "forced");
   // Forced-strategy traces keep exactly the four materialized candidates.
   EXPECT_EQ(trace.predicted_costs.size(), 4u);
@@ -700,42 +709,19 @@ TEST_F(PipelineDispatch, FusedSharesSummaryCacheWithMaterialized) {
 
   // Materialized run populates the Fk-level summary; the fused run keys the
   // identical (table, group-by, rendered-aggs) entry and must hit it.
-  QueryOptions mat;
-  mat.execution = ExecutionMode::kMaterialized;
-  Result<Table> rm = db.Query(sql, mat);
+  Result<Table> rm = db.Query(sql, Materialized(db, sql, 1));
   ASSERT_TRUE(rm.ok()) << rm.status().ToString();
   size_t hits_before = db.summaries().hits();
 
-  QueryOptions fused;
-  fused.execution = ExecutionMode::kFused;
-  Result<Table> rf = db.Query(sql, fused);
+  Result<Table> rf = db.QueryPartial(sql, QueryOptions());
   ASSERT_TRUE(rf.ok()) << rf.status().ToString();
   EXPECT_GT(db.summaries().hits(), hits_before);
   EXPECT_TRUE(BitIdentical(*rf, *rm));
 
   // And a repeated fused run hits the entry it (or the first run) cached.
   size_t hits_mid = db.summaries().hits();
-  ASSERT_TRUE(db.Query(sql, fused).ok());
+  ASSERT_TRUE(db.QueryPartial(sql, QueryOptions()).ok());
   EXPECT_GT(db.summaries().hits(), hits_mid);
-}
-
-// --- SET exec through the server session ------------------------------------
-
-TEST(PipelineSession, SetExecRoundTrips) {
-  Session s(1, 0);
-  Result<std::string> r = s.ApplySet("exec fused");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "exec = fused");
-  EXPECT_EQ(s.query_options().execution, ExecutionMode::kFused);
-
-  ASSERT_TRUE(s.ApplySet("exec materialized").ok());
-  EXPECT_EQ(s.query_options().execution, ExecutionMode::kMaterialized);
-
-  ASSERT_TRUE(s.ApplySet("exec default").ok());
-  EXPECT_EQ(s.query_options().execution, ExecutionMode::kAuto);
-  EXPECT_NE(s.Describe().find("exec = auto"), std::string::npos);
-
-  EXPECT_FALSE(s.ApplySet("exec bogus").ok());
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 //   .save <table> <file.csv>   write a table to CSV
 //   .gen <employee|sales|transactionline|census> <name> <rows>
 //                              create a synthetic paper workload table
-//   .explain <sql>             print the generated evaluation script
+//   .explain <sql>             print the plan that would run (EXPLAIN)
 //   .olap <sql>                run a Vpct query via the OLAP window baseline
 //   .cache <on|off>            toggle the shared-summary cache
 //   .timer <on|off>            print per-statement wall-clock time
