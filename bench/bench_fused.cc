@@ -3,11 +3,13 @@
 // (BENCH_fused.json, also echoed to stdout).
 //
 // Two comparisons:
-//   1. The fused scan->filter->aggregate kernel (FusedAggregate) versus the
-//      materialized equivalent it replaces — Filter into an intermediate
-//      table, then HashAggregate over the copy — on the same WHERE +
-//      GROUP BY shape at DOP 1/2/4/8. The seed reference is the materialized
-//      pair at DOP=1; "speedup_vs_seed" is materialized_ms / fused_ms,
+//   1. The fused scan->filter->aggregate kernel (HashAggregate with its
+//      WHERE mask) versus the materialized equivalent — Filter into an
+//      intermediate table, then HashAggregate over the copy — on the same
+//      WHERE + GROUP BY shape at DOP 1/2/4/8. Both run the one aggregation
+//      kernel, so the materialized row differs only by Filter's copy. The
+//      seed reference is the materialized pair at DOP=1;
+//      "speedup_vs_seed" is materialized_ms / fused_ms,
 //      measured on the same host in the same process, so the ratio transfers
 //      across CI hardware. The DOP=1 row doubles as the regression guard
 //      (dop1_regression_pct must stay <= 5: fusing must never lose to
@@ -40,7 +42,6 @@
 #include "core/advisor.h"
 #include "core/database.h"
 #include "engine/aggregate.h"
-#include "engine/pipeline.h"
 #include "engine/table_ops.h"
 #include "workload/generators.h"
 
@@ -101,13 +102,13 @@ double MaterializedAggregateMs(const Table& t, size_t dop, size_t* out_groups) {
   return ms;
 }
 
-double FusedAggregateMs(const Table& t, size_t dop, size_t* out_groups) {
+double FusedKernelMs(const Table& t, size_t dop, size_t* out_groups) {
   pctagg::Stopwatch timer;
-  Result<Table> r = pctagg::FusedAggregate(t, BenchWhere(), {"dweek", "monthNo"},
-                                           BenchAggs(), dop);
+  Result<Table> r = pctagg::HashAggregate(t, {"dweek", "monthNo"}, BenchAggs(),
+                                          dop, BenchWhere());
   double ms = timer.ElapsedMillis();
   if (!r.ok()) {
-    std::fprintf(stderr, "FusedAggregate failed: %s\n",
+    std::fprintf(stderr, "fused HashAggregate failed: %s\n",
                  r.status().ToString().c_str());
     std::abort();
   }
@@ -205,7 +206,7 @@ int main(int argc, char** argv) {
   const Table& sales = *db.catalog().GetTable("sales").value();
 
   // --- Kernel comparison: materialized Filter+HashAggregate (dop=1) is the
-  // seed reference; FusedAggregate runs at each DOP.
+  // seed reference; the masked kernel runs at each DOP.
   size_t seed_groups = 0;
   double seed_ms = BestOf(
       reps, [&] { return MaterializedAggregateMs(sales, 1, &seed_groups); });
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
   for (size_t dop : kDops) {
     size_t groups = 0;
     double ms =
-        BestOf(reps, [&] { return FusedAggregateMs(sales, dop, &groups); });
+        BestOf(reps, [&] { return FusedKernelMs(sales, dop, &groups); });
     if (groups != seed_groups) {
       std::fprintf(stderr, "group count mismatch: %zu vs %zu\n", groups,
                    seed_groups);

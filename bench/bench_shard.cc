@@ -46,8 +46,8 @@
 #include "core/partial_plan.h"
 #include "dist/coordinator.h"
 #include "engine/csv.h"
-#include "engine/merge.h"
 #include "engine/parallel.h"
+#include "engine/table_ops.h"
 #include "server/server.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
@@ -80,8 +80,8 @@ constexpr size_t kDops[] = {1, 2, 4, 8};
 
 // Vpct over the INT64 quantity measure: shard partials are integer sums, so
 // the merged-and-divided percentages match single-node bit for bit. The
-// ORDER BY pins row order against the nondeterministic arrival order of the
-// merge-on-arrival gather.
+// ORDER BY pins row order to the single-node answer's (the gather emits
+// groups in shard order).
 constexpr const char* kSql =
     "SELECT dayOfWeekNo, stateId, Vpct(itemQty BY stateId) AS pct, "
     "sum(itemQty) AS s FROM f GROUP BY dayOfWeekNo, stateId "
@@ -241,14 +241,21 @@ int main(int argc, char** argv) {
       dop_bytes += bytes.size();
       partials[i] = std::move(*decoded);
     }
+    // The coordinator's gather: the replies in shard order, rolled up once.
     pctagg::Stopwatch merge_timer;
-    Table merged = std::move(partials[0]);
+    Table all = std::move(partials[0]);
     for (size_t i = 1; i < kShards; ++i) {
-      Result<Table> m = pctagg::MergeSummaries(
-          merged, partials[i], plan->finest_cols.size(), plan->combine);
-      if (!m.ok()) Die("merge failed", m.status());
-      merged = std::move(*m);
+      pctagg::Status st = pctagg::InsertInto(&all, partials[i]);
+      if (!st.ok()) Die("merge failed", st);
     }
+    std::vector<std::string> names;
+    for (const pctagg::AggSpec& p : plan->partials) {
+      names.push_back(p.output_name);
+    }
+    Result<Table> rolled =
+        pctagg::RollUp(plan->partials, all, plan->finest_cols, names, dop);
+    if (!rolled.ok()) Die("merge failed", rolled.status());
+    Table merged = std::move(*rolled);
     double merge_ms = merge_timer.ElapsedMillis();
     pctagg::Stopwatch assemble_timer;
     Table assembled;

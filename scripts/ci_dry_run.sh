@@ -71,7 +71,8 @@ fi
 
 # --- sanitizers --------------------------------------------------------------
 if [ "$QUICK" = 0 ]; then
-  run_job "ASan" build_and_test build-ci-asan gcc g++ Debug -DPCTAGG_SANITIZE=address
+  run_job "ASan+UBSan" build_and_test build-ci-asan gcc g++ Debug \
+    -DPCTAGG_SANITIZE=address,undefined
   note "TSan"
   if CC=gcc CXX=g++ cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
        -DPCTAGG_SANITIZE=thread &&

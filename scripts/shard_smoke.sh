@@ -52,7 +52,8 @@ wait_ready() {  # wait_ready <port> <pid>
 }
 
 # INT64 measure (itemId) so the distributed merge is bit-identical; ORDER BY
-# pins row order against the merge-on-arrival gather.
+# pins row order to the single-node answer's (the gather emits groups in
+# shard order).
 QUERY="SELECT dweek, state, Vpct(itemId BY state) AS pct, count(*) AS n \
 FROM f GROUP BY dweek, state ORDER BY dweek, state"
 # The same shape filtered on columns other than the shard key (city): every

@@ -174,9 +174,9 @@ double CostModel::DistributedCost(const FactStats& stats, double num_shards,
   // dop and materializes up to `groups` partial rows.
   double cost = n * params_.scan / (shards * dop) + groups * params_.write +
                 params_.statement;
-  // Every shard ships its partial table; the coordinator deserializes and
-  // hash-upserts each cell into the merged summary as results arrive (the
-  // merge overlaps in-flight shards, but is itself serial).
+  // Every shard ships its partial table; the coordinator deserializes the
+  // replies, concatenates them and rolls them up once: one hash probe and
+  // fold per shipped row.
   cost += shards * groups * cols * params_.net;
   cost += shards * groups * (params_.probe + params_.update);
   // Coordinator-side assembly over the merged partials (divide/pivot).
@@ -206,9 +206,9 @@ double CostModel::MqoBatchCost(const FactStats& stats, double num_queries,
 double CostModel::DeltaMergeCost(double delta_rows, double summary_rows,
                                  double dop) const {
   dop = std::max(1.0, dop);
-  // Aggregate the delta (parallel scan into at most delta_rows groups),
-  // probe each delta group against the cached summary, and read-modify-
-  // write the cells that hit (bounded by both cardinalities).
+  // Aggregate the delta (parallel scan into at most delta_rows groups) and
+  // fold each delta group into its cached group (bounded by both
+  // cardinalities).
   const double delta_groups = std::min(delta_rows, summary_rows);
   return delta_rows * params_.scan / dop +
          delta_groups * (params_.probe + params_.update) + params_.statement;

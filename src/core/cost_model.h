@@ -114,8 +114,9 @@ class CostModel {
   // Sharded scatter/gather execution (src/dist/). Each of `num_shards`
   // workers scans its rows/num_shards share at `shard_dop` and ships a
   // partial table of ~group_cardinality rows × `partial_cols` cells; the
-  // coordinator merges the shard partials as they arrive (hash upsert per
-  // cell, serial) and assembles the percentages from the merged table. The
+  // coordinator concatenates the shard partials, rolls them up once (one
+  // hash probe and fold per shipped row) and assembles the percentages from
+  // the merged table. The
   // wall-clock win is the scan term dividing by num_shards·shard_dop — the
   // network and merge terms grow with shards, which is the fan-out tradeoff
   // EXPLAIN ANALYZE shows next to the single-node candidate.
@@ -141,8 +142,9 @@ class CostModel {
   // Append-path maintenance of one cached summary (core/summary_cache.h).
   //
   // Delta-merge: aggregate the `delta_rows` appended rows (morsel-parallel
-  // scan), then upsert at most min(delta groups, summary rows) cells into
-  // the cached table — a serial read-modify-write per touched group.
+  // scan), then fold at most min(delta groups, summary rows) touched groups
+  // into the cached table. The rollup that does the fold also copies the
+  // summary's own rows, which this term leaves out.
   double DeltaMergeCost(double delta_rows, double summary_rows,
                         double dop) const;
 

@@ -10,7 +10,6 @@
 #include "core/select_plan.h"
 #include "engine/aggregate.h"
 #include "engine/csv.h"
-#include "engine/merge.h"
 #include "engine/parallel.h"
 #include "engine/table_ops.h"
 #include "obs/metrics.h"
@@ -88,6 +87,30 @@ obs::Counter& DeltaRowsCounter() {
   static obs::Counter& c = obs::GlobalMetrics().GetCounter(
       "pctagg_summary_delta_rows_total", "Rows appended through AppendRows");
   return c;
+}
+
+// Brings cached summary `existing` — `recipe` evaluated over the rows before
+// an append — up to date with the appended rows `delta`: the delta's own
+// summary is appended to a copy of it (translating dictionary codes) and the
+// two roll up once. Old groups keep their positions and new groups follow in
+// delta order, exactly as recomputing over old-then-new rows emits them.
+Result<Table> MergeDelta(const Table& existing, const Table& delta,
+                         const SummaryRecipe& recipe, size_t dop) {
+  PCTAGG_ASSIGN_OR_RETURN(
+      Table delta_summary,
+      HashAggregate(delta, recipe.group_by, recipe.aggs, dop));
+  Table both = existing;
+  PCTAGG_RETURN_IF_ERROR(InsertInto(&both, delta_summary));
+  // RollUp reads each partial from the column it names, but an aggregate's
+  // alias may repeat a group column's name, so the inputs are renamed by
+  // position first.
+  std::vector<std::string> inputs;
+  for (size_t a = 0; a < recipe.aggs.size(); ++a) {
+    inputs.push_back("__delta" + std::to_string(a));
+    PCTAGG_RETURN_IF_ERROR(
+        both.RenameColumn(recipe.group_by.size() + a, inputs.back()));
+  }
+  return RollUp(recipe.aggs, both, recipe.group_by, inputs, dop);
 }
 
 // One-row result of an append statement.
@@ -471,17 +494,11 @@ Result<AppendOutcome> PctDatabase::AppendRows(const std::string& name,
           {"recompute[" + group_cols + "]", recompute_cost, !merge});
     }
     if (merge) {
-      Result<Table> delta_summary =
-          HashAggregate(delta, p.recipe.group_by, p.recipe.aggs, dop);
-      if (delta_summary.ok()) {
-        Result<Table> merged =
-            MergeSummaries(*p.summary, *delta_summary,
-                           p.recipe.group_by.size(), p.recipe.aggs);
-        if (merged.ok() && summaries_.CompleteMerge(p, *merged)) {
-          ++outcome.summaries_merged;
-          DeltaMergeCounter().Add();
-          continue;
-        }
+      Result<Table> merged = MergeDelta(*p.summary, delta, p.recipe, dop);
+      if (merged.ok() && summaries_.CompleteMerge(p, *merged)) {
+        ++outcome.summaries_merged;
+        DeltaMergeCounter().Add();
+        continue;
       }
       // A failed or superseded merge degrades to the drop-and-recompute
       // path — the entry simply stays out of the cache.
@@ -570,9 +587,9 @@ Result<Table> PctDatabase::Execute(const std::string& sql,
         "-- append path: add rows to the base table (dictionary codes\n"
         "-- resolved against the existing per-column dictionaries), then for\n"
         "-- each cached summary of the table: aggregate only the delta with\n"
-        "-- the entry's recipe and merge by keyed upsert, or drop the entry\n"
-        "-- for lazy recompute (per-entry cost-model choice; see EXPLAIN\n"
-        "-- ANALYZE for the resolved candidates).\n";
+        "-- the entry's recipe and roll it up with the entry, or drop the\n"
+        "-- entry for lazy recompute (per-entry cost-model choice; see\n"
+        "-- EXPLAIN ANALYZE for the resolved candidates).\n";
     return TextToPlanTable(text);
   }
   if (stmt_kind.explain) {

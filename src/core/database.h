@@ -146,11 +146,12 @@ class PctDatabase {
 
   // Appends `delta` (same column arity/types as the table) to base table
   // `name` and delta-maintains its cached summaries: the delta is aggregated
-  // once per mergeable cache entry with the entry's own recipe and merged by
-  // keyed upsert (engine/merge.h); entries whose aggregates are not
-  // distributive — or where the CostModel prefers it — are dropped and
-  // recomputed lazily by the next query. Dictionary codes of string columns
-  // are resolved against the table's existing per-column dictionaries.
+  // once per mergeable cache entry with the entry's own recipe, appended to
+  // the entry and rolled up once (RollUp, core/partial_plan.h); entries
+  // whose aggregates are not distributive — or where the CostModel prefers
+  // it — are dropped and recomputed lazily by the next query. Dictionary
+  // codes of string columns are resolved against the table's existing
+  // per-column dictionaries.
   //
   // This is a write: callers must keep it exclusive against concurrent
   // queries on the same database (the server's QueryExecutor classifies

@@ -52,7 +52,6 @@ Result<MqoBatchPlan> PlanMqoBatch(
     }
     plan.members.push_back(std::move(member));
   }
-  plan.scan_combine = CombineSpecs(plan.scan_partials);
   // Shard workers run the batch's union scan through their ordinary PARTIAL
   // verb.
   plan.scan_sql = RenderPartialSelect(plan.scan_cols, plan.scan_partials,

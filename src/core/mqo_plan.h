@@ -46,7 +46,6 @@ struct MqoBatchPlan {
   ExprPtr where;                       // shared predicate; may be null
   std::vector<std::string> scan_cols;  // union finest level
   std::vector<AggSpec> scan_partials;  // deduplicated union partials
-  std::vector<AggSpec> scan_combine;   // merge spec for shard partial tables
   std::string scan_sql;     // rendered partial SELECT for the sharded path
   std::vector<PartialPlan> members;  // one per input query, same order
   size_t partials_requested = 0;     // sum over members, before dedup

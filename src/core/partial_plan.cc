@@ -733,7 +733,7 @@ Result<std::shared_ptr<const Table>> FinestPartials(
     return cached;
   }
   PCTAGG_ASSIGN_OR_RETURN(Table t,
-                          FusedAggregate(fact, where, cols, partials, dop));
+                          HashAggregate(fact, cols, partials, dop, where));
   if (own_fill) summaries->Insert(key, t, generation, &recipe);
   return std::make_shared<const Table>(std::move(t));
 }

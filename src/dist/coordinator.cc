@@ -11,8 +11,8 @@
 #include "core/partial_plan.h"
 #include "core/select_plan.h"
 #include "dist/shard.h"
-#include "engine/merge.h"
 #include "engine/parallel.h"
+#include "engine/table_ops.h"
 #include "obs/metrics.h"
 #include "sql/parser.h"
 #include "storage/serde.h"
@@ -367,8 +367,8 @@ Result<std::optional<Table>> Coordinator::MaybeExecute(
 }
 
 Result<Table> Coordinator::ScatterGather(const std::string& partial_sql,
-                                         size_t num_key_cols,
-                                         const std::vector<AggSpec>& combine,
+                                         const std::vector<std::string>& cols,
+                                         const std::vector<AggSpec>& partials,
                                          size_t worker_dop,
                                          obs::QueryTrace* trace) {
   const size_t nshards = links_.size();
@@ -384,10 +384,10 @@ Result<Table> Coordinator::ScatterGather(const std::string& partial_sql,
   }
 
   // Scatter: one thread per shard holds that link's mutex for the whole
-  // request. Gather runs on this thread, merging each partial as it arrives
-  // — the serial merge of shard k overlaps the still-running scans of
-  // shards k+1.., which is what makes the fan-out a pipeline rather than a
-  // barrier.
+  // request. Gather runs on this thread: it keeps each reply by shard index
+  // and, after the last one, concatenates them in shard order and rolls
+  // them up once — so the answer does not depend on which shard replied
+  // first.
   std::mutex queue_mu;
   std::condition_variable queue_cv;
   std::deque<Arrival> queue;
@@ -438,12 +438,9 @@ Result<Table> Coordinator::ScatterGather(const std::string& partial_sql,
     });
   }
 
-  Table merged;
-  bool have_merged = false;
   Status failure = Status::OK();
   uint64_t rows_gathered = 0;
   uint64_t bytes_gathered = 0;
-  double merge_ms = 0;
   std::vector<Arrival> arrivals(nshards);
   for (size_t received = 0; received < nshards; ++received) {
     Arrival a;
@@ -473,26 +470,13 @@ Result<Table> Coordinator::ScatterGather(const std::string& partial_sql,
     } else if (failure.ok()) {
       rows_gathered += a.partial.num_rows();
       bytes_gathered += a.body_bytes;
-      Stopwatch merge_timer;
-      if (!have_merged) {
-        merged = std::move(a.partial);
-        have_merged = true;
-      } else {
-        Result<Table> m =
-            MergeSummaries(merged, a.partial, num_key_cols, combine);
-        if (!m.ok()) failure = m.status();
-        else merged = std::move(*m);
-      }
-      merge_ms += merge_timer.ElapsedSeconds() * 1e3;
     }
     if (a.resends > 0) RetriesCounter().Add(static_cast<uint64_t>(a.resends));
     arrivals[a.shard] = std::move(a);
-    arrivals[a.shard].partial = Table();  // merged or irrelevant; free it
   }
   for (std::thread& t : threads) t.join();
   const double scatter_ms = scatter_timer.ElapsedSeconds() * 1e3;
   ScatterHist().Observe(ToMicros(scatter_ms));
-  GatherMergeHist().Observe(ToMicros(merge_ms));
   RowsMergedCounter().Add(rows_gathered);
   BytesMovedCounter().Add(bytes_gathered + nshards * payload.size());
 
@@ -516,9 +500,25 @@ Result<Table> Coordinator::ScatterGather(const std::string& partial_sql,
   }
   if (!failure.ok()) return failure;
 
+  // The replies in shard order, rolled up once. InsertInto checks each
+  // reply's arity and types and translates its dictionary codes.
+  Stopwatch merge_timer;
+  Table all = std::move(arrivals[0].partial);
+  for (size_t i = 1; i < nshards; ++i) {
+    PCTAGG_RETURN_IF_ERROR(InsertInto(&all, arrivals[i].partial));
+    arrivals[i].partial = Table();
+  }
+  std::vector<std::string> names;
+  names.reserve(partials.size());
+  for (const AggSpec& p : partials) names.push_back(p.output_name);
+  PCTAGG_ASSIGN_OR_RETURN(Table merged,
+                          RollUp(partials, all, cols, names, CurrentDop()));
+  const double merge_ms = merge_timer.ElapsedSeconds() * 1e3;
+  GatherMergeHist().Observe(ToMicros(merge_ms));
+
   obs::TraceNode* gather_node = nullptr;
   if (trace != nullptr) {
-    PlanStep step = GatherStep(nshards, num_key_cols, combine.size());
+    PlanStep step = GatherStep(nshards, cols.size(), partials.size());
     gather_node = trace->root().AddChild(std::move(step.label),
                                          std::move(step.detail));
     gather_node->stats.rows_in = rows_gathered;
@@ -578,14 +578,12 @@ Result<Table> Coordinator::ExecuteDistributed(const AnalyzedQuery& query,
     static_cast<obs::PlanHeader&>(*trace) =
         PlanDistributed(query, plan, meta, options);
   }
-  PCTAGG_ASSIGN_OR_RETURN(
-      Table merged,
-      ScatterGather(plan.partial_sql, plan.finest_cols.size(), plan.combine,
-                    WorkerDop(options), trace));
-
-  // Assemble locally at the session's dop, exactly as a single node
-  // assembles from its fused scan, then apply the statement tail.
+  // Gather and assemble locally at the session's dop, exactly as a single
+  // node assembles from its fused scan, then apply the statement tail.
   ScopedParallelism parallelism(options.degree_of_parallelism);
+  PCTAGG_ASSIGN_OR_RETURN(
+      Table merged, ScatterGather(plan.partial_sql, plan.finest_cols,
+                                  plan.partials, WorkerDop(options), trace));
   PCTAGG_ASSIGN_OR_RETURN(
       Table assembled,
       AssembleFromPartials(plan, std::make_shared<const Table>(
@@ -613,8 +611,9 @@ std::shared_ptr<const MqoBatchScan> Coordinator::ScatterMqoBatch(
 
   // One scatter of the merged partial statement serves the whole batch.
   obs::QueryTrace scan_trace;
+  ScopedParallelism parallelism(options.degree_of_parallelism);
   Result<Table> merged =
-      ScatterGather(bp.scan_sql, bp.scan_cols.size(), bp.scan_combine,
+      ScatterGather(bp.scan_sql, bp.scan_cols, bp.scan_partials,
                     WorkerDop(options), traced ? &scan_trace : nullptr);
   if (!merged.ok()) return batch;
   batch->partials = std::make_shared<const Table>(std::move(*merged));

@@ -117,14 +117,14 @@ class Coordinator : public DistRouter {
   // Dials the link's endpoint if not connected (caller holds link->mu).
   Status EnsureConnected(ShardLink* link);
 
-  // Scatters one PARTIAL statement to every shard and merges the responses
-  // as they arrive. `num_key_cols` leading columns of the partial result are
-  // the group keys; `combine` re-aggregates the rest. This is the shared
-  // primitive under both the single-query path and MQO batches (one batch of
-  // N queries costs one ScatterGather, and one pctagg_dist_queries_total).
+  // Scatters one PARTIAL statement — `partials` grouped by `cols` — to every
+  // shard, then concatenates the replies in shard order and rolls them up
+  // once (RollUp, at CurrentDop()). This is the shared primitive under both
+  // the single-query path and MQO batches (one batch of N queries costs one
+  // ScatterGather, and one pctagg_dist_queries_total).
   Result<Table> ScatterGather(const std::string& partial_sql,
-                              size_t num_key_cols,
-                              const std::vector<AggSpec>& combine,
+                              const std::vector<std::string>& cols,
+                              const std::vector<AggSpec>& partials,
                               size_t worker_dop, obs::QueryTrace* trace);
 
   // The degree of parallelism each worker runs its partial aggregation at.

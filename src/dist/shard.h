@@ -18,10 +18,11 @@ namespace dist {
 // FLOAT64 — and NULL keys all land in shard 0, so every distinct key value
 // lives on exactly one shard and per-shard GROUP BY partials never split a
 // group that includes the shard key. Groups on *other* columns do split
-// across shards; that is what the coordinator's MergeSummaries gather
-// handles. Row order within each shard preserves input order, which is what
-// makes merge-on-arrival results reproducible per arrival order and INT64
-// aggregates bit-identical to single-node execution (engine/merge.h).
+// across shards; the coordinator's gather concatenates the shards' partials
+// in shard order and rolls them up once (RollUp, core/partial_plan.h). Row
+// order within each shard preserves input order, which makes sharded
+// results reproducible and INT64 aggregates bit-identical to single-node
+// execution.
 Result<std::vector<Table>> HashPartitionTable(const Table& input,
                                               const std::string& key_column,
                                               size_t num_shards);

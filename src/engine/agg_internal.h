@@ -1,18 +1,24 @@
 #ifndef PCTAGG_ENGINE_AGG_INTERNAL_H_
 #define PCTAGG_ENGINE_AGG_INTERNAL_H_
 
-// Shared internals of the grouped-aggregation kernels. HashAggregate (the
-// materialized path) and FusedAggregate (the push-based pipeline) both build
-// on these accumulator structs, micro-plans and the emission routine, which
-// is what makes the fused path bit-identical to the materialized one by
-// construction: the per-row accumulation and the final Value emission are
-// the same code.
+// The one accumulator. Every distributive aggregate in the engine — the
+// grouped aggregation kernel (HashAggregate, which also runs every rollup,
+// shard gather and delta merge), the pivot's cells and group totals, and the
+// window's partitions — is an AggState started default, folded row by row
+// with Fold<kind>, merged with MergeState and finalized with StateValue:
+// Gray et al.'s Init / Iter / Iter_super / Final handle, written once.
+//
+// INT64 sums add as unsigned integers, so an overflowing sum wraps as two's
+// complement instead of being undefined. Wrapping addition is associative and
+// commutative, so every fold tree — any dop, shard count, rollup source or
+// delta merge — gives the same INT64 answer, and that answer is exact
+// whenever the true sum fits in an int64.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/aggregate.h"
@@ -21,54 +27,42 @@
 namespace pctagg {
 namespace aggdetail {
 
-// Accumulator state for one (group, aggregate) pair. A single struct covers
-// all functions; which fields are live depends on the function.
+// Accumulator state for one (group, aggregate) pair. Which fields are live
+// depends on the spec's AccKind (below); fields no kind reads together share
+// storage.
 struct AggState {
-  double sum = 0.0;
-  int64_t isum = 0;
+  int64_t row_count = 0;  // rows folded: count(*), and the pivot's presence
   int64_t count = 0;      // non-null inputs seen
-  int64_t row_count = 0;  // all rows (count(*))
+  union {
+    double sum = 0.0;  // FLOAT64 sums and avg (0.0 has all-zero bits)
+    int64_t isum;      // INT64 sums, wrapping
+  };
   // Running extremes. INT64 inputs keep them as int64 (a double cannot hold
-  // every int64 above 2^53, and casting 2^63 back is undefined); which
-  // member is live depends on the spec's AccKind, and `saw_value` says
-  // whether it holds a value yet.
+  // every int64 above 2^53), strings as the dictionary code compared through
+  // the spec's dictionary; `saw_value` says whether they hold a value yet.
   union {
     double min = std::numeric_limits<double>::infinity();
     int64_t imin;
+    uint32_t smin;
   };
   union {
     double max = -std::numeric_limits<double>::infinity();
     int64_t imax;
+    uint32_t smax;
   };
-  // Next to the numeric fields, so a numeric accumulator touches one cache
-  // line.
   bool saw_value = false;
-  std::string smin;
-  std::string smax;
 };
+// The pivot keeps one state per (group, combination) cell: a wider state
+// multiplies its cell matrix, and per-state heap data would make it slow to
+// copy and merge.
+static_assert(sizeof(AggState) <= 56, "AggState must stay at most 56 bytes");
+static_assert(std::is_trivially_copyable_v<AggState>,
+              "AggState must stay trivially copyable");
 
-inline Result<DataType> AggOutputType(const AggSpec& spec,
-                                      const Schema& schema) {
-  switch (spec.func) {
-    case AggFunc::kCount:
-    case AggFunc::kCountStar:
-      return DataType::kInt64;
-    case AggFunc::kAvg:
-      return DataType::kFloat64;
-    case AggFunc::kSum: {
-      PCTAGG_ASSIGN_OR_RETURN(DataType t, spec.input->ResultType(schema));
-      if (t == DataType::kString) {
-        return Status::TypeMismatch("sum() over string column");
-      }
-      return t;
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      PCTAGG_ASSIGN_OR_RETURN(DataType t, spec.input->ResultType(schema));
-      return t;
-    }
-  }
-  return Status::Internal("unknown aggregate function");
+// Two's-complement addition without a signed overflow's undefined behaviour.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
 }
 
 // A per-spec accumulation micro-plan: the function x input-type dispatch and
@@ -93,26 +87,24 @@ enum class AccKind : uint8_t {
 
 struct AccPlan {
   AccKind kind = AccKind::kCountStar;
-  const uint8_t* validity = nullptr;
-  const int64_t* i64 = nullptr;      // set iff the input column is INT64
-  const double* f64 = nullptr;       // set iff FLOAT64
-  const uint32_t* codes = nullptr;   // set iff STRING (dictionary codes)
-  const Dictionary* dict = nullptr;  // set iff STRING
+  const uint8_t* validity = nullptr;  // null for count(*): every row counts
+  const int64_t* i64 = nullptr;       // set iff the input column is INT64
+  const double* f64 = nullptr;        // set iff FLOAT64
+  const uint32_t* codes = nullptr;    // set iff STRING (dictionary codes)
+  const Dictionary* dict = nullptr;   // set iff STRING
 
   double NumericAt(size_t row) const {
     return i64 != nullptr ? static_cast<double>(i64[row]) : f64[row];
   }
-  const std::string& StringAt(size_t row) const {
-    return dict->value(codes[row]);
+  bool CodeLess(uint32_t a, uint32_t b) const {
+    return dict->value(a) < dict->value(b);
   }
 };
 
-inline AccPlan MakeAccPlan(const AggSpec& spec, const Column& input) {
+// `input` is the evaluated argument; count(*) reads none.
+inline AccPlan MakeAccPlan(AggFunc func, const Column& input) {
   AccPlan ap;
-  if (spec.func == AggFunc::kCountStar) {
-    ap.kind = AccKind::kCountStar;
-    return ap;
-  }
+  if (func == AggFunc::kCountStar) return ap;
   ap.validity = input.validity().data();
   switch (input.type()) {
     case DataType::kInt64:
@@ -128,16 +120,15 @@ inline AccPlan MakeAccPlan(const AggSpec& spec, const Column& input) {
   }
   const bool is_string = input.type() == DataType::kString;
   const bool is_int = input.type() == DataType::kInt64;
-  switch (spec.func) {
+  switch (func) {
     case AggFunc::kCountStar:
       break;  // handled above
     case AggFunc::kCount:
       ap.kind = AccKind::kCount;
       break;
     case AggFunc::kSum:
-      // sum() over strings is rejected during validation.
-      ap.kind = input.type() == DataType::kInt64 ? AccKind::kSumInt
-                                                 : AccKind::kSumFloat;
+      // sum() over strings is rejected before planning.
+      ap.kind = is_int ? AccKind::kSumInt : AccKind::kSumFloat;
       break;
     case AggFunc::kAvg:
       ap.kind = is_string ? AccKind::kAvgStr : AccKind::kAvg;
@@ -156,265 +147,121 @@ inline AccPlan MakeAccPlan(const AggSpec& spec, const Column& input) {
   return ap;
 }
 
-// Folds one morsel into one spec's per-group accumulator column. `gid` holds
-// the local group id of row `begin + i` at position i.
-//
-// NULLs are the exception in real measure columns, so each morsel first asks
-// one memchr whether this span has any at all; the common all-valid span then
-// runs a branch-free inner loop (load, accumulate, store — no per-row
-// validity test in the dependency chain), and only spans that actually
-// contain NULLs pay the per-row branch.
-inline void AccumulateMorsel(const AccPlan& ap, const std::vector<uint32_t>& gid,
-                             size_t begin, size_t end,
-                             std::vector<AggState>& col) {
-  const bool no_nulls =
-      ap.validity == nullptr ||
-      std::memchr(ap.validity + begin, 0, end - begin) == nullptr;
-  switch (ap.kind) {
+// The per-kind step: folds input row `row` of `ap` into `st`. Callers skip
+// NULL rows (count(*) has no validity, so it sees every row).
+template <AccKind K>
+inline void Fold(const AccPlan& ap, AggState& st, size_t row) {
+  if constexpr (K == AccKind::kCountStar) {
+    st.row_count++;
+    return;
+  } else if constexpr (K == AccKind::kCount) {
+    st.count++;
+    return;
+  } else if constexpr (K == AccKind::kSumInt) {
+    st.isum = WrapAdd(st.isum, ap.i64[row]);
+  } else if constexpr (K == AccKind::kSumFloat) {
+    st.sum += ap.f64[row];
+  } else if constexpr (K == AccKind::kAvg) {
+    st.sum += ap.NumericAt(row);
+    st.count++;
+  } else if constexpr (K == AccKind::kAvgStr) {
+    st.count++;
+  } else if constexpr (K == AccKind::kMinInt) {
+    const int64_t v = ap.i64[row];
+    st.imin = !st.saw_value || v < st.imin ? v : st.imin;
+  } else if constexpr (K == AccKind::kMaxInt) {
+    const int64_t v = ap.i64[row];
+    st.imax = !st.saw_value || v > st.imax ? v : st.imax;
+  } else if constexpr (K == AccKind::kMinNum) {
+    if (ap.f64[row] < st.min) st.min = ap.f64[row];
+  } else if constexpr (K == AccKind::kMaxNum) {
+    if (ap.f64[row] > st.max) st.max = ap.f64[row];
+  } else if constexpr (K == AccKind::kMinStr) {
+    const uint32_t code = ap.codes[row];
+    if (!st.saw_value || ap.CodeLess(code, st.smin)) st.smin = code;
+  } else {
+    static_assert(K == AccKind::kMaxStr);
+    const uint32_t code = ap.codes[row];
+    if (!st.saw_value || ap.CodeLess(st.smax, code)) st.smax = code;
+  }
+  st.saw_value = true;
+}
+
+template <AccKind K>
+using KindTag = std::integral_constant<AccKind, K>;
+
+// Calls `fn(KindTag<kind>())`, so a loop written once in `fn` is compiled
+// per kind with the dispatch hoisted out of it.
+template <typename Fn>
+inline void WithKind(AccKind kind, Fn&& fn) {
+  switch (kind) {
     case AccKind::kCountStar:
-      for (size_t row = begin; row < end; ++row) {
-        col[gid[row - begin]].row_count++;
-      }
-      break;
+      return fn(KindTag<AccKind::kCountStar>());
     case AccKind::kCount:
-      if (no_nulls) {
-        for (size_t row = begin; row < end; ++row) {
-          col[gid[row - begin]].count++;
-        }
-        break;
-      }
-      for (size_t row = begin; row < end; ++row) {
-        if (ap.validity[row]) col[gid[row - begin]].count++;
-      }
-      break;
+      return fn(KindTag<AccKind::kCount>());
     case AccKind::kSumInt:
-      if (no_nulls) {
-        for (size_t row = begin; row < end; ++row) {
-          AggState& st = col[gid[row - begin]];
-          st.isum += ap.i64[row];
-          st.saw_value = true;
-        }
-        break;
-      }
-      for (size_t row = begin; row < end; ++row) {
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        st.isum += ap.i64[row];
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kSumInt>());
     case AccKind::kSumFloat:
-      if (no_nulls && ap.f64 != nullptr) {
-        for (size_t row = begin; row < end; ++row) {
-          AggState& st = col[gid[row - begin]];
-          st.sum += ap.f64[row];
-          st.saw_value = true;
-        }
-        break;
-      }
-      for (size_t row = begin; row < end; ++row) {
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        st.sum += ap.NumericAt(row);
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kSumFloat>());
     case AccKind::kAvg:
-      if (no_nulls && ap.f64 != nullptr) {
-        for (size_t row = begin; row < end; ++row) {
-          AggState& st = col[gid[row - begin]];
-          st.sum += ap.f64[row];
-          st.count++;
-          st.saw_value = true;
-        }
-        break;
-      }
-      for (size_t row = begin; row < end; ++row) {
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        st.sum += ap.NumericAt(row);
-        st.count++;
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kAvg>());
     case AccKind::kAvgStr:
-      for (size_t row = begin; row < end; ++row) {
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        st.count++;
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kAvgStr>());
     case AccKind::kMinInt:
-      for (size_t row = begin; row < end; ++row) {
-        if (!no_nulls && !ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        const int64_t v = ap.i64[row];
-        st.imin = !st.saw_value || v < st.imin ? v : st.imin;
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kMinInt>());
     case AccKind::kMaxInt:
-      for (size_t row = begin; row < end; ++row) {
-        if (!no_nulls && !ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        const int64_t v = ap.i64[row];
-        st.imax = !st.saw_value || v > st.imax ? v : st.imax;
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kMaxInt>());
     case AccKind::kMinNum:
-      for (size_t row = begin; row < end; ++row) {
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        double v = ap.NumericAt(row);
-        if (v < st.min) st.min = v;
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kMinNum>());
     case AccKind::kMaxNum:
-      for (size_t row = begin; row < end; ++row) {
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        double v = ap.NumericAt(row);
-        if (v > st.max) st.max = v;
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kMaxNum>());
     case AccKind::kMinStr:
-      for (size_t row = begin; row < end; ++row) {
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        const std::string& s = ap.StringAt(row);
-        if (!st.saw_value || s < st.smin) st.smin = s;
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kMinStr>());
     case AccKind::kMaxStr:
-      for (size_t row = begin; row < end; ++row) {
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[row - begin]];
-        const std::string& s = ap.StringAt(row);
-        if (!st.saw_value || s > st.smax) st.smax = s;
-        st.saw_value = true;
-      }
-      break;
+      return fn(KindTag<AccKind::kMaxStr>());
   }
 }
 
-// Selection variant used by the fused path's filtered morsels: accumulates
-// only the rows listed in `rows` (ascending input order, so per-group value
-// sequences match what Filter-then-aggregate would have produced), with
-// gid[i] the local group id of rows[i].
-inline void AccumulateRows(const AccPlan& ap, const uint32_t* gid,
-                           const uint32_t* rows, size_t count,
-                           std::vector<AggState>& col) {
-  switch (ap.kind) {
-    case AccKind::kCountStar:
-      for (size_t i = 0; i < count; ++i) col[gid[i]].row_count++;
-      break;
-    case AccKind::kCount:
-      for (size_t i = 0; i < count; ++i) {
-        if (ap.validity[rows[i]]) col[gid[i]].count++;
+// True when no row in [lo, hi) is NULL for `ap`.
+inline bool NoNulls(const AccPlan& ap, size_t lo, size_t hi) {
+  return ap.validity == nullptr ||
+         std::memchr(ap.validity + lo, 0, hi - lo) == nullptr;
+}
+
+// Folds `count` input positions into the per-group states `col`: position i
+// is input row `rows[i]` when a selection list is given (a WHERE mask's kept
+// rows, ascending, so each group folds its values in input order), else row
+// `begin + i`; it belongs to group gid[i].
+//
+// NULLs are the exception in real measure columns, so one memchr first asks
+// whether the rows covered hold any at all; the common all-valid case then
+// runs a branch-free inner loop (load, accumulate, store — no per-row
+// validity test in the dependency chain), and only spans that actually
+// contain NULLs pay the per-row branch.
+inline void Accumulate(const AccPlan& ap, const uint32_t* gid,
+                       const uint32_t* rows, size_t begin, size_t count,
+                       AggState* col) {
+  if (count == 0) return;
+  WithKind(ap.kind, [&](auto k) {
+    constexpr AccKind K = decltype(k)::value;
+    if (rows == nullptr) {
+      if (NoNulls(ap, begin, begin + count)) {
+        for (size_t i = 0; i < count; ++i) Fold<K>(ap, col[gid[i]], begin + i);
+        return;
       }
-      break;
-    case AccKind::kSumInt:
       for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        st.isum += ap.i64[row];
-        st.saw_value = true;
+        if (ap.validity[begin + i]) Fold<K>(ap, col[gid[i]], begin + i);
       }
-      break;
-    case AccKind::kSumFloat:
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        st.sum += ap.NumericAt(row);
-        st.saw_value = true;
-      }
-      break;
-    case AccKind::kAvg:
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        st.sum += ap.NumericAt(row);
-        st.count++;
-        st.saw_value = true;
-      }
-      break;
-    case AccKind::kAvgStr:
-      for (size_t i = 0; i < count; ++i) {
-        if (!ap.validity[rows[i]]) continue;
-        AggState& st = col[gid[i]];
-        st.count++;
-        st.saw_value = true;
-      }
-      break;
-    case AccKind::kMinInt:
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        const int64_t v = ap.i64[row];
-        if (!st.saw_value || v < st.imin) st.imin = v;
-        st.saw_value = true;
-      }
-      break;
-    case AccKind::kMaxInt:
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        const int64_t v = ap.i64[row];
-        if (!st.saw_value || v > st.imax) st.imax = v;
-        st.saw_value = true;
-      }
-      break;
-    case AccKind::kMinNum:
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        double v = ap.NumericAt(row);
-        if (v < st.min) st.min = v;
-        st.saw_value = true;
-      }
-      break;
-    case AccKind::kMaxNum:
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        double v = ap.NumericAt(row);
-        if (v > st.max) st.max = v;
-        st.saw_value = true;
-      }
-      break;
-    case AccKind::kMinStr:
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        const std::string& s = ap.StringAt(row);
-        if (!st.saw_value || s < st.smin) st.smin = s;
-        st.saw_value = true;
-      }
-      break;
-    case AccKind::kMaxStr:
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t row = rows[i];
-        if (!ap.validity[row]) continue;
-        AggState& st = col[gid[i]];
-        const std::string& s = ap.StringAt(row);
-        if (!st.saw_value || s > st.smax) st.smax = s;
-        st.saw_value = true;
-      }
-      break;
-  }
+      return;
+    }
+    if (NoNulls(ap, rows[0], rows[count - 1] + 1)) {
+      for (size_t i = 0; i < count; ++i) Fold<K>(ap, col[gid[i]], rows[i]);
+      return;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      if (ap.validity[rows[i]]) Fold<K>(ap, col[gid[i]], rows[i]);
+    }
+  });
 }
 
 // Unrolled accumulation over small group domains for the integer-associative
@@ -422,269 +269,184 @@ inline void AccumulateRows(const AccPlan& ap, const uint32_t* gid,
 // aggregates over 4-byte dictionary codes). Four independent lane arrays
 // break the load-add-store dependency chain a per-group scalar accumulator
 // serializes on when consecutive rows hit the same group (the common case
-// for low-cardinality dimensions); the lane fold afterwards is integer
-// addition, so the result is bit-identical to the scalar loop. Returns false
-// when the kind is not lane-foldable — the caller then runs the scalar
-// kernel. `scratch` is caller-owned morsel scratch, resized here.
-inline bool AccumulateMorselUnrolled(const AccPlan& ap,
-                                     const std::vector<uint32_t>& gid,
+// for low-cardinality dimensions); lanes add as unsigned integers, so the
+// lane fold afterwards is bit-identical to the scalar loop's wrapping sum.
+// Returns false when the kind is not lane-foldable — the caller then runs
+// Accumulate. `scratch` is caller-owned morsel scratch, resized here.
+inline bool AccumulateMorselUnrolled(const AccPlan& ap, const uint32_t* g,
                                      size_t begin, size_t end,
-                                     size_t num_groups,
-                                     std::vector<AggState>& col,
-                                     std::vector<int64_t>& scratch) {
+                                     size_t num_groups, AggState* col,
+                                     std::vector<uint64_t>& scratch) {
   if (ap.kind != AccKind::kCountStar && ap.kind != AccKind::kCount &&
       ap.kind != AccKind::kSumInt) {
     return false;
   }
   const size_t g4 = num_groups * 4;
   scratch.assign(ap.kind == AccKind::kSumInt ? g4 * 2 : g4, 0);
-  int64_t* lanes = scratch.data();          // [lane][group] sums or counts
-  int64_t* cnt = scratch.data() + g4;       // kSumInt: valid-row counts
-  const uint32_t* g = gid.data();
-  const bool no_nulls =
-      ap.validity == nullptr ||
-      std::memchr(ap.validity + begin, 0, end - begin) == nullptr;
+  uint64_t* lanes = scratch.data();     // [lane][group] sums or counts
+  uint64_t* cnt = scratch.data() + g4;  // kSumInt: valid-row counts
+  const bool no_nulls = NoNulls(ap, begin, end);
   const size_t count = end - begin;
+  // The four lanes of group `grp`, folded.
+  auto lane_sum = [&](const uint64_t* l, size_t grp) {
+    return static_cast<int64_t>(l[grp] + l[num_groups + grp] +
+                                l[2 * num_groups + grp] +
+                                l[3 * num_groups + grp]);
+  };
   size_t i = 0;
-  switch (ap.kind) {
-    case AccKind::kCountStar:
+  if (ap.kind == AccKind::kSumInt) {
+    const int64_t* val = ap.i64 + begin;
+    if (no_nulls) {
       for (; i + 4 <= count; i += 4) {
-        lanes[g[i]]++;
-        lanes[num_groups + g[i + 1]]++;
-        lanes[2 * num_groups + g[i + 2]]++;
-        lanes[3 * num_groups + g[i + 3]]++;
+        lanes[g[i]] += static_cast<uint64_t>(val[i]);
+        cnt[g[i]]++;
+        lanes[num_groups + g[i + 1]] += static_cast<uint64_t>(val[i + 1]);
+        cnt[num_groups + g[i + 1]]++;
+        lanes[2 * num_groups + g[i + 2]] += static_cast<uint64_t>(val[i + 2]);
+        cnt[2 * num_groups + g[i + 2]]++;
+        lanes[3 * num_groups + g[i + 3]] += static_cast<uint64_t>(val[i + 3]);
+        cnt[3 * num_groups + g[i + 3]]++;
       }
-      for (; i < count; ++i) lanes[g[i]]++;
-      for (size_t grp = 0; grp < num_groups; ++grp) {
-        const int64_t c = lanes[grp] + lanes[num_groups + grp] +
-                          lanes[2 * num_groups + grp] +
-                          lanes[3 * num_groups + grp];
-        if (c != 0) col[grp].row_count += c;
+      for (; i < count; ++i) {
+        lanes[g[i]] += static_cast<uint64_t>(val[i]);
+        cnt[g[i]]++;
       }
-      return true;
-    case AccKind::kCount:
-      if (no_nulls) {
-        for (; i + 4 <= count; i += 4) {
-          lanes[g[i]]++;
-          lanes[num_groups + g[i + 1]]++;
-          lanes[2 * num_groups + g[i + 2]]++;
-          lanes[3 * num_groups + g[i + 3]]++;
-        }
-        for (; i < count; ++i) lanes[g[i]]++;
-      } else {
-        const uint8_t* v = ap.validity + begin;
-        for (; i < count; ++i) {
-          if (v[i]) lanes[(i & 3) * num_groups + g[i]]++;
-        }
+    } else {
+      const uint8_t* v = ap.validity + begin;
+      for (; i < count; ++i) {
+        if (!v[i]) continue;
+        const size_t slot = (i & 3) * num_groups + g[i];
+        lanes[slot] += static_cast<uint64_t>(val[i]);
+        cnt[slot]++;
       }
-      for (size_t grp = 0; grp < num_groups; ++grp) {
-        const int64_t c = lanes[grp] + lanes[num_groups + grp] +
-                          lanes[2 * num_groups + grp] +
-                          lanes[3 * num_groups + grp];
-        if (c != 0) col[grp].count += c;
-      }
-      return true;
-    case AccKind::kSumInt: {
-      const int64_t* val = ap.i64 + begin;
-      if (no_nulls) {
-        for (; i + 4 <= count; i += 4) {
-          lanes[g[i]] += val[i];
-          cnt[g[i]]++;
-          lanes[num_groups + g[i + 1]] += val[i + 1];
-          cnt[num_groups + g[i + 1]]++;
-          lanes[2 * num_groups + g[i + 2]] += val[i + 2];
-          cnt[2 * num_groups + g[i + 2]]++;
-          lanes[3 * num_groups + g[i + 3]] += val[i + 3];
-          cnt[3 * num_groups + g[i + 3]]++;
-        }
-        for (; i < count; ++i) {
-          lanes[g[i]] += val[i];
-          cnt[g[i]]++;
-        }
-      } else {
-        const uint8_t* v = ap.validity + begin;
-        for (; i < count; ++i) {
-          if (!v[i]) continue;
-          const size_t slot = (i & 3) * num_groups + g[i];
-          lanes[slot] += val[i];
-          cnt[slot]++;
-        }
-      }
-      for (size_t grp = 0; grp < num_groups; ++grp) {
-        const int64_t c = cnt[grp] + cnt[num_groups + grp] +
-                          cnt[2 * num_groups + grp] +
-                          cnt[3 * num_groups + grp];
-        if (c == 0) continue;
-        col[grp].isum += lanes[grp] + lanes[num_groups + grp] +
-                         lanes[2 * num_groups + grp] +
-                         lanes[3 * num_groups + grp];
-        col[grp].saw_value = true;
-      }
-      return true;
     }
-    default:
-      return false;
+    for (size_t grp = 0; grp < num_groups; ++grp) {
+      if (lane_sum(cnt, grp) == 0) continue;
+      col[grp].isum = WrapAdd(col[grp].isum, lane_sum(lanes, grp));
+      col[grp].saw_value = true;
+    }
+    return true;
   }
+  // count(*) counts every row; count() only the valid ones.
+  if (no_nulls) {
+    for (; i + 4 <= count; i += 4) {
+      lanes[g[i]]++;
+      lanes[num_groups + g[i + 1]]++;
+      lanes[2 * num_groups + g[i + 2]]++;
+      lanes[3 * num_groups + g[i + 3]]++;
+    }
+    for (; i < count; ++i) lanes[g[i]]++;
+  } else {
+    const uint8_t* v = ap.validity + begin;
+    for (; i < count; ++i) {
+      if (v[i]) lanes[(i & 3) * num_groups + g[i]]++;
+    }
+  }
+  int64_t AggState::*field = &AggState::count;
+  if (ap.kind == AccKind::kCountStar) field = &AggState::row_count;
+  for (size_t grp = 0; grp < num_groups; ++grp) {
+    col[grp].*field += lane_sum(lanes, grp);
+  }
+  return true;
 }
 
-// Folds one accumulator of a spec accumulated as `kind` into another
-// (associative, commutative up to the first-seen tie-breaks handled by the
-// callers' row ordering).
-inline void MergeState(AggState& d, const AggState& s, AccKind kind) {
+// Folds one accumulator of the spec planned as `ap` into another
+// (associative, and commutative up to the first-seen tie-breaks the callers'
+// row ordering fixes).
+inline void MergeState(AggState& d, const AggState& s, const AccPlan& ap) {
   d.row_count += s.row_count;
   d.count += s.count;
-  d.sum += s.sum;
-  d.isum += s.isum;
-  if (kind == AccKind::kMinInt) {
-    if (s.saw_value && (!d.saw_value || s.imin < d.imin)) d.imin = s.imin;
-  } else if (kind == AccKind::kMaxInt) {
-    if (s.saw_value && (!d.saw_value || s.imax > d.imax)) d.imax = s.imax;
-  } else {
-    if (s.min < d.min) d.min = s.min;
-    if (s.max > d.max) d.max = s.max;
-  }
-  if (s.saw_value) {
-    if (!d.saw_value || s.smin < d.smin) d.smin = s.smin;
-    if (!d.saw_value || s.smax > d.smax) d.smax = s.smax;
-    d.saw_value = true;
-  }
-}
-
-// One group's accumulators gathered back into [agg] order for emission.
-inline std::vector<AggState> GatherStates(
-    const std::vector<std::vector<AggState>>& spec_states, size_t id) {
-  std::vector<AggState> gs;
-  gs.reserve(spec_states.size());
-  for (const std::vector<AggState>& sc : spec_states) gs.push_back(sc[id]);
-  return gs;
-}
-
-// Group-by resolution + aggregate validation + vectorized input evaluation,
-// shared verbatim between the materialized and fused kernels. `acc_plans`
-// holds raw pointers into `agg_inputs`; both stay valid across moves of the
-// whole struct (vector storage is stable under move).
-struct AggBindings {
-  std::vector<size_t> group_idx;
-  std::vector<DataType> out_types;
-  std::vector<Column> agg_inputs;
-  std::vector<AccPlan> acc_plans;
-};
-
-inline Result<AggBindings> BindAggs(const Table& input,
-                                    const std::vector<std::string>& group_by,
-                                    const std::vector<AggSpec>& aggs) {
-  AggBindings b;
-  b.group_idx.reserve(group_by.size());
-  for (const std::string& name : group_by) {
-    PCTAGG_ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(name));
-    b.group_idx.push_back(idx);
-  }
-  b.out_types.reserve(aggs.size());
-  b.agg_inputs.reserve(aggs.size());
-  for (const AggSpec& spec : aggs) {
-    if (spec.func != AggFunc::kCountStar && spec.input == nullptr) {
-      return Status::InvalidArgument("aggregate requires an input expression");
-    }
-    if (spec.func == AggFunc::kCountStar) {
-      b.out_types.push_back(DataType::kInt64);
-      b.agg_inputs.emplace_back(DataType::kInt64);  // placeholder, unused
-      continue;
-    }
-    PCTAGG_ASSIGN_OR_RETURN(DataType t, AggOutputType(spec, input.schema()));
-    b.out_types.push_back(t);
-    PCTAGG_ASSIGN_OR_RETURN(Column c, spec.input->Evaluate(input));
-    b.agg_inputs.push_back(std::move(c));
-  }
-  b.acc_plans.reserve(aggs.size());
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    b.acc_plans.push_back(MakeAccPlan(aggs[a], b.agg_inputs[a]));
-  }
-  return b;
-}
-
-// Builds the result table from merged per-group states in emission order.
-// `representative_row[g]` is the input row the group columns are copied
-// from. A global aggregation over zero rows still produces one (empty)
-// group, appended here.
-inline Result<Table> EmitAggOutput(const Table& input,
-                                   const std::vector<size_t>& group_idx,
-                                   const std::vector<AggSpec>& aggs,
-                                   const std::vector<DataType>& out_types,
-                                   std::vector<std::vector<AggState>>& states,
-                                   std::vector<size_t>& representative_row) {
-  if (group_idx.empty() && states.empty()) {
-    states.emplace_back(aggs.size());
-    representative_row.push_back(0);  // unused: no group columns to copy
-  }
-
-  Schema out_schema;
-  for (size_t gi : group_idx) {
-    out_schema.AddColumn(input.schema().column(gi));
-  }
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    out_schema.AddColumn({aggs[a].output_name, out_types[a]});
-  }
-  Table out(out_schema);
-  out.Reserve(states.size());
-
-  for (size_t g = 0; g < states.size(); ++g) {
-    std::vector<Value> row;
-    row.reserve(group_idx.size() + aggs.size());
-    for (size_t gi : group_idx) {
-      row.push_back(input.column(gi).GetValue(representative_row[g]));
-    }
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      const AggState& st = states[g][a];
-      const AggSpec& spec = aggs[a];
-      switch (spec.func) {
-        case AggFunc::kCountStar:
-          row.push_back(Value::Int64(st.row_count));
-          break;
-        case AggFunc::kCount:
-          row.push_back(Value::Int64(st.count));
-          break;
-        case AggFunc::kSum:
-          if (!st.saw_value) {
-            row.push_back(Value::Null());
-          } else if (out_types[a] == DataType::kInt64) {
-            row.push_back(Value::Int64(st.isum));
-          } else {
-            row.push_back(Value::Float64(st.sum));
-          }
-          break;
-        case AggFunc::kAvg:
-          row.push_back(
-              st.saw_value
-                  ? Value::Float64(st.sum / static_cast<double>(st.count))
-                  : Value::Null());
-          break;
-        case AggFunc::kMin:
-          if (!st.saw_value) {
-            row.push_back(Value::Null());
-          } else if (out_types[a] == DataType::kString) {
-            row.push_back(Value::String(st.smin));
-          } else if (out_types[a] == DataType::kInt64) {
-            row.push_back(Value::Int64(st.imin));
-          } else {
-            row.push_back(Value::Float64(st.min));
-          }
-          break;
-        case AggFunc::kMax:
-          if (!st.saw_value) {
-            row.push_back(Value::Null());
-          } else if (out_types[a] == DataType::kString) {
-            row.push_back(Value::String(st.smax));
-          } else if (out_types[a] == DataType::kInt64) {
-            row.push_back(Value::Int64(st.imax));
-          } else {
-            row.push_back(Value::Float64(st.max));
-          }
-          break;
+  switch (ap.kind) {
+    case AccKind::kSumInt:
+      d.isum = WrapAdd(d.isum, s.isum);
+      break;
+    case AccKind::kSumFloat:
+    case AccKind::kAvg:
+      d.sum += s.sum;
+      break;
+    case AccKind::kMinInt:
+      if (s.saw_value && (!d.saw_value || s.imin < d.imin)) d.imin = s.imin;
+      break;
+    case AccKind::kMaxInt:
+      if (s.saw_value && (!d.saw_value || s.imax > d.imax)) d.imax = s.imax;
+      break;
+    case AccKind::kMinNum:
+      if (s.min < d.min) d.min = s.min;
+      break;
+    case AccKind::kMaxNum:
+      if (s.max > d.max) d.max = s.max;
+      break;
+    case AccKind::kMinStr:
+      if (s.saw_value && (!d.saw_value || ap.CodeLess(s.smin, d.smin))) {
+        d.smin = s.smin;
       }
-    }
-    PCTAGG_RETURN_IF_ERROR(out.AppendRow(row));
+      break;
+    case AccKind::kMaxStr:
+      if (s.saw_value && (!d.saw_value || ap.CodeLess(d.smax, s.smax))) {
+        d.smax = s.smax;
+      }
+      break;
+    case AccKind::kCountStar:
+    case AccKind::kCount:
+    case AccKind::kAvgStr:
+      break;
   }
-  return out;
+  d.saw_value = d.saw_value || s.saw_value;
+}
+
+// The type of StateValue's non-NULL values for `kind`.
+inline DataType StateType(AccKind kind) {
+  switch (kind) {
+    case AccKind::kCountStar:
+    case AccKind::kCount:
+    case AccKind::kSumInt:
+    case AccKind::kMinInt:
+    case AccKind::kMaxInt:
+      return DataType::kInt64;
+    case AccKind::kMinStr:
+    case AccKind::kMaxStr:
+      return DataType::kString;
+    case AccKind::kSumFloat:
+    case AccKind::kAvg:
+    case AccKind::kAvgStr:
+    case AccKind::kMinNum:
+    case AccKind::kMaxNum:
+      break;
+  }
+  return DataType::kFloat64;
+}
+
+// The aggregate's value: counts are never NULL; every other function is NULL
+// until it saw a non-NULL input.
+inline Value StateValue(const AggState& st, const AccPlan& ap) {
+  if (ap.kind == AccKind::kCountStar) return Value::Int64(st.row_count);
+  if (ap.kind == AccKind::kCount) return Value::Int64(st.count);
+  if (!st.saw_value) return Value::Null();
+  switch (ap.kind) {
+    case AccKind::kSumInt:
+      return Value::Int64(st.isum);
+    case AccKind::kSumFloat:
+      return Value::Float64(st.sum);
+    case AccKind::kAvg:
+    case AccKind::kAvgStr:
+      return Value::Float64(st.sum / static_cast<double>(st.count));
+    case AccKind::kMinInt:
+      return Value::Int64(st.imin);
+    case AccKind::kMaxInt:
+      return Value::Int64(st.imax);
+    case AccKind::kMinNum:
+      return Value::Float64(st.min);
+    case AccKind::kMaxNum:
+      return Value::Float64(st.max);
+    case AccKind::kMinStr:
+      return Value::String(ap.dict->value(st.smin));
+    case AccKind::kMaxStr:
+      return Value::String(ap.dict->value(st.smax));
+    case AccKind::kCountStar:
+    case AccKind::kCount:
+      break;  // handled above
+  }
+  return Value::Null();
 }
 
 }  // namespace aggdetail

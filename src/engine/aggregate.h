@@ -36,19 +36,30 @@ struct AggSpec {
 // group; with zero input rows the global group still yields one row of
 // NULL/0 aggregates, matching SQL). NULL semantics follow sum()/count():
 // NULL inputs are skipped, an all-NULL group aggregates to NULL (count: 0).
+// INT64 sums wrap on overflow (engine/agg_internal.h).
 //
 // Output schema: the group-by columns (input types preserved) followed by one
 // column per AggSpec.
 //
-// `dop` sets the degree of parallelism for the morsel-driven two-phase
-// parallel path (thread-local partial tables, partitioned merge); 0 means
-// "inherit CurrentDop()" (see engine/parallel.h). Group rows are emitted in
-// first-seen input order at every dop; integer aggregates are bit-identical
-// across dop, float sums may differ by reassociation (see
+// This is the engine's one grouped-aggregation kernel: the fused scans, the
+// materialized plans, every rollup, the shard gather and the delta merge all
+// run it. Each morsel is pushed through filter mask, keying and accumulation
+// in one pass. A non-null `where` is evaluated into a keep mask
+// (Expression::KeepMask), so filtered rows are never copied; the result
+// equals Filter(input, where) aggregated. Group keys are read straight off
+// the column arrays through one of three tiers — a small dictionary's codes
+// as dense ids, an inline table for one or two columns, or packed keys.
+//
+// `dop` sets the degree of parallelism (0 means "inherit CurrentDop()", see
+// engine/parallel.h). Morsels come from MorselPlan::Auto; each worker
+// accumulates thread-local partials, merged by hash partition. Group rows are
+// emitted in first-seen input order at every dop; integer aggregates are
+// bit-identical across dop, float sums may differ by reassociation (see
 // docs/PARALLELISM.md).
 Result<Table> HashAggregate(const Table& input,
                             const std::vector<std::string>& group_by,
-                            const std::vector<AggSpec>& aggs, size_t dop = 0);
+                            const std::vector<AggSpec>& aggs, size_t dop = 0,
+                            const ExprPtr& where = nullptr);
 
 }  // namespace pctagg
 

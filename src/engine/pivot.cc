@@ -1,10 +1,10 @@
 #include "engine/pivot.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "common/string_util.h"
+#include "engine/agg_internal.h"
 #include "engine/packed_key.h"
 #include "engine/parallel.h"
 #include "engine/table_ops.h"
@@ -14,38 +14,8 @@ namespace pctagg {
 
 namespace {
 
-struct CellState {
-  double sum = 0.0;
-  int64_t isum = 0;
-  int64_t count = 0;
-  int64_t rows = 0;
-  // Extremes: int64 for INT64 measures (a double cannot hold them all),
-  // double otherwise; `saw_value` says whether they hold a value yet.
-  union {
-    double min = std::numeric_limits<double>::infinity();
-    int64_t imin;
-  };
-  union {
-    double max = -std::numeric_limits<double>::infinity();
-    int64_t imax;
-  };
-  bool saw_value = false;
-};
-
-void MergeCell(CellState& d, const CellState& s, bool int_values) {
-  d.sum += s.sum;
-  d.isum += s.isum;
-  d.count += s.count;
-  d.rows += s.rows;
-  if (!int_values) {
-    if (s.min < d.min) d.min = s.min;
-    if (s.max > d.max) d.max = s.max;
-  } else if (s.saw_value) {
-    if (!d.saw_value || s.imin < d.imin) d.imin = s.imin;
-    if (!d.saw_value || s.imax > d.imax) d.imax = s.imax;
-  }
-  d.saw_value = d.saw_value || s.saw_value;
-}
+using aggdetail::AccPlan;
+using aggdetail::AggState;
 
 // One worker's thread-local dispatch state: its own group map, combo map,
 // cell matrix and group totals over the morsels it claimed.
@@ -54,8 +24,8 @@ struct PivotPartial {
   KeyMap combos;
   std::vector<size_t> group_first;  // min input row per local group
   std::vector<size_t> combo_first;  // min input row per local combo
-  std::vector<std::vector<CellState>> cells;  // [local group][local combo]
-  std::vector<CellState> group_total;
+  std::vector<std::vector<AggState>> cells;  // [local group][local combo]
+  std::vector<AggState> group_total;
   std::vector<uint32_t> gid;      // morsel scratch: local group id per row
   std::vector<uint32_t> cid;      // morsel scratch: local combo id per row
   std::vector<char> key_buf;      // morsel scratch: fixed-stride packed keys
@@ -105,17 +75,18 @@ Result<Table> HashDispatchPivot(const Table& input,
   }
 
   Column vals(DataType::kFloat64);
-  DataType val_type = DataType::kFloat64;
   if (options.func != AggFunc::kCountStar) {
-    PCTAGG_ASSIGN_OR_RETURN(val_type, value_expr->ResultType(input.schema()));
+    PCTAGG_ASSIGN_OR_RETURN(DataType val_type,
+                            value_expr->ResultType(input.schema()));
     if (val_type == DataType::kString) {
       return Status::TypeMismatch("pivot aggregates require a numeric measure");
     }
     PCTAGG_ASSIGN_OR_RETURN(vals, value_expr->Evaluate(input));
   }
-  const bool int_values = val_type == DataType::kInt64;
-  const bool extremes =
-      options.func == AggFunc::kMin || options.func == AggFunc::kMax;
+  // A percentage cell is its sum over the group total's sum.
+  const bool percent = options.percent_of_group_total;
+  const AccPlan ap =
+      aggdetail::MakeAccPlan(percent ? AggFunc::kSum : options.func, vals);
 
   // Phase 1: each worker runs the O(1) hash dispatch over its morsels into a
   // thread-local PivotPartial — two probes per row (group map, combo map),
@@ -151,39 +122,21 @@ Result<Table> HashDispatchPivot(const Table& input,
     pivot_encoder.EncodeFixedBatch(begin, end, p.key_buf.data());
     p.combos.GetOrAddFixedBatch(p.key_buf.data(), pstride, count, begin,
                                 p.cid.data(), &p.combo_first);
-    for (size_t row = begin; row < end; ++row) {
-      const uint32_t g = p.gid[row - begin];
-      const uint32_t c = p.cid[row - begin];
-
-      if (p.cells[g].size() <= c) p.cells[g].resize(c + 1);
-      CellState& st = p.cells[g][c];
-      CellState& tot = p.group_total[g];
-      st.rows++;
-      tot.rows++;
-      if (options.func == AggFunc::kCountStar) continue;
-      if (vals.IsNull(row)) continue;
-      double v = vals.NumericAt(row);
-      st.count++;
-      tot.count++;
-      st.sum += v;
-      tot.sum += v;
-      if (int_values && extremes) {
-        const int64_t iv = vals.Int64At(row);
-        if (!st.saw_value || iv < st.imin) st.imin = iv;
-        if (!st.saw_value || iv > st.imax) st.imax = iv;
-      } else if (int_values) {
-        // Only sums read isum; min/max values may be the type's extremes,
-        // whose int64 sum would overflow.
-        const int64_t iv = vals.Int64At(row);
-        st.isum += iv;
-        tot.isum += iv;
-      } else {
-        if (v < st.min) st.min = v;
-        if (v > st.max) st.max = v;
+    // Every row marks its cell present (row_count); a non-NULL measure also
+    // folds into the cell and, for percentages, into the group total.
+    aggdetail::WithKind(ap.kind, [&](auto k) {
+      constexpr aggdetail::AccKind K = decltype(k)::value;
+      for (size_t row = begin; row < end; ++row) {
+        const uint32_t g = p.gid[row - begin];
+        const uint32_t c = p.cid[row - begin];
+        if (p.cells[g].size() <= c) p.cells[g].resize(c + 1);
+        AggState& st = p.cells[g][c];
+        st.row_count++;
+        if (K == aggdetail::AccKind::kCountStar || !ap.validity[row]) continue;
+        aggdetail::Fold<K>(ap, st, row);
+        if (percent) aggdetail::Fold<K>(ap, p.group_total[g], row);
       }
-      st.saw_value = true;
-      tot.saw_value = true;
-    }
+    });
   });
 
   // Phase 2: merge the partials. Combos are unified serially (their count is
@@ -192,8 +145,8 @@ Result<Table> HashDispatchPivot(const Table& input,
   // reproduces exactly the first-seen ids a serial run assigns.
   std::vector<size_t> group_rep_row;
   std::vector<size_t> combo_rep_row;
-  std::vector<std::vector<CellState>> cells;  // [group][global combo]
-  std::vector<CellState> group_total;
+  std::vector<std::vector<AggState>> cells;  // [group][global combo]
+  std::vector<AggState> group_total;
   if (plan.num_workers <= 1) {
     PivotPartial& p = partials[0];
     group_rep_row = std::move(p.group_first);
@@ -236,8 +189,8 @@ Result<Table> HashDispatchPivot(const Table& input,
 
     // Partitioned group merge.
     struct MergedGroup {
-      std::vector<CellState> cells;
-      CellState total;
+      std::vector<AggState> cells;
+      AggState total;
       size_t first_row;
     };
     const size_t num_parts = plan.num_workers;
@@ -254,14 +207,14 @@ Result<Table> HashDispatchPivot(const Table& input,
             out.push_back({{}, p.group_total[id], p.group_first[id]});
             out.back().cells.resize(combo_rep_row.size());
           } else {
-            MergeCell(out[g].total, p.group_total[id], int_values);
+            aggdetail::MergeState(out[g].total, p.group_total[id], ap);
             out[g].first_row = std::min(out[g].first_row, p.group_first[id]);
           }
-          std::vector<CellState>& dst = out[g].cells;
-          const std::vector<CellState>& src = p.cells[id];
+          std::vector<AggState>& dst = out[g].cells;
+          const std::vector<AggState>& src = p.cells[id];
           for (size_t c = 0; c < src.size(); ++c) {
-            if (src[c].rows > 0) {
-              MergeCell(dst[combo_remap[pi][c]], src[c], int_values);
+            if (src[c].row_count > 0) {
+              aggdetail::MergeState(dst[combo_remap[pi][c]], src[c], ap);
             }
           }
         });
@@ -313,15 +266,8 @@ Result<Table> HashDispatchPivot(const Table& input,
     }
   }
 
-  DataType cell_type = DataType::kFloat64;
-  if (options.percent_of_group_total) {
-    cell_type = DataType::kFloat64;
-  } else if (options.func == AggFunc::kCount ||
-             options.func == AggFunc::kCountStar) {
-    cell_type = DataType::kInt64;
-  } else if (options.func != AggFunc::kAvg && val_type == DataType::kInt64) {
-    cell_type = DataType::kInt64;
-  }
+  const DataType cell_type =
+      percent ? DataType::kFloat64 : aggdetail::StateType(ap.kind);
 
   // Emit cell columns in sorted combination order so results render (and
   // compare) deterministically regardless of row arrival order.
@@ -340,62 +286,38 @@ Result<Table> HashDispatchPivot(const Table& input,
   Table out(out_schema);
   out.Reserve(num_groups);
 
-  auto cell_value = [&](const CellState& st) -> Value {
-    switch (options.func) {
-      case AggFunc::kCountStar:
-        return Value::Int64(st.rows);
-      case AggFunc::kCount:
-        return Value::Int64(st.count);
-      case AggFunc::kSum:
-        if (!st.saw_value) return Value::Null();
-        return cell_type == DataType::kInt64 ? Value::Int64(st.isum)
-                                             : Value::Float64(st.sum);
-      case AggFunc::kAvg:
-        return st.saw_value
-                   ? Value::Float64(st.sum / static_cast<double>(st.count))
-                   : Value::Null();
-      case AggFunc::kMin:
-        if (!st.saw_value) return Value::Null();
-        return cell_type == DataType::kInt64
-                   ? Value::Int64(st.imin)
-                   : Value::Float64(st.min);
-      case AggFunc::kMax:
-        if (!st.saw_value) return Value::Null();
-        return cell_type == DataType::kInt64
-                   ? Value::Int64(st.imax)
-                   : Value::Float64(st.max);
-    }
-    return Value::Null();
-  };
-
   for (size_t g = 0; g < num_groups; ++g) {
     std::vector<Value> row;
     row.reserve(group_idx.size() + num_combos);
     for (size_t gi : group_idx) {
       row.push_back(input.column(gi).GetValue(group_rep_row[g]));
     }
-    double total = group_total[g].sum;
-    bool total_ok = group_total[g].saw_value && total != 0.0;
+    const Value total =
+        percent ? aggdetail::StateValue(group_total[g], ap) : Value::Null();
+    const bool total_ok = !total.is_null() && total.AsDouble() != 0.0;
     for (size_t j = 0; j < num_combos; ++j) {
       size_t c = combo_order[j];
-      CellState st = c < cells[g].size() ? cells[g][c] : CellState{};
-      bool cell_present = st.rows > 0;
+      const AggState st = c < cells[g].size() ? cells[g][c] : AggState{};
+      const bool cell_present = st.row_count > 0;
       Value v;
-      if (options.percent_of_group_total) {
+      if (percent) {
         // Matches the generated SQL sum(CASE .. THEN A ELSE 0 END)/sum(A):
         // a combination with no rows (or only NULL measures) contributes 0%
         // (the paper's store-4-Monday example); a zero/NULL group total makes
-        // every percentage NULL.
+        // every percentage NULL. INT64 sums divide as exact sums rounded
+        // once, as that SQL does.
         if (!total_ok) {
           v = Value::Null();
+        } else if (!cell_present || !st.saw_value) {
+          v = Value::Float64(0.0);
         } else {
-          v = Value::Float64(cell_present && st.saw_value ? st.sum / total
-                                                          : 0.0);
+          const double sum = aggdetail::StateValue(st, ap).AsDouble();
+          v = Value::Float64(sum / total.AsDouble());
         }
       } else {
         // A combination with no rows at all is NULL — even for counts — to
         // stay consistent with the SPJ strategy's outer joins (DMKD §3.4).
-        v = cell_present ? cell_value(st) : Value::Null();
+        v = cell_present ? aggdetail::StateValue(st, ap) : Value::Null();
         if (v.is_null() && options.default_zero) {
           v = cell_type == DataType::kInt64 ? Value::Int64(0)
                                             : Value::Float64(0.0);

@@ -1,49 +1,13 @@
 #include "engine/window.h"
 
-#include <limits>
-
+#include "engine/agg_internal.h"
 #include "engine/packed_key.h"
 #include "engine/parallel.h"
 #include "obs/trace.h"
 
 namespace pctagg {
 
-namespace {
-
-// INT64 inputs keep their extremes in imin/imax: through a double, max over
-// {2^53, 2^53 + 1} was 2^53 and INT64_MAX came back as INT64_MIN.
-struct PartState {
-  double sum = 0.0;
-  int64_t isum = 0;
-  int64_t count = 0;
-  int64_t rows = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  int64_t imin = std::numeric_limits<int64_t>::max();
-  int64_t imax = std::numeric_limits<int64_t>::min();
-  bool saw_value = false;
-};
-
-// INT64 sums wrap on overflow, as two's complement does, without a signed
-// overflow's undefined behaviour.
-int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-
-void MergePart(PartState& d, const PartState& s) {
-  d.sum += s.sum;
-  d.isum = WrapAdd(d.isum, s.isum);
-  d.count += s.count;
-  d.rows += s.rows;
-  if (s.min < d.min) d.min = s.min;
-  if (s.max > d.max) d.max = s.max;
-  if (s.imin < d.imin) d.imin = s.imin;
-  if (s.imax > d.imax) d.imax = s.imax;
-  d.saw_value = d.saw_value || s.saw_value;
-}
-
-}  // namespace
+using aggdetail::AggState;
 
 Result<Column> WindowAggregate(const Table& input,
                                const std::vector<std::string>& partition_by,
@@ -59,15 +23,15 @@ Result<Column> WindowAggregate(const Table& input,
   }
 
   Column in(DataType::kFloat64);
-  DataType in_type = DataType::kFloat64;
   if (func != AggFunc::kCountStar) {
-    PCTAGG_ASSIGN_OR_RETURN(in_type, arg->ResultType(input.schema()));
+    PCTAGG_ASSIGN_OR_RETURN(DataType in_type, arg->ResultType(input.schema()));
     if (in_type == DataType::kString && func != AggFunc::kCount) {
       return Status::TypeMismatch(
           "window aggregates over string columns support only count()");
     }
     PCTAGG_ASSIGN_OR_RETURN(in, arg->Evaluate(input));
   }
+  const aggdetail::AccPlan ap = aggdetail::MakeAccPlan(func, in);
 
   // Pass 1: morsel-parallel accumulation into thread-local partition tables.
   // Instead of materializing one key string per input row (the seed kept n
@@ -79,7 +43,7 @@ Result<Column> WindowAggregate(const Table& input,
   const KeyEncoder encoder(input, part_idx);
   struct WinPartial {
     KeyMap parts;
-    std::vector<PartState> states;
+    std::vector<AggState> states;
     std::vector<size_t> first_row;  // batch-keying bookkeeping (unused here)
     std::vector<char> key_buf;      // morsel scratch: fixed-stride packed keys
   };
@@ -103,31 +67,13 @@ Result<Column> WindowAggregate(const Table& input,
     p.parts.GetOrAddFixedBatch(p.key_buf.data(), stride, count, begin,
                                row_local.data() + begin, &p.first_row);
     if (p.states.size() < p.parts.size()) p.states.resize(p.parts.size());
-    for (size_t row = begin; row < end; ++row) {
-      PartState& st = p.states[row_local[row]];
-      st.rows++;
-      if (func == AggFunc::kCountStar) continue;
-      if (in.IsNull(row)) continue;
-      st.count++;
-      st.saw_value = true;
-      if (in.type() == DataType::kInt64) {
-        const int64_t v = in.Int64At(row);
-        st.sum += static_cast<double>(v);
-        st.isum = WrapAdd(st.isum, v);
-        if (v < st.imin) st.imin = v;
-        if (v > st.imax) st.imax = v;
-      } else if (in.type() != DataType::kString) {
-        const double v = in.NumericAt(row);
-        st.sum += v;
-        if (v < st.min) st.min = v;
-        if (v > st.max) st.max = v;
-      }
-    }
+    aggdetail::Accumulate(ap, row_local.data() + begin, nullptr, begin, count,
+                          p.states.data());
   });
 
   // Merge partials into global partition states, and remap each worker's
   // local ids to global ids.
-  std::vector<PartState> global_states;
+  std::vector<AggState> global_states;
   std::vector<std::vector<uint32_t>> remap(partials.size());
   {
     KeyMap global;
@@ -139,7 +85,7 @@ Result<Column> WindowAggregate(const Table& input,
         if (inserted) {
           global_states.push_back(p.states[id]);
         } else {
-          MergePart(global_states[gid], p.states[id]);
+          aggdetail::MergeState(global_states[gid], p.states[id], ap);
         }
         remap[pi][id] = static_cast<uint32_t>(gid);
       });
@@ -159,72 +105,20 @@ Result<Column> WindowAggregate(const Table& input,
     if (plan.num_workers > 1) op.SetPartialsMerged(partials.size());
     op.SetDetail("partitions=" + std::to_string(global_states.size()));
   }
-  std::vector<const PartState*> row_part(n, nullptr);
+  // Pass 2: finalize each partition once, then emit its value on every one
+  // of its rows.
+  Column values(aggdetail::StateType(ap.kind));
+  values.Reserve(global_states.size());
+  for (const AggState& st : global_states) {
+    PCTAGG_RETURN_IF_ERROR(values.AppendValue(aggdetail::StateValue(st, ap)));
+  }
+  Column out(values.type());
+  out.Reserve(n);
   for (size_t m = 0; m < plan.num_morsels; ++m) {
     const std::vector<uint32_t>& r = remap[morsel_owner[m]];
     const size_t end = plan.End(m);
     for (size_t row = plan.Begin(m); row < end; ++row) {
-      row_part[row] = &global_states[r[row_local[row]]];
-    }
-  }
-
-  // Output type mirrors HashAggregate.
-  DataType out_type = DataType::kFloat64;
-  if (func == AggFunc::kCount || func == AggFunc::kCountStar) {
-    out_type = DataType::kInt64;
-  } else if (func == AggFunc::kSum && in_type == DataType::kInt64) {
-    out_type = DataType::kInt64;
-  } else if ((func == AggFunc::kMin || func == AggFunc::kMax) &&
-             in_type == DataType::kInt64) {
-    out_type = DataType::kInt64;
-  }
-
-  // Pass 2: emit one value per input row.
-  Column out(out_type);
-  out.Reserve(n);
-  for (size_t row = 0; row < n; ++row) {
-    const PartState& st = *row_part[row];
-    switch (func) {
-      case AggFunc::kCountStar:
-        out.AppendInt64(st.rows);
-        break;
-      case AggFunc::kCount:
-        out.AppendInt64(st.count);
-        break;
-      case AggFunc::kSum:
-        if (!st.saw_value) {
-          out.AppendNull();
-        } else if (out_type == DataType::kInt64) {
-          out.AppendInt64(st.isum);
-        } else {
-          out.AppendFloat64(st.sum);
-        }
-        break;
-      case AggFunc::kAvg:
-        if (!st.saw_value) {
-          out.AppendNull();
-        } else {
-          out.AppendFloat64(st.sum / static_cast<double>(st.count));
-        }
-        break;
-      case AggFunc::kMin:
-        if (!st.saw_value) {
-          out.AppendNull();
-        } else if (out_type == DataType::kInt64) {
-          out.AppendInt64(st.imin);
-        } else {
-          out.AppendFloat64(st.min);
-        }
-        break;
-      case AggFunc::kMax:
-        if (!st.saw_value) {
-          out.AppendNull();
-        } else if (out_type == DataType::kInt64) {
-          out.AppendInt64(st.imax);
-        } else {
-          out.AppendFloat64(st.max);
-        }
-        break;
+      out.AppendFrom(values, r[row_local[row]]);
     }
   }
   return out;

@@ -7,11 +7,16 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/advisor.h"
+#include "dist/coordinator.h"
 #include "engine/csv.h"
+#include "server/server.h"
 #include "workload/generators.h"
 
 namespace pctagg {
@@ -269,6 +274,129 @@ TEST(DatabaseTest, Int64WindowMinMaxAreExact) {
   for (size_t i = 2; i < 4; ++i) {
     EXPECT_EQ(hi->Int64At(i), INT64_MAX);
     EXPECT_EQ(lo->Int64At(i), 5);
+  }
+}
+
+// Rows [begin, end) of the overflow fixture as t(r, g, b, v): group 1
+// holds {INT64_MAX, 1}, group 2 {INT64_MAX, 1, -2}; r is a row id to shard
+// on, b a single pivot value.
+Table OverflowRows(size_t begin, size_t end) {
+  constexpr int64_t kRows[][2] = {
+      {1, INT64_MAX}, {2, INT64_MAX}, {1, 1}, {2, 1}, {2, -2}};
+  Table t(Schema({{"r", DataType::kInt64},
+                  {"g", DataType::kInt64},
+                  {"b", DataType::kInt64},
+                  {"v", DataType::kInt64}}));
+  for (size_t i = begin; i < end; ++i) {
+    t.AppendRow({Value::Int64(static_cast<int64_t>(i)),
+                 Value::Int64(kRows[i][0]), Value::Int64(0),
+                 Value::Int64(kRows[i][1])});
+  }
+  return t;
+}
+
+// Column `col` of `t` keyed by its `g` column (every row of a group must
+// agree, as a window's rows do).
+std::map<int64_t, int64_t> ByGroup(const Result<Table>& t,
+                                   const std::string& col) {
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  std::map<int64_t, int64_t> out;
+  if (!t.ok()) return out;
+  const Column* g = t->ColumnByName("g").value();
+  Result<const Column*> c = t->ColumnByName(col);
+  EXPECT_TRUE(c.ok()) << "no column " << col;
+  if (!c.ok()) return out;
+  for (size_t i = 0; i < t->num_rows(); ++i) {
+    EXPECT_EQ((*c)->type(), DataType::kInt64);
+    const int64_t v = (*c)->IsNull(i) ? 0 : (*c)->Int64At(i);
+    auto [it, inserted] = out.emplace(g->Int64At(i), v);
+    EXPECT_EQ(it->second, v) << col << " disagrees within group " << it->first;
+  }
+  return out;
+}
+
+// INT64 sums wrap as two's complement on every evaluator. Wrapping addition
+// is associative and commutative, so every fold order gives one answer:
+// INT64_MIN for {INT64_MAX, 1}, and the exact INT64_MAX - 1 for
+// {INT64_MAX, 1, -2}, whose true sum fits.
+TEST(DatabaseTest, Int64SumsWrapOnEveryEvaluator) {
+  const std::map<int64_t, int64_t> want = {{1, INT64_MIN}, {2, INT64_MAX - 1}};
+  const std::string plain = "SELECT g, sum(v) AS s FROM t GROUP BY g";
+
+  // A two-shard cluster over t, sharded on the row id.
+  PctDatabase coord;
+  ASSERT_TRUE(coord.CreateTable("t", OverflowRows(0, 5)).ok());
+  std::vector<std::unique_ptr<PctDatabase>> worker_dbs;
+  std::vector<std::unique_ptr<PctServer>> workers;
+  std::vector<dist::WorkerEndpoint> endpoints;
+  for (size_t i = 0; i < 2; ++i) {
+    worker_dbs.push_back(std::make_unique<PctDatabase>());
+    ServerConfig config;
+    config.port = 0;
+    config.worker_threads = 2;
+    workers.push_back(
+        std::make_unique<PctServer>(worker_dbs.back().get(), config));
+    ASSERT_TRUE(workers.back()->Start().ok());
+    endpoints.push_back({"127.0.0.1", workers.back()->port()});
+  }
+  dist::Coordinator coordinator(&coord, endpoints, dist::CoordinatorConfig{});
+  ASSERT_TRUE(coordinator.ShardTable("t", "r").ok());
+
+  for (size_t dop : {1, 4}) {
+    SCOPED_TRACE("dop=" + std::to_string(dop));
+    QueryOptions options;
+    options.degree_of_parallelism = dop;
+    PctDatabase db;
+    ASSERT_TRUE(db.CreateTable("t", OverflowRows(0, 5)).ok());
+
+    EXPECT_EQ(ByGroup(db.QueryPartial(plain, options), "s"), want);
+
+    // The materialized Vpct script computes sum(v) in its Fk step.
+    QueryOptions materialized = options;
+    materialized.vpct_strategy = VpctStrategy{};
+    EXPECT_EQ(ByGroup(db.Query("SELECT g, Vpct(v) AS p, sum(v) AS s FROM t "
+                               "GROUP BY g",
+                               materialized),
+                      "s"),
+              want);
+
+    // sum(v BY b): the pivot over the partial path's partials, and over F
+    // with the CASE-from-F plan's hash dispatch.
+    const std::string hagg = "SELECT g, sum(v BY b) FROM t GROUP BY g";
+    EXPECT_EQ(ByGroup(db.QueryPartial(hagg, options), "b=0"), want);
+    QueryOptions case_from_f = options;
+    case_from_f.horizontal_strategy = HorizontalStrategy{};
+    EXPECT_EQ(ByGroup(db.Query(hagg, case_from_f), "b=0"), want);
+
+    EXPECT_EQ(
+        ByGroup(db.Query("SELECT g, sum(v) OVER (PARTITION BY g) AS w FROM t",
+                         options),
+                "w"),
+        want);
+
+    // A cache entry filled over the two INT64_MAX rows, then delta-merged
+    // with the other three.
+    PctDatabase cached;
+    cached.EnableSummaryCache(true);
+    ASSERT_TRUE(cached.CreateTable("t", OverflowRows(0, 2)).ok());
+    ASSERT_TRUE(cached.QueryPartial(plain, options).ok());
+    QueryOptions append = options;
+    append.append_policy = AppendPolicy::kMerge;
+    Result<AppendOutcome> outcome =
+        cached.AppendRows("t", OverflowRows(2, 5), append);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->summaries_merged, 1u);
+    const size_t hits = cached.summaries().hits();
+    EXPECT_EQ(ByGroup(cached.QueryPartial(plain, options), "s"), want);
+    EXPECT_GT(cached.summaries().hits(), hits);
+
+    QueryOptions sharded = options;
+    sharded.mqo = MqoMode::kOff;
+    Result<std::optional<Table>> dist =
+        coordinator.MaybeExecute(plain, sharded, nullptr);
+    ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+    ASSERT_TRUE(dist->has_value());
+    EXPECT_EQ(ByGroup(std::move(**dist), "s"), want);
   }
 }
 

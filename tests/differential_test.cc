@@ -14,11 +14,19 @@
 //     entry,
 //   * one MQO batch of the compatible queries (one union scan, then each
 //     member's rollup and assembly), and
-//   * an in-process cluster of two shards,
-// at dop 1 and 4. Merge-on-arrival reorders groups and first-seen Hpct pivot
-// columns, so answers compare as row multisets with columns matched by name.
+//   * in-process clusters of one, two and four shards, whose gather
+//     concatenates the shards' partials and rolls them up once,
+// at dop 1 and 4. Shards emit groups, and first-seen Hpct pivot columns, in
+// shard order, so answers compare as row multisets with columns matched by
+// name.
 //
-// A second test checks that plain EXPLAIN prints the plan that runs: the
+// A second test checks the delta merge, the other caller of that rollup:
+// every query fills its cache entries, a seeded batch (NULL keys, a new
+// dictionary string) is appended with AppendPolicy::kMerge, and the re-run
+// answered from the merged entries must equal the partial path on a fresh
+// database holding f and the batch.
+//
+// A third test checks that plain EXPLAIN prints the plan that runs: the
 // same strategy line and the same top-level steps as EXPLAIN ANALYZE.
 //
 // FLOAT64 measures are left out: at dop 4 the fused scan's float sums still
@@ -46,6 +54,7 @@
 #include "core/partial_plan.h"
 #include "core/plan.h"
 #include "dist/coordinator.h"
+#include "engine/table_ops.h"
 #include "server/server.h"
 
 namespace pctagg {
@@ -57,7 +66,8 @@ constexpr size_t kDops[] = {1, 4};
 // f(d1, d2, d3, s, m1, m2): d2 has ~10% NULL keys, s is a dictionary string,
 // m1 has ~8% NULL measures, and m2 is 0 on every d1 = 3 row (an all-zero
 // group: its Vpct denominators are zero, so its percentages are NULL).
-Table Fact(size_t n, uint64_t seed) {
+// `novel` swaps one of s's three strings for one f's dictionary lacks.
+Table Fact(size_t n, uint64_t seed, bool novel = false) {
   Rng rng(seed);
   Table t(Schema({{"d1", DataType::kInt64},
                   {"d2", DataType::kInt64},
@@ -65,7 +75,7 @@ Table Fact(size_t n, uint64_t seed) {
                   {"s", DataType::kString},
                   {"m1", DataType::kInt64},
                   {"m2", DataType::kInt64}}));
-  const char* const names[] = {"alpha", "beta", "gamma"};
+  const char* const names[] = {"alpha", novel ? "delta" : "beta", "gamma"};
   for (size_t i = 0; i < n; ++i) {
     const int64_t d1 = static_cast<int64_t>(rng.Uniform(4));
     Value d2 = rng.Uniform(10) == 0
@@ -334,26 +344,30 @@ class DifferentialTest : public ::testing::Test {
     ASSERT_TRUE(db_.CreateTable("f", fact).ok());
     ASSERT_TRUE(db_.CreateTable("e", empty).ok());
 
-    std::vector<dist::WorkerEndpoint> endpoints;
-    for (size_t i = 0; i < 2; ++i) {
-      worker_dbs_.push_back(std::make_unique<PctDatabase>());
-      ServerConfig config;
-      config.port = 0;
-      config.worker_threads = 2;
-      workers_.push_back(
-          std::make_unique<PctServer>(worker_dbs_.back().get(), config));
-      ASSERT_TRUE(workers_.back()->Start().ok());
-      endpoints.push_back({"127.0.0.1", workers_.back()->port()});
+    for (size_t shards : kShardCounts) {
+      clusters_.push_back(std::make_unique<Cluster>());
+      Cluster& c = *clusters_.back();
+      std::vector<dist::WorkerEndpoint> endpoints;
+      for (size_t i = 0; i < shards; ++i) {
+        c.worker_dbs.push_back(std::make_unique<PctDatabase>());
+        ServerConfig config;
+        config.port = 0;
+        config.worker_threads = 2;
+        c.workers.push_back(
+            std::make_unique<PctServer>(c.worker_dbs.back().get(), config));
+        ASSERT_TRUE(c.workers.back()->Start().ok());
+        endpoints.push_back({"127.0.0.1", c.workers.back()->port()});
+      }
+      dist::CoordinatorConfig config;
+      config.shard_timeout_ms = 10000;
+      config.shard_attempts = 2;
+      c.coordinator =
+          std::make_unique<dist::Coordinator>(&c.db, endpoints, config);
+      ASSERT_TRUE(c.db.CreateTable("f", fact).ok());
+      ASSERT_TRUE(c.db.CreateTable("e", empty).ok());
+      ASSERT_TRUE(c.coordinator->ShardTable("f", "d2").ok());
+      ASSERT_TRUE(c.coordinator->ShardTable("e", "d1").ok());
     }
-    dist::CoordinatorConfig config;
-    config.shard_timeout_ms = 10000;
-    config.shard_attempts = 2;
-    coordinator_ =
-        std::make_unique<dist::Coordinator>(&coord_db_, endpoints, config);
-    ASSERT_TRUE(coord_db_.CreateTable("f", fact).ok());
-    ASSERT_TRUE(coord_db_.CreateTable("e", empty).ok());
-    ASSERT_TRUE(coordinator_->ShardTable("f", "d2").ok());
-    ASSERT_TRUE(coordinator_->ShardTable("e", "d1").ok());
 
     QueryGen gen(17);
     sqls_.assign(std::begin(kEdgeQueries), std::end(kEdgeQueries));
@@ -393,21 +407,31 @@ class DifferentialTest : public ::testing::Test {
     return db_.Query(sql, options);
   }
 
-  Result<Table> Sharded(const std::string& sql, size_t dop) {
+  // `sql` on the cluster of kShardCounts[cluster] shards.
+  Result<Table> Sharded(const std::string& sql, size_t dop,
+                        size_t cluster = 1) {
     QueryOptions options;
     options.degree_of_parallelism = dop;
     options.mqo = MqoMode::kOff;
-    PCTAGG_ASSIGN_OR_RETURN(std::optional<Table> r,
-                            coordinator_->MaybeExecute(sql, options, nullptr));
+    PCTAGG_ASSIGN_OR_RETURN(
+        std::optional<Table> r,
+        clusters_[cluster]->coordinator->MaybeExecute(sql, options, nullptr));
     if (!r.has_value()) return Status::Internal("router declined " + sql);
     return std::move(*r);
   }
 
+  // A coordinator database over its own in-process worker servers.
+  struct Cluster {
+    PctDatabase db;
+    std::vector<std::unique_ptr<PctDatabase>> worker_dbs;
+    std::vector<std::unique_ptr<PctServer>> workers;
+    std::unique_ptr<dist::Coordinator> coordinator;
+  };
+
+  static constexpr size_t kShardCounts[] = {1, 2, 4};
+
   PctDatabase db_;
-  PctDatabase coord_db_;
-  std::vector<std::unique_ptr<PctDatabase>> worker_dbs_;
-  std::vector<std::unique_ptr<PctServer>> workers_;
-  std::unique_ptr<dist::Coordinator> coordinator_;
+  std::vector<std::unique_ptr<Cluster>> clusters_;  // one per kShardCounts
   std::vector<std::string> sqls_;
 };
 
@@ -468,7 +492,12 @@ TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
         EXPECT_GT(hits_between, hits_before) << "no cache read";
         EXPECT_GT(cached.summaries().hits(), hits_between) << "no cache read";
       }
-      others.emplace_back("2 shards", Sharded(sqls[i], dop));
+      std::vector<std::string> names;
+      names.reserve(std::size(kShardCounts));  // others keeps c_str()s
+      for (size_t c = 0; c < std::size(kShardCounts); ++c) {
+        names.push_back(StrFormat("%zu shards", kShardCounts[c]));
+        others.emplace_back(names.back().c_str(), Sharded(sqls[i], dop, c));
+      }
       for (auto& [name, got] : others) {
         ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
         const Canonical c = Canonicalize(*got);
@@ -514,8 +543,53 @@ TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
       }
     }
   }
-  // 200 queries x 2 dops x (advisor, 2 cache runs, 2 shards, MQO) at least.
-  EXPECT_GE(compared, 2000u);
+  // 200 queries x 2 dops x (advisor, 2 cache runs, 3 clusters, MQO) at least.
+  EXPECT_GE(compared, 2800u);
+}
+
+TEST_F(DifferentialTest, DeltaMergedEntriesMatchRecompute) {
+  const Table batch = Fact(700, 31, /*novel=*/true);
+  Table grown = **db_.catalog().GetTable("f");
+  ASSERT_TRUE(InsertInto(&grown, batch).ok());
+  PctDatabase fresh;
+  ASSERT_TRUE(fresh.CreateTable("f", grown).ok());
+  ASSERT_TRUE(fresh.CreateTable("e", **db_.catalog().GetTable("e")).ok());
+
+  for (size_t dop : kDops) {
+    PctDatabase merged;
+    merged.EnableSummaryCache(true);
+    for (const char* table : {"f", "e"}) {
+      ASSERT_TRUE(
+          merged.CreateTable(table, **db_.catalog().GetTable(table)).ok());
+    }
+    for (const std::string& sql : sqls_) {
+      ASSERT_TRUE(merged.QueryPartial(sql, AtDop(dop)).ok()) << sql;
+    }
+    QueryOptions append = AtDop(dop);
+    append.append_policy = AppendPolicy::kMerge;
+    Result<AppendOutcome> outcome = merged.AppendRows("f", batch, append);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_GT(outcome->summaries_merged, 0u);
+    EXPECT_EQ(outcome->summaries_recomputed, 0u);
+
+    for (const std::string& sql : sqls_) {
+      SCOPED_TRACE(sql + " @ dop=" + std::to_string(dop));
+      const size_t hits = merged.summaries().hits();
+      Result<Table> got = merged.QueryPartial(sql, AtDop(dop));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      // Unfiltered statements answer from the (merged) cache entries.
+      if (merged.PrepareQuery(sql)->where == nullptr) {
+        EXPECT_GT(merged.summaries().hits(), hits) << "no cache read";
+      }
+      Result<Table> want = fresh.QueryPartial(sql, AtDop(dop));
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      const Canonical c = Canonicalize(*got);
+      const Canonical w = Canonicalize(*want);
+      EXPECT_TRUE(c == w) << "delta-merged entry differs from a recompute\n"
+                          << Describe(c, w) << "vs\n"
+                          << Describe(w, c);
+    }
+  }
 }
 
 // --- EXPLAIN prints the plan that runs ---------------------------------------

@@ -1,9 +1,10 @@
 // Multi-process-shaped integration tests for the scatter/gather coordinator
 // (docs/SHARDING.md): real PctServer workers on loopback ephemeral ports, a
 // dist::Coordinator scattering over persistent PctClient links, and the
-// merge-on-arrival gather. Everything runs in-process so ctest needs no
-// orchestration, but every byte between coordinator and worker crosses a
-// TCP socket exactly as it would across machines.
+// gather that concatenates the replies in shard order and rolls them up.
+// Everything runs in-process so ctest needs no orchestration, but every byte
+// between coordinator and worker crosses a TCP socket exactly as it would
+// across machines.
 
 #include <gtest/gtest.h>
 
@@ -105,9 +106,10 @@ std::string LocalCsv(PctDatabase* db, const std::string& sql, size_t dop = 1) {
   return r.ok() ? FormatCsv(*r) : std::string();
 }
 
-// Hpct pivot column order is first-seen and merge-on-arrival makes
-// first-seen nondeterministic, so horizontal results are compared cell by
-// cell through column-name lookup instead of whole-CSV equality.
+// Hpct pivot column order is first-seen, and the gather sees the shards'
+// rows in shard order rather than fact order, so horizontal results are
+// compared cell by cell through column-name lookup instead of whole-CSV
+// equality.
 void ExpectSameByColumnName(const Table& got, const Table& want) {
   ASSERT_EQ(got.num_columns(), want.num_columns());
   ASSERT_EQ(got.num_rows(), want.num_rows());

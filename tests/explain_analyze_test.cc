@@ -94,11 +94,11 @@ total: # ms
 plan:
   insert: INSERT INTO Fk_# SELECT state, sum(salesAmt) AS __psum_# FROM sales GROUP BY state
     [wall=#ms cpu=#ms]
-    aggregate: keys=packed(#B)
+    aggregate: keys=inline(#x#B)
       [rows_in=# rows_out=# morsels=# workers=# hash_groups=# hash_slots=# load=# wall=#ms cpu=#ms]
   insert: INSERT INTO Fj_# SELECT sum(__psum_#) AS __ptot_# FROM Fk_#
     [wall=#ms cpu=#ms]
-    aggregate: keys=packed(#B)
+    aggregate: keys=inline(#x#B)
       [rows_in=# rows_out=# morsels=# workers=# hash_groups=# hash_slots=# load=# wall=#ms cpu=#ms]
   insert: INSERT INTO FV_# SELECT state, CASE WHEN Fj.__ptot_# <> # THEN Fk.__psum_# / Fj.__ptot_# ELSE NULL END AS vpct_salesAmt FROM Fk_# Fk CROSS JOIN Fj_# Fj
     [wall=#ms cpu=#ms]

@@ -8,6 +8,10 @@
 // so the fold order is pinned at every dop; the large-input sweep uses an
 // INT64 measure, whose double sums are exact regardless of morsel shape.
 //
+// The plain GROUP BY sweep and KernelOracle check the one aggregation kernel
+// (HashAggregate: every keying tier, with and without a WHERE mask) against
+// a row-at-a-time reference, OracleAggregate.
+//
 // The same suite doubles as the SIMD/scalar equivalence check: see the
 // SimdVsScalar tests here plus the `pipeline_test_scalar` ctest variant
 // (PCTAGG_DISABLE_SIMD=1) and the `fused_tsan` target in tests/CMakeLists.txt.
@@ -16,13 +20,17 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/cpu.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/advisor.h"
 #include "core/database.h"
+#include "engine/aggregate.h"
 #include "engine/pipeline.h"
 #include "engine/table_ops.h"
 #include "obs/trace.h"
@@ -297,6 +305,155 @@ INSTANTIATE_TEST_SUITE_P(Dop, PipelineSweep, ::testing::Values(1, 4),
                            return "dop" + std::to_string(info.param);
                          });
 
+// --- Row-at-a-time reference for the aggregation kernel --------------------
+
+// One row's group key: each key Value as a tagged string (doubles by bit
+// pattern), NULL distinct from every value.
+std::vector<std::string> OracleKey(const Table& t,
+                                   const std::vector<size_t>& cols,
+                                   size_t row) {
+  std::vector<std::string> key;
+  for (size_t c : cols) {
+    const Value v = t.column(c).GetValue(row);
+    if (v.is_null()) {
+      key.push_back("N");
+    } else if (v.is_int64()) {
+      key.push_back(StrFormat("I%lld", static_cast<long long>(v.int64())));
+    } else if (v.is_float64()) {
+      key.push_back(StrFormat("F%016llx", static_cast<unsigned long long>(
+                                              DoubleBits(v.float64()))));
+    } else {
+      key.push_back(StrFormat("S%s", v.string().c_str()));
+    }
+  }
+  return key;
+}
+
+// x < y for two non-NULL Values of one type.
+bool OracleLess(const Value& x, const Value& y) {
+  if (x.is_int64()) return x.int64() < y.int64();
+  if (x.is_float64()) return x.float64() < y.float64();
+  return x.string() < y.string();
+}
+
+// An independent GROUP BY: a std::map over each row's key Values assigns
+// groups in first-seen order, and every aggregate folds one Value at a time —
+// INT64 sums wrapping, FLOAT64 sums in row order, extremes by Value
+// comparison. No morsels, keying tiers or partial merges, so it checks the
+// kernel rather than agreeing with it by construction. (FLOAT64 sums match
+// the kernel bitwise only when every partial sum is exact, as in the tests
+// below.)
+Result<Table> OracleAggregate(const Table& f, const ExprPtr& where,
+                              const std::vector<std::string>& group_by,
+                              const std::vector<AggSpec>& aggs) {
+  Table input = f;
+  if (where != nullptr) {
+    PCTAGG_ASSIGN_OR_RETURN(input, Filter(f, where));
+  }
+  std::vector<size_t> key_idx;
+  Schema out_schema;
+  for (const std::string& name : group_by) {
+    PCTAGG_ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(name));
+    key_idx.push_back(idx);
+    out_schema.AddColumn(input.schema().column(idx));
+  }
+  std::vector<Column> args;
+  for (const AggSpec& a : aggs) {
+    if (a.func == AggFunc::kCountStar) {
+      args.emplace_back(DataType::kInt64);
+      out_schema.AddColumn({a.output_name, DataType::kInt64});
+      continue;
+    }
+    PCTAGG_ASSIGN_OR_RETURN(Column c, a.input->Evaluate(input));
+    DataType t = c.type();
+    if (a.func == AggFunc::kCount) t = DataType::kInt64;
+    if (a.func == AggFunc::kAvg) t = DataType::kFloat64;
+    out_schema.AddColumn({a.output_name, t});
+    args.push_back(std::move(c));
+  }
+  struct Acc {
+    int64_t rows = 0;
+    int64_t count = 0;
+    uint64_t isum = 0;
+    double dsum = 0.0;
+    Value ext;  // min/max so far; NULL until the first value
+  };
+  std::map<std::vector<std::string>, size_t> index;
+  std::vector<size_t> first_row;
+  std::vector<std::vector<Acc>> accs;
+  for (size_t row = 0; row < input.num_rows(); ++row) {
+    auto [it, inserted] =
+        index.emplace(OracleKey(input, key_idx, row), first_row.size());
+    if (inserted) {
+      first_row.push_back(row);
+      accs.emplace_back(aggs.size());
+    }
+    std::vector<Acc>& g = accs[it->second];
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      Acc& acc = g[a];
+      acc.rows++;
+      if (aggs[a].func == AggFunc::kCountStar || args[a].IsNull(row)) continue;
+      const Value v = args[a].GetValue(row);
+      acc.count++;
+      if (v.is_int64()) {
+        acc.isum += static_cast<uint64_t>(v.int64());
+        acc.dsum += static_cast<double>(v.int64());
+      } else if (v.is_float64()) {
+        acc.dsum += v.float64();
+      }
+      const bool is_min = aggs[a].func == AggFunc::kMin;
+      const Value& lo = is_min ? v : acc.ext;
+      const Value& hi = is_min ? acc.ext : v;
+      if (acc.ext.is_null() || OracleLess(lo, hi)) acc.ext = v;
+    }
+  }
+  if (group_by.empty() && first_row.empty()) {
+    first_row.push_back(0);
+    accs.emplace_back(aggs.size());
+  }
+  Table out(out_schema);
+  for (size_t g = 0; g < first_row.size(); ++g) {
+    std::vector<Value> row;
+    row.reserve(key_idx.size() + aggs.size());
+    for (size_t c : key_idx) {
+      row.push_back(input.column(c).GetValue(first_row[g]));
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const Acc& acc = accs[g][a];
+      switch (aggs[a].func) {
+        case AggFunc::kCountStar:
+          row.push_back(Value::Int64(acc.rows));
+          break;
+        case AggFunc::kCount:
+          row.push_back(Value::Int64(acc.count));
+          break;
+        case AggFunc::kSum:
+          if (acc.count == 0) {
+            row.push_back(Value::Null());
+          } else if (args[a].type() == DataType::kInt64) {
+            row.push_back(Value::Int64(static_cast<int64_t>(acc.isum)));
+          } else {
+            row.push_back(Value::Float64(acc.dsum));
+          }
+          break;
+        case AggFunc::kAvg:
+          if (acc.count == 0) {
+            row.push_back(Value::Null());
+          } else {
+            row.push_back(Value::Float64(acc.dsum / acc.count));
+          }
+          break;
+        case AggFunc::kMin:
+        case AggFunc::kMax:
+          row.push_back(acc.ext);
+          break;
+      }
+    }
+    PCTAGG_RETURN_IF_ERROR(out.AppendRow(row));
+  }
+  return out;
+}
+
 // --- Plain GROUP BY on the fused scan ---------------------------------------
 
 // A plain GROUP BY and the pieces of its pre-fusion evaluation: Filter(f,
@@ -342,7 +499,9 @@ class PlainGroupBySweep : public ::testing::TestWithParam<size_t> {
   }
 
   // PctDatabase::Query must run `q` as one fused mask scan and answer
-  // bit-identically to Filter -> HashAggregate at the same dop.
+  // bit-identically to Filter -> HashAggregate at the same dop (the
+  // selection-list and contiguous loops of the one kernel) and to the
+  // row-at-a-time oracle.
   void ExpectMatchesFilterThenHashAggregate(const PlainGroupBy& q) {
     const size_t dop = GetParam();
     SCOPED_TRACE(q.sql + " @ dop=" + std::to_string(dop));
@@ -354,7 +513,10 @@ class PlainGroupBySweep : public ::testing::TestWithParam<size_t> {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     const obs::TraceNode* agg = FindNode(trace.root(), "aggregate");
     ASSERT_NE(agg, nullptr);
-    EXPECT_EQ(agg->detail.rfind("fused ", 0), 0u) << agg->detail;
+    EXPECT_EQ(agg->detail.rfind("keys=", 0), 0u) << agg->detail;
+    EXPECT_EQ(agg->detail.find("+where") != std::string::npos,
+              q.where != nullptr)
+        << agg->detail;
     if (q.where != nullptr) {
       const obs::TraceNode* filter = FindNode(trace.root(), "filter");
       ASSERT_NE(filter, nullptr);
@@ -365,6 +527,13 @@ class PlainGroupBySweep : public ::testing::TestWithParam<size_t> {
     Result<Table> want = FilterThenHashAggregate(**f, q, dop);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     EXPECT_TRUE(BitIdentical(*got, *want));
+    Result<Table> oracle = OracleAggregate(**f, q.where, q.group_by, q.aggs);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    std::vector<ProjectSpec> specs;
+    for (const std::string& name : q.select) specs.push_back({Col(name), name});
+    Result<Table> projected = Project(*oracle, specs);
+    ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+    EXPECT_TRUE(BitIdentical(*got, *projected));
   }
 
   PctDatabase db_;
@@ -474,6 +643,92 @@ INSTANTIATE_TEST_SUITE_P(Dop, PlainGroupBySweep, ::testing::Values(1, 4),
                            return "dop" + std::to_string(info.param);
                          });
 
+// --- Every keying tier against the oracle ------------------------------------
+
+// d1(4) x d2(5, ~10% NULL) x d3(3) plus a small-dictionary string key k
+// (~10% NULL); measures a (INT64 [1,100]), w (INT64 near INT64_MAX, so its
+// sums wrap), x (FLOAT64 quarters, so every partial sum is exact) and s
+// (STRING), each ~8% NULL.
+Table OracleFact(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Table t(Schema({{"d1", DataType::kInt64},
+                  {"d2", DataType::kInt64},
+                  {"d3", DataType::kInt64},
+                  {"k", DataType::kString},
+                  {"a", DataType::kInt64},
+                  {"w", DataType::kInt64},
+                  {"x", DataType::kFloat64},
+                  {"s", DataType::kString}}));
+  auto maybe_null = [&rng](Value v, size_t one_in) {
+    return rng.Uniform(one_in) == 0 ? Value::Null() : v;
+  };
+  const int64_t kBig = std::numeric_limits<int64_t>::max() - 100;
+  for (size_t i = 0; i < n; ++i) {
+    const auto u = [&rng](uint64_t m) {
+      return static_cast<int64_t>(rng.Uniform(m));
+    };
+    const std::string k = StrFormat("k%d", static_cast<int>(u(6)));
+    const std::string s = StrFormat("s%d", static_cast<int>(u(40)));
+    const double x = static_cast<double>(u(1000)) / 4;
+    t.AppendRow({Value::Int64(u(4)), maybe_null(Value::Int64(u(5)), 10),
+                 Value::Int64(u(3)), maybe_null(Value::String(k), 10),
+                 maybe_null(Value::Int64(u(100) + 1), 12),
+                 maybe_null(Value::Int64(kBig + u(100)), 12),
+                 maybe_null(Value::Float64(x), 12),
+                 maybe_null(Value::String(s), 12)});
+  }
+  return t;
+}
+
+class KernelOracle : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(KernelOracle, EveryTierMatchesRowAtATimeReference) {
+  const Table f = OracleFact(50000, 67);
+  const std::vector<AggSpec> aggs = {
+      {AggFunc::kSum, Col("a"), "sa"},   {AggFunc::kCountStar, nullptr, "n"},
+      {AggFunc::kCount, Col("a"), "ca"}, {AggFunc::kAvg, Col("a"), "ma"},
+      {AggFunc::kMin, Col("a"), "loa"},  {AggFunc::kMax, Col("a"), "hia"},
+      {AggFunc::kSum, Col("w"), "sw"},   {AggFunc::kMin, Col("w"), "low"},
+      {AggFunc::kMax, Col("w"), "hiw"},  {AggFunc::kSum, Col("x"), "sx"},
+      {AggFunc::kAvg, Col("x"), "mx"},   {AggFunc::kMin, Col("x"), "lox"},
+      {AggFunc::kMax, Col("x"), "hix"},  {AggFunc::kCount, Col("s"), "cs"},
+      {AggFunc::kMin, Col("s"), "los"},  {AggFunc::kMax, Col("s"), "his"}};
+  const struct {
+    std::vector<std::string> cols;
+    std::string tier;  // the aggregate trace node's detail prefix
+  } tiers[] = {{{"k"}, "keys=direct-dict("},
+               {{}, "keys=inline(0x8B)"},
+               {{"d2"}, "keys=inline(1x8B)"},
+               {{"d1", "k"}, "keys=inline(2x8B)"},
+               {{"d1", "d2", "d3"}, "keys=packed("}};
+  const ExprPtr wheres[] = {
+      nullptr, Or(Gt(Col("a"), Lit(Value::Int64(30))), IsNull(Col("k")))};
+  for (const auto& tier : tiers) {
+    for (const ExprPtr& where : wheres) {
+      SCOPED_TRACE(tier.tier + (where != nullptr ? " +where" : "") +
+                   " @ dop=" + std::to_string(GetParam()));
+      obs::QueryTrace trace;
+      Result<Table> got = Status::Internal("not run");
+      {
+        obs::ScopedTraceNode scope(&trace.root());
+        got = HashAggregate(f, tier.cols, aggs, GetParam(), where);
+      }
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const obs::TraceNode* agg = FindNode(trace.root(), "aggregate");
+      ASSERT_NE(agg, nullptr);
+      EXPECT_EQ(agg->detail.rfind(tier.tier, 0), 0u) << agg->detail;
+      Result<Table> want = OracleAggregate(f, where, tier.cols, aggs);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_TRUE(BitIdentical(*got, *want));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dop, KernelOracle, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "dop" + std::to_string(info.param);
+                         });
+
 // --- SIMD vs scalar ----------------------------------------------------------
 
 class PipelineSimd : public ::testing::Test {
@@ -481,7 +736,7 @@ class PipelineSimd : public ::testing::Test {
   void TearDown() override { internal::ResetSimdEnabledForTest(); }
 };
 
-TEST_F(PipelineSimd, FusedAggregateMatchesScalarFallback) {
+TEST_F(PipelineSimd, MaskedAggregateMatchesScalarFallback) {
   Table f = IntFact(20000, 23);
   std::vector<AggSpec> aggs;
   aggs.push_back({AggFunc::kSum, Col("a"), "s"});
@@ -489,25 +744,27 @@ TEST_F(PipelineSimd, FusedAggregateMatchesScalarFallback) {
   ExprPtr where = Eq(Col("d3"), Lit(Value::Int64(1)));
 
   internal::SetSimdEnabledForTest(true);
-  Result<Table> vec = FusedAggregate(f, where, {"d1", "d2"}, aggs, 4);
+  Result<Table> vec = HashAggregate(f, {"d1", "d2"}, aggs, 4, where);
   ASSERT_TRUE(vec.ok()) << vec.status().ToString();
 
   internal::SetSimdEnabledForTest(false);
-  Result<Table> scalar = FusedAggregate(f, where, {"d1", "d2"}, aggs, 4);
+  Result<Table> scalar = HashAggregate(f, {"d1", "d2"}, aggs, 4, where);
   ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
 
   EXPECT_TRUE(BitIdentical(*vec, *scalar));
 }
 
-TEST_F(PipelineSimd, FusedAggregateMatchesFilterThenHashAggregate) {
+TEST_F(PipelineSimd, WhereMaskMatchesFilterThenHashAggregate) {
+  // The selection-list loop (WHERE mask) against the contiguous loop over
+  // Filter's copy, and both against the oracle.
   Table f = IntFact(20000, 29);
   std::vector<AggSpec> aggs;
   aggs.push_back({AggFunc::kSum, Col("a"), "s"});
   aggs.push_back({AggFunc::kCountStar, nullptr, "n"});
   ExprPtr where = Gt(Col("a"), Lit(Value::Int64(40)));
 
-  Result<Table> fused = FusedAggregate(f, where, {"d1", "d2", "d3"}, aggs, 1);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  Result<Table> masked = HashAggregate(f, {"d1", "d2", "d3"}, aggs, 1, where);
+  ASSERT_TRUE(masked.ok()) << masked.status().ToString();
 
   Result<Table> filtered = Filter(f, where);
   ASSERT_TRUE(filtered.ok());
@@ -515,7 +772,10 @@ TEST_F(PipelineSimd, FusedAggregateMatchesFilterThenHashAggregate) {
       HashAggregate(*filtered, {"d1", "d2", "d3"}, aggs, 1);
   ASSERT_TRUE(reference.ok());
 
-  EXPECT_TRUE(BitIdentical(*fused, *reference));
+  EXPECT_TRUE(BitIdentical(*masked, *reference));
+  Result<Table> oracle = OracleAggregate(f, where, {"d1", "d2", "d3"}, aggs);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_TRUE(BitIdentical(*masked, *oracle));
 }
 
 TEST_F(PipelineSimd, PercentDivideMatchesScalarLoop) {
