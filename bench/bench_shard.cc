@@ -172,20 +172,15 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[shard] scattered %zu rows over %zu workers: %.2f ms\n",
                rows, kShards, shard_timer.ElapsedMillis());
 
-  // e2e through the coordinator (all shards in flight at once).
+  // e2e through the coordinator database (all shards in flight at once).
   auto e2e_once = [&](std::string* csv) {
     QueryOptions options;
     options.degree_of_parallelism = kSeedDop;
     pctagg::Stopwatch timer;
-    Result<std::optional<Table>> r =
-        coordinator.MaybeExecute(kSql, options, nullptr);
+    Result<Table> r = coord_db.Query(kSql, options);
     double ms = timer.ElapsedMillis();
     if (!r.ok()) Die("distributed query failed", r.status());
-    if (!r->has_value()) {
-      std::fprintf(stderr, "coordinator declined the sharded query\n");
-      std::abort();
-    }
-    if (csv != nullptr) *csv = FormatCsv(**r);
+    if (csv != nullptr) *csv = FormatCsv(*r);
     return ms;
   };
   std::string e2e_csv;

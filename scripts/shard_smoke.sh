@@ -4,9 +4,12 @@
 # verify (1) the sharded answers — with and without a WHERE on a non-key
 # column — are byte-identical to the pre-shard answers on an INT64 measure,
 # (2) SHOW reports the topology, (3) a sharded table is
-# read-only, and (4) killing a worker turns the next query into a typed
-# Unavailable instead of a hang. Real processes, real sockets, real SIGKILL
-# — the multi-process path the in-process dist_test forks around.
+# read-only, (4) killing a worker turns the next query into a typed
+# Unavailable instead of a hang, and (5) the documented recovery works:
+# restart the worker, reload the table on the coordinator (answered
+# locally), re-SHARD it (answered from the shards again). Real processes,
+# real sockets, real SIGKILL — the multi-process path the in-process
+# dist_test forks around.
 #
 # Usage: scripts/shard_smoke.sh [build-dir]   (default: build)
 
@@ -131,5 +134,35 @@ grep -q "Unavailable" "$SCRATCH/lost.txt" ||
 grep -q "shard 1" "$SCRATCH/lost.txt" ||
   fail "the error does not name the lost shard: $(cat "$SCRATCH/lost.txt")"
 echo "    lost worker reported as: $(head -1 "$SCRATCH/lost.txt")"
+
+echo "=== phase 5: restart the worker, reload, re-SHARD"
+"$SERVER" --port "$W2_PORT" &
+PIDS+=($!)
+W2_PID=$!
+wait_ready "$W2_PORT" "$W2_PID"
+# The same seeded table: the reload ends the sharding, so it answers locally.
+printf '.gen sales f 20000\n.quit\n' | "$CLIENT" --connect 127.0.0.1:"$COORD_PORT" \
+  >/dev/null || fail "could not reload the table"
+"$CLIENT" --connect 127.0.0.1:"$COORD_PORT" --query "$QUERY" \
+  > "$SCRATCH/reloaded.csv" || fail "post-reload query failed"
+diff -q "$SCRATCH/before.csv" "$SCRATCH/reloaded.csv" >/dev/null ||
+  fail "the reloaded answer differs from the pre-shard answer"
+printf '.explain %s\n.quit\n' "$QUERY" |
+  "$CLIENT" --connect 127.0.0.1:"$COORD_PORT" > "$SCRATCH/reloaded_plan.txt" 2>&1
+grep -q "scatter:" "$SCRATCH/reloaded_plan.txt" &&
+  fail "the reloaded table still scatters: $(cat "$SCRATCH/reloaded_plan.txt")"
+printf '.shard f city\n.quit\n' | "$CLIENT" --connect 127.0.0.1:"$COORD_PORT" \
+  > "$SCRATCH/reshard.txt" 2>&1 || fail "re-SHARD failed"
+grep -q "sharded f" "$SCRATCH/reshard.txt" ||
+  fail "re-SHARD not acknowledged: $(cat "$SCRATCH/reshard.txt")"
+"$CLIENT" --connect 127.0.0.1:"$COORD_PORT" --query "$QUERY" \
+  > "$SCRATCH/resharded.csv" || fail "post-reshard query failed"
+diff -q "$SCRATCH/before.csv" "$SCRATCH/resharded.csv" >/dev/null ||
+  fail "the re-sharded answer differs from the pre-shard answer"
+printf '.explain %s\n.quit\n' "$QUERY" |
+  "$CLIENT" --connect 127.0.0.1:"$COORD_PORT" > "$SCRATCH/resharded_plan.txt" 2>&1
+grep -q "scatter:" "$SCRATCH/resharded_plan.txt" ||
+  fail "the re-sharded table does not scatter: $(cat "$SCRATCH/resharded_plan.txt")"
+echo "    reload answers locally, re-SHARD answers from the shards, both byte-identical"
 
 echo "shard smoke passed"

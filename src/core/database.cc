@@ -151,6 +151,11 @@ Result<AnalyzedQuery> PctDatabase::Prepare(const std::string& sql) const {
 Result<Table> PctDatabase::RunPlan(const Plan& plan, const AnalyzedQuery& query,
                                    bool use_cache,
                                    obs::QueryTrace* trace) const {
+  // A script reads the table's rows, which a sharded table's stub lacks.
+  if (Sharding(query.table_name) != nullptr) {
+    return DistributedError(query.table_name,
+                            "materialized plans do not run on shards");
+  }
   Status st = plan.Execute(&catalog_, use_cache ? &summaries_ : nullptr, trace);
   if (!st.ok()) {
     plan.Cleanup(&catalog_);
@@ -214,9 +219,12 @@ Result<Table> PctDatabase::Select(const AnalyzedQuery& query,
   const size_t dop = CurrentDop();
   PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                           catalog_.GetTable(query.table_name));
+  const std::shared_ptr<const ShardedTable> sharded =
+      Sharding(query.table_name);
   PCTAGG_ASSIGN_OR_RETURN(
-      SelectPlan plan, PlanSelect(query, StatsOf(query.table_name, *fact),
-                                  options, dop, partial_forced));
+      SelectPlan plan,
+      PlanSelect(query, StatsOf(query.table_name, *fact), options, dop,
+                 partial_forced, sharded ? sharded->shards->num_shards() : 0));
   obs::QueryTrace* trace = options.trace;
   if (trace != nullptr) static_cast<obs::PlanHeader&>(*trace) = plan.header;
   if (plan.script()) {
@@ -230,20 +238,31 @@ Result<Table> PctDatabase::Select(const AnalyzedQuery& query,
     PCTAGG_ASSIGN_OR_RETURN(Table out, EvaluateSimple(&catalog_, query));
     return ApplyTail(std::move(out), query);
   }
-  // The partial path: finest-level partials from the summary cache or one
-  // fused scan, rolled up and assembled, then the tail.
-  SummaryCache* summaries = use_cache ? &summaries_ : nullptr;
+  // The partial path: finest-level partials from the summary cache, one
+  // fused scan or the shards, rolled up and assembled, then the tail.
   PCTAGG_ASSIGN_OR_RETURN(
       std::shared_ptr<const Table> finest,
-      FinestPartials(query.table_name, query.where, plan.partial->finest_cols,
-                     plan.partial->partials, *fact, summaries, trace, dop));
+      Partials(query.table_name, query.where, plan.partial->finest_cols,
+               plan.partial->partials, use_cache, trace, dop));
   if (trace != nullptr) {
     trace->actual_group_rows = static_cast<double>(finest->num_rows());
   }
-  PCTAGG_ASSIGN_OR_RETURN(Table out,
-                          AssembleFromPartials(*plan.partial, std::move(finest),
-                                               summaries, trace, dop));
+  PCTAGG_ASSIGN_OR_RETURN(
+      Table out, AssembleFromPartials(*plan.partial, std::move(finest),
+                                      use_cache ? &summaries_ : nullptr,
+                                      trace, dop));
   return ApplyTail(std::move(out), query);
+}
+
+Result<std::shared_ptr<const Table>> PctDatabase::Partials(
+    const std::string& table, const ExprPtr& where,
+    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
+    bool use_cache, obs::QueryTrace* trace, size_t dop) const {
+  PCTAGG_ASSIGN_OR_RETURN(const Table* fact, catalog_.GetTable(table));
+  const std::shared_ptr<const ShardedTable> sharded = Sharding(table);
+  return FinestPartials(table, where, cols, partials, *fact,
+                        use_cache ? &summaries_ : nullptr, trace, dop,
+                        sharded ? sharded->shards : nullptr);
 }
 
 Result<std::string> PctDatabase::ExplainAnalyze(
@@ -325,10 +344,13 @@ Result<PlannerStats> PctDatabase::PlannerStatistics(
 PlannerStats PctDatabase::StatsOf(const std::string& name,
                                   const Table& table) const {
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    auto it = table_stats_.find(ToLower(name));
-    if (it != table_stats_.end() && it->second.Describes(table)) {
-      return PlannerStats(table, it->second);
+    std::lock_guard<std::mutex> lock(records_mu_);
+    auto it = records_.find(ToLower(name));
+    if (it != records_.end() && it->second.sharded != nullptr) {
+      return it->second.sharded->stats;
+    }
+    if (it != records_.end() && it->second.stats.Describes(table)) {
+      return PlannerStats(table, it->second.stats);
     }
   }
   // A table changed behind this database's back (through catalog()):
@@ -341,15 +363,44 @@ void PctDatabase::KeepStats(const std::string& name, const Table& table,
   const std::string key = ToLower(name);
   TableStats stats;
   if (appended) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    auto it = table_stats_.find(key);
-    if (it != table_stats_.end()) stats = it->second;
+    std::lock_guard<std::mutex> lock(records_mu_);
+    auto it = records_.find(key);
+    if (it != records_.end()) stats = it->second.stats;
   }
   // Extend samples every column of a record that does not match the table,
   // so a missing or replaced entry is collected in full.
   stats.Extend(table);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  table_stats_[key] = std::move(stats);
+  std::lock_guard<std::mutex> lock(records_mu_);
+  records_[key] = {std::move(stats), nullptr};
+}
+
+Status PctDatabase::InstallShards(const std::string& name,
+                                  ShardedTable sharded) {
+  PCTAGG_ASSIGN_OR_RETURN(const Table* full, catalog_.GetTable(name));
+  // The stub keeps the schema; ReplaceTable invalidates the table's cached
+  // summaries and ends any earlier sharding.
+  PCTAGG_RETURN_IF_ERROR(ReplaceTable(name, Table(full->schema())));
+  std::lock_guard<std::mutex> lock(records_mu_);
+  records_[ToLower(name)].sharded =
+      std::make_shared<const ShardedTable>(std::move(sharded));
+  return Status::OK();
+}
+
+std::shared_ptr<const ShardedTable> PctDatabase::Sharding(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(records_mu_);
+  auto it = records_.find(ToLower(name));
+  return it == records_.end() ? nullptr : it->second.sharded;
+}
+
+Result<Table*> PctDatabase::AppendTarget(const std::string& name) {
+  if (Sharding(name) != nullptr) {
+    return Status::InvalidArgument(
+        "table '" + name +
+        "' is sharded and read-only; reload the base table and re-issue "
+        "SHARD to change its rows");
+  }
+  return catalog_.GetTable(name);
 }
 
 Result<bool> PctDatabase::DropTable(const std::string& name, bool if_exists) {
@@ -357,11 +408,15 @@ Result<bool> PctDatabase::DropTable(const std::string& name, bool if_exists) {
     if (if_exists) return false;
     return Status::NotFound("table not found: " + name);
   }
+  if (const std::shared_ptr<const ShardedTable> sharded = Sharding(name)) {
+    // Workers first: a failed fan-out leaves the table sharded and whole.
+    PCTAGG_RETURN_IF_ERROR(sharded->shards->Drop(name));
+  }
   summaries_.InvalidateTable(name);
   PCTAGG_RETURN_IF_ERROR(catalog_.DropTable(name));
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    table_stats_.erase(ToLower(name));
+    std::lock_guard<std::mutex> lock(records_mu_);
+    records_.erase(ToLower(name));
   }
   if (storage_ != nullptr) {
     PCTAGG_RETURN_IF_ERROR(storage_->RemoveTable(ToLower(name)));
@@ -415,7 +470,7 @@ Result<AppendOutcome> PctDatabase::AppendRows(const std::string& name,
                                               const QueryOptions& options) {
   AppendOutcome outcome;
   outcome.rows_appended = delta.num_rows();
-  PCTAGG_ASSIGN_OR_RETURN(Table* base, catalog_.GetTable(name));
+  PCTAGG_ASSIGN_OR_RETURN(Table* base, AppendTarget(name));
   if (delta.num_rows() == 0) return outcome;
 
   if (storage_ != nullptr) {
@@ -513,7 +568,7 @@ Result<AppendOutcome> PctDatabase::AppendRows(const std::string& name,
 Result<AppendOutcome> PctDatabase::ExecuteInsert(const std::string& sql,
                                                  const QueryOptions& options) {
   PCTAGG_ASSIGN_OR_RETURN(InsertStatement stmt, ParseInsert(sql));
-  PCTAGG_ASSIGN_OR_RETURN(const Table* base, catalog_.GetTable(stmt.table));
+  PCTAGG_ASSIGN_OR_RETURN(const Table* base, AppendTarget(stmt.table));
   PCTAGG_ASSIGN_OR_RETURN(Table delta,
                           BuildInsertDelta(stmt, base->schema()));
   return AppendRows(stmt.table, delta, options);
@@ -522,7 +577,7 @@ Result<AppendOutcome> PctDatabase::ExecuteInsert(const std::string& sql,
 Result<AppendOutcome> PctDatabase::ExecuteCopy(const std::string& sql,
                                                const QueryOptions& options) {
   PCTAGG_ASSIGN_OR_RETURN(CopyStatement stmt, ParseCopy(sql));
-  PCTAGG_ASSIGN_OR_RETURN(const Table* base, catalog_.GetTable(stmt.table));
+  PCTAGG_ASSIGN_OR_RETURN(const Table* base, AppendTarget(stmt.table));
   PCTAGG_ASSIGN_OR_RETURN(Table delta,
                           ReadCsvFile(stmt.path, base->schema()));
   return AppendRows(stmt.table, delta, options);
@@ -542,7 +597,8 @@ Result<Table> PctDatabase::Execute(const std::string& sql,
           stmt.ToString() +
           "\n-- drop path: remove the table from the catalog, invalidate its\n"
           "-- cached summaries (generation bump), and delete its segment file\n"
-          "-- and manifest entry when a data directory is attached.\n");
+          "-- and manifest entry when a data directory is attached. A sharded\n"
+          "-- table is dropped on every worker first.\n");
     }
     PCTAGG_ASSIGN_OR_RETURN(bool proceed, AnalyzeDrop(stmt, catalog_));
     bool dropped = false;
@@ -617,11 +673,16 @@ Result<std::string> PctDatabase::Explain(const std::string& sql,
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
   PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                           catalog_.GetTable(query.table_name));
+  const std::shared_ptr<const ShardedTable> sharded =
+      Sharding(query.table_name);
   const PlannerStats stats = StatsOf(query.table_name, *fact);
+  const size_t shards = sharded ? sharded->shards->num_shards() : 0;
   // The dop Query would resolve, so the advisor prices the same candidates.
   ScopedParallelism parallelism(options.degree_of_parallelism);
-  PCTAGG_ASSIGN_OR_RETURN(SelectPlan plan,
-                          PlanSelect(query, stats, options, CurrentDop()));
+  const size_t dop = CurrentDop();
+  PCTAGG_ASSIGN_OR_RETURN(
+      SelectPlan plan, PlanSelect(query, stats, options, dop,
+                                  /*partial_forced=*/false, shards));
   if (plan.script()) {
     PCTAGG_ASSIGN_OR_RETURN(Plan script, BuildScript(query, plan));
     return RenderExplain(plan.header, {}, script.ToSql());
@@ -629,8 +690,16 @@ Result<std::string> PctDatabase::Explain(const std::string& sql,
   if (plan.evaluator == SelectPlan::Evaluator::kProjection) {
     return RenderExplain(plan.header, {{"select", sql}});
   }
-  std::vector<PlanStep> steps = AssemblySteps(*plan.partial, stats);
-  steps.insert(steps.begin(), FusedScanStep(plan.partial->partial_sql));
+  const PartialPlan& partial = *plan.partial;
+  std::vector<PlanStep> steps = AssemblySteps(partial, stats);
+  if (shards > 0) {
+    steps.insert(steps.begin(),
+                 {ScatterStep(dop, partial.partial_sql, shards),
+                  GatherStep(shards, partial.finest_cols.size(),
+                             partial.combine.size())});
+  } else {
+    steps.insert(steps.begin(), FusedScanStep(partial.partial_sql));
+  }
   return RenderExplain(plan.header, steps);
 }
 

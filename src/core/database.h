@@ -6,11 +6,13 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "core/horizontal_planner.h"
 #include "core/table_stats.h"
 #include "core/vpct_planner.h"
+#include "engine/aggregate.h"
 #include "engine/catalog.h"
 #include "engine/table.h"
 #include "obs/trace.h"
@@ -66,6 +68,20 @@ struct QueryOptions {
   obs::QueryTrace* trace = nullptr;
   // Summary-maintenance policy when Execute runs an INSERT/COPY.
   AppendPolicy append_policy = AppendPolicy::kAuto;
+};
+
+class ShardFetch;  // core/partial_plan.h
+
+// A base table whose rows live on shards (docs/SHARDING.md). The catalog
+// keeps a zero-row stub of it, so the analyzer sees its schema; this record
+// keeps the rest.
+struct ShardedTable {
+  std::string key_column;  // the column SHARD hash-partitioned on
+  // The full table's planner statistics, resolved before its rows left.
+  PlannerStats stats;
+  // Scatters one PARTIAL and gathers the replies; not owned, outlives the
+  // sharding.
+  ShardFetch* shards = nullptr;
 };
 
 // What an append did, returned by AppendRows/Execute(INSERT/COPY).
@@ -126,9 +142,34 @@ class PctDatabase {
   Result<PlannerStats> PlannerStatistics(const std::string& name) const;
 
   // Drops a base table from the catalog, its cached summaries, and (with
-  // storage attached) its segment file and manifest entry. Returns true when
-  // a table was dropped, false for the benign if_exists-and-absent case.
+  // storage attached) its segment file and manifest entry; a sharded table
+  // is dropped on every worker first. Returns true when a table was
+  // dropped, false for the benign if_exists-and-absent case.
   Result<bool> DropTable(const std::string& name, bool if_exists = false);
+
+  // --- Sharded tables (docs/SHARDING.md) -----------------------------------
+  //
+  // Replaces base table `name` — whose rows the caller has already shipped
+  // to `sharded.shards` — with a zero-row stub of its schema and records it
+  // as sharded. From then on every read of it fetches finest-level partials
+  // from the shards (FinestPartials, core/partial_plan.h), any other
+  // evaluation of it gets DistributedError, appends are refused, and DROP
+  // reaches the workers. CreateTable/ReplaceTable of the name end the
+  // sharding.
+  Status InstallShards(const std::string& name, ShardedTable sharded);
+
+  // The record of sharded table `name`; null for a local or unknown one.
+  std::shared_ptr<const ShardedTable> Sharding(const std::string& name) const;
+
+  // `partials` over base table `table` (filtered by `where`) grouped by
+  // `cols`: FinestPartials over the table's rows, or its shards when it is
+  // sharded, fronted by the summary cache when `use_cache`. Every partial
+  // path reads through it, an MQO batch's leader once at the union level.
+  Result<std::shared_ptr<const Table>> Partials(
+      const std::string& table, const ExprPtr& where,
+      const std::vector<std::string>& cols,
+      const std::vector<AggSpec>& partials, bool use_cache,
+      obs::QueryTrace* trace, size_t dop) const;
 
   // --- Durable storage (optional) ------------------------------------------
   //
@@ -248,32 +289,42 @@ class PctDatabase {
 
   Result<AnalyzedQuery> Prepare(const std::string& sql) const;
 
-  // Planner statistics of base table `name`, whose catalog entry is `table`.
+  // Planner statistics of base table `name`, whose catalog entry is `table`:
+  // the SHARD-time statistics when it is sharded.
   PlannerStats StatsOf(const std::string& name, const Table& table) const;
 
   // Records fresh statistics for base table `name` after a writer changed
-  // it; `appended` means rows were only added at the end, so the kept record
-  // is extended instead of re-collected.
+  // it, ending any sharding of it; `appended` means rows were only added at
+  // the end, so the kept record is extended instead of re-collected.
   void KeepStats(const std::string& name, const Table& table,
                  bool appended = false);
+
+  // Base table `name` for a writer that adds rows; InvalidArgument when it
+  // is sharded, whose rows only a reload and re-SHARD change.
+  Result<Table*> AppendTarget(const std::string& name);
 
   // Mutable because Query() is logically const: it registers (and drops)
   // process-uniquely-named temporaries in the internally synchronized
   // catalog and fills the internally synchronized summary cache.
   mutable Catalog catalog_;
   mutable SummaryCache summaries_;
-  // One planner-statistics record per base table, keyed by lower-cased name
-  // and kept current by the same writers that invalidate summaries_.
-  mutable std::mutex stats_mu_;
-  std::map<std::string, TableStats> table_stats_;
+  // One record per base table, keyed by lower-cased name and kept current
+  // by the same writers that invalidate summaries_: its planner statistics
+  // and, while it is sharded, where its rows are.
+  struct TableRecord {
+    TableStats stats;
+    std::shared_ptr<const ShardedTable> sharded;  // null: a local table
+  };
+  mutable std::mutex records_mu_;
+  std::map<std::string, TableRecord> records_;
   bool summary_cache_enabled_ = false;
   std::unique_ptr<storage::StorageManager> storage_;
 };
 
 // Applies a statement's tail — HAVING, ORDER BY, LIMIT, in SQL's order — to
-// an already-assembled result. Exposed for the distributed coordinator,
-// which assembles query results outside PctDatabase::Query but must match
-// its tail semantics exactly.
+// an already-assembled result. Exposed for MQO batch members
+// (core/mqo_plan.h), which assemble outside PctDatabase::Query but must
+// match its tail semantics exactly.
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query);
 
 // Multi-line text as the one-column "plan" table every surface (CSV, wire

@@ -52,10 +52,6 @@ Result<MqoBatchPlan> PlanMqoBatch(
     }
     plan.members.push_back(std::move(member));
   }
-  // Shard workers run the batch's union scan through their ordinary PARTIAL
-  // verb.
-  plan.scan_sql = RenderPartialSelect(plan.scan_cols, plan.scan_partials,
-                                      plan.table, plan.where);
   return plan;
 }
 

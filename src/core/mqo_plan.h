@@ -46,8 +46,7 @@ struct MqoBatchPlan {
   ExprPtr where;                       // shared predicate; may be null
   std::vector<std::string> scan_cols;  // union finest level
   std::vector<AggSpec> scan_partials;  // deduplicated union partials
-  std::string scan_sql;     // rendered partial SELECT for the sharded path
-  std::vector<PartialPlan> members;  // one per input query, same order
+  std::vector<PartialPlan> members;    // one per input query, same order
   size_t partials_requested = 0;     // sum over members, before dedup
 };
 
@@ -60,9 +59,8 @@ Result<MqoBatchPlan> PlanMqoBatch(
     const std::vector<const AnalyzedQuery*>& queries);
 
 // Assembles member `index`'s final result (HAVING/ORDER BY/LIMIT applied)
-// from the batch-level union partial table — the local batch and the
-// coordinator's sharded batch, which feeds it the gathered cross-shard merge
-// of the union partials, both call it on the member's own thread.
+// from the batch-level union partial table — scanned locally or gathered
+// from a sharded table's shards — on the member's own thread.
 Result<Table> AssembleMqoMember(const MqoBatchPlan& plan, size_t index,
                                 const Table& batch_partials,
                                 obs::QueryTrace* trace, size_t dop);

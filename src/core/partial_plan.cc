@@ -462,6 +462,24 @@ PlanStep FusedScanStep(const std::string& partial_sql) {
   return {"fused", "fused-scan: " + partial_sql};
 }
 
+PlanStep ScatterStep(size_t dop, const std::string& partial_sql,
+                     size_t shards) {
+  return {"scatter", StrFormat("PARTIAL %zu %s -> %zu shards", dop,
+                               partial_sql.c_str(), shards)};
+}
+
+PlanStep GatherStep(size_t shards, size_t group_cols, size_t partials) {
+  return {"gather-merge",
+          StrFormat("merged %zu shard partials (%zu group cols, %zu "
+                    "aggregates)",
+                    shards, group_cols, partials)};
+}
+
+Status DistributedError(const std::string& table, const std::string& why) {
+  return Status::InvalidArgument("distributed: " + why + " (table '" + table +
+                                 "' is sharded)");
+}
+
 std::vector<double> EstimateLevelRows(const PartialPlan& plan,
                                       const PlannerStats& stats) {
   std::vector<double> rows;
@@ -661,7 +679,7 @@ Result<std::shared_ptr<const Table>> FinestPartials(
     const std::string& table, const ExprPtr& where,
     const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
     const Table& fact, SummaryCache* summaries, obs::QueryTrace* trace,
-    size_t dop) {
+    size_t dop, ShardFetch* shards) {
   const bool cacheable = summaries != nullptr && where == nullptr;
   std::string key;
   uint64_t generation = 0;
@@ -721,10 +739,13 @@ Result<std::shared_ptr<const Table>> FinestPartials(
     }
   }
 
-  obs::ScopedTraceNode scope(OpenStep(trace, [&] {
-    return FusedScanStep(RenderPartialSelect(cols, partials, table, where));
-  }));
+  auto sql = [&] { return RenderPartialSelect(cols, partials, table, where); };
   if (cached != nullptr) {
+    // An exact hit shows the source step it saved, marked as a hit.
+    obs::ScopedTraceNode scope(OpenStep(trace, [&] {
+      return shards != nullptr ? ScatterStep(dop, sql(), shards->num_shards())
+                               : FusedScanStep(sql());
+    }));
     obs::MarkCacheHit();
     if (trace != nullptr) {
       trace->strategy = "partial from cache entry";
@@ -732,10 +753,17 @@ Result<std::shared_ptr<const Table>> FinestPartials(
     }
     return cached;
   }
-  PCTAGG_ASSIGN_OR_RETURN(Table t,
-                          HashAggregate(fact, cols, partials, dop, where));
-  if (own_fill) summaries->Insert(key, t, generation, &recipe);
-  return std::make_shared<const Table>(std::move(t));
+  Result<Table> t = Table();
+  if (shards != nullptr) {
+    t = shards->Fetch(sql(), cols, partials, dop, trace);
+  } else {
+    obs::ScopedTraceNode scope(
+        OpenStep(trace, [&] { return FusedScanStep(sql()); }));
+    t = HashAggregate(fact, cols, partials, dop, where);
+  }
+  if (!t.ok()) return t.status();
+  if (own_fill) summaries->Insert(key, *t, generation, &recipe);
+  return std::make_shared<const Table>(std::move(*t));
 }
 
 Result<Table> AssembleFromPartials(const PartialPlan& plan,

@@ -26,14 +26,15 @@ namespace pctagg {
 // divide, Hpct pivot, GROUPING() ids).
 //
 // Only the source of the finest-level table differs between callers:
-//   * the exact summary-cache entry,
-//   * a cached ancestor (a mergeable entry at a finer or equal level that
-//     carries every partial),
-//   * one fused scan of the fact table, filling the cache single-flight,
-//   * an MQO batch's union table (core/mqo_plan.h),
-//   * the merged per-shard partials (dist/coordinator.h).
-// The first three are FinestPartials below; the last two are computed by
-// their callers and handed to AssembleFromPartials directly.
+//   1. the exact summary-cache entry,
+//   2. a cached ancestor (a mergeable entry at a finer or equal level that
+//      carries every partial),
+//   3. one fused scan of the fact table, filling the cache single-flight,
+//   4. an MQO batch's union table (core/mqo_plan.h),
+//   5. the merged per-shard partials of a sharded table (ShardFetch below).
+// FinestPartials picks sources 1-3 and 5, so the cache fronts the shards as
+// it fronts a local scan; an MQO batch's leader calls it once at the union
+// level and hands each member its rollup of the union table.
 //
 // Rollups keep first-seen group order and INT64 partials combine exactly, so
 // every source gives bit-identical answers on integer measures; float sums
@@ -97,8 +98,40 @@ struct PlanStep {
   std::string detail;
 };
 
-// The local source step: one fused scan computing `partial_sql`.
+// The source steps, as the trace nodes that fetch the partials are opened
+// and plain EXPLAIN lists them. A local table: one fused scan computing
+// `partial_sql`. A sharded table: the fan-out of `partial_sql` at `dop` to
+// `shards` workers, then the merge of their replies.
 PlanStep FusedScanStep(const std::string& partial_sql);
+PlanStep ScatterStep(size_t dop, const std::string& partial_sql,
+                     size_t shards);
+PlanStep GatherStep(size_t shards, size_t group_cols, size_t partials);
+
+// The workers a sharded table's rows live on (docs/SHARDING.md);
+// dist::Coordinator implements it over the network. Thread-safe.
+class ShardFetch {
+ public:
+  virtual ~ShardFetch() = default;
+
+  virtual size_t num_shards() const = 0;
+
+  // Scatters `partial_sql` — `partials` grouped by `cols` — to every shard
+  // as one PARTIAL at `dop`, concatenates the replies in shard order and
+  // rolls them up once to `cols`. Opens the ScatterStep and GatherStep
+  // nodes on `trace`. Unavailable naming the shard when one cannot answer.
+  virtual Result<Table> Fetch(const std::string& partial_sql,
+                              const std::vector<std::string>& cols,
+                              const std::vector<AggSpec>& partials, size_t dop,
+                              obs::QueryTrace* trace) = 0;
+
+  // DROP TABLE IF EXISTS `table` on every worker; Unavailable naming the
+  // shard that failed.
+  virtual Status Drop(const std::string& table) = 0;
+};
+
+// The typed error of a statement on sharded table `table` that has no
+// distributed evaluation, `why` saying what is missing.
+Status DistributedError(const std::string& table, const std::string& why);
 
 // The estimated rows of every level of `plan`, in plan.levels order.
 std::vector<double> EstimateLevelRows(const PartialPlan& plan,
@@ -112,15 +145,17 @@ std::vector<PlanStep> AssemblySteps(const PartialPlan& plan,
 
 // `partials` over `table` (filtered by `where`) grouped by `cols`, from the
 // first source that has them: the exact cache entry, a cached ancestor rolled
-// down, or one fused scan of `fact`. Only unfiltered scans consult the cache
-// (`summaries` may be null); a miss fills it single-flight, so N identical
-// concurrent misses run one scan. An answer from the cache renames the
-// strategy on `trace` after its source.
+// down, or one fused scan of `fact` — or, when `shards` is non-null, one
+// fetch from the shards instead of the scan (`fact` is then the zero-row
+// stub). Only unfiltered reads consult the cache (`summaries` may be null);
+// a miss fills it single-flight, so N identical concurrent misses run one
+// scan or fetch. An answer from the cache renames the strategy on `trace`
+// after its source.
 Result<std::shared_ptr<const Table>> FinestPartials(
     const std::string& table, const ExprPtr& where,
     const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
     const Table& fact, SummaryCache* summaries, obs::QueryTrace* trace,
-    size_t dop);
+    size_t dop, ShardFetch* shards = nullptr);
 
 // Maps every aggregate of `wanted` onto the column of `available` that
 // computes the same (function, argument); false when one is missing.

@@ -4,6 +4,7 @@
 #include <functional>
 #include <tuple>
 
+#include "common/string_util.h"
 #include "core/advisor.h"
 #include "core/cost_model.h"
 #include "core/olap_planner.h"
@@ -13,8 +14,8 @@ namespace pctagg {
 namespace {
 
 // The partial path's strategy, named after the source of its partials: the
-// planned fused scan, renamed at run time when the cache answers instead
-// (FinestPartials), the MQO batch or the shards.
+// planned fused scan or shards, renamed at run time when the cache answers
+// instead (FinestPartials) or the MQO batch does.
 const char kPartialFromScan[] = "partial from fused scan";
 
 // Human name of a Vpct configuration, mirroring the Table 4 knobs.
@@ -119,12 +120,40 @@ void PlanPercentage(const AnalyzedQuery& query, const PlannerStats& fact,
   }
 }
 
+// A sharded table: the fetch from the shards next to the single-node fused
+// scan it replaces, both priced from the statistics resolved at SHARD time
+// (the stub has no rows left to describe).
+void PlanSharded(const PlannerStats& fact, size_t dop, size_t shards,
+                 SelectPlan* plan) {
+  plan->header.strategy = "partial from shards";
+  plan->header.strategy_source = "topology";
+  const PartialPlan& partial = *plan->partial;
+  const CostModel model;
+  FactStats s;
+  s.rows = fact.rows();
+  Result<FactStats> estimated =
+      model.EstimateStats(fact, partial.finest_cols, {}, {});
+  if (estimated.ok()) s = *estimated;
+  plan->header.predicted_costs.push_back(
+      {StrFormat("distributed (%zu shards x dop %zu)", shards, dop),
+       model.DistributedCost(
+           s, static_cast<double>(shards), static_cast<double>(dop),
+           static_cast<double>(partial.finest_cols.size() +
+                               partial.partials.size())),
+       true});
+  s.dop = static_cast<double>(dop);
+  plan->header.predicted_costs.push_back(
+      {StrFormat("single-node fused scan (dop %zu)", dop),
+       model.FusedVpctCost(s), false});
+  plan->header.predicted_group_rows = s.group_cardinality;
+}
+
 }  // namespace
 
 Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
                               const PlannerStats& stats,
                               const QueryOptions& options, size_t dop,
-                              bool partial_forced) {
+                              bool partial_forced, size_t shards) {
   SelectPlan plan;
   plan.header.query_class = QueryClassName(query.query_class);
   plan.header.strategy = kPartialFromScan;
@@ -132,7 +161,11 @@ Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
   dop = std::max<size_t>(1, dop);
   std::string why;
   const bool partial_ok = PartialPlanSupported(query, &why);
-  if (query.has_grouping_sets) {
+  if (shards > 0) {
+    if (!partial_ok) return DistributedError(query.table_name, why);
+    PCTAGG_ASSIGN_OR_RETURN(plan.partial, BuildPartialPlan(query));
+    PlanSharded(stats, dop, shards, &plan);
+  } else if (query.has_grouping_sets) {
     if (!partial_ok) return Status::InvalidArgument("grouping sets: " + why);
     // The one fused scan and every rollup, priced together.
     PCTAGG_ASSIGN_OR_RETURN(plan.partial, BuildPartialPlan(query));

@@ -46,10 +46,15 @@ struct SelectPlan {
 // and a projection is evaluated directly. `partial_forced` (QueryPartial)
 // takes the partial path regardless. One EstimateStats call prices every
 // candidate at `dop`; no script is built here.
+//
+// A table sharded over `shards` workers (0 = a local table) takes the
+// partial path whatever `options` force, priced as the fetch from the shards
+// next to the single-node fused scan it replaces, from `stats` resolved at
+// SHARD time; a query without a partial plan gets DistributedError.
 Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
                               const PlannerStats& stats,
                               const QueryOptions& options, size_t dop,
-                              bool partial_forced = false);
+                              bool partial_forced = false, size_t shards = 0);
 
 // The generated script of a plan whose script() is true.
 Result<Plan> BuildScript(const AnalyzedQuery& query, const SelectPlan& plan);

@@ -67,8 +67,8 @@ struct ColumnEstimate {
 // and grow when another table that shares them is appended to.
 //
 // A PlannerStats is a self-contained copy: it stays valid after the table
-// changes, which is how the sharded coordinator keeps the estimates of a
-// table whose rows now live on the workers.
+// changes, which is how a sharded table's record (core/database.h) keeps
+// the estimates of a table whose rows now live on the workers.
 class PlannerStats {
  public:
   // An empty table without columns.

@@ -1,48 +1,28 @@
 #ifndef PCTAGG_SERVER_DIST_ROUTER_H_
 #define PCTAGG_SERVER_DIST_ROUTER_H_
 
-#include <optional>
 #include <string>
 
-#include "common/result.h"
-#include "core/database.h"
-#include "engine/table.h"
-#include "obs/trace.h"
+#include "common/status.h"
 
 namespace pctagg {
 
-// Routing hook between the server and the distributed coordinator
-// (src/dist/coordinator.h, docs/SHARDING.md). The server owns the protocol
-// and sessions; the coordinator owns shard topology and scatter/gather
-// execution. This interface is what keeps the dependency one-directional:
-// pctagg_dist links pctagg_server, never the reverse.
-//
-// A server with a router consults it before running any statement: tables
-// the router claims (sharded tables) execute remotely; everything else runs
-// on the local database as usual. Implementations must be safe to call from
-// many connection-handler threads at once.
+// The two verbs a coordinator server adds (src/dist/coordinator.h,
+// docs/SHARDING.md): SHARD and SHOW's topology line. Statements on sharded
+// tables need no hook here: the database answers them from its shards. This
+// interface keeps the dependency one-directional: pctagg_dist links
+// pctagg_server, never the reverse. Implementations must be safe to call
+// from many connection-handler threads at once.
 class DistRouter {
  public:
   virtual ~DistRouter() = default;
-
-  // True when `table` (case-insensitive) is sharded across workers.
-  virtual bool Routes(const std::string& table) const = 0;
-
-  // Executes `sql` distributed if its target table is sharded. Returns
-  // nullopt when the statement targets no sharded table (caller runs it
-  // locally); a table result when the router handled it; an error when the
-  // statement targets a sharded table but cannot run distributed (e.g.
-  // INSERT, or a non-distributive aggregate). `trace` may be null.
-  virtual Result<std::optional<Table>> MaybeExecute(
-      const std::string& sql, const QueryOptions& options,
-      obs::QueryTrace* trace) = 0;
 
   // Hash-partitions local base table `table` on `key_column` across the
   // workers, leaving a zero-row schema stub locally (the SHARD verb).
   virtual Status ShardTable(const std::string& table,
                             const std::string& key_column) = 0;
 
-  // One-line topology description for server observability (STATS).
+  // One-line topology description for server observability (SHOW).
   virtual std::string Describe() const = 0;
 };
 

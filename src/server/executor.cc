@@ -278,10 +278,10 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
   Result<AnalyzedQuery> prepared = db_->PrepareQuery(inner);
   if (!prepared.ok()) return db_->Query(sql, opts);
   if (!PartialPlanSupported(*prepared)) return db_->Query(sql, opts);
-  Result<const Table*> fact =
-      static_cast<const PctDatabase*>(db_)->catalog().GetTable(
-          prepared->table_name);
-  if (!fact.ok() || (*fact)->num_rows() == 0) return db_->Query(sql, opts);
+  // The planner statistics, not the catalog entry: a sharded table's stub
+  // has no rows, its SHARD-time statistics do.
+  Result<PlannerStats> stats = db_->PlannerStatistics(prepared->table_name);
+  if (!stats.ok() || stats->rows() == 0) return db_->Query(sql, opts);
 
   // Compatibility key + execution-context fingerprint: only queries whose
   // results depend on the same settings may share a batch.
@@ -339,9 +339,9 @@ std::shared_ptr<const MqoBatchScan> QueryExecutor::PlanAndScanMqoBatch(
   for (const MqoGate::Member* m : members) queries.push_back(m->query);
   Result<MqoBatchPlan> plan = PlanMqoBatch(queries);
   if (!plan.ok()) return nullptr;
-  Result<const Table*> fact =
-      static_cast<const PctDatabase*>(db_)->catalog().GetTable(plan->table);
-  if (!fact.ok()) return nullptr;
+  Result<PlannerStats> table = db_->PlannerStatistics(plan->table);
+  if (!table.ok()) return nullptr;
+  const uint64_t rows = static_cast<uint64_t>(table->rows());
   auto batch = std::make_shared<MqoBatchScan>();
   batch->plan = std::move(*plan);
   const MqoBatchPlan& bp = batch->plan;
@@ -362,10 +362,7 @@ std::shared_ptr<const MqoBatchScan> QueryExecutor::PlanAndScanMqoBatch(
   bool batch_it = members.size() >= 2;
   if (opts.mqo == MqoMode::kAuto || traced) {
     CostModel model;
-    Result<PlannerStats> table = db_->PlannerStatistics(bp.table);
-    Result<FactStats> stats =
-        table.ok() ? model.EstimateStats(*table, bp.scan_cols, {}, {})
-                   : Result<FactStats>(table.status());
+    Result<FactStats> stats = model.EstimateStats(*table, bp.scan_cols, {}, {});
     if (stats.ok()) {
       stats->dop = static_cast<double>(dop);
       const double batch_cost = model.MqoBatchCost(
@@ -389,16 +386,18 @@ std::shared_ptr<const MqoBatchScan> QueryExecutor::PlanAndScanMqoBatch(
   }
   if (!batch_it) return batch;
 
+  // One read of the union level from the table's source: a scan, the
+  // cache or, for a sharded table, one scatter.
   const bool use_cache =
       opts.use_summary_cache.value_or(db_->summary_cache_enabled());
   obs::QueryTrace scan_trace;
   ScopedParallelism parallelism(dop);
-  Result<std::shared_ptr<const Table>> partials = FinestPartials(
-      bp.table, bp.where, bp.scan_cols, bp.scan_partials, **fact,
-      use_cache ? &db_->summaries() : nullptr, traced ? &scan_trace : nullptr,
-      dop);
-  // A failed scan (e.g. a WHERE that fails at run time) publishes no
-  // partials: every member reruns solo for its own error or result.
+  Result<std::shared_ptr<const Table>> partials =
+      db_->Partials(bp.table, bp.where, bp.scan_cols, bp.scan_partials,
+                    use_cache, traced ? &scan_trace : nullptr, dop);
+  // A failed read (e.g. a WHERE that fails at run time, or a lost shard)
+  // publishes no partials: every member reruns solo for its own error or
+  // result.
   if (!partials.ok()) return batch;
   batch->partials = std::move(*partials);
   AttachMqoScanTrace(
@@ -407,11 +406,10 @@ std::shared_ptr<const MqoBatchScan> QueryExecutor::PlanAndScanMqoBatch(
                 "deduped from %zu; rows scanned once: %llu instead of %zu "
                 "times)",
                 members.size(), bp.table.c_str(), dop, bp.scan_partials.size(),
-                bp.partials_requested,
-                static_cast<unsigned long long>((*fact)->num_rows()),
+                bp.partials_requested, static_cast<unsigned long long>(rows),
                 members.size()),
       &scan_trace);
-  mqo_gate_.RecordScanRowsSaved(static_cast<uint64_t>((*fact)->num_rows()) *
+  mqo_gate_.RecordScanRowsSaved(rows *
                                 static_cast<uint64_t>(members.size() - 1));
   return batch;
 }

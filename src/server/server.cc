@@ -16,7 +16,6 @@
 #include "common/string_util.h"
 #include "engine/csv.h"
 #include "obs/metrics.h"
-#include "sql/parser.h"
 #include "storage/serde.h"
 #include "workload/generators.h"
 
@@ -192,7 +191,8 @@ WireResponse PctServer::RunStatement(Session* session, const std::string& sql,
   std::shared_ptr<obs::QueryTrace> trace;
   if (session->trace_enabled()) trace = std::make_shared<obs::QueryTrace>();
   Stopwatch timer;
-  Result<Table> result = ExecuteSql(session, sql, options, trace);
+  Result<Table> result = executor_.ExecuteStatement(
+      sql, options, session->timeout_ms(), trace);
   resp.micros = static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
   QueryLatencyHistogram().Observe(resp.micros);
   session->RecordQuery(resp.micros, result.ok());
@@ -209,41 +209,6 @@ WireResponse PctServer::RunStatement(Session* session, const std::string& sql,
     resp.body += trace->Render();
   }
   return resp;
-}
-
-Result<Table> PctServer::ExecuteSql(Session* session, const std::string& sql,
-                                    const QueryOptions& options,
-                                    std::shared_ptr<obs::QueryTrace> trace) {
-  if (config_.router != nullptr) {
-    // Offer the statement to the distributed router first, under the same
-    // executor admission a local statement would get: distributed SELECTs
-    // only read the local stub catalog, while a routed DROP (or the
-    // rejection of a write on a sharded table) takes the exclusive path.
-    Result<ParsedStatement> kind = ParseStatementKind(sql);
-    const bool exclusive =
-        kind.ok() && (kind->kind == ParsedStatement::Kind::kDrop ||
-                      kind->kind == ParsedStatement::Kind::kInsert ||
-                      kind->kind == ParsedStatement::Kind::kCopy);
-    // Shared with the worker lambda for the same outlive-on-timeout reason
-    // as `trace`.
-    auto routed_table = std::make_shared<std::optional<Table>>();
-    auto run = [router = config_.router, routed_table, sql, options,
-                trace]() -> Status {
-      QueryOptions opts = options;
-      opts.trace = trace ? trace.get() : nullptr;
-      Result<std::optional<Table>> r =
-          router->MaybeExecute(sql, opts, opts.trace);
-      if (!r.ok()) return r.status();
-      *routed_table = std::move(*r);
-      return Status::OK();
-    };
-    PCTAGG_RETURN_IF_ERROR(
-        exclusive ? executor_.ExecuteWrite(run, session->timeout_ms())
-                  : executor_.ExecuteRead(run, session->timeout_ms()));
-    if (routed_table->has_value()) return std::move(**routed_table);
-  }
-  return executor_.ExecuteStatement(sql, options, session->timeout_ms(),
-                                    std::move(trace));
 }
 
 WireResponse PctServer::HandleShardData(Session* session,
@@ -314,11 +279,12 @@ WireResponse PctServer::HandleRequest(Session* session,
       return RunStatement(session, request.payload, /*olap_baseline=*/true);
     case RequestVerb::kExplain: {
       // The statement path of QUERY "EXPLAIN ...": the session's options
-      // and the shard router apply, so both print the plan that would run.
-      // The body stays plain text, one plan line per line.
+      // apply, so both print the plan that would run, sharded tables
+      // included. The body stays plain text, one plan line per line.
       Stopwatch timer;
-      Result<Table> plan = ExecuteSql(session, "EXPLAIN " + request.payload,
-                                      session->query_options(), nullptr);
+      Result<Table> plan = executor_.ExecuteStatement(
+          "EXPLAIN " + request.payload, session->query_options(),
+          session->timeout_ms());
       resp.micros = static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
       if (!plan.ok()) {
         resp.status = plan.status();

@@ -31,10 +31,10 @@ struct ServerConfig {
   // window and early-close batch size, forwarded to the executor.
   uint64_t mqo_window_ms = 2;
   size_t mqo_max_batch = 16;
-  // When set, the server is a coordinator: every statement is offered to the
-  // router first (sharded tables execute scatter/gather; everything else
-  // falls through to the local database) and SHARD becomes available. Not
-  // owned; must outlive the server. See docs/SHARDING.md.
+  // When set, the server is a coordinator: SHARD becomes available and SHOW
+  // describes the topology. Statements on sharded tables run through the
+  // database like any other (docs/SHARDING.md). Not owned; must outlive the
+  // server.
   DistRouter* router = nullptr;
 };
 
@@ -69,11 +69,6 @@ class PctServer {
                              bool* quit);
   WireResponse RunStatement(Session* session, const std::string& sql,
                             bool olap_baseline);
-  // Runs one statement under the session's deadline, through the shard
-  // router when it takes it, else the executor: QUERY, OLAP and EXPLAIN.
-  Result<Table> ExecuteSql(Session* session, const std::string& sql,
-                           const QueryOptions& options,
-                           std::shared_ptr<obs::QueryTrace> trace);
   // SHARDDATA carries the only request body; it is read from the
   // connection's own LineReader, so the handler lives outside HandleRequest.
   // Sets `*quit` when the frame is too malformed to keep the stream in sync.

@@ -390,13 +390,7 @@ TEST(DatabaseTest, Int64SumsWrapOnEveryEvaluator) {
     EXPECT_EQ(ByGroup(cached.QueryPartial(plain, options), "s"), want);
     EXPECT_GT(cached.summaries().hits(), hits);
 
-    QueryOptions sharded = options;
-    sharded.mqo = MqoMode::kOff;
-    Result<std::optional<Table>> dist =
-        coordinator.MaybeExecute(plain, sharded, nullptr);
-    ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-    ASSERT_TRUE(dist->has_value());
-    EXPECT_EQ(ByGroup(std::move(**dist), "s"), want);
+    EXPECT_EQ(ByGroup(coord.Query(plain, options), "s"), want);
   }
 }
 

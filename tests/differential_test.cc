@@ -13,9 +13,15 @@
 //     warmed finest-level cached ancestor, then from the query's own exact
 //     entry,
 //   * one MQO batch of the compatible queries (one union scan, then each
-//     member's rollup and assembly), and
+//     member's rollup and assembly),
 //   * in-process clusters of one, two and four shards, whose gather
-//     concatenates the shards' partials and rolls them up once,
+//     concatenates the shards' partials and rolls them up once, each query
+//     through the coordinator database's Query,
+//   * the same MQO batches on the two-shard cluster: the leader's one fetch
+//     at the union level, then each member's rollup and assembly, and
+//   * the summary cache in front of the two-shard cluster, for every
+//     unfiltered query twice: first filled from the shards (or from what an
+//     earlier query left), then from the entry the first run filled,
 // at dop 1 and 4. Shards emit groups, and first-seen Hpct pivot columns, in
 // shard order, so answers compare as row multisets with columns matched by
 // name.
@@ -409,15 +415,8 @@ class DifferentialTest : public ::testing::Test {
 
   // `sql` on the cluster of kShardCounts[cluster] shards.
   Result<Table> Sharded(const std::string& sql, size_t dop,
-                        size_t cluster = 1) {
-    QueryOptions options;
-    options.degree_of_parallelism = dop;
-    options.mqo = MqoMode::kOff;
-    PCTAGG_ASSIGN_OR_RETURN(
-        std::optional<Table> r,
-        clusters_[cluster]->coordinator->MaybeExecute(sql, options, nullptr));
-    if (!r.has_value()) return Status::Internal("router declined " + sql);
-    return std::move(*r);
+                        size_t cluster = 1) const {
+    return clusters_[cluster]->db.Query(sql, AtDop(dop));
   }
 
   // A coordinator database over its own in-process worker servers.
@@ -498,6 +497,17 @@ TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
         names.push_back(StrFormat("%zu shards", kShardCounts[c]));
         others.emplace_back(names.back().c_str(), Sharded(sqls[i], dop, c));
       }
+      if (q->where == nullptr) {
+        PctDatabase& cluster = clusters_[1]->db;
+        QueryOptions cache_on = AtDop(dop);
+        cache_on.use_summary_cache = true;
+        others.emplace_back("2 shards, cache fill",
+                            cluster.Query(sqls[i], cache_on));
+        const size_t hits = cluster.summaries().hits();
+        others.emplace_back("2 shards, cache entry",
+                            cluster.Query(sqls[i], cache_on));
+        EXPECT_GT(cluster.summaries().hits(), hits) << "no cache read";
+      }
       for (auto& [name, got] : others) {
         ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
         const Canonical c = Canonicalize(*got);
@@ -518,33 +528,39 @@ TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
     for (size_t i = 0; i < analyzed.size(); ++i) {
       batches[MqoCompatibilityKey(analyzed[i])].push_back(i);
     }
+    // Locally, then on the two-shard cluster, whose one read at the union
+    // level scatters once.
     for (const auto& [key, members] : batches) {
-      SCOPED_TRACE("batch " + key + " @ dop=" + std::to_string(dop));
       std::vector<const AnalyzedQuery*> queries;
       for (size_t i : members) queries.push_back(&analyzed[i]);
       Result<MqoBatchPlan> plan = PlanMqoBatch(queries);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      Result<Table*> fact = db_.catalog().GetTable(plan->table);
-      ASSERT_TRUE(fact.ok());
-      Result<std::shared_ptr<const Table>> partials =
-          FinestPartials(plan->table, plan->where, plan->scan_cols,
-                         plan->scan_partials, **fact, nullptr, nullptr, dop);
-      ASSERT_TRUE(partials.ok()) << partials.status().ToString();
-      for (size_t m = 0; m < members.size(); ++m) {
-        Result<Table> got =
-            AssembleMqoMember(*plan, m, **partials, nullptr, dop);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const Canonical c = Canonicalize(*got);
-        EXPECT_TRUE(c == want[members[m]])
-            << sqls[members[m]] << ": MQO batch member differs\n"
-            << Describe(c, want[members[m]]) << "vs\n"
-            << Describe(want[members[m]], c);
-        ++compared;
+      for (const PctDatabase* db : {&db_, &clusters_[1]->db}) {
+        SCOPED_TRACE("batch " + key + (db == &db_ ? "" : " on 2 shards") +
+                     " @ dop=" + std::to_string(dop));
+        Result<std::shared_ptr<const Table>> partials =
+            db->Partials(plan->table, plan->where, plan->scan_cols,
+                         plan->scan_partials, /*use_cache=*/false, nullptr,
+                         dop);
+        ASSERT_TRUE(partials.ok()) << partials.status().ToString();
+        for (size_t m = 0; m < members.size(); ++m) {
+          Result<Table> got =
+              AssembleMqoMember(*plan, m, **partials, nullptr, dop);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const Canonical c = Canonicalize(*got);
+          EXPECT_TRUE(c == want[members[m]])
+              << sqls[members[m]] << ": MQO batch member differs\n"
+              << Describe(c, want[members[m]]) << "vs\n"
+              << Describe(want[members[m]], c);
+          ++compared;
+        }
       }
     }
   }
-  // 200 queries x 2 dops x (advisor, 2 cache runs, 3 clusters, MQO) at least.
-  EXPECT_GE(compared, 2800u);
+  // 200 queries x 2 dops x (advisor, 2 cache runs, 3 clusters, MQO locally
+  // and on 2 shards), plus the 93 unfiltered ones x 2 dops x 2 cached runs
+  // on 2 shards, at least.
+  EXPECT_GE(compared, 3572u);
 }
 
 TEST_F(DifferentialTest, DeltaMergedEntriesMatchRecompute) {

@@ -1,7 +1,8 @@
-// Multi-process-shaped integration tests for the scatter/gather coordinator
+// Multi-process-shaped integration tests for sharded tables
 // (docs/SHARDING.md): real PctServer workers on loopback ephemeral ports, a
-// dist::Coordinator scattering over persistent PctClient links, and the
-// gather that concatenates the replies in shard order and rolls them up.
+// dist::Coordinator scattering over persistent PctClient links, the gather
+// that concatenates the replies in shard order and rolls them up, and the
+// coordinator database that plans and answers every statement itself.
 // Everything runs in-process so ctest needs no orchestration, but every byte
 // between coordinator and worker crosses a TCP socket exactly as it would
 // across machines.
@@ -39,7 +40,8 @@ dist::CoordinatorConfig FastConfig() {
 
 // N worker servers plus a coordinator database wired to them. The
 // coordinator's own PctServer is optional (StartCoordinatorServer) — most
-// tests drive the router directly to get Tables back for comparison.
+// tests query the coordinator database directly to get Tables back for
+// comparison.
 class Cluster {
  public:
   explicit Cluster(size_t num_workers,
@@ -76,18 +78,13 @@ class Cluster {
     return server_->port();
   }
 
-  // Runs `sql` through the router; the table must already be sharded.
-  Result<Table> Distributed(const std::string& sql, size_t dop = 1,
-                            obs::QueryTrace* trace = nullptr) {
+  PctServer& server() { return *server_; }
+
+  // Runs `sql` on the coordinator database at `dop`.
+  Result<Table> Distributed(const std::string& sql, size_t dop = 1) {
     QueryOptions options;
     options.degree_of_parallelism = dop;
-    Result<std::optional<Table>> r =
-        coordinator_->MaybeExecute(sql, options, trace);
-    if (!r.ok()) return r.status();
-    if (!r->has_value()) {
-      return Status::Internal("router declined: " + sql);
-    }
-    return std::move(**r);
+    return db_.Query(sql, options);
   }
 
  private:
@@ -393,25 +390,27 @@ TEST(DistTest, ShardedTableIsReadOnlyAndReshardRejected) {
       cluster.db().CreateTable("f", GenerateTransactionLine(1000)).ok());
   ASSERT_TRUE(cluster.coordinator().ShardTable("f", "cityId").ok());
 
-  QueryOptions options;
-  Result<std::optional<Table>> ins = cluster.coordinator().MaybeExecute(
+  Result<Table> ins = cluster.db().Execute(
       "INSERT INTO f VALUES (1, 1, 1, 1, 2020, 1, 1, 1, 1, 1, 1, 1, 1.0, "
-      "1.0)",
-      options, nullptr);
+      "1.0)");
   ASSERT_FALSE(ins.ok());
   EXPECT_EQ(ins.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(ins.status().message().find("read-only"), std::string::npos);
+  Result<AppendOutcome> appended =
+      cluster.db().AppendRows("f", GenerateTransactionLine(10));
+  ASSERT_FALSE(appended.ok());
+  EXPECT_NE(appended.status().message().find("read-only"), std::string::npos);
 
   Status reshard = cluster.coordinator().ShardTable("f", "stateId");
   ASSERT_FALSE(reshard.ok());
   EXPECT_NE(reshard.message().find("already sharded"), std::string::npos);
 
-  // Statements on unsharded tables are declined, not hijacked.
+  // An unsharded table on the coordinator answers locally.
+  PctDatabase local;
+  ASSERT_TRUE(local.CreateTable("g", NullableFact(1, 10)).ok());
   ASSERT_TRUE(cluster.db().CreateTable("g", NullableFact(1, 10)).ok());
-  Result<std::optional<Table>> other = cluster.coordinator().MaybeExecute(
-      "SELECT g, sum(v) FROM g GROUP BY g", options, nullptr);
-  ASSERT_TRUE(other.ok());
-  EXPECT_FALSE(other->has_value());
+  const std::string sql = "SELECT g, sum(v) AS s FROM g GROUP BY g";
+  EXPECT_EQ(LocalCsv(&cluster.db(), sql), LocalCsv(&local, sql));
 }
 
 // DROP fans out to every worker, then forgets the stub and the shard map.
@@ -424,14 +423,11 @@ TEST(DistTest, DistributedDropForgetsEverywhere) {
     EXPECT_TRUE(cluster.worker_db(i).catalog().GetTable("f").ok());
   }
 
-  QueryOptions options;
-  Result<std::optional<Table>> drop =
-      cluster.coordinator().MaybeExecute("DROP TABLE f", options, nullptr);
+  Result<Table> drop = cluster.db().Execute("DROP TABLE f");
   ASSERT_TRUE(drop.ok()) << drop.status().ToString();
-  ASSERT_TRUE(drop->has_value());
-  EXPECT_EQ((*drop)->column(0).GetValue(0), Value::Int64(1));
+  EXPECT_EQ(drop->column(0).GetValue(0), Value::Int64(1));
 
-  EXPECT_FALSE(cluster.coordinator().Routes("f"));
+  EXPECT_EQ(cluster.db().Sharding("f"), nullptr);
   EXPECT_FALSE(cluster.db().catalog().GetTable("f").ok());
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_FALSE(cluster.worker_db(i).catalog().GetTable("f").ok());
@@ -463,9 +459,9 @@ TEST(DistTest, ExplainAndExplainAnalyzeShowFanout) {
 }
 
 // The server's EXPLAIN verb (the clients' .explain) takes the statement path
-// of QUERY "EXPLAIN ...": on a coordinator it reaches the shard router and
-// prints the scatter, not the materialized script over the zero-row stub,
-// and it plans with the session's settings.
+// of QUERY "EXPLAIN ...": on a coordinator it prints the scatter, not the
+// materialized script over the zero-row stub, and it plans with the
+// session's settings.
 TEST(DistTest, ExplainVerbFollowsTheRouterAndTheSession) {
   Cluster cluster(2);
   ASSERT_TRUE(
@@ -566,6 +562,123 @@ TEST(DistTest, WireLevelShardQueryAndShowRoundTrip) {
   ASSERT_TRUE(ins.ok());
   EXPECT_FALSE(ins->status.ok());
   EXPECT_NE(ins->status.ToString().find("read-only"), std::string::npos);
+}
+
+// --- One database, one gate: the shards are a partial source ----------------
+
+// A reload ends the sharding: neither the old shards nor a cache entry
+// filled from them answers afterwards, and the table can be sharded again.
+TEST(DistTest, ReloadEndsShardingAndReshardWorks) {
+  Cluster cluster(2);
+  ASSERT_TRUE(
+      cluster.db().CreateTable("f", GenerateTransactionLine(1000)).ok());
+  ASSERT_TRUE(cluster.coordinator().ShardTable("f", "cityId").ok());
+  const std::string sql = "SELECT count(*) AS n FROM f";
+  QueryOptions cached;
+  cached.use_summary_cache = true;
+  Result<Table> first = cluster.db().Query(sql, cached);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(FormatCsv(*first), "n\n1000\n");
+
+  ASSERT_TRUE(
+      cluster.db().ReplaceTable("f", GenerateTransactionLine(2000)).ok());
+  EXPECT_EQ(cluster.db().Sharding("f"), nullptr);
+  Result<Table> reloaded = cluster.db().Query(sql, cached);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(FormatCsv(*reloaded), "n\n2000\n");
+
+  Status reshard = cluster.coordinator().ShardTable("f", "cityId");
+  ASSERT_TRUE(reshard.ok()) << reshard.ToString();
+  obs::QueryTrace trace;
+  QueryOptions traced;
+  traced.trace = &trace;
+  Result<Table> resharded = cluster.db().Query(sql, traced);
+  ASSERT_TRUE(resharded.ok()) << resharded.status().ToString();
+  EXPECT_EQ(FormatCsv(*resharded), "n\n2000\n");
+  EXPECT_EQ(trace.strategy, "partial from shards");
+}
+
+// CREATE TABLE AS over a sharded table materializes what the SELECT returns,
+// read from the shards, not the zero-row stub.
+TEST(DistTest, CreateTableAsReadsTheShards) {
+  Cluster cluster(2);
+  ASSERT_TRUE(
+      cluster.db().CreateTable("f", GenerateTransactionLine(3000)).ok());
+  ASSERT_TRUE(cluster.coordinator().ShardTable("f", "cityId").ok());
+  int port = cluster.StartCoordinatorServer();
+  Result<PctClient> client = PctClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const std::string select =
+      "SELECT stateId, sum(itemQty) AS s FROM f GROUP BY stateId";
+  Result<WireResponse> want = client->Query(select + " ORDER BY stateId");
+  ASSERT_TRUE(want.ok() && want->status.ok());
+  ASSERT_GT(want->rows, 0u);
+  Result<WireResponse> ctas = client->Query("CREATE TABLE g AS " + select);
+  ASSERT_TRUE(ctas.ok()) << ctas.status().ToString();
+  ASSERT_TRUE(ctas->status.ok()) << ctas->status.ToString();
+  Result<WireResponse> got =
+      client->Query("SELECT stateId, s FROM g ORDER BY stateId");
+  ASSERT_TRUE(got.ok() && got->status.ok());
+  EXPECT_EQ(got->rows, want->rows);
+  EXPECT_EQ(got->body, want->body);
+}
+
+// A coordinator admits each statement once, as any server does.
+TEST(DistTest, CoordinatorAdmitsEachStatementOnce) {
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.db().CreateTable("g", NullableFact(2, 100)).ok());
+  int port = cluster.StartCoordinatorServer();
+  Result<PctClient> client = PctClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const uint64_t before = cluster.server().executor().executed();
+  Result<WireResponse> r = client->Query("SELECT g, sum(v) AS s FROM g GROUP BY g");
+  ASSERT_TRUE(r.ok() && r->status.ok());
+  EXPECT_EQ(cluster.server().executor().executed(), before + 1);
+}
+
+// Only the partial path touches a sharded table: a statement without one
+// gets the typed distributed error, a forced paper plan runs on the partial
+// path instead, and no script ever reads the stub.
+TEST(DistTest, ShardedTableNeverAnswersFromTheStub) {
+  Cluster cluster(2);
+  ASSERT_TRUE(
+      cluster.db().CreateTable("f", GenerateTransactionLine(4000)).ok());
+  int port = cluster.StartCoordinatorServer();
+  Result<PctClient> client = PctClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Result<WireResponse> local = client->Query(kVpctSql);
+  ASSERT_TRUE(local.ok() && local->status.ok());
+  ASSERT_TRUE(cluster.coordinator().ShardTable("f", "cityId").ok());
+
+  for (const char* sql :
+       {"SELECT stateId, itemQty FROM f WHERE stateId = 1",
+        "SELECT stateId, sum(itemQty) OVER (PARTITION BY stateId) AS w "
+        "FROM f"}) {
+    Result<WireResponse> r = client->Query(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status.code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(r->status.message().rfind("distributed: ", 0), 0u)
+        << r->status.ToString();
+    EXPECT_NE(r->status.message().find("(table 'f' is sharded)"),
+              std::string::npos)
+        << r->status.ToString();
+  }
+
+  Result<WireResponse> olap = client->Call(RequestVerb::kOlap, kVpctSql);
+  ASSERT_TRUE(olap.ok() && olap->status.ok());
+  EXPECT_EQ(olap->body, local->body);
+  Result<WireResponse> set = client->Call(RequestVerb::kSet, "vpct update");
+  ASSERT_TRUE(set.ok() && set->status.ok());
+  Result<WireResponse> update = client->Query(kVpctSql);
+  ASSERT_TRUE(update.ok() && update->status.ok());
+  EXPECT_EQ(update->body, local->body);
+
+  Result<Table> forced = cluster.db().QueryVpct(kVpctSql, VpctStrategy{});
+  ASSERT_FALSE(forced.ok());
+  EXPECT_EQ(forced.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(forced.status().message().rfind("distributed: ", 0), 0u)
+      << forced.status().ToString();
 }
 
 // --- Client retry (satellite: bounded backoff reconnect) --------------------

@@ -230,7 +230,10 @@ TEST_P(MqoSweep, ExecutorBatchesConcurrentCompatibleQueries) {
   EXPECT_GT(executor.mqo_gate().scan_rows_saved(), 0u);
 }
 
-// Sharded fact: a batch scatters ONE merged PARTIAL per worker instead of N.
+// Sharded fact: the executor's gate batches sharded reads like local ones,
+// and the leader's one read at the union level scatters ONE merged PARTIAL
+// per worker instead of N. The default SET mqo auto prices the batch from
+// the SHARD-time statistics.
 TEST_P(MqoSweep, ShardedBatchScattersOnce) {
   const size_t dop = GetParam();
   PctDatabase coord_db;
@@ -258,10 +261,13 @@ TEST_P(MqoSweep, ShardedBatchScattersOnce) {
   dist::CoordinatorConfig config;
   config.shard_timeout_ms = 10000;
   config.shard_attempts = 2;
-  config.mqo_window_ms = 2000;
-  config.mqo_max_batch = sqls.size();
   dist::Coordinator coordinator(&coord_db, endpoints, config);
   ASSERT_TRUE(coordinator.ShardTable("f", "cityId").ok());
+  ExecutorConfig gate;
+  gate.worker_threads = 4;
+  gate.mqo_window_ms = 2000;  // generous: max_batch closes the batch early
+  gate.mqo_max_batch = sqls.size();
+  QueryExecutor executor(&coord_db, gate);
 
   const uint64_t scatters_before =
       obs::GlobalMetrics().CounterValue("pctagg_dist_queries_total");
@@ -271,18 +277,16 @@ TEST_P(MqoSweep, ShardedBatchScattersOnce) {
     threads.emplace_back([&, i] {
       QueryOptions opts;
       opts.degree_of_parallelism = dop;
-      Result<std::optional<Table>> r =
-          coordinator.MaybeExecute(sqls[i], opts, nullptr);
+      Result<Table> r = executor.ExecuteStatement(sqls[i], opts, 0);
       ASSERT_TRUE(r.ok()) << sqls[i] << ": " << r.status().ToString();
-      ASSERT_TRUE(r->has_value());
-      got[i] = FormatCsv(**r);
+      got[i] = FormatCsv(*r);
     });
   }
   for (std::thread& t : threads) t.join();
   for (size_t i = 0; i < sqls.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << sqls[i];
   }
-  EXPECT_EQ(coordinator.mqo_gate().queries_batched(), sqls.size());
+  EXPECT_EQ(executor.mqo_gate().queries_batched(), sqls.size());
   // The whole batch cost one scatter (one merged PARTIAL per worker).
   EXPECT_EQ(
       obs::GlobalMetrics().CounterValue("pctagg_dist_queries_total"),

@@ -10,8 +10,8 @@
 //   --threads <n>          query worker threads  (default: hardware)
 //   --max-inflight <n>     admission limit       (default 64)
 //   --timeout-ms <n>       default per-query deadline, 0 = none (default 30000)
-//   --mqo-window-ms <n>    multi-query batching collection window; also the
-//                          coordinator gate's window (default 2)
+//   --mqo-window-ms <n>    multi-query batching collection window, sharded
+//                          reads included (default 2)
 //   --mqo-max-batch <n>    queries per batch before it closes early
 //                          (default 16)
 //   --data-dir <path>      durable storage directory; recovers any existing
@@ -25,8 +25,6 @@
 // server accepts SHARD and scatters queries on sharded tables:
 //   --worker <host:port>   a worker pctagg_server to shard across (repeatable;
 //                          shard i goes to the i-th --worker)
-//   --worker-dop <n>       dop workers run partial aggregations at
-//                          (default 0 = forward the session's dop)
 //   --shard-timeout-ms <n> per-shard connect/send/recv deadline (default 30000)
 //   --shard-retries <n>    total attempts per shard request (default 3)
 //   --shard-backoff-ms <n> initial reconnect backoff, doubling per retry up
@@ -90,7 +88,7 @@ int Usage(const char* argv0) {
                "[--mqo-max-batch N] [--data-dir DIR] "
                "[--wal-fsync always|batch|off] [--load t:file.csv]... "
                "[--gen kind:name:rows]... [--worker host:port]... "
-               "[--worker-dop N] [--shard-timeout-ms N] [--shard-retries N] "
+               "[--shard-timeout-ms N] [--shard-retries N] "
                "[--shard-backoff-ms N]\n",
                argv0);
   return 2;
@@ -139,12 +137,10 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       config.mqo_window_ms = static_cast<uint64_t>(std::atoll(v));
-      dist_config.mqo_window_ms = config.mqo_window_ms;
     } else if (arg == "--mqo-max-batch") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       config.mqo_max_batch = static_cast<size_t>(std::atoll(v));
-      dist_config.mqo_max_batch = config.mqo_max_batch;
     } else if (arg == "--data-dir") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -167,10 +163,6 @@ int main(int argc, char** argv) {
       std::vector<std::string> parts = SplitColons(v);
       if (parts.size() != 2) return Usage(argv[0]);
       workers.push_back({parts[0], std::atoi(parts[1].c_str())});
-    } else if (arg == "--worker-dop") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      dist_config.worker_dop = static_cast<size_t>(std::atoll(v));
     } else if (arg == "--shard-timeout-ms") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
