@@ -9,8 +9,10 @@
 //     the work a server does for the burst without batching. Sequential on
 //     purpose, so the number is host-core-count independent.
 //   * ms — the same 8 queries planned as one batch (PlanMqoBatch): one
-//     shared scan at the union finest level (FinestPartials), then each
-//     member's rollup + assembly (AssembleMqoMember), one after another.
+//     shared read at the union finest level (PctDatabase::Partials), then
+//     each member as an ordinary query with the batch attached
+//     (PctDatabase::QueryPrepared), which rolls the union table down to its
+//     own level and assembles, one after another.
 // "speedup_vs_seed" is solo_total_ms / ms at the same DOP on the same host,
 // so the ratio transfers across CI hardware. The DOP=1 row is the guard: the
 // batch must stay >= 2x the aggregate throughput of solo execution (enforced
@@ -187,8 +189,9 @@ int main(int argc, char** argv) {
                "partials deduped from %zu\n",
                kQueries, plan->scan_cols.size(), plan->scan_partials.size(),
                plan->partials_requested);
-  const Table* fact =
-      *static_cast<const PctDatabase&>(db).catalog().GetTable("f");
+  pctagg::MqoBatchScan batch;
+  batch.plan = std::move(*plan);
+  const MqoBatchPlan& bp = batch.plan;
 
   // --- Batched vs solo per DOP, with the byte-identity guard at every DOP.
   bool identical = true;
@@ -211,15 +214,18 @@ int main(int argc, char** argv) {
     });
 
     std::vector<std::string> batch_csv(kQueries);
+    QueryOptions batch_opts;
+    batch_opts.degree_of_parallelism = dop;
     double batch_ms = BestOf(reps, [&] {
       pctagg::Stopwatch timer;
-      Result<std::shared_ptr<const Table>> partials = pctagg::FinestPartials(
-          plan->table, plan->where, plan->scan_cols, plan->scan_partials,
-          *fact, nullptr, nullptr, dop);
+      Result<std::shared_ptr<const Table>> partials =
+          db.Partials(bp.table, bp.where, bp.scan_cols, bp.scan_partials,
+                      /*use_cache=*/false, nullptr, dop);
       if (!partials.ok()) Die("batch scan failed", partials.status());
+      batch.partials = std::move(*partials);
       for (size_t i = 0; i < kQueries; ++i) {
         Result<Table> r =
-            pctagg::AssembleMqoMember(*plan, i, **partials, nullptr, dop);
+            db.QueryPrepared(analyzed[i], kSqls[i], batch_opts, &batch);
         if (!r.ok()) Die(kSqls[i], r.status());
         batch_csv[i] = FormatCsv(*r);
         if (i == 0) result_rows = r->num_rows();
@@ -375,8 +381,8 @@ int main(int argc, char** argv) {
       "  \"mqo_off_overhead_iqr_pct\": %.2f,\n"
       "  \"bit_identical\": %s\n"
       "}\n",
-      rows, num_cores, reps, kQueries, plan->scan_partials.size(),
-      plan->partials_requested, result_rows, solo_dop1_ms, dop1_speedup,
+      rows, num_cores, reps, kQueries, bp.scan_partials.size(),
+      bp.partials_requested, result_rows, solo_dop1_ms, dop1_speedup,
       dop1_regression_pct, agg_json.c_str(), kPairs, solo_qps, solo_p99,
       batch_qps, batch_p99, e2e_gain_pct, e2e_gain_iqr, off_overhead_pct,
       off_overhead_iqr, identical ? "true" : "false");

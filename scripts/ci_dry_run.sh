@@ -78,7 +78,7 @@ if [ "$QUICK" = 0 ]; then
        -DPCTAGG_SANITIZE=thread &&
      cmake --build build-ci-tsan -j"$JOBS" &&
      ctest --test-dir build-ci-tsan --timeout 600 --output-on-failure \
-       -R "server_smoke_tsan|parallel_ops_tsan|dictionary_tsan|append_delta_tsan|fused_tsan|lattice_tsan|dist_tsan|mqo_tsan|table_stats_tsan|MetricsTest|MetricsRegistryTest"; then
+       -R "_tsan$|MetricsTest|MetricsRegistryTest"; then
     echo "[TSan] OK"
   else
     echo "[TSan] FAILED"

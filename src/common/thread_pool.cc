@@ -78,8 +78,12 @@ void WaitGroup::Wait() {
 }
 
 bool WaitGroup::WaitFor(std::chrono::milliseconds timeout) {
+  return WaitUntil(std::chrono::steady_clock::now() + timeout);
+}
+
+bool WaitGroup::WaitUntil(std::chrono::steady_clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
-  return cv_.wait_for(lock, timeout, [this] { return count_ <= 0; });
+  return cv_.wait_until(lock, deadline, [this] { return count_ <= 0; });
 }
 
 int64_t WaitGroup::count() const {

@@ -72,6 +72,7 @@ class WaitGroup {
   // Bounded Wait: true if the count reached zero within `timeout`, false on
   // deadline. The count keeps draining in the background either way.
   bool WaitFor(std::chrono::milliseconds timeout);
+  bool WaitUntil(std::chrono::steady_clock::time_point deadline);
 
   int64_t count() const;
 

@@ -41,34 +41,6 @@ Result<Table> EvaluateSimple(Catalog* catalog, const AnalyzedQuery& query) {
   return Project(*input, specs);
 }
 
-// Applies the statement tail — HAVING, ORDER BY, LIMIT — to the
-// materialized result, in SQL's order.
-Result<Table> ApplyTail(Table table, const AnalyzedQuery& query) {
-  if (query.having != nullptr) {
-    Result<Table> filtered = Filter(table, query.having);
-    if (!filtered.ok()) {
-      return Status::AnalysisError("HAVING failed to evaluate: " +
-                                   filtered.status().message());
-    }
-    table = std::move(filtered).value();
-  }
-  if (!query.order_by.empty()) {
-    std::vector<SortKey> keys;
-    for (const OrderItem& item : query.order_by) {
-      if (!table.schema().HasColumn(item.column)) {
-        return Status::AnalysisError("ORDER BY column not in result: " +
-                                     item.column);
-      }
-      keys.push_back({item.column, item.descending});
-    }
-    PCTAGG_ASSIGN_OR_RETURN(table, SortBy(table, keys));
-  }
-  if (query.has_limit) {
-    table = Limit(table, query.limit);
-  }
-  return table;
-}
-
 // Append-path delta-maintenance counters (process-wide, like the summary
 // cache's own counters in core/summary_cache.cc).
 obs::Counter& DeltaMergeCounter() {
@@ -141,7 +113,8 @@ const obs::TraceNode* FindFirstAggregateOp(const obs::TraceNode& node) {
 
 }  // namespace
 
-Result<AnalyzedQuery> PctDatabase::Prepare(const std::string& sql) const {
+Result<AnalyzedQuery> PctDatabase::PrepareQuery(
+    const std::string& sql) const {
   PCTAGG_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelect(sql));
   PCTAGG_ASSIGN_OR_RETURN(const Table* table,
                           catalog_.GetTable(stmt.from_table));
@@ -174,7 +147,7 @@ Result<Table> PctDatabase::RunPlan(const Plan& plan, const AnalyzedQuery& query,
   }
   Table out = std::move(*result.value());
   plan.Cleanup(&catalog_);
-  return ApplyTail(std::move(out), query);
+  return ApplyQueryTail(std::move(out), query);
 }
 
 Result<Table> PctDatabase::Query(const std::string& sql,
@@ -194,13 +167,13 @@ Result<Table> PctDatabase::Query(const std::string& sql,
     if (!text.ok()) return text.status();
     return TextToPlanTable(*text);
   }
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
   return Select(query, sql, options, /*partial_forced=*/false);
 }
 
 Result<Table> PctDatabase::QueryPartial(const std::string& sql,
                                         const QueryOptions& options) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
   std::string why;
   if (!PartialPlanSupported(query, &why)) {
     return Status::InvalidArgument("no partial plan: " + why);
@@ -211,7 +184,8 @@ Result<Table> PctDatabase::QueryPartial(const std::string& sql,
 Result<Table> PctDatabase::Select(const AnalyzedQuery& query,
                                   const std::string& sql,
                                   const QueryOptions& options,
-                                  bool partial_forced) const {
+                                  bool partial_forced,
+                                  const MqoBatchScan* batch) const {
   bool use_cache = options.use_summary_cache.value_or(summary_cache_enabled_);
   // Engine kernels called anywhere below this frame (planner steps run
   // synchronously on this thread) pick the knob up via CurrentDop().
@@ -224,7 +198,8 @@ Result<Table> PctDatabase::Select(const AnalyzedQuery& query,
   PCTAGG_ASSIGN_OR_RETURN(
       SelectPlan plan,
       PlanSelect(query, StatsOf(query.table_name, *fact), options, dop,
-                 partial_forced, sharded ? sharded->shards->num_shards() : 0));
+                 partial_forced, sharded ? sharded->shards->num_shards() : 0,
+                 batch));
   obs::QueryTrace* trace = options.trace;
   if (trace != nullptr) static_cast<obs::PlanHeader&>(*trace) = plan.header;
   if (plan.script()) {
@@ -236,14 +211,19 @@ Result<Table> PctDatabase::Select(const AnalyzedQuery& query,
         trace != nullptr ? trace->root().AddChild("select", sql) : nullptr;
     obs::ScopedTraceNode scope(node);
     PCTAGG_ASSIGN_OR_RETURN(Table out, EvaluateSimple(&catalog_, query));
-    return ApplyTail(std::move(out), query);
+    return ApplyQueryTail(std::move(out), query);
   }
-  // The partial path: finest-level partials from the summary cache, one
-  // fused scan or the shards, rolled up and assembled, then the tail.
+  // The partial path: finest-level partials from the MQO batch, the summary
+  // cache, one fused scan or the shards, rolled up and assembled, then the
+  // tail. A member of a batch touches no cache entry: its leader's read went
+  // through the cache once, at the union level.
+  if (batch != nullptr && batch->partials != nullptr) use_cache = false;
   PCTAGG_ASSIGN_OR_RETURN(
       std::shared_ptr<const Table> finest,
-      Partials(query.table_name, query.where, plan.partial->finest_cols,
-               plan.partial->partials, use_cache, trace, dop));
+      FinestPartials(query.table_name, query.where, plan.partial->finest_cols,
+                     plan.partial->partials, *fact,
+                     use_cache ? &summaries_ : nullptr, trace, dop,
+                     sharded ? sharded->shards : nullptr, batch));
   if (trace != nullptr) {
     trace->actual_group_rows = static_cast<double>(finest->num_rows());
   }
@@ -251,7 +231,7 @@ Result<Table> PctDatabase::Select(const AnalyzedQuery& query,
       Table out, AssembleFromPartials(*plan.partial, std::move(finest),
                                       use_cache ? &summaries_ : nullptr,
                                       trace, dop));
-  return ApplyTail(std::move(out), query);
+  return ApplyQueryTail(std::move(out), query);
 }
 
 Result<std::shared_ptr<const Table>> PctDatabase::Partials(
@@ -279,7 +259,7 @@ Result<std::string> PctDatabase::ExplainAnalyze(
 
 Result<Table> PctDatabase::QueryVpct(const std::string& sql,
                                      const VpctStrategy& strategy) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
   if (query.has_grouping_sets) {
     return Status::InvalidArgument(
         "forced-strategy evaluation does not support grouping sets; use "
@@ -291,7 +271,7 @@ Result<Table> PctDatabase::QueryVpct(const std::string& sql,
 
 Result<Table> PctDatabase::QueryHorizontal(
     const std::string& sql, const HorizontalStrategy& strategy) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
   if (query.has_grouping_sets) {
     return Status::InvalidArgument(
         "forced-strategy evaluation does not support grouping sets; use "
@@ -302,7 +282,7 @@ Result<Table> PctDatabase::QueryHorizontal(
 }
 
 Result<Table> PctDatabase::QueryOlapBaseline(const std::string& sql) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
   if (query.has_grouping_sets) {
     return Status::InvalidArgument(
         "the OLAP baseline does not support grouping sets; use Query()");
@@ -670,7 +650,7 @@ Result<Table> PctDatabase::Execute(const std::string& sql,
 
 Result<std::string> PctDatabase::Explain(const std::string& sql,
                                          const QueryOptions& options) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
   PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                           catalog_.GetTable(query.table_name));
   const std::shared_ptr<const ShardedTable> sharded =
@@ -704,7 +684,29 @@ Result<std::string> PctDatabase::Explain(const std::string& sql,
 }
 
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query) {
-  return ApplyTail(std::move(table), query);
+  if (query.having != nullptr) {
+    Result<Table> filtered = Filter(table, query.having);
+    if (!filtered.ok()) {
+      return Status::AnalysisError("HAVING failed to evaluate: " +
+                                   filtered.status().message());
+    }
+    table = std::move(filtered).value();
+  }
+  if (!query.order_by.empty()) {
+    std::vector<SortKey> keys;
+    for (const OrderItem& item : query.order_by) {
+      if (!table.schema().HasColumn(item.column)) {
+        return Status::AnalysisError("ORDER BY column not in result: " +
+                                     item.column);
+      }
+      keys.push_back({item.column, item.descending});
+    }
+    PCTAGG_ASSIGN_OR_RETURN(table, SortBy(table, keys));
+  }
+  if (query.has_limit) {
+    table = Limit(table, query.limit);
+  }
+  return table;
 }
 
 Table TextToPlanTable(const std::string& text) {

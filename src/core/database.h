@@ -70,7 +70,8 @@ struct QueryOptions {
   AppendPolicy append_policy = AppendPolicy::kAuto;
 };
 
-class ShardFetch;  // core/partial_plan.h
+class ShardFetch;     // core/partial_plan.h
+struct MqoBatchScan;  // core/mqo_plan.h
 
 // A base table whose rows live on shards (docs/SHARDING.md). The catalog
 // keeps a zero-row stub of it, so the analyzer sees its schema; this record
@@ -127,8 +128,17 @@ class PctDatabase {
   // executing it. The server's MQO batching gate (server/mqo_gate.h) uses
   // this to extract a statement's partial requirements before admission;
   // callers hold the same reader lock they would hold for Query.
-  Result<AnalyzedQuery> PrepareQuery(const std::string& sql) const {
-    return Prepare(sql);
+  Result<AnalyzedQuery> PrepareQuery(const std::string& sql) const;
+
+  // Runs a SELECT that PrepareQuery analyzed (`sql` is its text) as Query
+  // would, parsing nothing again. `batch`, the published MQO batch scan the
+  // query was a member of (core/mqo_plan.h), is one more source of partials
+  // for PlanSelect and FinestPartials; a member it answers skips the cache.
+  Result<Table> QueryPrepared(const AnalyzedQuery& query,
+                              const std::string& sql,
+                              const QueryOptions& options,
+                              const MqoBatchScan* batch = nullptr) const {
+    return Select(query, sql, options, /*partial_forced=*/false, batch);
   }
 
   // Replaces a base table, invalidating its cached summaries (and, with
@@ -163,8 +173,8 @@ class PctDatabase {
 
   // `partials` over base table `table` (filtered by `where`) grouped by
   // `cols`: FinestPartials over the table's rows, or its shards when it is
-  // sharded, fronted by the summary cache when `use_cache`. Every partial
-  // path reads through it, an MQO batch's leader once at the union level.
+  // sharded, fronted by the summary cache when `use_cache`. An MQO batch's
+  // leader reads its union level through it.
   Result<std::shared_ptr<const Table>> Partials(
       const std::string& table, const ExprPtr& where,
       const std::vector<std::string>& cols,
@@ -279,15 +289,13 @@ class PctDatabase {
 
   // Plans `query` with PlanSelect and runs the plan.
   Result<Table> Select(const AnalyzedQuery& query, const std::string& sql,
-                       const QueryOptions& options,
-                       bool partial_forced) const;
+                       const QueryOptions& options, bool partial_forced,
+                       const MqoBatchScan* batch = nullptr) const;
 
   // Shared tail: execute `plan`, pull out the result, drop temps.
   Result<Table> RunPlan(const Plan& plan, const AnalyzedQuery& query,
                         bool use_cache,
                         obs::QueryTrace* trace = nullptr) const;
-
-  Result<AnalyzedQuery> Prepare(const std::string& sql) const;
 
   // Planner statistics of base table `name`, whose catalog entry is `table`:
   // the SHARD-time statistics when it is sharded.
@@ -322,9 +330,8 @@ class PctDatabase {
 };
 
 // Applies a statement's tail — HAVING, ORDER BY, LIMIT, in SQL's order — to
-// an already-assembled result. Exposed for MQO batch members
-// (core/mqo_plan.h), which assemble outside PctDatabase::Query but must
-// match its tail semantics exactly.
+// an already-assembled result, exactly as PctDatabase::Query does. Exposed
+// for tests and benchmarks that assemble outside Query.
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query);
 
 // Multi-line text as the one-column "plan" table every surface (CSV, wire

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "core/database.h"
 
 namespace pctagg {
 
@@ -55,36 +54,6 @@ Result<MqoBatchPlan> PlanMqoBatch(
   return plan;
 }
 
-Result<Table> AssembleMqoMember(const MqoBatchPlan& plan, size_t index,
-                                const Table& batch_partials,
-                                obs::QueryTrace* trace, size_t dop) {
-  const PartialPlan& member = plan.members[index];
-  std::vector<std::string> inputs;
-  if (!MatchPartials(member.partials, plan.scan_partials, &inputs)) {
-    return Status::Internal("mqo: union scan lacks a member's partial");
-  }
-  Table finest;
-  {
-    obs::TraceNode* node =
-        trace != nullptr
-            ? trace->root().AddChild(
-                  "mqo", "mqo-rollup: level (" +
-                             Join(member.finest_cols, ", ") +
-                             ") from shared batch partials")
-            : nullptr;
-    obs::ScopedTraceNode scope(node);
-    PCTAGG_ASSIGN_OR_RETURN(
-        finest, RollUp(member.partials, batch_partials, member.finest_cols,
-                       inputs, dop));
-  }
-  PCTAGG_ASSIGN_OR_RETURN(
-      Table assembled,
-      AssembleFromPartials(member, std::make_shared<const Table>(
-                                       std::move(finest)),
-                           /*summaries=*/nullptr, trace, dop));
-  return ApplyQueryTail(std::move(assembled), *member.query);
-}
-
 void AttachMqoScanTrace(MqoBatchScan* batch, std::string detail,
                         obs::QueryTrace* scan_trace) {
   obs::TraceNode& node = batch->node;
@@ -94,18 +63,6 @@ void AttachMqoScanTrace(MqoBatchScan* batch, std::string detail,
     node.stats.wall_ms += child->stats.wall_ms;
     node.stats.cpu_ms += child->stats.cpu_ms;
   }
-}
-
-Result<Table> AnswerMqoMember(const MqoBatchScan& batch, size_t index,
-                              obs::QueryTrace* trace, size_t dop) {
-  if (trace != nullptr) {
-    trace->query_class =
-        QueryClassName(batch.plan.members[index].query->query_class);
-    trace->strategy = "partial from mqo batch";
-    trace->strategy_source = "mqo-gate";
-    trace->root().AddCopy(batch.node);
-  }
-  return AssembleMqoMember(batch.plan, index, *batch.partials, trace, dop);
 }
 
 }  // namespace pctagg

@@ -21,9 +21,10 @@ namespace pctagg {
 // shared-subexpression structure of dashboard bursts. Every supported query
 // is a PartialPlan (core/partial_plan.h), so a whole batch can be fed from
 // ONE scan computing the deduplicated union of everyone's partials at the
-// union finest level; each member then rolls that union table down to its
-// own finest level — the cached-ancestor move, applied across concurrent
-// batch-mates instead of across time — and assembles its answer from there.
+// union finest level. Each member is then an ordinary query
+// (PctDatabase::QueryPrepared) whose FinestPartials rolls that union table
+// down to its own finest level — the cached-ancestor move, applied to a
+// table that lives for one batch.
 //
 // Batch compatibility: same table and the same rendered WHERE clause (the
 // union scan runs under one predicate, so predicates must match textually —
@@ -58,21 +59,15 @@ struct MqoBatchPlan {
 Result<MqoBatchPlan> PlanMqoBatch(
     const std::vector<const AnalyzedQuery*>& queries);
 
-// Assembles member `index`'s final result (HAVING/ORDER BY/LIMIT applied)
-// from the batch-level union partial table — scanned locally or gathered
-// from a sharded table's shards — on the member's own thread.
-Result<Table> AssembleMqoMember(const MqoBatchPlan& plan, size_t index,
-                                const Table& batch_partials,
-                                obs::QueryTrace* trace, size_t dop);
-
 // What a batch leader publishes to every member, once: the plan, the shared
 // union-level partials, and what a traced member shows. plan.members[i]
-// points into member i's own AnalyzedQuery, so after publication only
-// member i reads its entry; the others may already have returned.
+// points into member i's own AnalyzedQuery, which may be gone once the scan
+// is published, so no member reads plan.members.
 struct MqoBatchScan {
   MqoBatchPlan plan;
-  // The table every member rolls down from; null when the batch was
-  // declined or its scan failed, so every member answers solo.
+  // The union table, grouped by plan.scan_cols with one column per
+  // plan.scan_partials; null when the batch was declined or its scan
+  // failed, so every member answers solo.
   std::shared_ptr<const Table> partials;
   // The batch and solo candidates as the leader priced them; empty when
   // nothing was priced.
@@ -87,12 +82,6 @@ struct MqoBatchScan {
 // scan's wall and CPU time and `detail`.
 void AttachMqoScanTrace(MqoBatchScan* batch, std::string detail,
                         obs::QueryTrace* scan_trace);
-
-// Member `index`'s answer from a published batch with non-null partials:
-// the strategy ("partial from mqo batch") and the batch node (with the
-// scan) go into `trace`, then AssembleMqoMember at the member's own `dop`.
-Result<Table> AnswerMqoMember(const MqoBatchScan& batch, size_t index,
-                              obs::QueryTrace* trace, size_t dop);
 
 }  // namespace pctagg
 

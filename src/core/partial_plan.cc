@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "core/mqo_plan.h"
 #include "engine/expression.h"
 #include "engine/join.h"
 #include "engine/pipeline.h"
@@ -82,6 +83,12 @@ bool Subsumes(const std::vector<std::string>& outer,
 
 std::string LevelName(const std::vector<std::string>& cols) {
   return "(" + Join(cols, ", ") + ")";
+}
+
+// Both absent, or rendered alike: the textual WHERE equality MQO batches on.
+bool SameWhere(const ExprPtr& a, const ExprPtr& b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return a->ToString() == b->ToString();
 }
 
 // Adds the partial (func, argument) unless an equal one exists, so e.g.
@@ -679,8 +686,13 @@ Result<std::shared_ptr<const Table>> FinestPartials(
     const std::string& table, const ExprPtr& where,
     const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
     const Table& fact, SummaryCache* summaries, obs::QueryTrace* trace,
-    size_t dop, ShardFetch* shards) {
-  const bool cacheable = summaries != nullptr && where == nullptr;
+    size_t dop, ShardFetch* shards, const MqoBatchScan* batch) {
+  // A batch's union table serves a read of its table under its WHERE, ahead
+  // of the cache, which such a read leaves alone.
+  const bool batched = batch != nullptr && batch->partials != nullptr &&
+                       EqualsIgnoreCase(batch->plan.table, table) &&
+                       SameWhere(batch->plan.where, where);
+  const bool cacheable = !batched && summaries != nullptr && where == nullptr;
   std::string key;
   uint64_t generation = 0;
   std::shared_ptr<const Table> cached;
@@ -697,46 +709,55 @@ Result<std::shared_ptr<const Table>> FinestPartials(
   SummaryCache::ScopedFill fill(own_fill ? summaries : nullptr, key);
   const SummaryRecipe recipe{cols, partials};
 
-  if (own_fill) {
-    // The smallest cached mergeable summary at a finer or equal level that
-    // carries every partial, whatever planner wrote it.
-    const std::vector<SummaryCache::AncestorCandidate> candidates =
-        summaries->MergeableEntriesFor(table);
-    const SummaryCache::AncestorCandidate* best = nullptr;
-    std::vector<std::string> best_inputs;
-    std::vector<std::string> inputs;
-    for (const SummaryCache::AncestorCandidate& cand : candidates) {
-      if (!Subsumes(cand.recipe.group_by, cols) ||
-          !MatchPartials(partials, cand.recipe.aggs, &inputs)) {
-        continue;
-      }
-      if (best == nullptr ||
-          cand.summary->num_rows() < best->summary->num_rows()) {
-        best = &cand;
-        best_inputs = inputs;
-      }
+  // The ancestors to roll down from: the batch's union table (an ancestor
+  // that lives for one batch) or, on a cache miss, every cached mergeable
+  // summary, whatever planner wrote it. The smallest that groups at a finer
+  // or equal level and carries every partial serves.
+  std::vector<SummaryCache::AncestorCandidate> candidates;
+  if (batched) {
+    candidates.push_back({"", batch->partials,
+                          {batch->plan.scan_cols, batch->plan.scan_partials}});
+  } else if (own_fill) {
+    candidates = summaries->MergeableEntriesFor(table);
+  }
+  const SummaryCache::AncestorCandidate* best = nullptr;
+  std::vector<std::string> best_inputs;
+  std::vector<std::string> inputs;
+  for (const SummaryCache::AncestorCandidate& cand : candidates) {
+    if (!Subsumes(cand.recipe.group_by, cols) ||
+        !MatchPartials(partials, cand.recipe.aggs, &inputs)) {
+      continue;
     }
-    if (best != nullptr) {
-      obs::TraceNode* node =
-          trace != nullptr
-              ? trace->root().AddChild(
-                    "cache", "cache-ancestor-rollup: level " +
-                                 LevelName(cols) + " from cached " +
-                                 LevelName(best->recipe.group_by))
-              : nullptr;
-      obs::ScopedTraceNode scope(node);
+    if (best == nullptr ||
+        cand.summary->num_rows() < best->summary->num_rows()) {
+      best = &cand;
+      best_inputs = inputs;
+    }
+  }
+  if (best != nullptr) {
+    if (batched && trace != nullptr) trace->root().AddCopy(batch->node);
+    obs::ScopedTraceNode scope(OpenStep(trace, [&] {
+      const std::string level = LevelName(cols);
+      const std::string from = LevelName(best->recipe.group_by);
+      return batched ? PlanStep{"mqo", "mqo-batch-rollup: level " + level +
+                                           " from batch " + from}
+                     : PlanStep{"cache", "cache-ancestor-rollup: level " +
+                                             level + " from cached " + from};
+    }));
+    if (trace != nullptr) {
+      trace->strategy =
+          batched ? "partial from mqo batch" : "partial from cached ancestor";
+      trace->strategy_source = batched ? "mqo-gate" : "cache";
+    }
+    if (!batched) {
       obs::MarkCacheHit();
-      if (trace != nullptr) {
-        trace->strategy = "partial from cached ancestor";
-        trace->strategy_source = "cache";
-      }
       // Count the hit and refresh the LRU position of the entry used.
       summaries->Lookup(best->key);
-      PCTAGG_ASSIGN_OR_RETURN(
-          Table t, RollUp(partials, *best->summary, cols, best_inputs, dop));
-      summaries->Insert(key, t, generation, &recipe);
-      return std::make_shared<const Table>(std::move(t));
     }
+    PCTAGG_ASSIGN_OR_RETURN(
+        Table t, RollUp(partials, *best->summary, cols, best_inputs, dop));
+    if (own_fill) summaries->Insert(key, t, generation, &recipe);
+    return std::make_shared<const Table>(std::move(t));
   }
 
   auto sql = [&] { return RenderPartialSelect(cols, partials, table, where); };

@@ -30,11 +30,12 @@ namespace pctagg {
 //   2. a cached ancestor (a mergeable entry at a finer or equal level that
 //      carries every partial),
 //   3. one fused scan of the fact table, filling the cache single-flight,
-//   4. an MQO batch's union table (core/mqo_plan.h),
+//   4. an MQO batch's union table (core/mqo_plan.h): an ancestor that lives
+//      for one batch, rolled down under source 2's rule,
 //   5. the merged per-shard partials of a sharded table (ShardFetch below).
-// FinestPartials picks sources 1-3 and 5, so the cache fronts the shards as
-// it fronts a local scan; an MQO batch's leader calls it once at the union
-// level and hands each member its rollup of the union table.
+// FinestPartials picks all five, so the cache fronts the shards as it fronts
+// a local scan; an MQO batch's leader reads once at the union level and each
+// member's own read finds that union table first.
 //
 // Rollups keep first-seen group order and INT64 partials combine exactly, so
 // every source gives bit-identical answers on integer measures; float sums
@@ -143,19 +144,24 @@ std::vector<double> EstimateLevelRows(const PartialPlan& plan,
 std::vector<PlanStep> AssemblySteps(const PartialPlan& plan,
                                     const PlannerStats& stats);
 
+struct MqoBatchScan;  // core/mqo_plan.h
+
 // `partials` over `table` (filtered by `where`) grouped by `cols`, from the
-// first source that has them: the exact cache entry, a cached ancestor rolled
-// down, or one fused scan of `fact` — or, when `shards` is non-null, one
-// fetch from the shards instead of the scan (`fact` is then the zero-row
-// stub). Only unfiltered reads consult the cache (`summaries` may be null);
-// a miss fills it single-flight, so N identical concurrent misses run one
-// scan or fetch. An answer from the cache renames the strategy on `trace`
-// after its source.
+// first source that has them: the union table of `batch` (a published MQO
+// batch scan of this table and WHERE) rolled down, the exact cache entry, a
+// cached ancestor rolled down, or one fused scan of `fact` — or, when
+// `shards` is non-null, one fetch from the shards instead of the scan
+// (`fact` is then the zero-row stub). Only unfiltered reads with no batch
+// consult the cache (`summaries` may be null); a miss fills it
+// single-flight, so N identical concurrent misses run one scan or fetch. An
+// answer from the batch (whose "mqo-batch" node it copies) or the cache
+// renames the strategy on `trace`.
 Result<std::shared_ptr<const Table>> FinestPartials(
     const std::string& table, const ExprPtr& where,
     const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
     const Table& fact, SummaryCache* summaries, obs::QueryTrace* trace,
-    size_t dop, ShardFetch* shards = nullptr);
+    size_t dop, ShardFetch* shards = nullptr,
+    const MqoBatchScan* batch = nullptr);
 
 // Maps every aggregate of `wanted` onto the column of `available` that
 // computes the same (function, argument); false when one is missing.

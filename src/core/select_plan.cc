@@ -14,8 +14,8 @@ namespace pctagg {
 namespace {
 
 // The partial path's strategy, named after the source of its partials: the
-// planned fused scan or shards, renamed at run time when the cache answers
-// instead (FinestPartials) or the MQO batch does.
+// planned fused scan or shards, renamed at run time when the MQO batch or
+// the cache answers instead (FinestPartials).
 const char kPartialFromScan[] = "partial from fused scan";
 
 // Human name of a Vpct configuration, mirroring the Table 4 knobs.
@@ -28,10 +28,13 @@ std::string VpctStrategyName(const VpctStrategy& s) {
 }
 
 // Vpct and Hpct/Hagg: the paper's strategies (Tables 4 and 5), the OLAP
-// baseline for Vpct and, unless a plan was forced, the partial path.
+// baseline for Vpct and, unless a plan was forced, the partial path — a
+// rollup of `batch_rows` union rows when an MQO batch serves it (negative:
+// no batch).
 void PlanPercentage(const AnalyzedQuery& query, const PlannerStats& fact,
                     const QueryOptions& options, size_t dop,
-                    bool partial_forced, bool partial_ok, SelectPlan* plan) {
+                    bool partial_forced, bool partial_ok, double batch_rows,
+                    SelectPlan* plan) {
   const bool vpct = query.query_class == QueryClass::kVpct;
   const CostModel model;
   const AnalyzedTerm* term = FirstByTerm(query);
@@ -55,15 +58,17 @@ void PlanPercentage(const AnalyzedQuery& query, const PlannerStats& fact,
                               : advisor.AdviseHorizontal(fact, query,
                                                          advised, dop);
   }
+  FactStats from = s;
+  if (batch_rows >= 0) from.rows = batch_rows;
   const double partial_cost =
-      vpct ? model.FusedVpctCost(s) : model.FusedHorizontalCost(s);
+      vpct ? model.FusedVpctCost(from) : model.FusedHorizontalCost(from);
   const double pick_cost = vpct ? model.VpctCost(s, plan->vpct)
                                 : model.HorizontalCost(s, plan->horizontal);
   const bool partial =
       partial_forced ||
       (!forced && partial_ok && (vpct || term != nullptr) &&
-       fact.rows() >= StrategyAdvisor::kFusedMinRows && estimated.ok() &&
-       partial_cost < pick_cost);
+       (batch_rows >= 0 || fact.rows() >= StrategyAdvisor::kFusedMinRows) &&
+       estimated.ok() && partial_cost < pick_cost);
 
   plan->evaluator = partial ? SelectPlan::Evaluator::kPartial
                     : olap  ? SelectPlan::Evaluator::kOlapScript
@@ -153,7 +158,8 @@ void PlanSharded(const PlannerStats& fact, size_t dop, size_t shards,
 Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
                               const PlannerStats& stats,
                               const QueryOptions& options, size_t dop,
-                              bool partial_forced, size_t shards) {
+                              bool partial_forced, size_t shards,
+                              const MqoBatchScan* batch) {
   SelectPlan plan;
   plan.header.query_class = QueryClassName(query.query_class);
   plan.header.strategy = kPartialFromScan;
@@ -182,7 +188,10 @@ Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
     }
   } else if (query.query_class == QueryClass::kVpct ||
              query.query_class == QueryClass::kHorizontal) {
+    const bool batched = batch != nullptr && batch->partials != nullptr;
     PlanPercentage(query, stats, options, dop, partial_forced, partial_ok,
+                   batched ? static_cast<double>(batch->partials->num_rows())
+                           : -1.0,
                    &plan);
   } else if (query.query_class == QueryClass::kWindow) {
     plan.evaluator = SelectPlan::Evaluator::kWindowScript;
@@ -195,6 +204,11 @@ Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
   }
   if (plan.evaluator == SelectPlan::Evaluator::kPartial && !plan.partial) {
     PCTAGG_ASSIGN_OR_RETURN(plan.partial, BuildPartialPlan(query));
+  }
+  if (batch != nullptr) {
+    plan.header.predicted_costs.insert(plan.header.predicted_costs.end(),
+                                       batch->costs.begin(),
+                                       batch->costs.end());
   }
   return plan;
 }

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "core/database.h"
+#include "core/mqo_plan.h"
 #include "core/partial_plan.h"
 #include "core/plan.h"
 #include "obs/trace.h"
@@ -51,10 +52,15 @@ struct SelectPlan {
 // partial path whatever `options` force, priced as the fetch from the shards
 // next to the single-node fused scan it replaces, from `stats` resolved at
 // SHARD time; a query without a partial plan gets DistributedError.
+//
+// A published MQO `batch` the query was a member of adds its leader's
+// candidates. With its union table, the partial path is priced as a rollup
+// of the union rows, with no kFusedMinRows floor: the batch paid the scan.
 Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
                               const PlannerStats& stats,
                               const QueryOptions& options, size_t dop,
-                              bool partial_forced = false, size_t shards = 0);
+                              bool partial_forced = false, size_t shards = 0,
+                              const MqoBatchScan* batch = nullptr);
 
 // The generated script of a plan whose script() is true.
 Result<Plan> BuildScript(const AnalyzedQuery& query, const SelectPlan& plan);

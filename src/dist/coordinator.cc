@@ -139,6 +139,14 @@ Status Coordinator::ShardTable(const std::string& table,
     return Status::InvalidArgument(
         "SHARD: this server has no workers configured (--worker)");
   }
+  if (db_->HasStorage()) {
+    // The data directory would checkpoint the zero-row stub, not the
+    // sharding, so a restart would answer from an empty table.
+    return Status::InvalidArgument(
+        "SHARD: this server persists its tables (--data-dir) and a sharded "
+        "table cannot be persisted; shard from a coordinator without a data "
+        "directory");
+  }
   if (db_->Sharding(table) != nullptr) {
     return Status::InvalidArgument(
         "SHARD: table '" + table +

@@ -19,6 +19,8 @@ class DistRouter {
 
   // Hash-partitions local base table `table` on `key_column` across the
   // workers, leaving a zero-row schema stub locally (the SHARD verb).
+  // InvalidArgument when the database persists its tables, which would
+  // checkpoint the stub.
   virtual Status ShardTable(const std::string& table,
                             const std::string& key_column) = 0;
 

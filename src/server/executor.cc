@@ -118,6 +118,9 @@ bool QueryExecutor::IsWriteStatement(const std::string& sql) {
 
 Status QueryExecutor::Run(bool writer, std::function<Status()> fn,
                           uint64_t timeout_ms) {
+  // The deadline runs from admission.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
   // Admission: count this statement in; if the service is already saturated,
   // bounce it with a typed, retryable error.
   if (in_flight_.fetch_add(1) >= config_.max_in_flight) {
@@ -133,6 +136,7 @@ Status QueryExecutor::Run(bool writer, std::function<Status()> fn,
   struct TaskSlot {
     WaitGroup done;
     Status status = Status::OK();
+    std::chrono::steady_clock::time_point finished;
   };
   auto slot = std::make_shared<TaskSlot>();
   slot->done.Add();
@@ -152,6 +156,7 @@ Status QueryExecutor::Run(bool writer, std::function<Status()> fn,
     in_flight_.fetch_sub(1);
     InFlightGauge().Add(-1);
     slot->status = std::move(st);
+    slot->finished = std::chrono::steady_clock::now();
     slot->done.Done();
     outstanding_.Done();
   });
@@ -165,7 +170,9 @@ Status QueryExecutor::Run(bool writer, std::function<Status()> fn,
     slot->done.Wait();
     return std::move(slot->status);
   }
-  if (!slot->done.WaitFor(std::chrono::milliseconds(timeout_ms))) {
+  // A caller whose wait wakes late can find the statement done: one that
+  // finished after the deadline timed out all the same.
+  if (!slot->done.WaitUntil(deadline) || slot->finished > deadline) {
     ++timed_out_;
     TimedOutCounter().Add();
     return Status::Timeout(
@@ -223,31 +230,24 @@ Result<Table> QueryExecutor::ExecuteStatement(
 
 namespace {
 
-// First word (trailing semicolons stripped) is SELECT — the only statements
-// the batching gate admits. EXPLAIN forms are peeled separately below.
-bool IsPlainSelect(const std::string& sql) {
+// The SELECT a read runs: `sql` itself, or the statement EXPLAIN ANALYZE
+// wraps (`*analyze`). False for anything else, plain EXPLAIN included: it
+// never executes, so it never batches.
+bool SplitSelect(const std::string& sql, std::string* select, bool* analyze) {
   std::istringstream in(sql);
   std::string word;
   in >> word;
+  *analyze = EqualsIgnoreCase(word, "EXPLAIN");
+  if (*analyze) {
+    in >> word;
+    if (!EqualsIgnoreCase(word, "ANALYZE")) return false;
+    std::getline(in >> std::ws, *select, '\0');
+    std::istringstream(*select) >> word;
+  } else {
+    *select = sql;
+  }
   while (!word.empty() && word.back() == ';') word.pop_back();
   return EqualsIgnoreCase(word, "SELECT");
-}
-
-// Splits an EXPLAIN ANALYZE <select> statement; false for anything else
-// (including plain EXPLAIN, which never executes and so never batches).
-bool SplitExplainAnalyze(const std::string& sql, std::string* inner) {
-  std::istringstream in(sql);
-  std::string w1, w2;
-  in >> w1 >> w2;
-  if (!EqualsIgnoreCase(w1, "EXPLAIN") || !EqualsIgnoreCase(w2, "ANALYZE")) {
-    return false;
-  }
-  std::string rest;
-  std::getline(in, rest);
-  size_t start = rest.find_first_not_of(" \t");
-  if (start == std::string::npos) return false;
-  *inner = rest.substr(start);
-  return IsPlainSelect(*inner);
 }
 
 }  // namespace
@@ -257,18 +257,14 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
                                         uint64_t timeout_ms) {
   // Anything that can't batch falls through to the ordinary solo path with
   // identical semantics and error text. Forced strategies and the OLAP
-  // baseline bypass the gate because the batch executor would override the
-  // forced plan.
+  // baseline bypass the gate because a batch would override the forced plan.
   if (opts.mqo == MqoMode::kOff || opts.olap_baseline ||
       opts.vpct_strategy.has_value() || opts.horizontal_strategy.has_value()) {
     return db_->Query(sql, opts);
   }
   std::string inner;
-  const bool analyze = SplitExplainAnalyze(sql, &inner);
-  if (!analyze) {
-    if (!IsPlainSelect(sql)) return db_->Query(sql, opts);
-    inner = sql;
-  }
+  bool analyze = false;
+  if (!SplitSelect(sql, &inner, &analyze)) return db_->Query(sql, opts);
   // Per-query deadlines win over batching: a query whose timeout could be
   // eaten by the collection window executes solo.
   if (mqo_gate_.ShouldRunSolo(timeout_ms)) {
@@ -277,52 +273,40 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
   }
   Result<AnalyzedQuery> prepared = db_->PrepareQuery(inner);
   if (!prepared.ok()) return db_->Query(sql, opts);
-  if (!PartialPlanSupported(*prepared)) return db_->Query(sql, opts);
+
+  QueryOptions own = opts;
+  obs::QueryTrace analyze_trace;
+  if (analyze) own.trace = &analyze_trace;
+  Stopwatch timer;
   // The planner statistics, not the catalog entry: a sharded table's stub
   // has no rows, its SHARD-time statistics do.
-  Result<PlannerStats> stats = db_->PlannerStatistics(prepared->table_name);
-  if (!stats.ok() || stats->rows() == 0) return db_->Query(sql, opts);
-
-  // Compatibility key + execution-context fingerprint: only queries whose
-  // results depend on the same settings may share a batch.
-  const bool use_cache =
-      opts.use_summary_cache.value_or(db_->summary_cache_enabled());
-  const std::string key =
-      MqoCompatibilityKey(*prepared) +
-      StrFormat("|c%d|d%zu", use_cache ? 1 : 0, opts.degree_of_parallelism);
-
-  MqoGate::Member member;
-  member.query = &*prepared;
-  member.dop = opts.degree_of_parallelism;
-  obs::QueryTrace analyze_trace;
-  member.trace = analyze ? &analyze_trace : opts.trace;
-  Stopwatch timer;
-  const MqoGate::Seat seat = mqo_gate_.Run(
-      key, member, [this, &opts](const std::vector<MqoGate::Member*>& members) {
-        return PlanAndScanMqoBatch(opts, members);
-      });
-
-  // Every member finishes on its own thread, at its own dop.
-  const MqoBatchScan* batch = seat.batch.get();
-  QueryOptions own = opts;
-  own.trace = member.trace;
-  Result<Table> result = Table();
-  bool answered = false;
-  if (batch != nullptr && batch->partials != nullptr) {
-    ScopedParallelism parallelism(own.degree_of_parallelism);
-    result = AnswerMqoMember(*batch, seat.index, member.trace, CurrentDop());
-    answered = result.ok();
+  auto has_rows = [&] {
+    Result<PlannerStats> stats = db_->PlannerStatistics(prepared->table_name);
+    return stats.ok() && stats->rows() > 0;
+  };
+  std::shared_ptr<const MqoBatchScan> batch;
+  if (PartialPlanSupported(*prepared) && has_rows()) {
+    // Compatibility key + execution-context fingerprint: only queries whose
+    // results depend on the same settings may share a batch.
+    const bool use_cache =
+        opts.use_summary_cache.value_or(db_->summary_cache_enabled());
+    const std::string key =
+        MqoCompatibilityKey(*prepared) +
+        StrFormat("|c%d|d%zu", use_cache ? 1 : 0, opts.degree_of_parallelism);
+    MqoGate::Member member;
+    member.query = &*prepared;
+    member.dop = opts.degree_of_parallelism;
+    member.trace = own.trace;
+    batch = mqo_gate_.Run(
+        key, member,
+        [this, &opts](const std::vector<MqoGate::Member*>& members) {
+          return PlanAndScanMqoBatch(opts, members);
+        });
   }
-  // A declined or failed batch — or this member's own failed assembly —
-  // answers solo here, so each member gets its own precise error or result.
-  if (!answered) result = db_->Query(inner, own);
-  // After the answer: a solo answer sets the trace's header, candidates
-  // included.
-  if (batch != nullptr && member.trace != nullptr) {
-    member.trace->predicted_costs.insert(member.trace->predicted_costs.end(),
-                                         batch->costs.begin(),
-                                         batch->costs.end());
-  }
+  // Every member — batched, declined or alone — finishes on its own thread
+  // as an ordinary query, the published batch one more source of partials.
+  Result<Table> result =
+      db_->QueryPrepared(*prepared, inner, own, batch.get());
   if (!analyze || !result.ok()) return result;
   analyze_trace.total_ms = timer.ElapsedMillis();
   return TextToPlanTable(analyze_trace.Render());

@@ -40,11 +40,12 @@ struct ExecutorConfig {
 // internally synchronized (see PctDatabase::Query).
 //
 // Each statement is submitted to a ThreadPool and the calling (connection)
-// thread waits on the result with a wall-clock deadline. On timeout the
-// caller gets kTimeout immediately; the worker finishes in the background
-// and its result is discarded (the engine has no cancellation points), still
-// occupying an in-flight slot until it completes — which is exactly what the
-// admission limit should count.
+// thread waits on the result with a wall-clock deadline that runs from
+// admission. On timeout — or when the statement finished after the deadline
+// and the caller's wait merely woke late — the caller gets kTimeout; the
+// worker finishes in the background and its result is discarded (the engine
+// has no cancellation points), still occupying an in-flight slot until it
+// completes — which is exactly what the admission limit should count.
 class QueryExecutor {
  public:
   QueryExecutor(PctDatabase* db, ExecutorConfig config);
@@ -103,9 +104,9 @@ class QueryExecutor {
   Status Run(bool writer, std::function<Status()> fn, uint64_t timeout_ms);
 
   // The read path of ExecuteStatement, running on a pool worker under the
-  // shared lock: routes eligible plain SELECTs (and their EXPLAIN ANALYZE
-  // forms) through the MQO batching gate; everything else — and every
-  // fallback — is the ordinary solo db_->Query with identical semantics.
+  // shared lock: a SELECT (or its EXPLAIN ANALYZE form) is analyzed once,
+  // passes the MQO gate when it has a partial plan, and runs through
+  // PctDatabase::QueryPrepared with the batch the gate published.
   Result<Table> RunMqoRead(const std::string& sql, const QueryOptions& opts,
                            uint64_t timeout_ms);
 

@@ -44,8 +44,8 @@ obs::Histogram& WindowHist() {
 
 }  // namespace
 
-MqoGate::Seat MqoGate::Run(const std::string& key, Member& member,
-                           const BatchFn& plan_and_scan) {
+std::shared_ptr<const MqoBatchScan> MqoGate::Run(
+    const std::string& key, Member& member, const BatchFn& plan_and_scan) {
   std::shared_ptr<Batch> batch;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -53,13 +53,12 @@ MqoGate::Seat MqoGate::Run(const std::string& key, Member& member,
     if (it != open_.end() && it->second->open) {
       // Follower: park on the open batch until the leader publishes its scan.
       batch = it->second;
-      const size_t index = batch->members.size();
       batch->members.push_back(&member);
       if (batch->members.size() >= config_.max_batch) {
         batch->cv.notify_all();  // wake the leader to close early
       }
       batch->cv.wait(lock, [&batch] { return batch->finished; });
-      return {batch->scan, index};
+      return batch->scan;
     }
     // Leader: open a batch, collect followers for one window (closing early
     // when the batch fills), then take it off the open map so later arrivals
@@ -97,7 +96,7 @@ MqoGate::Seat MqoGate::Run(const std::string& key, Member& member,
     batch->finished = true;
   }
   batch->cv.notify_all();
-  return {std::move(scan), 0};
+  return scan;
 }
 
 void MqoGate::RecordSoloEscape() {

@@ -24,9 +24,9 @@ namespace pctagg {
 // fills); followers that arrive while the batch is open park on it. The
 // leader then does only the shared work — plan, price, and one union scan —
 // and publishes the result to every member; each member, the leader
-// included, finishes on its own thread: it rolls the shared partials down
-// to its level, assembles and applies its tail, or answers solo when the
-// batch was declined or failed. Queries with tight deadlines skip the gate
+// included, finishes on its own thread as an ordinary query with the batch
+// as one more source of partials (PctDatabase::QueryPrepared), which a
+// declined or failed batch lacks. Queries with tight deadlines skip the gate
 // (ShouldRunSolo) so batching never violates a per-query timeout.
 struct MqoGateConfig {
   // Collection window the leader waits for followers before executing.
@@ -53,12 +53,6 @@ class MqoGate {
   // null when the members should answer solo without a plan.
   using BatchFn = std::function<std::shared_ptr<const MqoBatchScan>(
       const std::vector<Member*>&)>;
-  // This caller's place in its closed batch: the published scan (null:
-  // answer solo) and the caller's index into its members.
-  struct Seat {
-    std::shared_ptr<const MqoBatchScan> batch;
-    size_t index = 0;
-  };
 
   explicit MqoGate(MqoGateConfig config = MqoGateConfig()) : config_(config) {}
 
@@ -72,10 +66,11 @@ class MqoGate {
     return timeout_ms != 0 && timeout_ms < config_.window_ms * 4;
   }
 
-  // Joins (or opens) the batch for `key` and returns once the leader
-  // published its scan; the caller then finishes on its own thread.
-  Seat Run(const std::string& key, Member& member,
-           const BatchFn& plan_and_scan);
+  // Joins (or opens) the batch for `key`; returns the scan its leader
+  // published (null: answer solo) for the caller to finish on its thread.
+  std::shared_ptr<const MqoBatchScan> Run(const std::string& key,
+                                          Member& member,
+                                          const BatchFn& plan_and_scan);
 
   // Bumps the deadline-escape counter (the caller decides to run solo, so
   // the gate can't observe it from Run).

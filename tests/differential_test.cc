@@ -12,13 +12,9 @@
 //   * the partial path on a cache-on database, twice: first rolled up from a
 //     warmed finest-level cached ancestor, then from the query's own exact
 //     entry,
-//   * one MQO batch of the compatible queries (one union scan, then each
-//     member's rollup and assembly),
 //   * in-process clusters of one, two and four shards, whose gather
 //     concatenates the shards' partials and rolls them up once, each query
-//     through the coordinator database's Query,
-//   * the same MQO batches on the two-shard cluster: the leader's one fetch
-//     at the union level, then each member's rollup and assembly, and
+//     through the coordinator database's Query, and
 //   * the summary cache in front of the two-shard cluster, for every
 //     unfiltered query twice: first filled from the shards (or from what an
 //     earlier query left), then from the entry the first run filled,
@@ -26,14 +22,21 @@
 // shard order, so answers compare as row multisets with columns matched by
 // name.
 //
-// A second test checks the delta merge, the other caller of that rollup:
+// A second test reaches MQO batches the way the server does: every group of
+// batch-compatible queries goes through QueryExecutor::ExecuteStatement
+// under SET mqo on, concurrently, locally and on the two-shard cluster, and
+// each member must be answered from its batch's union table with the partial
+// path's answer.
+//
+// A third test checks the delta merge, the other caller of that rollup:
 // every query fills its cache entries, a seeded batch (NULL keys, a new
 // dictionary string) is appended with AppendPolicy::kMerge, and the re-run
 // answered from the merged entries must equal the partial path on a fresh
 // database holding f and the batch.
 //
-// A third test checks that plain EXPLAIN prints the plan that runs: the
-// same strategy line and the same top-level steps as EXPLAIN ANALYZE.
+// A fourth test checks that plain EXPLAIN prints the plan that runs: the
+// same strategy line and the same top-level steps as EXPLAIN ANALYZE, and,
+// for a member of a batch, the same steps after the batch's.
 //
 // FLOAT64 measures are left out: at dop 4 the fused scan's float sums still
 // depend on morsel scheduling (ROADMAP, deterministic floats).
@@ -49,6 +52,7 @@
 #include <memory>
 #include <regex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -61,6 +65,8 @@
 #include "core/plan.h"
 #include "dist/coordinator.h"
 #include "engine/table_ops.h"
+#include "obs/trace.h"
+#include "server/executor.h"
 #include "server/server.h"
 
 namespace pctagg {
@@ -517,50 +523,92 @@ TEST_F(DifferentialTest, EveryEvaluatorGivesTheSameAnswer) {
         ++compared;
       }
     }
+  }
+  // 200 queries x 2 dops x (advisor, 2 cache runs, 3 clusters), plus the 93
+  // unfiltered ones x 2 dops x 2 cached runs on 2 shards, at least.
+  EXPECT_GE(compared, 2772u);
+}
 
-    // One MQO batch per group of batch-compatible queries.
-    std::vector<AnalyzedQuery> analyzed;
-    analyzed.reserve(sqls.size());
-    for (const std::string& sql : sqls) {
-      analyzed.push_back(*db_.PrepareQuery(sql));
+// Each group of batch-compatible queries goes through the server's read path,
+// QueryExecutor::ExecuteStatement under SET mqo on and SET trace on, in
+// chunks of at most 8 concurrent members, locally and on the two-shard
+// cluster (whose leader reads the union level with one scatter). Every reply
+// must equal the partial path; every chunk of two or more over a table with
+// rows must form one batch, and each of its members must be answered from
+// the batch's union table.
+TEST_F(DifferentialTest, ExecutorBatchesGiveTheSameAnswer) {
+  constexpr size_t kChunk = 8;
+  std::map<std::string, std::vector<size_t>> groups;
+  for (size_t i = 0; i < sqls_.size(); ++i) {
+    groups[MqoCompatibilityKey(*db_.PrepareQuery(sqls_[i]))].push_back(i);
+  }
+  size_t compared = 0;
+  for (size_t dop : kDops) {
+    std::vector<Canonical> want(sqls_.size());
+    for (size_t i = 0; i < sqls_.size(); ++i) {
+      Result<Table> fused = db_.QueryPartial(sqls_[i], AtDop(dop));
+      ASSERT_TRUE(fused.ok()) << sqls_[i] << ": " << fused.status().ToString();
+      want[i] = Canonicalize(*fused);
     }
-    std::map<std::string, std::vector<size_t>> batches;
-    for (size_t i = 0; i < analyzed.size(); ++i) {
-      batches[MqoCompatibilityKey(analyzed[i])].push_back(i);
-    }
-    // Locally, then on the two-shard cluster, whose one read at the union
-    // level scatters once.
-    for (const auto& [key, members] : batches) {
-      std::vector<const AnalyzedQuery*> queries;
-      for (size_t i : members) queries.push_back(&analyzed[i]);
-      Result<MqoBatchPlan> plan = PlanMqoBatch(queries);
-      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      for (const PctDatabase* db : {&db_, &clusters_[1]->db}) {
-        SCOPED_TRACE("batch " + key + (db == &db_ ? "" : " on 2 shards") +
-                     " @ dop=" + std::to_string(dop));
-        Result<std::shared_ptr<const Table>> partials =
-            db->Partials(plan->table, plan->where, plan->scan_cols,
-                         plan->scan_partials, /*use_cache=*/false, nullptr,
-                         dop);
-        ASSERT_TRUE(partials.ok()) << partials.status().ToString();
-        for (size_t m = 0; m < members.size(); ++m) {
-          Result<Table> got =
-              AssembleMqoMember(*plan, m, **partials, nullptr, dop);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          const Canonical c = Canonicalize(*got);
-          EXPECT_TRUE(c == want[members[m]])
-              << sqls[members[m]] << ": MQO batch member differs\n"
-              << Describe(c, want[members[m]]) << "vs\n"
-              << Describe(want[members[m]], c);
-          ++compared;
+    for (PctDatabase* db : {&db_, &clusters_[1]->db}) {
+      for (const auto& [key, members] : groups) {
+        // The gate sends a read of an empty table straight to its plan.
+        Result<PlannerStats> stats =
+            db->PlannerStatistics(db->PrepareQuery(sqls_[members[0]])
+                                      ->table_name);
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        for (size_t begin = 0; begin < members.size(); begin += kChunk) {
+          const std::vector<size_t> chunk(
+              members.begin() + begin,
+              members.begin() + std::min(members.size(), begin + kChunk));
+          SCOPED_TRACE(StrFormat("batch %s%s, members %zu..%zu @ dop=%zu",
+                                 key.c_str(),
+                                 db == &db_ ? "" : " on 2 shards", begin,
+                                 begin + chunk.size() - 1, dop));
+          ExecutorConfig config;
+          config.worker_threads = kChunk;
+          config.mqo_window_ms = 10000;  // max_batch closes the batch
+          config.mqo_max_batch = chunk.size();
+          QueryExecutor executor(db, config);
+          std::vector<Result<Table>> got(chunk.size(), Result<Table>(Table()));
+          std::vector<std::shared_ptr<obs::QueryTrace>> traces;
+          for (size_t m = 0; m < chunk.size(); ++m) {
+            traces.push_back(std::make_shared<obs::QueryTrace>());
+          }
+          std::vector<std::thread> threads;
+          for (size_t m = 0; m < chunk.size(); ++m) {
+            threads.emplace_back([&, m] {
+              QueryOptions options = AtDop(dop);
+              options.mqo = MqoMode::kOn;
+              got[m] = executor.ExecuteStatement(sqls_[chunk[m]], options, 0,
+                                                 traces[m]);
+            });
+          }
+          for (std::thread& t : threads) t.join();
+          const bool batched = chunk.size() >= 2 && stats->rows() > 0;
+          EXPECT_EQ(executor.mqo_gate().queries_batched(),
+                    batched ? chunk.size() : 0u);
+          for (size_t m = 0; m < chunk.size(); ++m) {
+            const std::string& sql = sqls_[chunk[m]];
+            ASSERT_TRUE(got[m].ok()) << sql << ": "
+                                     << got[m].status().ToString();
+            if (batched) {
+              EXPECT_EQ(traces[m]->strategy, "partial from mqo batch")
+                  << sql << "\n" << traces[m]->Render();
+            }
+            const Canonical c = Canonicalize(*got[m]);
+            EXPECT_TRUE(c == want[chunk[m]])
+                << sql << ": executor batch member differs\n"
+                << Describe(c, want[chunk[m]]) << "vs\n"
+                << Describe(want[chunk[m]], c);
+            ++compared;
+          }
         }
       }
     }
   }
-  // 200 queries x 2 dops x (advisor, 2 cache runs, 3 clusters, MQO locally
-  // and on 2 shards), plus the 93 unfiltered ones x 2 dops x 2 cached runs
-  // on 2 shards, at least.
-  EXPECT_GE(compared, 3572u);
+  // 200 queries x 2 dops x (locally, on 2 shards).
+  EXPECT_GE(compared, 800u);
 }
 
 TEST_F(DifferentialTest, DeltaMergedEntriesMatchRecompute) {
@@ -741,6 +789,14 @@ TEST_F(DifferentialTest, ExplainShowsThePlanThatRuns) {
   ASSERT_TRUE(big.CreateTable("f", IntFact(70000, 43)).ok());
   const std::string big_sql =
       "SELECT d1, d2, Vpct(a BY d2) AS pct FROM f GROUP BY d1, d2";
+  // One batch over that table whose members all take the partial path on
+  // their own, so plain EXPLAIN prints steps to compare a member's with.
+  const std::vector<std::string> batch = {
+      big_sql,
+      "SELECT d1, sum(a) AS s, count(*) AS n FROM f GROUP BY d1",
+      "SELECT d2, d3, sum(a) AS s FROM f GROUP BY CUBE(d2, d3)",
+      "SELECT d1, Hpct(a BY d3) FROM f GROUP BY d1",
+  };
 
   size_t partial = 0;
   for (size_t dop : kDops) {
@@ -756,6 +812,46 @@ TEST_F(DifferentialTest, ExplainShowsThePlanThatRuns) {
     };
     for (const std::string& sql : local) local_check(db_, sql);
     local_check(big, big_sql);
+
+    // The batch, traced, through the executor: each member's EXPLAIN ANALYZE
+    // shows the batch and the rollup from it as its source, then the steps
+    // plain EXPLAIN prints after the scan those two replace.
+    ExecutorConfig config;
+    config.worker_threads = batch.size();
+    config.mqo_window_ms = 10000;  // max_batch closes the batch
+    config.mqo_max_batch = batch.size();
+    QueryExecutor executor(&big, config);
+    std::vector<Result<Table>> analyzed(batch.size(), Result<Table>(Table()));
+    std::vector<std::thread> threads;
+    for (size_t m = 0; m < batch.size(); ++m) {
+      threads.emplace_back([&, m] {
+        QueryOptions options = AtDop(dop);
+        options.mqo = MqoMode::kOn;
+        analyzed[m] =
+            executor.ExecuteStatement("EXPLAIN ANALYZE " + batch[m], options, 0);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(executor.mqo_gate().queries_batched(), batch.size());
+    for (size_t m = 0; m < batch.size(); ++m) {
+      SCOPED_TRACE("batch member: " + batch[m] + " @ dop=" +
+                   std::to_string(dop));
+      Result<Table> plain = big.Query("EXPLAIN " + batch[m], AtDop(dop));
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      ASSERT_TRUE(analyzed[m].ok()) << analyzed[m].status().ToString();
+      const Listing p = FromExplain(*plain);
+      const Listing a = FromAnalyze(*analyzed[m]);
+      ASSERT_EQ(p.strategy.rfind("partial from fused scan", 0), 0u)
+          << Show(p);
+      ASSERT_EQ(p.steps.front().label, "fused") << Show(p);
+      EXPECT_EQ(a.strategy, "partial from mqo batch (mqo-gate)") << Show(a);
+      ASSERT_GE(a.steps.size(), 2u) << Show(a);
+      EXPECT_EQ(a.steps[0].label, "mqo-batch") << Show(a);
+      EXPECT_EQ(a.steps[1].detail.rfind("mqo-batch-rollup: ", 0), 0u)
+          << Show(a);
+      ExpectSamePlan({a.strategy, {p.steps.begin() + 1, p.steps.end()}},
+                     {a.strategy, {a.steps.begin() + 2, a.steps.end()}});
+    }
 
     for (const std::string& sql : sqls_) {
       SCOPED_TRACE("2 shards: " + sql + " @ dop=" + std::to_string(dop));

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -679,6 +682,35 @@ TEST(DistTest, ShardedTableNeverAnswersFromTheStub) {
   EXPECT_EQ(forced.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(forced.status().message().rfind("distributed: ", 0), 0u)
       << forced.status().ToString();
+}
+
+// A coordinator that persists its tables refuses SHARD before a row leaves:
+// its checkpoint would write the zero-row stub, and a restart would answer
+// count(*) = 0 from it.
+TEST(DistTest, CoordinatorWithStorageRefusesShard) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("pctagg_dist_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    Cluster cluster(2);
+    storage::StorageOptions options;
+    options.data_dir = dir.string();
+    ASSERT_TRUE(cluster.db().OpenStorage(options).ok());
+    ASSERT_TRUE(
+        cluster.db().CreateTable("f", GenerateTransactionLine(1000)).ok());
+    Status st = cluster.coordinator().ShardTable("f", "cityId");
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("--data-dir"), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(cluster.db().Sharding("f"), nullptr);
+    EXPECT_EQ(LocalCsv(&cluster.db(), "SELECT count(*) AS n FROM f"),
+              "n\n1000\n");
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_FALSE(cluster.worker_db(i).catalog().HasTable("f"));
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- Client retry (satellite: bounded backoff reconnect) --------------------

@@ -77,8 +77,10 @@ Table NullableFact(uint64_t seed, size_t n) {
   return t;
 }
 
-// Plans and executes `sqls` as one batch (no gate, no cache) and asserts each
-// member's bytes equal its solo execution at the same dop.
+// Plans and scans `sqls` as one batch (no gate, no cache), runs each member
+// as an ordinary query with the batch attached, and asserts each member was
+// answered from the batch with bytes equal to its solo execution at the same
+// dop.
 void ExpectBatchBitIdentical(PctDatabase* db,
                              const std::vector<std::string>& sqls,
                              size_t dop) {
@@ -93,16 +95,21 @@ void ExpectBatchBitIdentical(PctDatabase* db,
   for (const AnalyzedQuery& q : analyzed) queries.push_back(&q);
   Result<MqoBatchPlan> plan = PlanMqoBatch(queries);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  Result<const Table*> fact =
-      static_cast<const PctDatabase*>(db)->catalog().GetTable(plan->table);
-  ASSERT_TRUE(fact.ok());
-  Result<std::shared_ptr<const Table>> partials =
-      FinestPartials(plan->table, plan->where, plan->scan_cols,
-                     plan->scan_partials, **fact, nullptr, nullptr, dop);
+  MqoBatchScan batch;
+  batch.plan = std::move(*plan);
+  Result<std::shared_ptr<const Table>> partials = db->Partials(
+      batch.plan.table, batch.plan.where, batch.plan.scan_cols,
+      batch.plan.scan_partials, /*use_cache=*/false, nullptr, dop);
   ASSERT_TRUE(partials.ok()) << partials.status().ToString();
+  batch.partials = std::move(*partials);
   for (size_t i = 0; i < sqls.size(); ++i) {
-    Result<Table> r = AssembleMqoMember(*plan, i, **partials, nullptr, dop);
+    obs::QueryTrace trace;
+    QueryOptions options;
+    options.degree_of_parallelism = dop;
+    options.trace = &trace;
+    Result<Table> r = db->QueryPrepared(analyzed[i], sqls[i], options, &batch);
     ASSERT_TRUE(r.ok()) << sqls[i] << ": " << r.status().ToString();
+    EXPECT_EQ(trace.strategy, "partial from mqo batch") << sqls[i];
     EXPECT_EQ(FormatCsv(*r), SoloCsv(db, sqls[i], dop))
         << "dop=" << dop << " sql=" << sqls[i];
   }
