@@ -252,13 +252,17 @@ int main(int argc, char** argv) {
     if (!rolled.ok()) Die("merge failed", rolled.status());
     Table merged = std::move(*rolled);
     double merge_ms = merge_timer.ElapsedMillis();
+    // The plan's steps after its source, run on the merged table.
+    pctagg::PartialSource gathered;
+    gathered.finest = std::make_shared<const Table>(std::move(merged));
+    pctagg::Plan assembly;
+    pctagg::LowerPartialPlan(*plan, gathered, pctagg::PlannerStats(), dop,
+                             &assembly);
     pctagg::Stopwatch assemble_timer;
     Table assembled;
     {
       pctagg::ScopedParallelism parallelism(dop);
-      auto finest = std::make_shared<const Table>(std::move(merged));
-      Result<Table> a = pctagg::AssembleFromPartials(
-          *plan, finest, nullptr, nullptr, pctagg::CurrentDop());
+      Result<Table> a = assembly.Execute(&coord_db.catalog());
       if (!a.ok()) Die("assembly failed", a.status());
       Result<Table> tail = pctagg::ApplyQueryTail(std::move(*a), *query);
       if (!tail.ok()) Die("tail failed", tail.status());

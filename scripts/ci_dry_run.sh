@@ -113,11 +113,12 @@ run_job "bench smoke (mqo)" bench_smoke bench_mqo BENCH_mqo.json PCTAGG_MQO_BENC
 # --- EXPLAIN ANALYZE samples -------------------------------------------------
 note "EXPLAIN ANALYZE samples"
 # One file per sample, so every assert reads one plan, with the sample's
-# plain EXPLAIN beside it (mirrors ci.yml).
+# plain EXPLAIN beside it (mirrors ci.yml). The third argument is the table's
+# rows (default 100,000).
 explain_sample() {
-  printf '.gen sales sales 100000\nEXPLAIN ANALYZE %s;\n.quit\n' "$2" |
+  printf '.gen sales sales %s\nEXPLAIN ANALYZE %s;\n.quit\n' "${3:-100000}" "$2" |
     build-ci-gcc-release/tools/pctagg_shell > "bench-artifacts/explain_$1.txt"
-  printf '.gen sales sales 100000\nEXPLAIN %s;\n.quit\n' "$2" |
+  printf '.gen sales sales %s\nEXPLAIN %s;\n.quit\n' "${3:-100000}" "$2" |
     build-ci-gcc-release/tools/pctagg_shell > "bench-artifacts/plain_explain_$1.txt"
 }
 explain_scan() { grep -o "fused-scan: [^']*" "$1"; }
@@ -137,7 +138,14 @@ explain_samples_ok() {
       [ "$(explain_scan "bench-artifacts/plain_explain_$s.txt")" = \
         "$(explain_scan "bench-artifacts/explain_$s.txt")" ] || return 1
   done
-  [ "$(grep -c 'lattice-rollup:' bench-artifacts/plain_explain_cube.txt)" -eq 7 ]
+  [ "$(grep -c 'lattice-rollup:' bench-artifacts/plain_explain_cube.txt)" -eq 7 ] &&
+    grep -q 'strategy: Fj-from-' bench-artifacts/explain_script.txt || return 1
+  # Every sample's plain EXPLAIN prints one line per step EXPLAIN ANALYZE
+  # ran: as many as its top-level plan nodes.
+  for s in vpct hpct cube filtered script; do
+    [ "$(grep -c "^'[^-]" "bench-artifacts/plain_explain_$s.txt")" -eq \
+      "$(grep -c "^'  [^ []" "bench-artifacts/explain_$s.txt")" ] || return 1
+  done
 }
 if cmake --build build-ci-gcc-release -j"$JOBS" --target pctagg_shell &&
    mkdir -p bench-artifacts &&
@@ -145,8 +153,9 @@ if cmake --build build-ci-gcc-release -j"$JOBS" --target pctagg_shell &&
    explain_sample hpct 'SELECT state, Hpct(salesAmt BY dweek) FROM sales GROUP BY state' &&
    explain_sample cube 'SELECT monthNo, dweek, store, Vpct(salesAmt BY dweek) AS pct, sum(salesAmt) AS s FROM sales GROUP BY CUBE(monthNo, dweek, store)' &&
    explain_sample filtered 'SELECT state, sum(salesAmt) AS s, count(*) AS n FROM sales WHERE monthNo <= 6 GROUP BY state' &&
+   explain_sample script 'SELECT state, Vpct(salesAmt BY state) FROM sales GROUP BY state' 30000 &&
    explain_samples_ok; then
-  echo "[explain samples] OK (one fused scan per sample; the CUBE's feeds all 7 rollup levels; the filtered GROUP BY is one fused mask scan; plain EXPLAIN lists the same scan and rollups)"
+  echo "[explain samples] OK (one fused scan per partial sample; the CUBE's feeds all 7 rollup levels; the filtered GROUP BY is one fused mask scan; the 30,000-row sample runs the paper's script; plain EXPLAIN lists the same scan and rollups, and as many steps as EXPLAIN ANALYZE ran)"
 else
   echo "[explain samples] FAILED"
   FAILED+=("explain samples")

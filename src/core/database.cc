@@ -5,7 +5,6 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/cost_model.h"
-#include "core/olap_planner.h"
 #include "core/partial_plan.h"
 #include "core/select_plan.h"
 #include "engine/aggregate.h"
@@ -18,28 +17,6 @@
 namespace pctagg {
 
 namespace {
-
-// Inline evaluation for plain projections. A vertical aggregate gets here
-// only when the partial path refused it: count(DISTINCT) without BY.
-Result<Table> EvaluateSimple(Catalog* catalog, const AnalyzedQuery& query) {
-  if (query.query_class != QueryClass::kProjection) {
-    return Status::InvalidArgument(
-        "count(DISTINCT ...) is only supported with a BY clause");
-  }
-  PCTAGG_ASSIGN_OR_RETURN(const Table* base,
-                          catalog->GetTable(query.table_name));
-  Table filtered;
-  const Table* input = base;
-  if (query.where != nullptr) {
-    PCTAGG_ASSIGN_OR_RETURN(filtered, Filter(*base, query.where));
-    input = &filtered;
-  }
-  std::vector<ProjectSpec> specs;
-  for (const AnalyzedTerm& t : query.terms) {
-    specs.push_back({t.argument, t.output_name});
-  }
-  return Project(*input, specs);
-}
 
 // Append-path delta-maintenance counters (process-wide, like the summary
 // cache's own counters in core/summary_cache.cc).
@@ -121,35 +98,6 @@ Result<AnalyzedQuery> PctDatabase::PrepareQuery(
   return Analyze(stmt, table->schema());
 }
 
-Result<Table> PctDatabase::RunPlan(const Plan& plan, const AnalyzedQuery& query,
-                                   bool use_cache,
-                                   obs::QueryTrace* trace) const {
-  // A script reads the table's rows, which a sharded table's stub lacks.
-  if (Sharding(query.table_name) != nullptr) {
-    return DistributedError(query.table_name,
-                            "materialized plans do not run on shards");
-  }
-  Status st = plan.Execute(&catalog_, use_cache ? &summaries_ : nullptr, trace);
-  if (!st.ok()) {
-    plan.Cleanup(&catalog_);
-    return st;
-  }
-  if (trace != nullptr) {
-    const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
-    if (agg != nullptr) {
-      trace->actual_group_rows = static_cast<double>(agg->stats.rows_out);
-    }
-  }
-  Result<Table*> result = catalog_.GetTable(plan.result_table());
-  if (!result.ok()) {
-    plan.Cleanup(&catalog_);
-    return result.status();
-  }
-  Table out = std::move(*result.value());
-  plan.Cleanup(&catalog_);
-  return ApplyQueryTail(std::move(out), query);
-}
-
 Result<Table> PctDatabase::Query(const std::string& sql,
                                  const QueryOptions& options) const {
   // EXPLAIN [ANALYZE] prefix: return the rendering as an ordinary
@@ -181,56 +129,44 @@ Result<Table> PctDatabase::QueryPartial(const std::string& sql,
   return Select(query, sql, options, /*partial_forced=*/true);
 }
 
+Result<SelectPlan> PctDatabase::Lower(const AnalyzedQuery& query,
+                                      const std::string& sql,
+                                      const QueryOptions& options,
+                                      bool partial_forced,
+                                      const MqoBatchScan* batch) const {
+  PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
+                          catalog_.GetTable(query.table_name));
+  const std::shared_ptr<const ShardedTable> sharded =
+      Sharding(query.table_name);
+  return PlanSelect(query, sql, StatsOf(query.table_name, *fact), options,
+                    CurrentDop(), partial_forced,
+                    sharded ? sharded->shards : nullptr, batch);
+}
+
 Result<Table> PctDatabase::Select(const AnalyzedQuery& query,
                                   const std::string& sql,
                                   const QueryOptions& options,
                                   bool partial_forced,
                                   const MqoBatchScan* batch) const {
-  bool use_cache = options.use_summary_cache.value_or(summary_cache_enabled_);
-  // Engine kernels called anywhere below this frame (planner steps run
+  // Engine kernels called anywhere below this frame (the steps run
   // synchronously on this thread) pick the knob up via CurrentDop().
   ScopedParallelism parallelism(options.degree_of_parallelism);
-  const size_t dop = CurrentDop();
-  PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
-                          catalog_.GetTable(query.table_name));
-  const std::shared_ptr<const ShardedTable> sharded =
-      Sharding(query.table_name);
-  PCTAGG_ASSIGN_OR_RETURN(
-      SelectPlan plan,
-      PlanSelect(query, StatsOf(query.table_name, *fact), options, dop,
-                 partial_forced, sharded ? sharded->shards->num_shards() : 0,
-                 batch));
+  PCTAGG_ASSIGN_OR_RETURN(SelectPlan plan,
+                          Lower(query, sql, options, partial_forced, batch));
   obs::QueryTrace* trace = options.trace;
   if (trace != nullptr) static_cast<obs::PlanHeader&>(*trace) = plan.header;
-  if (plan.script()) {
-    PCTAGG_ASSIGN_OR_RETURN(Plan script, BuildScript(query, plan));
-    return RunPlan(script, query, use_cache, trace);
-  }
-  if (plan.evaluator == SelectPlan::Evaluator::kProjection) {
-    obs::TraceNode* node =
-        trace != nullptr ? trace->root().AddChild("select", sql) : nullptr;
-    obs::ScopedTraceNode scope(node);
-    PCTAGG_ASSIGN_OR_RETURN(Table out, EvaluateSimple(&catalog_, query));
-    return ApplyQueryTail(std::move(out), query);
-  }
-  // The partial path: finest-level partials from the MQO batch, the summary
-  // cache, one fused scan or the shards, rolled up and assembled, then the
-  // tail. A member of a batch touches no cache entry: its leader's read went
-  // through the cache once, at the union level.
-  if (batch != nullptr && batch->partials != nullptr) use_cache = false;
+  const bool use_cache =
+      options.use_summary_cache.value_or(summary_cache_enabled_);
   PCTAGG_ASSIGN_OR_RETURN(
-      std::shared_ptr<const Table> finest,
-      FinestPartials(query.table_name, query.where, plan.partial->finest_cols,
-                     plan.partial->partials, *fact,
-                     use_cache ? &summaries_ : nullptr, trace, dop,
-                     sharded ? sharded->shards : nullptr, batch));
-  if (trace != nullptr) {
-    trace->actual_group_rows = static_cast<double>(finest->num_rows());
+      Table out, plan.steps.Execute(&catalog_,
+                                    use_cache ? &summaries_ : nullptr, trace));
+  if (trace != nullptr && trace->actual_group_rows < 0) {
+    // A script's finest level: the first aggregate it ran.
+    const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
+    if (agg != nullptr) {
+      trace->actual_group_rows = static_cast<double>(agg->stats.rows_out);
+    }
   }
-  PCTAGG_ASSIGN_OR_RETURN(
-      Table out, AssembleFromPartials(*plan.partial, std::move(finest),
-                                      use_cache ? &summaries_ : nullptr,
-                                      trace, dop));
   return ApplyQueryTail(std::move(out), query);
 }
 
@@ -238,9 +174,8 @@ Result<std::shared_ptr<const Table>> PctDatabase::Partials(
     const std::string& table, const ExprPtr& where,
     const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
     bool use_cache, obs::QueryTrace* trace, size_t dop) const {
-  PCTAGG_ASSIGN_OR_RETURN(const Table* fact, catalog_.GetTable(table));
   const std::shared_ptr<const ShardedTable> sharded = Sharding(table);
-  return FinestPartials(table, where, cols, partials, *fact,
+  return FinestPartials(table, where, cols, partials, &catalog_,
                         use_cache ? &summaries_ : nullptr, trace, dop,
                         sharded ? sharded->shards : nullptr);
 }
@@ -259,36 +194,22 @@ Result<std::string> PctDatabase::ExplainAnalyze(
 
 Result<Table> PctDatabase::QueryVpct(const std::string& sql,
                                      const VpctStrategy& strategy) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
-  if (query.has_grouping_sets) {
-    return Status::InvalidArgument(
-        "forced-strategy evaluation does not support grouping sets; use "
-        "Query()");
-  }
-  PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanVpctQuery(query, strategy));
-  return RunPlan(plan, query, summary_cache_enabled_);
+  QueryOptions options;
+  options.vpct_strategy = strategy;
+  return Query(sql, options);
 }
 
 Result<Table> PctDatabase::QueryHorizontal(
     const std::string& sql, const HorizontalStrategy& strategy) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
-  if (query.has_grouping_sets) {
-    return Status::InvalidArgument(
-        "forced-strategy evaluation does not support grouping sets; use "
-        "Query()");
-  }
-  PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanHorizontalQuery(query, strategy));
-  return RunPlan(plan, query, summary_cache_enabled_);
+  QueryOptions options;
+  options.horizontal_strategy = strategy;
+  return Query(sql, options);
 }
 
 Result<Table> PctDatabase::QueryOlapBaseline(const std::string& sql) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
-  if (query.has_grouping_sets) {
-    return Status::InvalidArgument(
-        "the OLAP baseline does not support grouping sets; use Query()");
-  }
-  PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanOlapPercentageQuery(query));
-  return RunPlan(plan, query, summary_cache_enabled_);
+  QueryOptions options;
+  options.olap_baseline = true;
+  return Query(sql, options);
 }
 
 Status PctDatabase::CreateTable(const std::string& name, Table table) {
@@ -651,36 +572,12 @@ Result<Table> PctDatabase::Execute(const std::string& sql,
 Result<std::string> PctDatabase::Explain(const std::string& sql,
                                          const QueryOptions& options) const {
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
-  PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
-                          catalog_.GetTable(query.table_name));
-  const std::shared_ptr<const ShardedTable> sharded =
-      Sharding(query.table_name);
-  const PlannerStats stats = StatsOf(query.table_name, *fact);
-  const size_t shards = sharded ? sharded->shards->num_shards() : 0;
   // The dop Query would resolve, so the advisor prices the same candidates.
   ScopedParallelism parallelism(options.degree_of_parallelism);
-  const size_t dop = CurrentDop();
-  PCTAGG_ASSIGN_OR_RETURN(
-      SelectPlan plan, PlanSelect(query, stats, options, dop,
-                                  /*partial_forced=*/false, shards));
-  if (plan.script()) {
-    PCTAGG_ASSIGN_OR_RETURN(Plan script, BuildScript(query, plan));
-    return RenderExplain(plan.header, {}, script.ToSql());
-  }
-  if (plan.evaluator == SelectPlan::Evaluator::kProjection) {
-    return RenderExplain(plan.header, {{"select", sql}});
-  }
-  const PartialPlan& partial = *plan.partial;
-  std::vector<PlanStep> steps = AssemblySteps(partial, stats);
-  if (shards > 0) {
-    steps.insert(steps.begin(),
-                 {ScatterStep(dop, partial.partial_sql, shards),
-                  GatherStep(shards, partial.finest_cols.size(),
-                             partial.combine.size())});
-  } else {
-    steps.insert(steps.begin(), FusedScanStep(partial.partial_sql));
-  }
-  return RenderExplain(plan.header, steps);
+  PCTAGG_ASSIGN_OR_RETURN(SelectPlan plan,
+                          Lower(query, sql, options, /*partial_forced=*/false,
+                                /*batch=*/nullptr));
+  return plan.Explain();
 }
 
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query) {

@@ -62,8 +62,8 @@ struct QueryOptions {
   // docs/PARALLELISM.md.
   size_t degree_of_parallelism = 1;
   // When set, Query fills it with the executed-plan trace: planning metadata
-  // (query class, strategy, cost-model predictions) plus one node per
-  // generated statement with per-operator stats. Owned by the caller; must
+  // (query class, strategy, cost-model predictions) plus one node per plan
+  // step with per-operator stats. Owned by the caller; must
   // outlive the Query call. See docs/OBSERVABILITY.md.
   obs::QueryTrace* trace = nullptr;
   // Summary-maintenance policy when Execute runs an INSERT/COPY.
@@ -72,6 +72,7 @@ struct QueryOptions {
 
 class ShardFetch;     // core/partial_plan.h
 struct MqoBatchScan;  // core/mqo_plan.h
+struct SelectPlan;    // core/select_plan.h
 
 // A base table whose rows live on shards (docs/SHARDING.md). The catalog
 // keeps a zero-row stub of it, so the analyzer sees its schema; this record
@@ -133,7 +134,7 @@ class PctDatabase {
   // Runs a SELECT that PrepareQuery analyzed (`sql` is its text) as Query
   // would, parsing nothing again. `batch`, the published MQO batch scan the
   // query was a member of (core/mqo_plan.h), is one more source of partials
-  // for PlanSelect and FinestPartials; a member it answers skips the cache.
+  // for PlanSelect; a member it answers skips the cache.
   Result<Table> QueryPrepared(const AnalyzedQuery& query,
                               const std::string& sql,
                               const QueryOptions& options,
@@ -162,7 +163,7 @@ class PctDatabase {
   // Replaces base table `name` — whose rows the caller has already shipped
   // to `sharded.shards` — with a zero-row stub of its schema and records it
   // as sharded. From then on every read of it fetches finest-level partials
-  // from the shards (FinestPartials, core/partial_plan.h), any other
+  // from the shards (ShardFetch, core/partial_plan.h), any other
   // evaluation of it gets DistributedError, appends are refused, and DROP
   // reaches the workers. CreateTable/ReplaceTable of the name end the
   // sharding.
@@ -246,14 +247,12 @@ class PctDatabase {
   }
   Result<Table> Query(const std::string& sql, const QueryOptions& options) const;
 
-  // Shorthands for forced-strategy evaluation (the benchmark harness drives
-  // these); equivalent to Query with the strategy set in QueryOptions.
+  // Query with QueryOptions::vpct_strategy, horizontal_strategy or
+  // olap_baseline set, as SET vpct, SET horizontal and the OLAP verb send.
   Result<Table> QueryVpct(const std::string& sql,
                           const VpctStrategy& strategy) const;
   Result<Table> QueryHorizontal(const std::string& sql,
                                 const HorizontalStrategy& strategy) const;
-
-  // Evaluates a Vpct query through the ANSI OLAP window-function baseline.
   Result<Table> QueryOlapBaseline(const std::string& sql) const;
 
   // Evaluates `sql` on the partial path (core/partial_plan.h) whatever the
@@ -263,7 +262,7 @@ class PctDatabase {
                              const QueryOptions& options) const;
 
   // Plain EXPLAIN: the plan Query would run for `sql` under `options`
-  // (RenderExplain, core/select_plan.h), without executing it.
+  // (SelectPlan::Explain, core/select_plan.h), without executing it.
   Result<std::string> Explain(const std::string& sql) const {
     return Explain(sql, QueryOptions{});
   }
@@ -287,15 +286,16 @@ class PctDatabase {
   Result<AppendOutcome> ExecuteCopy(const std::string& sql,
                                     const QueryOptions& options);
 
-  // Plans `query` with PlanSelect and runs the plan.
+  // Plans and lowers `query` with PlanSelect at the caller's CurrentDop():
+  // the one call Select runs and Explain prints.
+  Result<SelectPlan> Lower(const AnalyzedQuery& query, const std::string& sql,
+                           const QueryOptions& options, bool partial_forced,
+                           const MqoBatchScan* batch) const;
+
+  // Lowers `query` and executes its steps, then applies the tail.
   Result<Table> Select(const AnalyzedQuery& query, const std::string& sql,
                        const QueryOptions& options, bool partial_forced,
                        const MqoBatchScan* batch = nullptr) const;
-
-  // Shared tail: execute `plan`, pull out the result, drop temps.
-  Result<Table> RunPlan(const Plan& plan, const AnalyzedQuery& query,
-                        bool use_cache,
-                        obs::QueryTrace* trace = nullptr) const;
 
   // Planner statistics of base table `name`, whose catalog entry is `table`:
   // the SHARD-time statistics when it is sharded.

@@ -49,7 +49,6 @@ Result<MqoBatchPlan> PlanMqoBatch(
              "__b" + std::to_string(plan.scan_partials.size() + 1)});
       }
     }
-    plan.members.push_back(std::move(member));
   }
   return plan;
 }

@@ -22,9 +22,9 @@ namespace pctagg {
 // is a PartialPlan (core/partial_plan.h), so a whole batch can be fed from
 // ONE scan computing the deduplicated union of everyone's partials at the
 // union finest level. Each member is then an ordinary query
-// (PctDatabase::QueryPrepared) whose FinestPartials rolls that union table
-// down to its own finest level — the cached-ancestor move, applied to a
-// table that lives for one batch.
+// (PctDatabase::QueryPrepared) whose plan's `mqo-batch-rollup` step rolls
+// that union table down to its own finest level — the cached-ancestor move,
+// applied to a table that lives for one batch.
 //
 // Batch compatibility: same table and the same rendered WHERE clause (the
 // union scan runs under one predicate, so predicates must match textually —
@@ -47,8 +47,7 @@ struct MqoBatchPlan {
   ExprPtr where;                       // shared predicate; may be null
   std::vector<std::string> scan_cols;  // union finest level
   std::vector<AggSpec> scan_partials;  // deduplicated union partials
-  std::vector<PartialPlan> members;    // one per input query, same order
-  size_t partials_requested = 0;     // sum over members, before dedup
+  size_t partials_requested = 0;       // sum over members, before dedup
 };
 
 // Plans the batch: lowers each member to its PartialPlan and dedupes their
@@ -60,9 +59,7 @@ Result<MqoBatchPlan> PlanMqoBatch(
     const std::vector<const AnalyzedQuery*>& queries);
 
 // What a batch leader publishes to every member, once: the plan, the shared
-// union-level partials, and what a traced member shows. plan.members[i]
-// points into member i's own AnalyzedQuery, which may be gone once the scan
-// is published, so no member reads plan.members.
+// union-level partials, and what a traced member shows.
 struct MqoBatchScan {
   MqoBatchPlan plan;
   // The union table, grouped by plan.scan_cols with one column per
@@ -72,9 +69,9 @@ struct MqoBatchScan {
   // The batch and solo candidates as the leader priced them; empty when
   // nothing was priced.
   std::vector<obs::QueryTrace::PredictedCost> costs;
-  // The "mqo-batch" node each traced member copies into its trace: what
-  // the batch shared, timed by the scan it ran once, with the traced scan
-  // (its morsels and workers=) as children.
+  // What each traced member's `mqo-batch` step copies into its own node:
+  // what the batch shared, timed by the scan it ran once, with the traced
+  // scan (its morsels and workers=) as children.
   obs::TraceNode node{"mqo-batch", "", {}, {}};
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
@@ -129,44 +130,38 @@ Result<Column> Filled(DataType type, const Value& value, size_t rows) {
   return out;
 }
 
-// The trace nodes AssembleFromPartials opens, one builder per kind, shared
-// with AssemblySteps so plain EXPLAIN lists what the executor runs.
-PlanStep RollupStep(const std::vector<std::string>& cols,
-                    const std::vector<std::string>& from) {
-  return {"lattice",
-          "lattice-rollup: level " + LevelName(cols) + " from " +
-              LevelName(from)};
+// The details of the steps after the source, as plain EXPLAIN lists them.
+std::string RollupDetail(const std::vector<std::string>& cols,
+                         const std::vector<std::string>& from) {
+  return "lattice-rollup: level " + LevelName(cols) + " from " +
+         LevelName(from);
 }
 
-PlanStep PivotStep(const PartialPlan& plan, size_t level) {
+std::string PivotDetail(const PartialPlan& plan, size_t level) {
   const AnalyzedTerm& h = *plan.by_term;
   const size_t read = plan.reads[&h - plan.query->terms.data()].main;
   const bool pct = h.func == TermFunc::kHpct;
   const std::vector<std::string>& cols = plan.levels[level];
-  return {"lattice",
-          "lattice-pivot: level " +
-              LevelName({cols.begin(), cols.end() - h.by_columns.size()}) +
-              " " + AggFuncName(pct ? AggFunc::kSum : plan.combine[read].func) +
-              "(" + plan.partials[read].output_name + ") BY " +
-              Join(h.by_columns, ", ") +
-              (pct ? " percent-of-group-total" : "")};
+  return "lattice-pivot: level " +
+         LevelName({cols.begin(), cols.end() - h.by_columns.size()}) + " " +
+         AggFuncName(pct ? AggFunc::kSum : plan.combine[read].func) + "(" +
+         plan.partials[read].output_name + ") BY " +
+         Join(h.by_columns, ", ") + (pct ? " percent-of-group-total" : "");
 }
 
-PlanStep AssembleStep(const PartialPlan& plan) {
-  return {"lattice",
-          StrFormat("lattice-assemble: %zu level(s), %s + GROUPING ids",
-                    plan.emitted_levels,
-                    plan.by_term != nullptr ? "pivot columns"
-                                            : "SELECT-order blocks")};
+std::string AssembleDetail(const PartialPlan& plan) {
+  return StrFormat("lattice-assemble: %zu level(s), %s + GROUPING ids",
+                   plan.emitted_levels,
+                   plan.by_term != nullptr ? "pivot columns"
+                                           : "SELECT-order blocks");
 }
 
-// Opens the step `make` builds as a top-level node of `trace`; untraced,
-// nothing is built and the node is null.
-template <typename Make>
-obs::TraceNode* OpenStep(obs::QueryTrace* trace, Make make) {
-  if (trace == nullptr) return nullptr;
-  PlanStep step = make();
-  return trace->root().AddChild(std::move(step.label), std::move(step.detail));
+// The output names of the partials, which every computed level carries.
+std::vector<std::string> PartialNames(const PartialPlan& plan) {
+  std::vector<std::string> names;
+  names.reserve(plan.partials.size());
+  for (const AggSpec& p : plan.partials) names.push_back(p.output_name);
+  return names;
 }
 
 // The levels in execution order: the finest first, then by descending
@@ -201,11 +196,8 @@ size_t RollupSource(const PartialPlan& plan, const std::vector<size_t>& order,
 // totals), concatenated in statement order.
 Result<Table> AssembleVertical(
     const PartialPlan& plan,
-    const std::vector<std::shared_ptr<const Table>>& tables, size_t dop,
-    obs::QueryTrace* trace) {
+    const std::vector<std::shared_ptr<const Table>>& tables, size_t dop) {
   const AnalyzedQuery& query = *plan.query;
-  obs::ScopedTraceNode scope(
-      OpenStep(trace, [&plan] { return AssembleStep(plan); }));
   obs::OpScope op("assemble");
   Table out;
   for (size_t li = 0; li < plan.emitted_levels; ++li) {
@@ -297,19 +289,28 @@ Result<Table> AssembleVertical(
   return out;
 }
 
-// Horizontal assembly: each level pivots its partial table at its own
-// grouping columns; blocks land in one result whose schema is the union
-// grouping columns (NULL where rolled away) + GROUPING() ids + the union of
-// all pivot columns + the extra aggregates.
-Result<Table> AssembleHorizontal(
-    const PartialPlan& plan,
-    const std::vector<std::shared_ptr<const Table>>& tables, size_t dop,
-    obs::QueryTrace* trace) {
+// An extra vertical aggregate of a horizontal query: rolled up per level
+// from the same partial table as the pivot.
+bool IsExtra(const AnalyzedTerm& t) {
+  return t.func != TermFunc::kScalar && t.func != TermFunc::kGrouping &&
+         !t.has_by;
+}
+
+// One level of a horizontal query: its partial table pivoted at the level's
+// own grouping columns, and its extras.
+struct LevelBlock {
+  std::vector<std::string> set;  // the level's grouping columns
+  Table pivot;
+  std::vector<std::string> pivot_names;
+  Table extras;
+};
+
+Result<LevelBlock> PivotLevel(const PartialPlan& plan, const Table& t,
+                              size_t li, size_t dop) {
   const AnalyzedQuery& query = *plan.query;
   const AnalyzedTerm& hterm = *plan.by_term;
   const bool is_pct = hterm.func == TermFunc::kHpct;
   const size_t hmain = plan.reads[&hterm - query.terms.data()].main;
-  const std::string& hcol = plan.partials[hmain].output_name;
   PivotOptions popt;
   // For Hpct the group total is the sum of the partial sums, so
   // percent-of-group-total over partials equals the direct computation.
@@ -317,54 +318,38 @@ Result<Table> AssembleHorizontal(
   popt.default_zero = hterm.has_default;
   popt.percent_of_group_total = is_pct;
 
-  // The extra vertical aggregates, rolled up per level from the same partial
-  // table as the pivot.
-  std::vector<size_t> extras;
-  for (size_t ti = 0; ti < query.terms.size(); ++ti) {
-    const AnalyzedTerm& t = query.terms[ti];
-    if (t.func != TermFunc::kScalar && t.func != TermFunc::kGrouping &&
-        !t.has_by) {
-      extras.push_back(ti);
+  LevelBlock b;
+  b.set.assign(plan.levels[li].begin(),
+               plan.levels[li].end() - hterm.by_columns.size());
+  PCTAGG_ASSIGN_OR_RETURN(
+      b.pivot,
+      HashDispatchPivot(t, b.set, hterm.by_columns,
+                        Col(plan.partials[hmain].output_name), popt, dop));
+  for (size_t c = b.set.size(); c < b.pivot.num_columns(); ++c) {
+    b.pivot_names.push_back(b.pivot.schema().column(c).name);
+  }
+  if (std::any_of(query.terms.begin(), query.terms.end(), IsExtra)) {
+    // Both the pivot and this re-aggregation emit groups in first-seen
+    // order over the same partial table, so the rows align positionally.
+    // A global pivot over no rows has no columns at all, so it cannot hold
+    // the one row the global extras have; the extras decide the rows then.
+    PCTAGG_ASSIGN_OR_RETURN(
+        b.extras, RollUp(plan.partials, t, b.set, PartialNames(plan), dop));
+    if (b.pivot.num_columns() != 0 &&
+        b.extras.num_rows() != b.pivot.num_rows()) {
+      return Status::Internal("extras misaligned with pivot block");
     }
   }
-  std::vector<std::string> names;
-  for (const AggSpec& p : plan.partials) names.push_back(p.output_name);
+  return b;
+}
 
-  struct LevelBlock {
-    std::vector<std::string> set;  // the level's grouping columns
-    Table pivot;
-    std::vector<std::string> pivot_names;
-    Table extras;
-  };
-  std::vector<LevelBlock> blocks(plan.emitted_levels);
-  for (size_t li = 0; li < plan.emitted_levels; ++li) {
-    const Table& t = *tables[li];
-    LevelBlock& b = blocks[li];
-    b.set.assign(plan.levels[li].begin(),
-                 plan.levels[li].end() - hterm.by_columns.size());
-    {
-      obs::ScopedTraceNode scope(
-          OpenStep(trace, [&plan, li] { return PivotStep(plan, li); }));
-      PCTAGG_ASSIGN_OR_RETURN(
-          b.pivot, HashDispatchPivot(t, b.set, hterm.by_columns, Col(hcol),
-                                     popt, dop));
-    }
-    for (size_t c = b.set.size(); c < b.pivot.num_columns(); ++c) {
-      b.pivot_names.push_back(b.pivot.schema().column(c).name);
-    }
-    if (!extras.empty()) {
-      // Both the pivot and this re-aggregation emit groups in first-seen
-      // order over the same partial table, so the rows align positionally.
-      // A global pivot over no rows has no columns at all, so it cannot hold
-      // the one row the global extras have; the extras decide the rows then.
-      PCTAGG_ASSIGN_OR_RETURN(b.extras,
-                              RollUp(plan.partials, t, b.set, names, dop));
-      if (b.pivot.num_columns() != 0 &&
-          b.extras.num_rows() != b.pivot.num_rows()) {
-        return Status::Internal("extras misaligned with pivot block");
-      }
-    }
-  }
+// Horizontal assembly: the pivoted levels land in one result whose schema
+// is the union grouping columns (NULL where rolled away) + GROUPING() ids +
+// the union of all pivot columns + the extra aggregates.
+Result<Table> AssembleHorizontal(const PartialPlan& plan,
+                                 const std::vector<LevelBlock>& blocks) {
+  const AnalyzedQuery& query = *plan.query;
+  const bool default_zero = plan.by_term->has_default;
 
   // Union of the per-level pivot columns, in first-appearance order across
   // blocks. Every level sees the same BY combinations of the (filtered) fact
@@ -380,8 +365,6 @@ Result<Table> AssembleHorizontal(
     }
   }
 
-  obs::ScopedTraceNode scope(
-      OpenStep(trace, [&plan] { return AssembleStep(plan); }));
   obs::OpScope op("assemble");
 
   // One block per level, built column-wise in the result's schema: the
@@ -427,7 +410,7 @@ Result<Table> AssembleHorizontal(
         col = b.pivot.column(b.set.size() +
                              static_cast<size_t>(at - b.pivot_names.begin()));
       } else {
-        const Value fill = !popt.default_zero ? Value::Null()
+        const Value fill = !default_zero ? Value::Null()
                            : master_types[mi] == DataType::kInt64
                                ? Value::Int64(0)
                                : Value::Float64(0.0);
@@ -436,7 +419,8 @@ Result<Table> AssembleHorizontal(
       PCTAGG_RETURN_IF_ERROR(
           block.AddColumn({master[mi], master_types[mi]}, std::move(col)));
     }
-    for (size_t ti : extras) {
+    for (size_t ti = 0; ti < query.terms.size(); ++ti) {
+      if (!IsExtra(query.terms[ti])) continue;
       const PartialPlan::TermRead& read = plan.reads[ti];
       PCTAGG_ASSIGN_OR_RETURN(
           size_t c, ColIndex(b.extras, plan.partials[read.main].output_name));
@@ -465,23 +449,6 @@ Result<Table> AssembleHorizontal(
 
 }  // namespace
 
-PlanStep FusedScanStep(const std::string& partial_sql) {
-  return {"fused", "fused-scan: " + partial_sql};
-}
-
-PlanStep ScatterStep(size_t dop, const std::string& partial_sql,
-                     size_t shards) {
-  return {"scatter", StrFormat("PARTIAL %zu %s -> %zu shards", dop,
-                               partial_sql.c_str(), shards)};
-}
-
-PlanStep GatherStep(size_t shards, size_t group_cols, size_t partials) {
-  return {"gather-merge",
-          StrFormat("merged %zu shard partials (%zu group cols, %zu "
-                    "aggregates)",
-                    shards, group_cols, partials)};
-}
-
 Status DistributedError(const std::string& table, const std::string& why) {
   return Status::InvalidArgument("distributed: " + why + " (table '" + table +
                                  "' is sharded)");
@@ -497,25 +464,6 @@ std::vector<double> EstimateLevelRows(const PartialPlan& plan,
     rows.push_back(card.ok() ? card.value() : stats.rows());
   }
   return rows;
-}
-
-std::vector<PlanStep> AssemblySteps(const PartialPlan& plan,
-                                    const PlannerStats& stats) {
-  const std::vector<double> rows = EstimateLevelRows(plan, stats);
-  std::vector<PlanStep> steps;
-  const std::vector<size_t> order = LevelOrder(plan);
-  for (size_t oi = 1; oi < order.size(); ++oi) {
-    steps.push_back(RollupStep(plan.levels[order[oi]],
-                               plan.levels[RollupSource(plan, order, oi,
-                                                        rows)]));
-  }
-  if (plan.by_term != nullptr) {
-    for (size_t li = 0; li < plan.emitted_levels; ++li) {
-      steps.push_back(PivotStep(plan, li));
-    }
-  }
-  steps.push_back(AssembleStep(plan));
-  return steps;
 }
 
 bool PartialPlanSupported(const AnalyzedQuery& query, std::string* why) {
@@ -568,6 +516,10 @@ bool PartialPlanSupported(const AnalyzedQuery& query, std::string* why) {
   return true;
 }
 
+namespace {
+
+// The partial-aggregation SELECT a scan of `from` computes: group columns,
+// then the aggregates, with the WHERE and GROUP BY clauses.
 std::string RenderPartialSelect(const std::vector<std::string>& cols,
                                 const std::vector<AggSpec>& aggs,
                                 const std::string& from,
@@ -580,6 +532,8 @@ std::string RenderPartialSelect(const std::vector<std::string>& cols,
   return sql;
 }
 
+// The re-aggregation that merges each partial column under its own name:
+// min stays min, max stays max, sums and counts re-sum.
 std::vector<AggSpec> CombineSpecs(const std::vector<AggSpec>& partials) {
   std::vector<AggSpec> out;
   out.reserve(partials.size());
@@ -591,6 +545,8 @@ std::vector<AggSpec> CombineSpecs(const std::vector<AggSpec>& partials) {
   }
   return out;
 }
+
+}  // namespace
 
 Result<PartialPlan> BuildPartialPlan(const AnalyzedQuery& query) {
   std::string why;
@@ -682,50 +638,114 @@ Result<Table> RollUp(const std::vector<AggSpec>& partials, const Table& source,
   return out;
 }
 
-Result<std::shared_ptr<const Table>> FinestPartials(
-    const std::string& table, const ExprPtr& where,
-    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
-    const Table& fact, SummaryCache* summaries, obs::QueryTrace* trace,
-    size_t dop, ShardFetch* shards, const MqoBatchScan* batch) {
-  // A batch's union table serves a read of its table under its WHERE, ahead
-  // of the cache, which such a read leaves alone.
-  const bool batched = batch != nullptr && batch->partials != nullptr &&
-                       EqualsIgnoreCase(batch->plan.table, table) &&
-                       SameWhere(batch->plan.where, where);
-  const bool cacheable = !batched && summaries != nullptr && where == nullptr;
+namespace {
+
+// What the partial path's steps share while one plan runs: the read the
+// lowering set up, and what the steps computed so far.
+struct PartialRun {
+  PartialRun(PartialPlan p, std::string t, ExprPtr w, size_t d, ShardFetch* s)
+      : plan(std::move(p)), table(std::move(t)), where(std::move(w)), dop(d),
+        shards(s), cacheable(where == nullptr), order(LevelOrder(plan)),
+        tables(plan.levels.size()), rows(plan.levels.size()),
+        blocks(plan.by_term != nullptr ? plan.emitted_levels : 0) {}
+
+  PartialPlan plan;  // its finest level read from `table` under `where`
+  std::string table;
+  ExprPtr where;
+  size_t dop;
+  ShardFetch* shards;
+  const MqoBatchScan* batch = nullptr;
+  std::vector<std::string> batch_inputs;  // the union columns read
+  bool cacheable;  // unfiltered, and no batch serves it
+  std::vector<size_t> order;  // LevelOrder(plan)
+
+  // Filled by the steps: every level (the finest is order[0]), the pivots,
+  // the shards' replies and the cache fill a failed step leaves to the
+  // run's destruction.
+  std::vector<std::shared_ptr<const Table>> tables;
+  std::vector<double> rows;
+  std::vector<LevelBlock> blocks;
+  std::vector<Table> replies;
   std::string key;
   uint64_t generation = 0;
-  std::shared_ptr<const Table> cached;
-  bool own_fill = false;
-  if (cacheable) {
-    key = SummaryCache::KeyFor(table, cols, RenderAggs(partials));
-    // Single-flight: identical concurrent misses block here while one of
-    // them computes; the owner reads the generation only after claiming the
-    // fill, so the stale-insert check still covers its whole scan window.
-    // Nothing below waits on another fill while this one is owned.
-    own_fill = summaries->LookupOrBeginFill(key, &cached);
-    if (own_fill) generation = summaries->GenerationFor(table);
-  }
-  SummaryCache::ScopedFill fill(own_fill ? summaries : nullptr, key);
-  const SummaryRecipe recipe{cols, partials};
+  std::optional<SummaryCache::ScopedFill> fill;
+};
 
-  // The ancestors to roll down from: the batch's union table (an ancestor
-  // that lives for one batch) or, on a cache miss, every cached mergeable
-  // summary, whatever planner wrote it. The smallest that groups at a finer
-  // or equal level and carries every partial serves.
-  std::vector<SummaryCache::AncestorCandidate> candidates;
-  if (batched) {
-    candidates.push_back({"", batch->partials,
-                          {batch->plan.scan_cols, batch->plan.scan_partials}});
-  } else if (own_fill) {
-    candidates = summaries->MergeableEntriesFor(table);
+void Rename(obs::QueryTrace* trace, const char* strategy,
+            const char* source) {
+  if (trace == nullptr) return;
+  trace->strategy = strategy;
+  trace->strategy_source = source;
+}
+
+// Level `cols` from the summary cache of a cacheable read, or null with the
+// entry's fill claimed (single-flight: identical misses wait for one
+// computation). SetComputed releases it before any later lookup.
+std::shared_ptr<const Table> Lookup(PartialRun* run, ExecContext* ctx,
+                                    const std::vector<std::string>& cols) {
+  if (!run->cacheable || ctx->summaries == nullptr) return nullptr;
+  run->key =
+      SummaryCache::KeyFor(run->table, cols, RenderAggs(run->plan.partials));
+  std::shared_ptr<const Table> cached;
+  if (ctx->summaries->LookupOrBeginFill(run->key, &cached)) {
+    run->generation = ctx->summaries->GenerationFor(run->table);
+    run->fill.emplace(ctx->summaries, run->key);
   }
+  return cached;
+}
+
+// Level `li`, from the cache or computed; the finest is the source's answer.
+void SetLevel(PartialRun* run, ExecContext* ctx, size_t li,
+              std::shared_ptr<const Table> t) {
+  run->rows[li] = static_cast<double>(t->num_rows());
+  run->tables[li] = std::move(t);
+  if (li == run->order[0] && ctx->trace != nullptr) {
+    ctx->trace->actual_group_rows = run->rows[li];
+  }
+}
+
+// Level `li`, grouped by `cols`, computed by a step, fills the entry Lookup
+// claimed under its own mergeable recipe, so APPEND maintains it.
+Status SetComputed(PartialRun* run, ExecContext* ctx, size_t li,
+                   const std::vector<std::string>& cols,
+                   Result<Table> computed) {
+  if (!computed.ok()) return computed.status();
+  if (run->fill) {
+    const SummaryRecipe recipe{cols, run->plan.partials};
+    ctx->summaries->Insert(run->key, *computed, run->generation, &recipe);
+    run->fill.reset();
+  }
+  SetLevel(run, ctx, li, std::make_shared<const Table>(std::move(*computed)));
+  return Status::OK();
+}
+Status SetFinest(PartialRun* run, ExecContext* ctx, Result<Table> computed) {
+  return SetComputed(run, ctx, run->order[0], run->plan.finest_cols,
+                     std::move(computed));
+}
+
+// The first step of a fused-scan or sharded source: true when the exact
+// entry or the smallest cached ancestor, rolled down, answered.
+Result<bool> FromCache(PartialRun* run, ExecContext* ctx) {
+  const PartialPlan& plan = run->plan;
+  if (std::shared_ptr<const Table> cached =
+          Lookup(run, ctx, plan.finest_cols)) {
+    obs::MarkCacheHit();
+    Rename(ctx->trace, "partial from cache entry", "cache");
+    SetLevel(run, ctx, run->order[0], std::move(cached));
+    return true;
+  }
+  if (!run->fill) return false;  // no cache to consult
+
+  // Every cached mergeable summary, whatever planner wrote it: the smallest
+  // that groups at a finer or equal level and carries every partial serves.
+  const std::vector<SummaryCache::AncestorCandidate> candidates =
+      ctx->summaries->MergeableEntriesFor(run->table);
   const SummaryCache::AncestorCandidate* best = nullptr;
   std::vector<std::string> best_inputs;
   std::vector<std::string> inputs;
   for (const SummaryCache::AncestorCandidate& cand : candidates) {
-    if (!Subsumes(cand.recipe.group_by, cols) ||
-        !MatchPartials(partials, cand.recipe.aggs, &inputs)) {
+    if (!Subsumes(cand.recipe.group_by, plan.finest_cols) ||
+        !MatchPartials(plan.partials, cand.recipe.aggs, &inputs)) {
       continue;
     }
     if (best == nullptr ||
@@ -734,111 +754,183 @@ Result<std::shared_ptr<const Table>> FinestPartials(
       best_inputs = inputs;
     }
   }
-  if (best != nullptr) {
-    if (batched && trace != nullptr) trace->root().AddCopy(batch->node);
-    obs::ScopedTraceNode scope(OpenStep(trace, [&] {
-      const std::string level = LevelName(cols);
-      const std::string from = LevelName(best->recipe.group_by);
-      return batched ? PlanStep{"mqo", "mqo-batch-rollup: level " + level +
-                                           " from batch " + from}
-                     : PlanStep{"cache", "cache-ancestor-rollup: level " +
-                                             level + " from cached " + from};
-    }));
-    if (trace != nullptr) {
-      trace->strategy =
-          batched ? "partial from mqo batch" : "partial from cached ancestor";
-      trace->strategy_source = batched ? "mqo-gate" : "cache";
-    }
-    if (!batched) {
-      obs::MarkCacheHit();
-      // Count the hit and refresh the LRU position of the entry used.
-      summaries->Lookup(best->key);
-    }
-    PCTAGG_ASSIGN_OR_RETURN(
-        Table t, RollUp(partials, *best->summary, cols, best_inputs, dop));
-    if (own_fill) summaries->Insert(key, t, generation, &recipe);
-    return std::make_shared<const Table>(std::move(t));
+  if (best == nullptr) return false;
+  if (ctx->node != nullptr) {
+    ctx->node->label = "cache";
+    ctx->node->detail = "cache-ancestor-rollup: level " +
+                        LevelName(plan.finest_cols) + " from cached " +
+                        LevelName(best->recipe.group_by);
   }
-
-  auto sql = [&] { return RenderPartialSelect(cols, partials, table, where); };
-  if (cached != nullptr) {
-    // An exact hit shows the source step it saved, marked as a hit.
-    obs::ScopedTraceNode scope(OpenStep(trace, [&] {
-      return shards != nullptr ? ScatterStep(dop, sql(), shards->num_shards())
-                               : FusedScanStep(sql());
-    }));
-    obs::MarkCacheHit();
-    if (trace != nullptr) {
-      trace->strategy = "partial from cache entry";
-      trace->strategy_source = "cache";
-    }
-    return cached;
-  }
-  Result<Table> t = Table();
-  if (shards != nullptr) {
-    t = shards->Fetch(sql(), cols, partials, dop, trace);
-  } else {
-    obs::ScopedTraceNode scope(
-        OpenStep(trace, [&] { return FusedScanStep(sql()); }));
-    t = HashAggregate(fact, cols, partials, dop, where);
-  }
-  if (!t.ok()) return t.status();
-  if (own_fill) summaries->Insert(key, *t, generation, &recipe);
-  return std::make_shared<const Table>(std::move(*t));
+  obs::MarkCacheHit();
+  Rename(ctx->trace, "partial from cached ancestor", "cache");
+  // Count the hit and refresh the LRU position of the entry used.
+  ctx->summaries->Lookup(best->key);
+  PCTAGG_RETURN_IF_ERROR(SetFinest(
+      run, ctx,
+      RollUp(plan.partials, *best->summary, plan.finest_cols, best_inputs,
+             run->dop)));
+  return true;
 }
 
-Result<Table> AssembleFromPartials(const PartialPlan& plan,
-                                   std::shared_ptr<const Table> finest,
-                                   SummaryCache* summaries,
-                                   obs::QueryTrace* trace, size_t dop) {
-  const AnalyzedQuery& query = *plan.query;
-  const bool cacheable = summaries != nullptr && query.where == nullptr;
-  const std::string rendered = cacheable ? RenderAggs(plan.partials) : "";
-  std::vector<std::string> names;
-  for (const AggSpec& p : plan.partials) names.push_back(p.output_name);
-
-  // Finest first: every coarser level re-aggregates the smallest
-  // already-computed level whose grouping subsumes its own.
-  const std::vector<size_t> order = LevelOrder(plan);
-  std::vector<std::shared_ptr<const Table>> tables(plan.levels.size());
-  std::vector<double> rows(plan.levels.size());
-  rows[order[0]] = static_cast<double>(finest->num_rows());
-  tables[order[0]] = std::move(finest);
-  for (size_t oi = 1; oi < order.size(); ++oi) {
-    const size_t li = order[oi];
-    const std::vector<std::string>& cols = plan.levels[li];
-    const size_t src = RollupSource(plan, order, oi, rows);
-
-    std::string key;
-    uint64_t generation = 0;
-    std::shared_ptr<const Table> cached;
-    bool own_fill = false;
-    if (cacheable) {
-      key = SummaryCache::KeyFor(query.table_name, cols, rendered);
-      // Single-flight per level; safe against cross-query deadlock because
-      // each level's fill is released (ScopedFill) before the next lookup.
-      own_fill = summaries->LookupOrBeginFill(key, &cached);
-      if (own_fill) generation = summaries->GenerationFor(query.table_name);
-    }
-    SummaryCache::ScopedFill fill(own_fill ? summaries : nullptr, key);
-    obs::ScopedTraceNode scope(OpenStep(
-        trace, [&] { return RollupStep(cols, plan.levels[src]); }));
-    if (cached != nullptr) {
-      obs::MarkCacheHit();
-      tables[li] = std::move(cached);
-    } else {
-      PCTAGG_ASSIGN_OR_RETURN(
-          Table t, RollUp(plan.partials, *tables[src], cols, names, dop));
-      if (own_fill) {
-        SummaryRecipe recipe{cols, plan.partials};
-        summaries->Insert(key, t, generation, &recipe);
-      }
-      tables[li] = std::make_shared<const Table>(std::move(t));
-    }
-    rows[li] = static_cast<double>(tables[li]->num_rows());
+// Level order[oi], from the cache or rolled up from the computed level with
+// the fewest actual rows, which its node names.
+Status RollupLevel(PartialRun* run, size_t oi, ExecContext* ctx) {
+  const PartialPlan& plan = run->plan;
+  const size_t li = run->order[oi];
+  const std::vector<std::string>& cols = plan.levels[li];
+  const size_t src = RollupSource(plan, run->order, oi, run->rows);
+  if (ctx->node != nullptr) {
+    ctx->node->detail = RollupDetail(cols, plan.levels[src]);
   }
-  return plan.by_term != nullptr ? AssembleHorizontal(plan, tables, dop, trace)
-                                 : AssembleVertical(plan, tables, dop, trace);
+  if (std::shared_ptr<const Table> cached = Lookup(run, ctx, cols)) {
+    obs::MarkCacheHit();
+    SetLevel(run, ctx, li, std::move(cached));
+    return Status::OK();
+  }
+  return SetComputed(run, ctx, li, cols,
+                     RollUp(plan.partials, *run->tables[src], cols,
+                            PartialNames(plan), run->dop));
+}
+
+// The source steps of `run`: the batch's node and the rollup from its union
+// table, the scatter and the merge of the replies, or one fused scan.
+void AddSourceSteps(const std::shared_ptr<PartialRun>& run, Plan* steps) {
+  const PartialPlan* p = &run->plan;  // lives as long as `run`
+  if (run->batch != nullptr) {
+    // The batch's node as the leader traced it: what the batch shared,
+    // timed by the scan it ran once, with that scan's subtree.
+    steps->AddStep("mqo-batch", run->batch->node.detail,
+                   [run](ExecContext* ctx) {
+                     if (ctx->node != nullptr) {
+                       ctx->node->stats = run->batch->node.stats;
+                       for (const auto& child : run->batch->node.children) {
+                         ctx->node->AddCopy(*child);
+                       }
+                     }
+                     Rename(ctx->trace, "partial from mqo batch", "mqo-gate");
+                     return Status::OK();
+                   });
+    steps->AddStep("mqo",
+                   "mqo-batch-rollup: level " + LevelName(p->finest_cols) +
+                       " from batch " + LevelName(run->batch->plan.scan_cols),
+                   [run, p](ExecContext* ctx) {
+                     return SetFinest(
+                         run.get(), ctx,
+                         RollUp(p->partials, *run->batch->partials,
+                                p->finest_cols, run->batch_inputs, run->dop));
+                   });
+  } else if (run->shards != nullptr) {
+    const size_t shards = run->shards->num_shards();
+    steps->AddStep(
+        "scatter",
+        StrFormat("PARTIAL %zu %s -> %zu shards", run->dop,
+                  p->partial_sql.c_str(), shards),
+        [run, p](ExecContext* ctx) -> Status {
+          PCTAGG_ASSIGN_OR_RETURN(bool cached, FromCache(run.get(), ctx));
+          if (cached) return Status::OK();
+          PCTAGG_ASSIGN_OR_RETURN(
+              run->replies,
+              run->shards->Scatter(p->partial_sql, run->dop, ctx->node));
+          return Status::OK();
+        });
+    steps->AddStep(
+        "gather-merge",
+        StrFormat("merged %zu shard partials (%zu group cols, %zu aggregates)",
+                  shards, p->finest_cols.size(), p->partials.size()),
+        [run, p](ExecContext* ctx) {
+          if (run->replies.empty()) return Status::OK();  // the cache answered
+          return SetFinest(run.get(), ctx,
+                           run->shards->Gather(std::move(run->replies),
+                                               p->finest_cols, p->partials,
+                                               run->dop));
+        });
+  } else {
+    steps->AddStep(
+        "fused", "fused-scan: " + p->partial_sql,
+        [run, p](ExecContext* ctx) -> Status {
+          PCTAGG_ASSIGN_OR_RETURN(bool cached, FromCache(run.get(), ctx));
+          if (cached) return Status::OK();
+          PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
+                                  ctx->catalog->GetTable(run->table));
+          return SetFinest(run.get(), ctx,
+                           HashAggregate(*fact, p->finest_cols, p->partials,
+                                         run->dop, run->where));
+        });
+  }
+}
+
+}  // namespace
+
+void LowerPartialPlan(PartialPlan plan, const PartialSource& source,
+                      const PlannerStats& stats, size_t dop, Plan* steps) {
+  const std::vector<double> estimated = EstimateLevelRows(plan, stats);
+  const AnalyzedQuery* query = plan.query;
+  auto run = std::make_shared<PartialRun>(
+      std::move(plan), query->table_name, query->where, dop, source.shards);
+  const PartialPlan& p = run->plan;
+  const MqoBatchScan* batch = source.batch;
+  if (batch != nullptr && batch->partials != nullptr &&
+      EqualsIgnoreCase(batch->plan.table, run->table) &&
+      SameWhere(batch->plan.where, run->where) &&
+      Subsumes(batch->plan.scan_cols, p.finest_cols) &&
+      MatchPartials(p.partials, batch->plan.scan_partials,
+                    &run->batch_inputs)) {
+    run->batch = batch;
+    run->cacheable = false;
+  }
+  if (source.finest != nullptr) {
+    run->tables[run->order[0]] = source.finest;
+    run->rows[run->order[0]] = static_cast<double>(source.finest->num_rows());
+  } else {
+    AddSourceSteps(run, steps);
+  }
+  for (size_t oi = 1; oi < run->order.size(); ++oi) {
+    const size_t from = RollupSource(p, run->order, oi, estimated);
+    steps->AddStep(
+        "lattice", RollupDetail(p.levels[run->order[oi]], p.levels[from]),
+        [run, oi](ExecContext* ctx) {
+          return RollupLevel(run.get(), oi, ctx);
+        });
+  }
+  for (size_t li = 0; li < run->blocks.size(); ++li) {
+    steps->AddStep("lattice", PivotDetail(p, li),
+                   [run, li](ExecContext*) -> Status {
+                     PCTAGG_ASSIGN_OR_RETURN(
+                         run->blocks[li],
+                         PivotLevel(run->plan, *run->tables[li], li, run->dop));
+                     return Status::OK();
+                   });
+  }
+  steps->AddStep(
+      "lattice", AssembleDetail(p), [run](ExecContext* ctx) -> Status {
+        PCTAGG_ASSIGN_OR_RETURN(
+            ctx->result,
+            run->plan.by_term != nullptr
+                ? AssembleHorizontal(run->plan, run->blocks)
+                : AssembleVertical(run->plan, run->tables, run->dop));
+        // Free the levels before the caller's tail.
+        run->tables.assign(run->tables.size(), nullptr);
+        run->blocks.assign(run->blocks.size(), LevelBlock());
+        return Status::OK();
+      });
+}
+
+Result<std::shared_ptr<const Table>> FinestPartials(
+    const std::string& table, const ExprPtr& where,
+    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
+    Catalog* catalog, SummaryCache* summaries, obs::QueryTrace* trace,
+    size_t dop, ShardFetch* shards) {
+  PartialPlan read;
+  read.finest_cols = cols;
+  read.partials = partials;
+  read.levels = {cols};
+  read.partial_sql = RenderPartialSelect(cols, partials, table, where);
+  auto run = std::make_shared<PartialRun>(std::move(read), table, where, dop,
+                                          shards);
+  Plan steps;
+  AddSourceSteps(run, &steps);
+  PCTAGG_RETURN_IF_ERROR(steps.Execute(catalog, summaries, trace).status());
+  return run->tables[0];
 }
 
 }  // namespace pctagg

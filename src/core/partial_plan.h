@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/plan.h"
 #include "core/summary_cache.h"
 #include "core/table_stats.h"
 #include "engine/aggregate.h"
@@ -25,7 +26,8 @@ namespace pctagg {
 // rolled up to each emitted level and assembled into the answer (Vpct
 // divide, Hpct pivot, GROUPING() ids).
 //
-// Only the source of the finest-level table differs between callers:
+// LowerPartialPlan turns it into plan steps (core/plan.h). Only the steps
+// that fetch the finest-level table differ between queries:
 //   1. the exact summary-cache entry,
 //   2. a cached ancestor (a mergeable entry at a finer or equal level that
 //      carries every partial),
@@ -33,9 +35,9 @@ namespace pctagg {
 //   4. an MQO batch's union table (core/mqo_plan.h): an ancestor that lives
 //      for one batch, rolled down under source 2's rule,
 //   5. the merged per-shard partials of a sharded table (ShardFetch below).
-// FinestPartials picks all five, so the cache fronts the shards as it fronts
-// a local scan; an MQO batch's leader reads once at the union level and each
-// member's own read finds that union table first.
+// The planner lowers source 3, 4 or 5, and the first step of 3 or 5 answers
+// from 1 or 2 when the cache holds them. An MQO batch's leader reads its
+// union level through the same steps (FinestPartials).
 //
 // Rollups keep first-seen group order and INT64 partials combine exactly, so
 // every source gives bit-identical answers on integer measures; float sums
@@ -49,17 +51,6 @@ namespace pctagg {
 bool PartialPlanSupported(const AnalyzedQuery& query,
                           std::string* why = nullptr);
 
-// The partial-aggregation SELECT a scan of `from` computes: group columns,
-// then the aggregates, with the WHERE and GROUP BY clauses. Shard workers run
-// it through their PARTIAL verb; EXPLAIN ANALYZE shows it per fused scan.
-std::string RenderPartialSelect(const std::vector<std::string>& cols,
-                                const std::vector<AggSpec>& aggs,
-                                const std::string& from, const ExprPtr& where);
-
-// The re-aggregation that merges each partial column under its own name:
-// min stays min, max stays max, sums and counts re-sum.
-std::vector<AggSpec> CombineSpecs(const std::vector<AggSpec>& partials);
-
 // One query lowered to finest-level partials plus its rollup and assembly.
 struct PartialPlan {
   const AnalyzedQuery* query = nullptr;  // must outlive the plan
@@ -67,7 +58,7 @@ struct PartialPlan {
   std::vector<std::string> finest_cols;
   // Deduplicated by (function, argument) and named __l1, __l2, ...
   std::vector<AggSpec> partials;
-  std::vector<AggSpec> combine;  // CombineSpecs(partials)
+  std::vector<AggSpec> combine;  // min/max stay, sums and counts re-sum
   // The aggregation columns of every level the assembly reads (grouping-set
   // columns + the BY columns of a horizontal query): the emitted levels in
   // statement order, then the finest level when the statement did not ask
@@ -84,7 +75,7 @@ struct PartialPlan {
   std::vector<TermRead> reads;
   // A horizontal query's single BY term; null for vertical and Vpct.
   const AnalyzedTerm* by_term = nullptr;
-  // RenderPartialSelect of the finest level over the query's table.
+  // The finest level's SELECT over the query's table, as scans run it.
   std::string partial_sql;
 };
 
@@ -92,38 +83,27 @@ struct PartialPlan {
 // no.
 Result<PartialPlan> BuildPartialPlan(const AnalyzedQuery& query);
 
-// One top-level step of the partial path, labelled and described as the
-// trace node the executor opens for it: what plain EXPLAIN lists.
-struct PlanStep {
-  std::string label;
-  std::string detail;
-};
-
-// The source steps, as the trace nodes that fetch the partials are opened
-// and plain EXPLAIN lists them. A local table: one fused scan computing
-// `partial_sql`. A sharded table: the fan-out of `partial_sql` at `dop` to
-// `shards` workers, then the merge of their replies.
-PlanStep FusedScanStep(const std::string& partial_sql);
-PlanStep ScatterStep(size_t dop, const std::string& partial_sql,
-                     size_t shards);
-PlanStep GatherStep(size_t shards, size_t group_cols, size_t partials);
-
 // The workers a sharded table's rows live on (docs/SHARDING.md);
-// dist::Coordinator implements it over the network. Thread-safe.
+// dist::Coordinator implements it over the network. Thread-safe. Its two
+// calls are the partial path's `scatter` and `gather-merge` steps.
 class ShardFetch {
  public:
   virtual ~ShardFetch() = default;
 
   virtual size_t num_shards() const = 0;
 
-  // Scatters `partial_sql` — `partials` grouped by `cols` — to every shard
-  // as one PARTIAL at `dop`, concatenates the replies in shard order and
-  // rolls them up once to `cols`. Opens the ScatterStep and GatherStep
-  // nodes on `trace`. Unavailable naming the shard when one cannot answer.
-  virtual Result<Table> Fetch(const std::string& partial_sql,
-                              const std::vector<std::string>& cols,
-                              const std::vector<AggSpec>& partials, size_t dop,
-                              obs::QueryTrace* trace) = 0;
+  // Sends `partial_sql` to every shard as one PARTIAL at `dop`: the replies
+  // in shard order, whose rows and shards `node` (may be null) records.
+  // Unavailable naming the shard when one cannot answer.
+  virtual Result<std::vector<Table>> Scatter(const std::string& partial_sql,
+                                             size_t dop,
+                                             obs::TraceNode* node) = 0;
+
+  // Concatenates `replies` in shard order and rolls them up once to `cols`.
+  virtual Result<Table> Gather(std::vector<Table> replies,
+                               const std::vector<std::string>& cols,
+                               const std::vector<AggSpec>& partials,
+                               size_t dop) = 0;
 
   // DROP TABLE IF EXISTS `table` on every worker; Unavailable naming the
   // shard that failed.
@@ -138,30 +118,38 @@ Status DistributedError(const std::string& table, const std::string& why);
 std::vector<double> EstimateLevelRows(const PartialPlan& plan,
                                       const PlannerStats& stats);
 
-// The steps after the source, in execution order: the rollups, the pivots
-// (horizontal), the assembly. A rollup's "from" level is the ancestor with
-// the fewest estimated rows; the executor picks by actual rows.
-std::vector<PlanStep> AssemblySteps(const PartialPlan& plan,
-                                    const PlannerStats& stats);
-
 struct MqoBatchScan;  // core/mqo_plan.h
 
-// `partials` over `table` (filtered by `where`) grouped by `cols`, from the
-// first source that has them: the union table of `batch` (a published MQO
-// batch scan of this table and WHERE) rolled down, the exact cache entry, a
-// cached ancestor rolled down, or one fused scan of `fact` — or, when
-// `shards` is non-null, one fetch from the shards instead of the scan
-// (`fact` is then the zero-row stub). Only unfiltered reads with no batch
-// consult the cache (`summaries` may be null); a miss fills it
-// single-flight, so N identical concurrent misses run one scan or fetch. An
-// answer from the batch (whose "mqo-batch" node it copies) or the cache
-// renames the strategy on `trace`.
+// Where a partial plan's finest level comes from; none set: a fused scan.
+struct PartialSource {
+  ShardFetch* shards = nullptr;  // a sharded table's workers
+  // The MQO batch the query was a member of: it serves when its union table
+  // covers the query's table, WHERE and finest level, and no level is cached.
+  const MqoBatchScan* batch = nullptr;
+  std::shared_ptr<const Table> finest;  // already fetched: no source steps
+};
+
+// Appends the steps of `plan`, run at `dop`, to `steps`: `fused-scan`, or
+// `scatter` + `gather-merge`, or `mqo-batch` + `mqo-batch-rollup`; then each
+// `lattice-rollup`, each `lattice-pivot` and `lattice-assemble`, which
+// leaves the answer in ExecContext::result. A source step the cache answers
+// is marked cache=hit, or relabelled `cache: cache-ancestor-rollup`. A
+// rollup lists the ancestor with the fewest rows `stats` estimate and runs
+// from the one with the fewest actual rows. An unfiltered plan looks every
+// level up in the summary cache and fills it.
+void LowerPartialPlan(PartialPlan plan, const PartialSource& source,
+                      const PlannerStats& stats, size_t dop, Plan* steps);
+
+// `partials` over `table` (filtered by `where`) grouped by `cols`, read by
+// the source steps a query's plan runs (a fused scan, or the shards when
+// `shards` is non-null), traced onto `trace`. An unfiltered read goes
+// through `summaries` (may be null), so N identical concurrent misses run
+// one scan or fetch. An MQO batch's leader reads its union level with it.
 Result<std::shared_ptr<const Table>> FinestPartials(
     const std::string& table, const ExprPtr& where,
     const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
-    const Table& fact, SummaryCache* summaries, obs::QueryTrace* trace,
-    size_t dop, ShardFetch* shards = nullptr,
-    const MqoBatchScan* batch = nullptr);
+    Catalog* catalog, SummaryCache* summaries, obs::QueryTrace* trace,
+    size_t dop, ShardFetch* shards = nullptr);
 
 // Maps every aggregate of `wanted` onto the column of `available` that
 // computes the same (function, argument); false when one is missing.
@@ -177,16 +165,6 @@ bool MatchPartials(const std::vector<AggSpec>& wanted,
 Result<Table> RollUp(const std::vector<AggSpec>& partials, const Table& source,
                      const std::vector<std::string>& cols,
                      const std::vector<std::string>& inputs, size_t dop);
-
-// Rolls every coarser level up from the smallest computed ancestor of the
-// finest table and assembles the answer in statement order; the caller
-// applies HAVING/ORDER BY/LIMIT. With `summaries` non-null (unfiltered local
-// queries), every rolled-up level is looked up in and filled into the cache
-// under its own mergeable recipe, so APPEND maintains all of them.
-Result<Table> AssembleFromPartials(const PartialPlan& plan,
-                                   std::shared_ptr<const Table> finest,
-                                   SummaryCache* summaries,
-                                   obs::QueryTrace* trace, size_t dop);
 
 }  // namespace pctagg
 

@@ -25,7 +25,13 @@ std::string StatementLabel(const std::string& sql) {
 }
 
 void Plan::AddStep(std::string sql, StepFn run) {
-  steps_.push_back({std::move(sql), std::move(run)});
+  std::string label = StatementLabel(sql);
+  steps_.push_back({std::move(label), std::move(sql), true, std::move(run)});
+}
+
+void Plan::AddStep(std::string label, std::string detail, StepFn run) {
+  steps_.push_back(
+      {std::move(label), std::move(detail), false, std::move(run)});
 }
 
 std::string Plan::AppendPlan(Plan other) {
@@ -38,27 +44,36 @@ std::string Plan::AppendPlan(Plan other) {
   return other.result_table_;
 }
 
-Status Plan::Execute(Catalog* catalog, SummaryCache* summaries,
-                     obs::QueryTrace* trace) const {
-  ExecContext ctx(catalog, summaries);
+Result<Table> Plan::Execute(Catalog* catalog, SummaryCache* summaries,
+                            obs::QueryTrace* trace) const {
+  ExecContext ctx{catalog, summaries, trace};
+  Status s;
   for (const Step& step : steps_) {
-    Status s;
     if (trace != nullptr) {
-      // One trace node per generated statement; kernels invoked by the step
-      // attach operator children.
-      obs::TraceNode* node =
-          trace->root().AddChild(StatementLabel(step.sql), step.sql);
-      obs::ScopedTraceNode scope(node);
-      s = step.run(&ctx);
-    } else {
+      // One top-level node per step; kernels invoked by the step attach
+      // operator children.
+      ctx.node = trace->root().AddChild(step.label, step.detail);
+    }
+    {
+      obs::ScopedTraceNode scope(ctx.node);
       s = step.run(&ctx);
     }
     if (!s.ok()) {
-      return Status(s.code(),
-                    s.message() + " (while executing: " + step.sql + ")");
+      if (step.statement) {
+        s = Status(s.code(),
+                   s.message() + " (while executing: " + step.detail + ")");
+      }
+      break;
     }
   }
-  return Status::OK();
+  if (s.ok() && !result_table_.empty()) {
+    Result<Table*> result = catalog->GetTable(result_table_);
+    s = result.status();
+    if (s.ok()) ctx.result = std::move(**result);
+  }
+  Cleanup(catalog);
+  if (!s.ok()) return s;
+  return std::move(ctx.result);
 }
 
 void Plan::Cleanup(Catalog* catalog) const {
@@ -72,8 +87,12 @@ void Plan::Cleanup(Catalog* catalog) const {
 std::string Plan::ToSql() const {
   std::string out;
   for (const Step& step : steps_) {
-    out += step.sql;
-    if (!step.sql.empty() && step.sql.back() != ';') out += ";";
+    if (!step.statement) {
+      out += step.label + ": " + step.detail + "\n";
+      continue;
+    }
+    out += step.detail;
+    if (!step.detail.empty() && step.detail.back() != ';') out += ";";
     out += "\n";
   }
   return out;

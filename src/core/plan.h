@@ -10,21 +10,26 @@
 #include "core/summary_cache.h"
 #include "engine/catalog.h"
 #include "engine/index.h"
+#include "engine/table.h"
 #include "obs/trace.h"
 
 namespace pctagg {
 
 // Everything a plan step can touch while running: the catalog of named
 // tables, the hash indexes built by CREATE INDEX steps (keyed by table
-// name), and an optional cross-query summary cache. Indexes do not outlive
-// one plan execution; the cache does.
+// name), an optional cross-query summary cache, the query's trace and the
+// step's own node in it. Indexes do not outlive one plan execution; the
+// cache does.
 struct ExecContext {
-  explicit ExecContext(Catalog* catalog_in, SummaryCache* summaries_in = nullptr)
-      : catalog(catalog_in), summaries(summaries_in) {}
-
   Catalog* catalog;
-  SummaryCache* summaries;  // may be null (caching disabled)
-  std::map<std::string, HashIndex> indexes;
+  SummaryCache* summaries = nullptr;  // null: caching disabled
+  // Null when untraced. A step may rename the strategy and annotate `node`,
+  // the top-level node Plan::Execute opened for it.
+  obs::QueryTrace* trace = nullptr;
+  obs::TraceNode* node = nullptr;
+  std::map<std::string, HashIndex> indexes = {};
+  // The answer of a plan without a result table, left by its last step.
+  Table result = {};
 
   const HashIndex* IndexFor(const std::string& table) const {
     auto it = indexes.find(table);
@@ -32,20 +37,23 @@ struct ExecContext {
   }
 };
 
-// An executable sequence of generated statements. This mirrors the paper's
-// code-generation framework: each step carries the SQL text the Java
-// generator would have emitted ("INSERT INTO Fk SELECT ...") together with
-// the engine routine that evaluates it. Benchmarks time Execute(); tests and
-// examples read the SQL via ToSql().
+// An executable sequence of steps, how every SELECT runs (PlanSelect,
+// core/select_plan.h). This mirrors the paper's code-generation framework:
+// a generated statement carries the SQL text the Java generator would have
+// emitted ("INSERT INTO Fk SELECT ...") and the engine routine that
+// evaluates it; the partial path's and a projection's steps carry a label
+// and a detail instead. Execute opens one trace node per step and ToSql
+// prints one entry per step, so EXPLAIN ANALYZE and EXPLAIN agree.
 class Plan {
  public:
   using StepFn = std::function<Status(ExecContext*)>;
 
-  // Appends one statement.
+  // Appends one generated statement, labelled by StatementLabel(sql).
   void AddStep(std::string sql, StepFn run);
+  // Appends one step that is not a statement.
+  void AddStep(std::string label, std::string detail, StepFn run);
 
-  // Name of the table holding the final result after Execute().
-  const std::string& result_table() const { return result_table_; }
+  // Names the table holding the answer once the steps ran.
   void set_result_table(std::string name) { result_table_ = std::move(name); }
 
   // Registers a temporary table dropped by Cleanup(). The result table is
@@ -53,7 +61,6 @@ class Plan {
   void AddTempTable(std::string name) {
     temp_tables_.push_back(std::move(name));
   }
-  const std::vector<std::string>& temp_tables() const { return temp_tables_; }
 
   size_t num_steps() const { return steps_.size(); }
 
@@ -62,23 +69,28 @@ class Plan {
   // result-table name is returned so the caller can read from it.
   std::string AppendPlan(Plan other);
 
-  // Runs all steps in order against a fresh ExecContext. A non-null
-  // `summaries` lets cache-aware steps skip recomputation. A non-null
-  // `trace` collects one TraceNode per generated statement, with engine
+  // Runs all steps in order against a fresh ExecContext and returns the
+  // answer: the table set_result_table() named, or the one the last step left
+  // in ExecContext::result. Temporary tables are dropped either way. A
+  // non-null `summaries` lets cache-aware steps skip recomputation. A
+  // non-null `trace` gets one top-level node per step, with engine
   // operators attaching child nodes through obs::CurrentOp().
-  Status Execute(Catalog* catalog, SummaryCache* summaries = nullptr,
-                 obs::QueryTrace* trace = nullptr) const;
+  Result<Table> Execute(Catalog* catalog, SummaryCache* summaries = nullptr,
+                        obs::QueryTrace* trace = nullptr) const;
 
   // Drops every registered temporary table (ignores absent ones, so Cleanup
   // is safe after a failed Execute).
   void Cleanup(Catalog* catalog) const;
 
-  // The generated SQL script, one statement per line block.
+  // One line block per step, what plain EXPLAIN prints under the plan's
+  // header: a statement's SQL, terminated by ';', or "label: detail".
   std::string ToSql() const;
 
  private:
   struct Step {
-    std::string sql;
+    std::string label;
+    std::string detail;  // a statement's SQL
+    bool statement;
     StepFn run;
   };
   std::vector<Step> steps_;

@@ -2,20 +2,22 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <tuple>
 
 #include "common/string_util.h"
 #include "core/advisor.h"
 #include "core/cost_model.h"
 #include "core/olap_planner.h"
+#include "engine/table_ops.h"
 
 namespace pctagg {
 
 namespace {
 
 // The partial path's strategy, named after the source of its partials: the
-// planned fused scan or shards, renamed at run time when the MQO batch or
-// the cache answers instead (FinestPartials).
+// planned fused scan or shards, renamed at run time by the source step the
+// MQO batch or the cache answers.
 const char kPartialFromScan[] = "partial from fused scan";
 
 // Human name of a Vpct configuration, mirroring the Table 4 knobs.
@@ -30,11 +32,13 @@ std::string VpctStrategyName(const VpctStrategy& s) {
 // Vpct and Hpct/Hagg: the paper's strategies (Tables 4 and 5), the OLAP
 // baseline for Vpct and, unless a plan was forced, the partial path — a
 // rollup of `batch_rows` union rows when an MQO batch serves it (negative:
-// no batch).
-void PlanPercentage(const AnalyzedQuery& query, const PlannerStats& fact,
-                    const QueryOptions& options, size_t dop,
-                    bool partial_forced, bool partial_ok, double batch_rows,
-                    SelectPlan* plan) {
+// no batch). True when the partial path runs; otherwise `plan->steps` holds
+// the picked script.
+Result<bool> PlanPercentage(const AnalyzedQuery& query,
+                            const PlannerStats& fact,
+                            const QueryOptions& options, size_t dop,
+                            bool partial_forced, bool partial_ok,
+                            double batch_rows, SelectPlan* plan) {
   const bool vpct = query.query_class == QueryClass::kVpct;
   const CostModel model;
   const AnalyzedTerm* term = FirstByTerm(query);
@@ -49,41 +53,43 @@ void PlanPercentage(const AnalyzedQuery& query, const PlannerStats& fact,
       (olap || (vpct ? options.vpct_strategy.has_value()
                      : options.horizontal_strategy.has_value()));
   StrategyAdvisor advisor;
+  VpctStrategy v;
+  HorizontalStrategy h;
   if (vpct) {
-    plan->vpct = olap     ? VpctStrategy{}
-                 : forced ? *options.vpct_strategy
-                          : advisor.AdviseVpct(advised, dop);
+    v = olap     ? VpctStrategy{}
+        : forced ? *options.vpct_strategy
+                 : advisor.AdviseVpct(advised, dop);
   } else {
-    plan->horizontal = forced ? *options.horizontal_strategy
-                              : advisor.AdviseHorizontal(fact, query,
-                                                         advised, dop);
+    h = forced ? *options.horizontal_strategy
+               : advisor.AdviseHorizontal(fact, query, advised, dop);
   }
   FactStats from = s;
   if (batch_rows >= 0) from.rows = batch_rows;
   const double partial_cost =
       vpct ? model.FusedVpctCost(from) : model.FusedHorizontalCost(from);
-  const double pick_cost = vpct ? model.VpctCost(s, plan->vpct)
-                                : model.HorizontalCost(s, plan->horizontal);
+  const double pick_cost =
+      vpct ? model.VpctCost(s, v) : model.HorizontalCost(s, h);
   const bool partial =
       partial_forced ||
       (!forced && partial_ok && (vpct || term != nullptr) &&
        (batch_rows >= 0 || fact.rows() >= StrategyAdvisor::kFusedMinRows) &&
        estimated.ok() && partial_cost < pick_cost);
 
-  plan->evaluator = partial ? SelectPlan::Evaluator::kPartial
-                    : olap  ? SelectPlan::Evaluator::kOlapScript
-                    : vpct  ? SelectPlan::Evaluator::kVpctScript
-                            : SelectPlan::Evaluator::kHorizontalScript;
-  const HorizontalStrategy& h = plan->horizontal;
+  if (!partial) {
+    PCTAGG_ASSIGN_OR_RETURN(plan->steps,
+                            olap   ? PlanOlapPercentageQuery(query)
+                            : vpct ? PlanVpctQuery(query, v)
+                                   : PlanHorizontalQuery(query, h));
+  }
   plan->header.strategy =
       partial ? kPartialFromScan
       : olap  ? "OLAP-window"
-      : vpct  ? VpctStrategyName(plan->vpct)
+      : vpct  ? VpctStrategyName(v)
               : std::string(HorizontalMethodName(h.method)) +
                    (h.hash_dispatch ? "+hash-dispatch" : "+naive-case");
   plan->header.strategy_source =
       forced || partial_forced ? "forced" : "advisor";
-  if (!estimated.ok()) return;
+  if (!estimated.ok()) return partial;
 
   if (vpct) {
     plan->header.predicted_group_rows = s.group_cardinality;
@@ -91,13 +97,13 @@ void PlanPercentage(const AnalyzedQuery& query, const PlannerStats& fact,
          {std::tuple{"Fj-from-Fk+INSERT", true, true},
           std::tuple{"Fj-from-F+INSERT", false, true},
           std::tuple{"Fj-from-Fk+UPDATE", true, false}}) {
-      VpctStrategy candidate = plan->vpct;
+      VpctStrategy candidate = v;
       candidate.fj_from_fk = fj_from_fk;
       candidate.insert_result = insert;
       plan->header.predicted_costs.push_back(
           {name, model.VpctCost(s, candidate),
-           !partial && !olap && plan->vpct.fj_from_fk == fj_from_fk &&
-               plan->vpct.insert_result == insert});
+           !partial && !olap && v.fj_from_fk == fj_from_fk &&
+               v.insert_result == insert});
     }
     plan->header.predicted_costs.push_back(
         {"OLAP-window", model.OlapCost(s), olap});
@@ -123,23 +129,23 @@ void PlanPercentage(const AnalyzedQuery& query, const PlannerStats& fact,
   if (!forced) {
     plan->header.predicted_costs.push_back({"partial", partial_cost, partial});
   }
+  return partial;
 }
 
 // A sharded table: the fetch from the shards next to the single-node fused
 // scan it replaces, both priced from the statistics resolved at SHARD time
 // (the stub has no rows left to describe).
 void PlanSharded(const PlannerStats& fact, size_t dop, size_t shards,
-                 SelectPlan* plan) {
-  plan->header.strategy = "partial from shards";
-  plan->header.strategy_source = "topology";
-  const PartialPlan& partial = *plan->partial;
+                 const PartialPlan& partial, obs::PlanHeader* header) {
+  header->strategy = "partial from shards";
+  header->strategy_source = "topology";
   const CostModel model;
   FactStats s;
   s.rows = fact.rows();
   Result<FactStats> estimated =
       model.EstimateStats(fact, partial.finest_cols, {}, {});
   if (estimated.ok()) s = *estimated;
-  plan->header.predicted_costs.push_back(
+  header->predicted_costs.push_back(
       {StrFormat("distributed (%zu shards x dop %zu)", shards, dop),
        model.DistributedCost(
            s, static_cast<double>(shards), static_cast<double>(dop),
@@ -147,18 +153,42 @@ void PlanSharded(const PlannerStats& fact, size_t dop, size_t shards,
                                partial.partials.size())),
        true});
   s.dop = static_cast<double>(dop);
-  plan->header.predicted_costs.push_back(
+  header->predicted_costs.push_back(
       {StrFormat("single-node fused scan (dop %zu)", dop),
        model.FusedVpctCost(s), false});
-  plan->header.predicted_group_rows = s.group_cardinality;
+  header->predicted_group_rows = s.group_cardinality;
+}
+
+// A projection, evaluated directly. A vertical aggregate gets here only
+// when the partial path refused it: count(DISTINCT) without BY.
+Status EvaluateSimple(const AnalyzedQuery& query, ExecContext* ctx) {
+  if (query.query_class != QueryClass::kProjection) {
+    return Status::InvalidArgument(
+        "count(DISTINCT ...) is only supported with a BY clause");
+  }
+  PCTAGG_ASSIGN_OR_RETURN(const Table* base,
+                          ctx->catalog->GetTable(query.table_name));
+  Table filtered;
+  const Table* input = base;
+  if (query.where != nullptr) {
+    PCTAGG_ASSIGN_OR_RETURN(filtered, Filter(*base, query.where));
+    input = &filtered;
+  }
+  std::vector<ProjectSpec> specs;
+  for (const AnalyzedTerm& t : query.terms) {
+    specs.push_back({t.argument, t.output_name});
+  }
+  PCTAGG_ASSIGN_OR_RETURN(ctx->result, Project(*input, specs));
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
+                              const std::string& sql,
                               const PlannerStats& stats,
                               const QueryOptions& options, size_t dop,
-                              bool partial_forced, size_t shards,
+                              bool partial_forced, ShardFetch* shards,
                               const MqoBatchScan* batch) {
   SelectPlan plan;
   plan.header.query_class = QueryClassName(query.query_class);
@@ -167,19 +197,21 @@ Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
   dop = std::max<size_t>(1, dop);
   std::string why;
   const bool partial_ok = PartialPlanSupported(query, &why);
-  if (shards > 0) {
+  std::optional<PartialPlan> partial;
+  bool lower_partial = true;
+  if (shards != nullptr) {
     if (!partial_ok) return DistributedError(query.table_name, why);
-    PCTAGG_ASSIGN_OR_RETURN(plan.partial, BuildPartialPlan(query));
-    PlanSharded(stats, dop, shards, &plan);
+    PCTAGG_ASSIGN_OR_RETURN(partial, BuildPartialPlan(query));
+    PlanSharded(stats, dop, shards->num_shards(), *partial, &plan.header);
   } else if (query.has_grouping_sets) {
     if (!partial_ok) return Status::InvalidArgument("grouping sets: " + why);
     // The one fused scan and every rollup, priced together.
-    PCTAGG_ASSIGN_OR_RETURN(plan.partial, BuildPartialPlan(query));
+    PCTAGG_ASSIGN_OR_RETURN(partial, BuildPartialPlan(query));
     Result<FactStats> s = CostModel().EstimateStats(stats, query.group_by,
                                                     /*totals_by=*/{}, {});
     if (s.ok()) {
       // LatticeSharedCost reads the finest level first.
-      std::vector<double> rows = EstimateLevelRows(*plan.partial, stats);
+      std::vector<double> rows = EstimateLevelRows(*partial, stats);
       std::sort(rows.begin(), rows.end(), std::greater<double>());
       s->dop = static_cast<double>(dop);
       plan.header.predicted_group_rows = rows.front();
@@ -189,21 +221,33 @@ Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
   } else if (query.query_class == QueryClass::kVpct ||
              query.query_class == QueryClass::kHorizontal) {
     const bool batched = batch != nullptr && batch->partials != nullptr;
-    PlanPercentage(query, stats, options, dop, partial_forced, partial_ok,
-                   batched ? static_cast<double>(batch->partials->num_rows())
+    PCTAGG_ASSIGN_OR_RETURN(
+        lower_partial,
+        PlanPercentage(query, stats, options, dop, partial_forced, partial_ok,
+                       batched
+                           ? static_cast<double>(batch->partials->num_rows())
                            : -1.0,
-                   &plan);
+                       &plan));
   } else if (query.query_class == QueryClass::kWindow) {
-    plan.evaluator = SelectPlan::Evaluator::kWindowScript;
     plan.header.strategy = "OLAP-window";
+    PCTAGG_ASSIGN_OR_RETURN(plan.steps, PlanWindowQuery(query));
+    lower_partial = false;
   } else if (!partial_ok) {
     // A projection; a plain aggregate gets here only when the partial path
     // refused it, which EvaluateSimple reports.
-    plan.evaluator = SelectPlan::Evaluator::kProjection;
     plan.header.strategy = "projection";
+    plan.steps.AddStep("select", sql, [&query](ExecContext* ctx) {
+      return EvaluateSimple(query, ctx);
+    });
+    lower_partial = false;
   }
-  if (plan.evaluator == SelectPlan::Evaluator::kPartial && !plan.partial) {
-    PCTAGG_ASSIGN_OR_RETURN(plan.partial, BuildPartialPlan(query));
+  if (lower_partial) {
+    if (!partial) {
+      PCTAGG_ASSIGN_OR_RETURN(partial, BuildPartialPlan(query));
+    }
+    LowerPartialPlan(std::move(*partial),
+                     {.shards = shards, .batch = batch, .finest = nullptr},
+                     stats, dop, &plan.steps);
   }
   if (batch != nullptr) {
     plan.header.predicted_costs.insert(plan.header.predicted_costs.end(),
@@ -211,31 +255,6 @@ Result<SelectPlan> PlanSelect(const AnalyzedQuery& query,
                                        batch->costs.end());
   }
   return plan;
-}
-
-Result<Plan> BuildScript(const AnalyzedQuery& query, const SelectPlan& plan) {
-  switch (plan.evaluator) {
-    case SelectPlan::Evaluator::kVpctScript:
-      return PlanVpctQuery(query, plan.vpct);
-    case SelectPlan::Evaluator::kHorizontalScript:
-      return PlanHorizontalQuery(query, plan.horizontal);
-    case SelectPlan::Evaluator::kOlapScript:
-      return PlanOlapPercentageQuery(query);
-    case SelectPlan::Evaluator::kWindowScript:
-      return PlanWindowQuery(query);
-    default:
-      return Status::Internal("no script: the plan is not materialized");
-  }
-}
-
-std::string RenderExplain(const obs::PlanHeader& header,
-                          const std::vector<PlanStep>& steps,
-                          const std::string& script) {
-  std::string out = header.RenderHeader("-- ");
-  for (const PlanStep& step : steps) {
-    out += step.label + ": " + step.detail + "\n";
-  }
-  return out + script;
 }
 
 }  // namespace pctagg

@@ -223,25 +223,16 @@ Status Coordinator::Drop(const std::string& table) {
   return Status::OK();
 }
 
-Result<Table> Coordinator::Fetch(const std::string& partial_sql,
-                                 const std::vector<std::string>& cols,
-                                 const std::vector<AggSpec>& partials,
-                                 size_t dop, obs::QueryTrace* trace) {
+Result<std::vector<Table>> Coordinator::Scatter(const std::string& partial_sql,
+                                                size_t dop,
+                                                obs::TraceNode* node) {
   const size_t nshards = links_.size();
   const std::string payload = StrFormat("%zu %s", dop, partial_sql.c_str());
   QueriesCounter().Add(1);
 
-  obs::TraceNode* scatter_node = nullptr;
-  if (trace != nullptr) {
-    PlanStep step = ScatterStep(dop, partial_sql, nshards);
-    scatter_node = trace->root().AddChild(std::move(step.label),
-                                          std::move(step.detail));
-  }
-
-  // Scatter: one thread per shard holds that link's mutex for the whole
-  // request. Gather runs on this thread: it keeps each reply by shard index
-  // and, after the last one, concatenates them in shard order and rolls
-  // them up once — so the answer does not depend on which shard replied
+  // One thread per shard holds that link's mutex for the whole request.
+  // This thread keeps each reply by shard index, so Gather can merge them in
+  // shard order and the answer does not depend on which shard replied
   // first.
   std::mutex queue_mu;
   std::condition_variable queue_cv;
@@ -335,12 +326,11 @@ Result<Table> Coordinator::Fetch(const std::string& partial_sql,
   RowsMergedCounter().Add(rows_gathered);
   BytesMovedCounter().Add(bytes_gathered + nshards * payload.size());
 
-  if (scatter_node != nullptr) {
-    scatter_node->stats.wall_ms = scatter_ms;
-    scatter_node->stats.rows_out = rows_gathered;
+  if (node != nullptr) {
+    node->stats.rows_out = rows_gathered;
     for (size_t i = 0; i < nshards; ++i) {
       const Arrival& a = arrivals[i];
-      obs::TraceNode* shard_node = scatter_node->AddChild(
+      obs::TraceNode* shard_node = node->AddChild(
           "shard",
           StrFormat("shard %zu @ %s:%d: %llu partial rows, %llu body bytes%s",
                     i, links_[i]->endpoint.host.c_str(),
@@ -354,32 +344,30 @@ Result<Table> Coordinator::Fetch(const std::string& partial_sql,
     }
   }
   if (!failure.ok()) return failure;
+  std::vector<Table> replies;
+  replies.reserve(nshards);
+  for (Arrival& a : arrivals) replies.push_back(std::move(a.partial));
+  return replies;
+}
 
+Result<Table> Coordinator::Gather(std::vector<Table> replies,
+                                  const std::vector<std::string>& cols,
+                                  const std::vector<AggSpec>& partials,
+                                  size_t dop) {
   // The replies in shard order, rolled up once. InsertInto checks each
   // reply's arity and types and translates its dictionary codes.
   Stopwatch merge_timer;
-  Table all = std::move(arrivals[0].partial);
-  for (size_t i = 1; i < nshards; ++i) {
-    PCTAGG_RETURN_IF_ERROR(InsertInto(&all, arrivals[i].partial));
-    arrivals[i].partial = Table();
+  Table all = std::move(replies[0]);
+  for (size_t i = 1; i < replies.size(); ++i) {
+    PCTAGG_RETURN_IF_ERROR(InsertInto(&all, replies[i]));
+    replies[i] = Table();
   }
   std::vector<std::string> names;
   names.reserve(partials.size());
   for (const AggSpec& p : partials) names.push_back(p.output_name);
   PCTAGG_ASSIGN_OR_RETURN(Table merged,
                           RollUp(partials, all, cols, names, dop));
-  const double merge_ms = merge_timer.ElapsedSeconds() * 1e3;
-  GatherMergeHist().Observe(ToMicros(merge_ms));
-
-  obs::TraceNode* gather_node = nullptr;
-  if (trace != nullptr) {
-    PlanStep step = GatherStep(nshards, cols.size(), partials.size());
-    gather_node = trace->root().AddChild(std::move(step.label),
-                                         std::move(step.detail));
-    gather_node->stats.rows_in = rows_gathered;
-    gather_node->stats.rows_out = merged.num_rows();
-    gather_node->stats.wall_ms = merge_ms;
-  }
+  GatherMergeHist().Observe(ToMicros(merge_timer.ElapsedSeconds() * 1e3));
   return merged;
 }
 

@@ -44,8 +44,9 @@ struct CoordinatorConfig {
 // PctDatabase::InstallShards, which keeps a zero-row stub of it with the
 // SHARD-time statistics and this coordinator as its ShardFetch. From then
 // on the database plans and answers every read of the table itself; the
-// coordinator only scatters the one PARTIAL statement FinestPartials asks
-// for and gathers the replies, and fans a DROP out to the workers.
+// coordinator only scatters the one PARTIAL statement the plan's `scatter`
+// step asks for, merges the replies in its `gather-merge` step, and fans a
+// DROP out to the workers.
 //
 // Thread-safe: many sessions may fetch concurrently. Each worker link is a
 // mutex-protected single-in-flight connection, so concurrent fetches
@@ -61,14 +62,17 @@ class Coordinator : public DistRouter, public ShardFetch {
                     const std::string& key_column) override;
   std::string Describe() const override;
 
-  // ShardFetch: one PARTIAL to every shard, the replies concatenated in
-  // shard order and rolled up once (RollUp, at `dop`). One call costs one
-  // pctagg_dist_queries_total, however many queries it serves.
+  // ShardFetch: one PARTIAL to every shard, then the replies concatenated
+  // in shard order and rolled up once (RollUp, at `dop`). One scatter costs
+  // one pctagg_dist_queries_total, however many queries it serves.
   size_t num_shards() const override { return links_.size(); }
-  Result<Table> Fetch(const std::string& partial_sql,
-                      const std::vector<std::string>& cols,
-                      const std::vector<AggSpec>& partials, size_t dop,
-                      obs::QueryTrace* trace) override;
+  Result<std::vector<Table>> Scatter(const std::string& partial_sql,
+                                     size_t dop,
+                                     obs::TraceNode* node) override;
+  Result<Table> Gather(std::vector<Table> replies,
+                       const std::vector<std::string>& cols,
+                       const std::vector<AggSpec>& partials,
+                       size_t dop) override;
   Status Drop(const std::string& table) override;
 
  private:

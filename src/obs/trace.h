@@ -17,7 +17,7 @@ namespace obs {
 // ran, where the time went, how loaded the hash tables were).
 //
 // Collection is pull-free and thread-local: Plan::Execute opens one node per
-// generated statement, engine kernels running on that thread attach operator
+// plan step, engine kernels running on that thread attach operator
 // child nodes through CurrentOp()/OpScope, and morsel workers stay
 // uninstrumented (the dispatching thread records the merged totals after
 // RunMorsels returns). When no trace is active, CurrentOp() is null and
@@ -42,8 +42,8 @@ struct OpStats {
   }
 };
 
-// One node of the executed-plan tree: a generated statement, or one engine
-// operator invoked while running it.
+// One node of the executed-plan tree: a plan step, or one engine operator
+// invoked while running it.
 struct TraceNode {
   std::string label;   // "statement", "aggregate", "join-lookup", ...
   std::string detail;  // the generated SQL / operator annotation

@@ -201,7 +201,7 @@ TEST(PlanTest, StepsRunInOrderAndErrorsAnnotate) {
     order->push_back(3);
     return Status::OK();
   });
-  Status st = plan.Execute(&catalog);
+  Status st = plan.Execute(&catalog).status();
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("step two"), std::string::npos);
   EXPECT_EQ(*order, (std::vector<int>{1, 2}));  // step three never ran

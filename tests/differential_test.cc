@@ -35,8 +35,11 @@
 // database holding f and the batch.
 //
 // A fourth test checks that plain EXPLAIN prints the plan that runs: the
-// same strategy line and the same top-level steps as EXPLAIN ANALYZE, and,
-// for a member of a batch, the same steps after the batch's.
+// same strategy line and the same top-level steps as EXPLAIN ANALYZE, under
+// the advisor and under every strategy a session can force; for a member of
+// a batch, the same steps after the batch's; and with the cache on, locally
+// and on two shards, the same steps with the source answered by the exact
+// entry (marked cache=hit) or replaced by a cached ancestor's rollup.
 //
 // FLOAT64 measures are left out: at dop 4 the fused scan's float sums still
 // depend on morsel scheduling (ROADMAP, deterministic floats).
@@ -658,10 +661,12 @@ TEST_F(DifferentialTest, DeltaMergedEntriesMatchRecompute) {
 
 // --- EXPLAIN prints the plan that runs ---------------------------------------
 
-// One top-level step of a plan: its trace label and detail.
+// One top-level step of a plan: its trace label and detail, and whether
+// EXPLAIN ANALYZE marked it answered by the summary cache.
 struct Step {
   std::string label;
   std::string detail;
+  bool hit = false;
 };
 
 // A plan's "strategy:" line and top-level steps.
@@ -708,17 +713,20 @@ Listing FromExplain(const Table& plan) {
 }
 
 // EXPLAIN ANALYZE: its "strategy:" line and the plan's top-level nodes (two
-// spaces deep; their stats lines open with '[').
+// spaces deep; the stats line right after one opens with "    [").
 Listing FromAnalyze(const Table& plan) {
   Listing out;
   bool in_plan = false;
+  bool after_step = false;
   for (const std::string& line : PlanLines(plan)) {
     if (line.rfind("strategy: ", 0) == 0) out.strategy = line.substr(10);
     if (line == "plan:") in_plan = true;
-    if (in_plan && line.size() > 2 && line.rfind("  ", 0) == 0 &&
-        line[2] != ' ' && line[2] != '[') {
-      out.steps.push_back(ParseStep(line.substr(2)));
+    if (in_plan && after_step && line.rfind("    [", 0) == 0) {
+      out.steps.back().hit = line.find("cache=hit") != std::string::npos;
     }
+    after_step = in_plan && line.size() > 2 && line.rfind("  ", 0) == 0 &&
+                 line[2] != ' ' && line[2] != '[';
+    if (after_step) out.steps.push_back(ParseStep(line.substr(2)));
   }
   return out;
 }
@@ -736,18 +744,24 @@ std::string Show(const Listing& l) {
   return out;
 }
 
-// The same evaluator, and the same steps in the same order: equal labels,
-// and equal SQL for every statement and scan. A rollup's "from" level is
-// the one plain EXPLAIN estimates smallest and EXPLAIN ANALYZE the one that
-// was, so only the level it builds is compared.
-void ExpectSamePlan(const Listing& plain, const Listing& analyzed) {
-  EXPECT_FALSE(plain.strategy.empty());
-  EXPECT_EQ(plain.strategy, analyzed.strategy);
+// The same steps in the same order: equal labels, and equal SQL for every
+// statement and scan. A rollup's "from" level is the one plain EXPLAIN
+// estimates smallest and EXPLAIN ANALYZE the one that was, so only the level
+// it builds is compared. When the summary cache may have answered the
+// source, its first step may instead be the cached-ancestor rollup that
+// stood in for it.
+void ExpectSameSteps(const Listing& plain, const Listing& analyzed,
+                     bool cached_source = false) {
   ASSERT_EQ(plain.steps.size(), analyzed.steps.size())
       << "EXPLAIN\n" << Show(plain) << "EXPLAIN ANALYZE\n" << Show(analyzed);
   for (size_t i = 0; i < plain.steps.size(); ++i) {
     const Step& p = plain.steps[i];
     const Step& a = analyzed.steps[i];
+    if (i == 0 && cached_source && a.label == "cache") {
+      EXPECT_EQ(a.detail.rfind("cache-ancestor-rollup: ", 0), 0u)
+          << Show(analyzed);
+      continue;
+    }
     EXPECT_EQ(p.label, a.label) << "step " << i;
     auto built = [](const std::string& detail) {
       return detail.rfind("lattice-rollup:", 0) == 0
@@ -756,6 +770,60 @@ void ExpectSamePlan(const Listing& plain, const Listing& analyzed) {
     };
     EXPECT_EQ(built(p.detail), built(a.detail)) << "step " << i;
   }
+}
+
+// The same evaluator and the same steps.
+void ExpectSamePlan(const Listing& plain, const Listing& analyzed) {
+  EXPECT_FALSE(plain.strategy.empty());
+  EXPECT_EQ(plain.strategy, analyzed.strategy);
+  ExpectSameSteps(plain, analyzed);
+}
+
+// Plain EXPLAIN, then EXPLAIN ANALYZE, of `sql` on `db` under `options`.
+void Explained(const PctDatabase& db, const std::string& sql,
+               const QueryOptions& options, Listing* plain,
+               Listing* analyzed) {
+  Result<Table> p = db.Query("EXPLAIN " + sql, options);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  Result<Table> a = db.Query("EXPLAIN ANALYZE " + sql, options);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  *plain = FromExplain(*p);
+  *analyzed = FromAnalyze(*a);
+}
+
+// The paper's strategies at `dop`, forced as SET vpct (best, noindex,
+// update, rescan) and the OLAP verb force a Vpct query and SET horizontal
+// (case, case_fv, spj, spj_fv) an Hpct/Hagg query; none for another class.
+std::vector<std::pair<std::string, QueryOptions>> Forced(QueryClass c,
+                                                         size_t dop) {
+  std::vector<std::pair<std::string, QueryOptions>> out;
+  QueryOptions base;
+  base.degree_of_parallelism = dop;
+  if (c == QueryClass::kVpct) {
+    VpctStrategy best, noindex, update, rescan;
+    noindex.matching_indexes = false;
+    update.insert_result = false;
+    rescan.fj_from_fk = false;
+    for (const auto& [name, strategy] :
+         {std::pair{"best", best}, std::pair{"noindex", noindex},
+          std::pair{"update", update}, std::pair{"rescan", rescan}}) {
+      out.emplace_back(std::string("SET vpct ") + name, base);
+      out.back().second.vpct_strategy = strategy;
+    }
+    out.emplace_back("OLAP", base);
+    out.back().second.olap_baseline = true;
+  } else if (c == QueryClass::kHorizontal) {
+    for (const auto& [name, method] :
+         {std::pair{"case", HorizontalMethod::kCaseDirect},
+          std::pair{"case_fv", HorizontalMethod::kCaseFromFV},
+          std::pair{"spj", HorizontalMethod::kSpjDirect},
+          std::pair{"spj_fv", HorizontalMethod::kSpjFromFV}}) {
+      out.emplace_back(std::string("SET horizontal ") + name, base);
+      out.back().second.horizontal_strategy = HorizontalStrategy{};
+      out.back().second.horizontal_strategy->method = method;
+    }
+  }
+  return out;
 }
 
 // pipeline_test's IntFact: d1(4) x d2(5, ~10% NULL) x d3(3), INT64 measure
@@ -802,16 +870,26 @@ TEST_F(DifferentialTest, ExplainShowsThePlanThatRuns) {
   for (size_t dop : kDops) {
     auto local_check = [&](const PctDatabase& db, const std::string& sql) {
       SCOPED_TRACE(sql + " @ dop=" + std::to_string(dop));
-      Result<Table> plain = db.Query("EXPLAIN " + sql, AtDop(dop));
-      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-      Result<Table> analyzed = db.Query("EXPLAIN ANALYZE " + sql, AtDop(dop));
-      ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
-      const Listing p = FromExplain(*plain);
-      ExpectSamePlan(p, FromAnalyze(*analyzed));
+      Listing p, a;
+      Explained(db, sql, AtDop(dop), &p, &a);
+      ExpectSamePlan(p, a);
       if (p.strategy.rfind("partial", 0) == 0) ++partial;
     };
     for (const std::string& sql : local) local_check(db_, sql);
     local_check(big, big_sql);
+
+    // Every paper strategy the sessions can force, and the OLAP baseline.
+    for (const std::string& sql : sqls_) {
+      Result<AnalyzedQuery> q = db_.PrepareQuery(sql);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      for (const auto& [name, options] : Forced(q->query_class, dop)) {
+        SCOPED_TRACE(sql + " under " + name + " @ dop=" +
+                     std::to_string(dop));
+        Listing p, a;
+        Explained(db_, sql, options, &p, &a);
+        ExpectSamePlan(p, a);
+      }
+    }
 
     // The batch, traced, through the executor: each member's EXPLAIN ANALYZE
     // shows the batch and the rollup from it as its source, then the steps
@@ -860,6 +938,55 @@ TEST_F(DifferentialTest, ExplainShowsThePlanThatRuns) {
       Result<Table> analyzed = Sharded("EXPLAIN ANALYZE " + sql, dop);
       ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
       ExpectSamePlan(FromExplain(*plain), FromAnalyze(*analyzed));
+    }
+
+    // With the cache on, every unfiltered query twice, locally and on 2
+    // shards. The first run's source may be a cached ancestor that an
+    // earlier query left; the second is answered by the exact entry: the
+    // same steps, the source marked cache=hit.
+    QueryOptions cache_on = AtDop(dop);
+    cache_on.use_summary_cache = true;
+    PctDatabase* const cached_dbs[] = {&db_, &clusters_[1]->db};
+    for (const std::string& sql : sqls_) {
+      Result<AnalyzedQuery> q = db_.PrepareQuery(sql);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      if (q->where != nullptr) continue;
+      for (PctDatabase* db : cached_dbs) {
+        SCOPED_TRACE((db == &db_ ? "cache on: " : "2 shards, cache on: ") +
+                     sql + " @ dop=" + std::to_string(dop));
+        Listing p, first, second;
+        Explained(*db, sql, cache_on, &p, &first);
+        Result<Table> again = db->Query("EXPLAIN ANALYZE " + sql, cache_on);
+        ASSERT_TRUE(again.ok()) << again.status().ToString();
+        second = FromAnalyze(*again);
+        ExpectSameSteps(p, first, /*cached_source=*/true);
+        ExpectSameSteps(p, second);
+        if (p.strategy.rfind("partial", 0) == 0) {
+          EXPECT_EQ(second.strategy, "partial from cache entry (cache)");
+          ASSERT_FALSE(second.steps.empty());
+          EXPECT_TRUE(second.steps[0].hit) << Show(second);
+        }
+      }
+    }
+
+    // A coarser query after a finer one: the cached ancestor answers it, in
+    // place of the source step.
+    for (PctDatabase* db : cached_dbs) {
+      SCOPED_TRACE(std::string(db == &db_ ? "" : "2 shards, ") +
+                   "cached ancestor @ dop=" + std::to_string(dop));
+      db->summaries().Clear();
+      ASSERT_TRUE(
+          db->Query("SELECT d1, d2, sum(m1) AS s FROM f GROUP BY d1, d2",
+                    cache_on)
+              .ok());
+      Listing p, a;
+      Explained(*db, "SELECT d1, sum(m1) AS s FROM f GROUP BY d1", cache_on,
+                &p, &a);
+      EXPECT_EQ(a.strategy, "partial from cached ancestor (cache)");
+      ASSERT_FALSE(a.steps.empty());
+      EXPECT_EQ(a.steps[0].label, "cache") << Show(a);
+      EXPECT_TRUE(a.steps[0].hit) << Show(a);
+      ExpectSameSteps(p, a, /*cached_source=*/true);
     }
   }
   // Both evaluators were seen locally: the partial path (plain aggregates,

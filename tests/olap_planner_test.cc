@@ -66,8 +66,10 @@ TEST(OlapPlannerTest, MatchesVpctWithGrandTotal) {
 TEST(OlapPlannerTest, RejectsNonVpctQueries) {
   PctDatabase db;
   ASSERT_TRUE(db.CreateTable("f", RandomFact(2)).ok());
-  EXPECT_FALSE(
-      db.QueryOlapBaseline("SELECT d1, sum(a) FROM f GROUP BY d1").ok());
+  Result<AnalyzedQuery> q =
+      db.PrepareQuery("SELECT d1, sum(a) FROM f GROUP BY d1");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_FALSE(PlanOlapPercentageQuery(*q).ok());
 }
 
 TEST(OlapPlannerTest, GeneratedSqlUsesWindows) {
