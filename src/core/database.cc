@@ -77,6 +77,15 @@ Table AppendOutcomeTable(const AppendOutcome& outcome) {
   return out;
 }
 
+// `sql` parsed once, for the entry points that take only a plain SELECT.
+Result<Statement> ParseQuery(const std::string& sql) {
+  PCTAGG_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+  if (stmt.kind != Statement::Kind::kSelect || stmt.explain) {
+    return Status::InvalidArgument("expected a plain SELECT statement");
+  }
+  return stmt;
+}
+
 // The finest aggregation level a plan materialized: rows_out of the first
 // aggregate (or pivot) operator in execution order.
 const obs::TraceNode* FindFirstAggregateOp(const obs::TraceNode& node) {
@@ -92,7 +101,12 @@ const obs::TraceNode* FindFirstAggregateOp(const obs::TraceNode& node) {
 
 Result<AnalyzedQuery> PctDatabase::PrepareQuery(
     const std::string& sql) const {
-  PCTAGG_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelect(sql));
+  PCTAGG_ASSIGN_OR_RETURN(Statement stmt, ParseQuery(sql));
+  return PrepareQuery(stmt.select);
+}
+
+Result<AnalyzedQuery> PctDatabase::PrepareQuery(
+    const SelectStatement& stmt) const {
   PCTAGG_ASSIGN_OR_RETURN(const Table* table,
                           catalog_.GetTable(stmt.from_table));
   return Analyze(stmt, table->schema());
@@ -100,23 +114,26 @@ Result<AnalyzedQuery> PctDatabase::PrepareQuery(
 
 Result<Table> PctDatabase::Query(const std::string& sql,
                                  const QueryOptions& options) const {
-  // EXPLAIN [ANALYZE] prefix: return the rendering as an ordinary
-  // single-column result so every surface (CSV, wire protocol, shell) shows
-  // it without special casing.
-  PCTAGG_ASSIGN_OR_RETURN(ParsedStatement stmt_kind, ParseStatementKind(sql));
-  if (stmt_kind.kind != ParsedStatement::Kind::kSelect) {
+  PCTAGG_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+  if (stmt.kind != Statement::Kind::kSelect) {
     return Status::InvalidArgument(
-        "INSERT/COPY are write statements; run them through Execute()");
+        "INSERT, COPY, DROP, CHECKPOINT and CREATE TABLE AS are write "
+        "statements; run them through Execute()");
   }
-  if (stmt_kind.explain) {
-    Result<std::string> text =
-        stmt_kind.analyze ? ExplainAnalyze(stmt_kind.select_sql, options)
-                          : Explain(stmt_kind.select_sql, options);
-    if (!text.ok()) return text.status();
-    return TextToPlanTable(*text);
+  return Read(stmt, options);
+}
+
+Result<Table> PctDatabase::Read(const Statement& stmt,
+                                const QueryOptions& options) const {
+  if (stmt.explain) {
+    // The rendering comes back as an ordinary single-column result so every
+    // surface (CSV, wire protocol, shell) shows it without special casing.
+    PCTAGG_ASSIGN_OR_RETURN(std::string text,
+                            ExplainSelect(stmt, stmt.analyze, options));
+    return TextToPlanTable(text);
   }
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
-  return Select(query, sql, options, /*partial_forced=*/false);
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(stmt.select));
+  return Select(query, stmt.text, options, /*partial_forced=*/false);
 }
 
 Result<Table> PctDatabase::QueryPartial(const std::string& sql,
@@ -180,16 +197,33 @@ Result<std::shared_ptr<const Table>> PctDatabase::Partials(
                         sharded ? sharded->shards : nullptr);
 }
 
+Result<std::string> PctDatabase::Explain(const std::string& sql,
+                                         const QueryOptions& options) const {
+  PCTAGG_ASSIGN_OR_RETURN(Statement stmt, ParseQuery(sql));
+  return ExplainSelect(stmt, /*analyze=*/false, options);
+}
+
 Result<std::string> PctDatabase::ExplainAnalyze(
     const std::string& sql, const QueryOptions& options) const {
-  obs::QueryTrace trace;
-  QueryOptions traced = options;
-  traced.trace = &trace;
-  Stopwatch timer;
-  PCTAGG_ASSIGN_OR_RETURN(Table result, Query(sql, traced));
-  trace.total_ms = timer.ElapsedSeconds() * 1e3;
-  (void)result;
-  return trace.Render();
+  PCTAGG_ASSIGN_OR_RETURN(Statement stmt, ParseQuery(sql));
+  return ExplainSelect(stmt, /*analyze=*/true, options);
+}
+
+Result<std::string> PctDatabase::ExplainSelect(
+    const Statement& stmt, bool analyze, const QueryOptions& options) const {
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(stmt.select));
+  if (analyze) {
+    return ExplainAnalyzed(options, [&](const QueryOptions& traced) {
+      return Select(query, stmt.text, traced, /*partial_forced=*/false)
+          .status();
+    });
+  }
+  // The dop Query would resolve, so the advisor prices the same candidates.
+  ScopedParallelism parallelism(options.degree_of_parallelism);
+  PCTAGG_ASSIGN_OR_RETURN(
+      SelectPlan plan, Lower(query, stmt.text, options,
+                             /*partial_forced=*/false, /*batch=*/nullptr));
+  return plan.Explain();
 }
 
 Result<Table> PctDatabase::QueryVpct(const std::string& sql,
@@ -359,11 +393,10 @@ Result<storage::StorageManager::CheckpointStats> PctDatabase::Checkpoint() {
 
 Status PctDatabase::CreateTableAs(const std::string& name,
                                   const std::string& sql) {
-  if (catalog_.HasTable(name)) {
-    return Status::AlreadyExists("table already exists: " + name);
-  }
-  PCTAGG_ASSIGN_OR_RETURN(Table result, Query(sql));
-  return CreateTable(name, std::move(result));
+  PCTAGG_ASSIGN_OR_RETURN(Statement stmt, ParseQuery(sql));
+  stmt.kind = Statement::Kind::kCreateTableAs;
+  stmt.table = name;
+  return Execute(stmt, QueryOptions{}).status();
 }
 
 Result<AppendOutcome> PctDatabase::AppendRows(const std::string& name,
@@ -466,54 +499,42 @@ Result<AppendOutcome> PctDatabase::AppendRows(const std::string& name,
   return outcome;
 }
 
-Result<AppendOutcome> PctDatabase::ExecuteInsert(const std::string& sql,
-                                                 const QueryOptions& options) {
-  PCTAGG_ASSIGN_OR_RETURN(InsertStatement stmt, ParseInsert(sql));
-  PCTAGG_ASSIGN_OR_RETURN(const Table* base, AppendTarget(stmt.table));
-  PCTAGG_ASSIGN_OR_RETURN(Table delta,
-                          BuildInsertDelta(stmt, base->schema()));
-  return AppendRows(stmt.table, delta, options);
-}
-
-Result<AppendOutcome> PctDatabase::ExecuteCopy(const std::string& sql,
-                                               const QueryOptions& options) {
-  PCTAGG_ASSIGN_OR_RETURN(CopyStatement stmt, ParseCopy(sql));
-  PCTAGG_ASSIGN_OR_RETURN(const Table* base, AppendTarget(stmt.table));
-  PCTAGG_ASSIGN_OR_RETURN(Table delta,
-                          ReadCsvFile(stmt.path, base->schema()));
-  return AppendRows(stmt.table, delta, options);
-}
-
 Result<Table> PctDatabase::Execute(const std::string& sql,
                                    const QueryOptions& options) {
-  PCTAGG_ASSIGN_OR_RETURN(ParsedStatement stmt_kind, ParseStatementKind(sql));
-  if (stmt_kind.kind == ParsedStatement::Kind::kSelect) {
-    return Query(sql, options);
+  PCTAGG_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+  return Execute(stmt, options);
+}
+
+Result<Table> PctDatabase::Execute(const Statement& stmt,
+                                   const QueryOptions& options) {
+  if (stmt.kind == Statement::Kind::kSelect) return Read(stmt, options);
+  if (stmt.kind == Statement::Kind::kCreateTableAs) {
+    if (catalog_.HasTable(stmt.table)) {
+      return Status::AlreadyExists("table already exists: " + stmt.table);
+    }
+    PCTAGG_ASSIGN_OR_RETURN(Table result, Read(stmt, options));
+    PCTAGG_RETURN_IF_ERROR(CreateTable(stmt.table, std::move(result)));
+    return Table();
   }
-  if (stmt_kind.kind == ParsedStatement::Kind::kDrop) {
-    PCTAGG_ASSIGN_OR_RETURN(DropStatement stmt,
-                            ParseDrop(stmt_kind.select_sql));
-    if (stmt_kind.explain) {
+  if (stmt.kind == Statement::Kind::kDrop) {
+    if (stmt.explain) {
       return TextToPlanTable(
-          stmt.ToString() +
+          stmt.drop.ToString() +
           "\n-- drop path: remove the table from the catalog, invalidate its\n"
           "-- cached summaries (generation bump), and delete its segment file\n"
           "-- and manifest entry when a data directory is attached. A sharded\n"
           "-- table is dropped on every worker first.\n");
     }
-    PCTAGG_ASSIGN_OR_RETURN(bool proceed, AnalyzeDrop(stmt, catalog_));
-    bool dropped = false;
-    if (proceed) {
-      PCTAGG_ASSIGN_OR_RETURN(dropped, DropTable(stmt.table, stmt.if_exists));
-    }
+    PCTAGG_ASSIGN_OR_RETURN(bool dropped,
+                            DropTable(stmt.drop.table, stmt.drop.if_exists));
     Schema schema;
     schema.AddColumn({"dropped", DataType::kInt64});
     Table out(schema);
     (void)out.AppendRow({Value::Int64(dropped ? 1 : 0)});
     return out;
   }
-  if (stmt_kind.kind == ParsedStatement::Kind::kCheckpoint) {
-    if (stmt_kind.explain) {
+  if (stmt.kind == Statement::Kind::kCheckpoint) {
+    if (stmt.explain) {
       return TextToPlanTable(
           "CHECKPOINT;\n"
           "-- checkpoint path: write every base table to a fresh checksummed\n"
@@ -534,13 +555,12 @@ Result<Table> PctDatabase::Execute(const std::string& sql,
                          Value::Float64(stats.ms)});
     return out;
   }
-  const bool is_insert = stmt_kind.kind == ParsedStatement::Kind::kInsert;
-  if (stmt_kind.explain && !stmt_kind.analyze) {
+  if (stmt.explain && !stmt.analyze) {
     // Plain EXPLAIN of a write: describe the append script without running
     // it. The merge-vs-recompute choice is per cache entry at run time, so
     // the script lists the rule rather than a resolved plan.
     std::string text =
-        stmt_kind.select_sql + "\n" +
+        stmt.text + "\n" +
         "-- append path: add rows to the base table (dictionary codes\n"
         "-- resolved against the existing per-column dictionaries), then for\n"
         "-- each cached summary of the table: aggregate only the delta with\n"
@@ -549,35 +569,27 @@ Result<Table> PctDatabase::Execute(const std::string& sql,
         "-- EXPLAIN ANALYZE for the resolved candidates).\n";
     return TextToPlanTable(text);
   }
-  if (stmt_kind.explain) {
-    obs::QueryTrace trace;
-    QueryOptions traced = options;
-    traced.trace = &trace;
-    Stopwatch timer;
-    Result<AppendOutcome> outcome =
-        is_insert ? ExecuteInsert(stmt_kind.select_sql, traced)
-                  : ExecuteCopy(stmt_kind.select_sql, traced);
-    if (!outcome.ok()) return outcome.status();
-    trace.total_ms = timer.ElapsedSeconds() * 1e3;
-    return TextToPlanTable(trace.Render());
+  if (stmt.explain) {
+    PCTAGG_ASSIGN_OR_RETURN(
+        std::string text,
+        ExplainAnalyzed(options, [&](const QueryOptions& traced) {
+          return Append(stmt, traced).status();
+        }));
+    return TextToPlanTable(text);
   }
-  PCTAGG_ASSIGN_OR_RETURN(AppendOutcome outcome,
-                          is_insert ? ExecuteInsert(stmt_kind.select_sql,
-                                                    options)
-                                    : ExecuteCopy(stmt_kind.select_sql,
-                                                  options));
+  PCTAGG_ASSIGN_OR_RETURN(AppendOutcome outcome, Append(stmt, options));
   return AppendOutcomeTable(outcome);
 }
 
-Result<std::string> PctDatabase::Explain(const std::string& sql,
-                                         const QueryOptions& options) const {
-  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, PrepareQuery(sql));
-  // The dop Query would resolve, so the advisor prices the same candidates.
-  ScopedParallelism parallelism(options.degree_of_parallelism);
-  PCTAGG_ASSIGN_OR_RETURN(SelectPlan plan,
-                          Lower(query, sql, options, /*partial_forced=*/false,
-                                /*batch=*/nullptr));
-  return plan.Explain();
+Result<AppendOutcome> PctDatabase::Append(const Statement& stmt,
+                                          const QueryOptions& options) {
+  const bool insert = stmt.kind == Statement::Kind::kInsert;
+  const std::string& name = insert ? stmt.insert.table : stmt.copy.table;
+  PCTAGG_ASSIGN_OR_RETURN(const Table* base, AppendTarget(name));
+  PCTAGG_ASSIGN_OR_RETURN(
+      Table delta, insert ? BuildInsertDelta(stmt.insert, base->schema())
+                          : ReadCsvFile(stmt.copy.path, base->schema()));
+  return AppendRows(name, delta, options);
 }
 
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query) {
@@ -604,6 +616,18 @@ Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query) {
     table = Limit(table, query.limit);
   }
   return table;
+}
+
+Result<std::string> ExplainAnalyzed(
+    const QueryOptions& options,
+    const std::function<Status(const QueryOptions& traced)>& run) {
+  obs::QueryTrace trace;
+  QueryOptions traced = options;
+  traced.trace = &trace;
+  Stopwatch timer;
+  PCTAGG_RETURN_IF_ERROR(run(traced));
+  trace.total_ms = timer.ElapsedMillis();
+  return trace.Render();
 }
 
 Table TextToPlanTable(const std::string& text) {

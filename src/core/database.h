@@ -1,6 +1,7 @@
 #ifndef PCTAGG_CORE_DATABASE_H_
 #define PCTAGG_CORE_DATABASE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include "engine/catalog.h"
 #include "engine/table.h"
 #include "obs/trace.h"
+#include "sql/parser.h"
 #include "storage/storage.h"
 
 namespace pctagg {
@@ -96,7 +98,9 @@ struct AppendOutcome {
 // The top-level facade: a catalog of tables plus the percentage-query
 // framework. This is the piece the paper's Java program played — take a
 // query written with the proposed aggregations, generate the evaluation
-// plan, run it against the (here: embedded) engine.
+// plan, run it against the (here: embedded) engine. Each entry point
+// parses its statement once (ParseStatement, sql/parser.h): Execute runs
+// any statement, Query a SELECT or its EXPLAIN forms.
 //
 //   PctDatabase db;
 //   db.CreateTable("sales", BuildSalesTable());
@@ -126,10 +130,13 @@ class PctDatabase {
   SummaryCache& summaries() { return summaries_; }
 
   // Parses and analyzes a plain SELECT against the current catalog without
-  // executing it. The server's MQO batching gate (server/mqo_gate.h) uses
-  // this to extract a statement's partial requirements before admission;
-  // callers hold the same reader lock they would hold for Query.
+  // executing it; any other statement, or an EXPLAIN of one, is
+  // InvalidArgument. The second form analyzes a SELECT ParseStatement
+  // already parsed: the server's MQO batching gate (server/mqo_gate.h)
+  // extracts a statement's partial requirements with it. Callers hold the
+  // same reader lock they would hold for Query.
   Result<AnalyzedQuery> PrepareQuery(const std::string& sql) const;
+  Result<AnalyzedQuery> PrepareQuery(const SelectStatement& stmt) const;
 
   // Runs a SELECT that PrepareQuery analyzed (`sql` is its text) as Query
   // would, parsing nothing again. `batch`, the published MQO batch scan the
@@ -206,34 +213,41 @@ class PctDatabase {
   // per-column dictionaries.
   //
   // This is a write: callers must keep it exclusive against concurrent
-  // queries on the same database (the server's QueryExecutor classifies
-  // INSERT/COPY as exclusive writers; library users synchronize themselves).
+  // queries on the same database (the server's QueryExecutor runs every
+  // write under its exclusive lock; library users synchronize themselves).
   Result<AppendOutcome> AppendRows(const std::string& name, const Table& delta) {
     return AppendRows(name, delta, QueryOptions{});
   }
   Result<AppendOutcome> AppendRows(const std::string& name, const Table& delta,
                                    const QueryOptions& options);
 
-  // Full statement dispatch: SELECT / EXPLAIN [ANALYZE] go to Query;
-  // INSERT INTO ... VALUES and COPY ... FROM ... (APPEND) — including their
-  // EXPLAIN ANALYZE forms — run through AppendRows and return a one-row
-  // summary (rows_appended, summaries_merged, summaries_recomputed).
-  // DROP TABLE [IF EXISTS] and CHECKPOINT return one-row summaries too.
-  // Non-const because writes mutate the catalog; see AppendRows for the
-  // writer-exclusivity contract.
+  // Runs any statement (sql/parser.h), parsed once: a SELECT and its EXPLAIN
+  // forms as Query does; INSERT INTO ... VALUES and COPY ... FROM ...
+  // (APPEND) through AppendRows, returning a one-row summary
+  // (rows_appended, summaries_merged, summaries_recomputed); DROP TABLE
+  // [IF EXISTS] and CHECKPOINT return one-row summaries too; CREATE TABLE
+  // <t> AS <select> runs its SELECT with `options` and returns an empty
+  // table. EXPLAIN ANALYZE runs an INSERT or COPY traced; every other
+  // EXPLAIN form of a write only describes it. Non-const because writes
+  // mutate the catalog; see AppendRows for the writer-exclusivity contract.
+  // A SELECT only reads, so callers may run it under a reader lock.
   Result<Table> Execute(const std::string& sql) {
     return Execute(sql, QueryOptions{});
   }
   Result<Table> Execute(const std::string& sql, const QueryOptions& options);
+  Result<Table> Execute(const Statement& stmt, const QueryOptions& options);
 
-  // CREATE TABLE <name> AS <select>: materializes a query result as a new
-  // base table. This is how the paper's "F can be a temporary table
-  // resulting from some query or a view" works here — denormalize or
-  // pre-filter once, then run percentage queries against the result.
+  // CREATE TABLE <name> AS <sql>, where `sql` is a plain SELECT:
+  // materializes a query result as a new base table. This is how the
+  // paper's "F can be a temporary table resulting from some query or a
+  // view" works here — denormalize or pre-filter once, then run percentage
+  // queries against the result.
   Status CreateTableAs(const std::string& name, const std::string& sql);
 
   // Parses, analyzes, plans (PlanSelect, core/select_plan.h), executes and
-  // returns the result. Temporary tables are cleaned up.
+  // returns the result of a SELECT or of its EXPLAIN [ANALYZE] form; every
+  // write, CREATE TABLE AS included, is InvalidArgument. Temporary tables
+  // are cleaned up.
   //
   // Query is *logically* const and safe to call from many threads at once:
   // every table it materializes has a process-unique temporary name, the
@@ -261,18 +275,18 @@ class PctDatabase {
   Result<Table> QueryPartial(const std::string& sql,
                              const QueryOptions& options) const;
 
-  // Plain EXPLAIN: the plan Query would run for `sql` under `options`
-  // (SelectPlan::Explain, core/select_plan.h), without executing it.
+  // Plain EXPLAIN: the plan Query would run for the plain SELECT `sql` under
+  // `options` (SelectPlan::Explain, core/select_plan.h), without executing
+  // it.
   Result<std::string> Explain(const std::string& sql) const {
     return Explain(sql, QueryOptions{});
   }
   Result<std::string> Explain(const std::string& sql,
                               const QueryOptions& options) const;
 
-  // EXPLAIN ANALYZE: executes `sql` with tracing on and returns the rendered
-  // executed plan — strategy chosen (and why: advisor vs forced), cost-model
-  // predicted vs actual, and per-operator stats for every generated
-  // statement. The query's result table is discarded.
+  // EXPLAIN ANALYZE: executes the plain SELECT `sql` with tracing on and
+  // returns the rendered executed plan (ExplainAnalyzed below). The query's
+  // result table is discarded.
   Result<std::string> ExplainAnalyze(const std::string& sql) const {
     return ExplainAnalyze(sql, QueryOptions{});
   }
@@ -280,11 +294,16 @@ class PctDatabase {
                                      const QueryOptions& options) const;
 
  private:
-  // Statement bodies of Execute (EXPLAIN prefix already stripped).
-  Result<AppendOutcome> ExecuteInsert(const std::string& sql,
-                                      const QueryOptions& options);
-  Result<AppendOutcome> ExecuteCopy(const std::string& sql,
-                                    const QueryOptions& options);
+  // A SELECT statement, or its EXPLAIN [ANALYZE] form: Query's body.
+  Result<Table> Read(const Statement& stmt, const QueryOptions& options) const;
+
+  // EXPLAIN [ANALYZE] of the SELECT `stmt` holds.
+  Result<std::string> ExplainSelect(const Statement& stmt, bool analyze,
+                                    const QueryOptions& options) const;
+
+  // An INSERT or COPY statement's body.
+  Result<AppendOutcome> Append(const Statement& stmt,
+                               const QueryOptions& options);
 
   // Plans and lowers `query` with PlanSelect at the caller's CurrentDop():
   // the one call Select runs and Explain prints.
@@ -337,6 +356,14 @@ Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query);
 // Multi-line text as the one-column "plan" table every surface (CSV, wire
 // protocol, shell) prints EXPLAIN output in, one row per line.
 Table TextToPlanTable(const std::string& text);
+
+// EXPLAIN ANALYZE of any statement, batched or not: calls `run` with
+// `options` tracing into a fresh trace, discards what it ran, and renders
+// the executed plan — strategy chosen (and why: advisor vs forced),
+// cost-model predicted vs actual, and per-operator stats for every step.
+Result<std::string> ExplainAnalyzed(
+    const QueryOptions& options,
+    const std::function<Status(const QueryOptions& traced)>& run);
 
 }  // namespace pctagg
 

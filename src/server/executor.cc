@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <sstream>
 #include <utility>
 
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/cost_model.h"
 #include "core/mqo_plan.h"
@@ -65,55 +63,6 @@ QueryExecutor::~QueryExecutor() {
   // A timed-out statement keeps running after its caller gave up; it still
   // references `this` (and the database), so wait it out before tearing down.
   outstanding_.Wait();
-}
-
-bool QueryExecutor::ParseCreateTableAs(const std::string& sql,
-                                       std::string* name,
-                                       std::string* select_sql) {
-  std::istringstream in(sql);
-  std::string w1, w2, ident, w4;
-  in >> w1 >> w2 >> ident >> w4;
-  if (!EqualsIgnoreCase(w1, "CREATE") || !EqualsIgnoreCase(w2, "TABLE") ||
-      ident.empty() || !EqualsIgnoreCase(w4, "AS")) {
-    return false;
-  }
-  std::string rest;
-  std::getline(in, rest);
-  size_t start = rest.find_first_not_of(" \t");
-  if (start == std::string::npos) return false;
-  *name = ident;
-  *select_sql = rest.substr(start);
-  return true;
-}
-
-namespace {
-
-// First statement keyword, skipping an EXPLAIN [ANALYZE] prefix. Trailing
-// semicolons are stripped so a bare "CHECKPOINT;" classifies like
-// "CHECKPOINT".
-std::string LeadingKeyword(const std::string& sql) {
-  std::istringstream in(sql);
-  std::string word;
-  in >> word;
-  if (EqualsIgnoreCase(word, "EXPLAIN")) {
-    in >> word;
-    if (EqualsIgnoreCase(word, "ANALYZE")) in >> word;
-  }
-  while (!word.empty() && word.back() == ';') word.pop_back();
-  return word;
-}
-
-}  // namespace
-
-bool QueryExecutor::IsAppendStatement(const std::string& sql) {
-  std::string word = LeadingKeyword(sql);
-  return EqualsIgnoreCase(word, "INSERT") || EqualsIgnoreCase(word, "COPY");
-}
-
-bool QueryExecutor::IsWriteStatement(const std::string& sql) {
-  std::string word = LeadingKeyword(sql);
-  return EqualsIgnoreCase(word, "INSERT") || EqualsIgnoreCase(word, "COPY") ||
-         EqualsIgnoreCase(word, "DROP") || EqualsIgnoreCase(word, "CHECKPOINT");
 }
 
 Status QueryExecutor::Run(bool writer, std::function<Status()> fn,
@@ -185,11 +134,12 @@ Status QueryExecutor::Run(bool writer, std::function<Status()> fn,
 Result<Table> QueryExecutor::ExecuteStatement(
     const std::string& sql, const QueryOptions& options, uint64_t timeout_ms,
     std::shared_ptr<obs::QueryTrace> trace) {
-  std::string name, select_sql;
-  bool is_ctas = ParseCreateTableAs(sql, &name, &select_sql);
-  // Appends, DROP TABLE and CHECKPOINT all dispatch to PctDatabase::Execute
-  // under the exclusive lock.
-  bool is_append = !is_ctas && IsWriteStatement(sql);
+  // Parsed on the caller's thread: a malformed statement takes no pool slot.
+  PCTAGG_ASSIGN_OR_RETURN(Statement parsed, ParseStatement(sql));
+  auto stmt = std::make_shared<const Statement>(std::move(parsed));
+  // Every statement but a SELECT is a write; an EXPLAIN form takes the lock
+  // its statement would.
+  const bool writer = stmt->kind != Statement::Kind::kSelect;
   // The worker may outlive a timed-out caller, so the result slot is shared —
   // and the lambda co-owns `trace` so the worker never writes into a trace the
   // caller has already dropped.
@@ -197,119 +147,75 @@ Result<Table> QueryExecutor::ExecuteStatement(
   QueryOptions opts = options;
   opts.trace = trace.get();
   Status st = Run(
-      is_ctas || is_append,
-      [this, out, opts, trace, name = std::move(name),
-       select_sql = std::move(select_sql), sql, is_ctas, is_append,
-       timeout_ms]() -> Status {
-        if (is_ctas) {
-          // Note: CreateTableAs runs its inner SELECT while we hold the
-          // exclusive lock — correct (the new table appears atomically to
-          // readers) at the cost of serializing with readers.
-          PCTAGG_RETURN_IF_ERROR(db_->CreateTableAs(name, select_sql));
-          *out = Table();  // empty result set
-          return Status::OK();
-        }
-        if (is_append) {
-          // Appends mutate the base table and delta-maintain its cached
-          // summaries; the exclusive lock we hold is exactly the
-          // writer-exclusivity AppendRows requires.
-          Result<Table> r = db_->Execute(sql, opts);
-          if (!r.ok()) return r.status();
-          *out = std::move(r);
-          return Status::OK();
-        }
-        Result<Table> r = RunMqoRead(sql, opts, timeout_ms);
-        if (!r.ok()) return r.status();
-        *out = std::move(r);
-        return Status::OK();
+      writer,
+      [this, out, opts, trace, stmt, writer, timeout_ms]() -> Status {
+        // The exclusive lock a write runs under is exactly the
+        // writer-exclusivity PctDatabase::Execute requires.
+        *out = writer ? db_->Execute(*stmt, opts)
+                      : RunMqoRead(*stmt, opts, timeout_ms);
+        return out->status();
       },
       timeout_ms);
   if (!st.ok()) return st;
   return std::move(*out);
 }
 
-namespace {
-
-// The SELECT a read runs: `sql` itself, or the statement EXPLAIN ANALYZE
-// wraps (`*analyze`). False for anything else, plain EXPLAIN included: it
-// never executes, so it never batches.
-bool SplitSelect(const std::string& sql, std::string* select, bool* analyze) {
-  std::istringstream in(sql);
-  std::string word;
-  in >> word;
-  *analyze = EqualsIgnoreCase(word, "EXPLAIN");
-  if (*analyze) {
-    in >> word;
-    if (!EqualsIgnoreCase(word, "ANALYZE")) return false;
-    std::getline(in >> std::ws, *select, '\0');
-    std::istringstream(*select) >> word;
-  } else {
-    *select = sql;
-  }
-  while (!word.empty() && word.back() == ';') word.pop_back();
-  return EqualsIgnoreCase(word, "SELECT");
-}
-
-}  // namespace
-
-Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
+Result<Table> QueryExecutor::RunMqoRead(const Statement& stmt,
                                         const QueryOptions& opts,
                                         uint64_t timeout_ms) {
-  // Anything that can't batch falls through to the ordinary solo path with
-  // identical semantics and error text. Forced strategies and the OLAP
-  // baseline bypass the gate because a batch would override the forced plan.
+  // Forced strategies and the OLAP baseline bypass the gate because a batch
+  // would override the forced plan; plain EXPLAIN never executes, so it
+  // never batches. Per-query deadlines win over batching: a query whose
+  // timeout could be eaten by the collection window executes solo.
   if (opts.mqo == MqoMode::kOff || opts.olap_baseline ||
-      opts.vpct_strategy.has_value() || opts.horizontal_strategy.has_value()) {
-    return db_->Query(sql, opts);
+      opts.vpct_strategy.has_value() || opts.horizontal_strategy.has_value() ||
+      (stmt.explain && !stmt.analyze)) {
+    return db_->Execute(stmt, opts);
   }
-  std::string inner;
-  bool analyze = false;
-  if (!SplitSelect(sql, &inner, &analyze)) return db_->Query(sql, opts);
-  // Per-query deadlines win over batching: a query whose timeout could be
-  // eaten by the collection window executes solo.
   if (mqo_gate_.ShouldRunSolo(timeout_ms)) {
     mqo_gate_.RecordSoloEscape();
-    return db_->Query(sql, opts);
+    return db_->Execute(stmt, opts);
   }
-  Result<AnalyzedQuery> prepared = db_->PrepareQuery(inner);
-  if (!prepared.ok()) return db_->Query(sql, opts);
-
-  QueryOptions own = opts;
-  obs::QueryTrace analyze_trace;
-  if (analyze) own.trace = &analyze_trace;
-  Stopwatch timer;
+  PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, db_->PrepareQuery(stmt.select));
   // The planner statistics, not the catalog entry: a sharded table's stub
   // has no rows, its SHARD-time statistics do.
   auto has_rows = [&] {
-    Result<PlannerStats> stats = db_->PlannerStatistics(prepared->table_name);
+    Result<PlannerStats> stats = db_->PlannerStatistics(query.table_name);
     return stats.ok() && stats->rows() > 0;
   };
-  std::shared_ptr<const MqoBatchScan> batch;
-  if (PartialPlanSupported(*prepared) && has_rows()) {
-    // Compatibility key + execution-context fingerprint: only queries whose
-    // results depend on the same settings may share a batch.
-    const bool use_cache =
-        opts.use_summary_cache.value_or(db_->summary_cache_enabled());
-    const std::string key =
-        MqoCompatibilityKey(*prepared) +
-        StrFormat("|c%d|d%zu", use_cache ? 1 : 0, opts.degree_of_parallelism);
-    MqoGate::Member member;
-    member.query = &*prepared;
-    member.dop = opts.degree_of_parallelism;
-    member.trace = own.trace;
-    batch = mqo_gate_.Run(
-        key, member,
-        [this, &opts](const std::vector<MqoGate::Member*>& members) {
-          return PlanAndScanMqoBatch(opts, members);
-        });
-  }
-  // Every member — batched, declined or alone — finishes on its own thread
-  // as an ordinary query, the published batch one more source of partials.
-  Result<Table> result =
-      db_->QueryPrepared(*prepared, inner, own, batch.get());
-  if (!analyze || !result.ok()) return result;
-  analyze_trace.total_ms = timer.ElapsedMillis();
-  return TextToPlanTable(analyze_trace.Render());
+  auto run = [&](const QueryOptions& own) -> Result<Table> {
+    std::shared_ptr<const MqoBatchScan> batch;
+    if (PartialPlanSupported(query) && has_rows()) {
+      // Compatibility key + execution-context fingerprint: only queries
+      // whose results depend on the same settings may share a batch.
+      const bool use_cache =
+          opts.use_summary_cache.value_or(db_->summary_cache_enabled());
+      const std::string key =
+          MqoCompatibilityKey(query) +
+          StrFormat("|c%d|d%zu", use_cache ? 1 : 0,
+                    opts.degree_of_parallelism);
+      MqoGate::Member member;
+      member.query = &query;
+      member.dop = opts.degree_of_parallelism;
+      member.trace = own.trace;
+      batch = mqo_gate_.Run(
+          key, member,
+          [this, &opts](const std::vector<MqoGate::Member*>& members) {
+            return PlanAndScanMqoBatch(opts, members);
+          });
+    }
+    // Every member — batched, declined or alone — finishes on its own
+    // thread as an ordinary query, the published batch one more source of
+    // partials.
+    return db_->QueryPrepared(query, stmt.text, own, batch.get());
+  };
+  if (!stmt.analyze) return run(opts);
+  PCTAGG_ASSIGN_OR_RETURN(
+      std::string text,
+      ExplainAnalyzed(opts, [&](const QueryOptions& traced) {
+        return run(traced).status();
+      }));
+  return TextToPlanTable(text);
 }
 
 std::shared_ptr<const MqoBatchScan> QueryExecutor::PlanAndScanMqoBatch(

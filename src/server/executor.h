@@ -33,10 +33,11 @@ struct ExecutorConfig {
 };
 
 // Runs statements against one shared PctDatabase with reader/writer
-// discipline: queries (SELECT) run concurrently under a shared lock, DDL
-// (CREATE TABLE AS, GEN, DROP, .load) takes the lock exclusively, so a
-// writer can never swap a table out from under a running scan. Everything
-// below the lock — catalog registry, temp tables, summary cache — is already
+// discipline: queries (SELECT) run concurrently under a shared lock, every
+// other statement (CREATE TABLE AS, INSERT, COPY, DROP, CHECKPOINT) and the
+// non-SQL writers (GEN, DROP, .load) take the lock exclusively, so a writer
+// can never swap a table out from under a running scan. Everything below
+// the lock — catalog registry, temp tables, summary cache — is already
 // internally synchronized (see PctDatabase::Query).
 //
 // Each statement is submitted to a ThreadPool and the calling (connection)
@@ -54,12 +55,14 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  // Classifies and runs one SQL statement: "CREATE TABLE <t> AS <select>",
-  // INSERT and COPY ... (APPEND) — including their EXPLAIN [ANALYZE] forms —
-  // go down the exclusive path, everything else is a read. `timeout_ms` of
-  // 0 means no deadline. A non-null `trace` collects the executed-plan trace
-  // (SET trace on); it is shared because a timed-out statement keeps running
-  // in the background and must not write into a freed trace.
+  // Parses one SQL statement (ParseStatement, sql/parser.h) on the calling
+  // thread, so a malformed one takes no pool slot, then runs it: a SELECT or
+  // its EXPLAIN forms under the shared lock, through the MQO gate when it
+  // executes, and every other statement through PctDatabase::Execute under
+  // the exclusive lock. `timeout_ms` of 0 means no deadline. A non-null
+  // `trace` collects the executed-plan trace (SET trace on); it is shared
+  // because a timed-out statement keeps running in the background and must
+  // not write into a freed trace.
   Result<Table> ExecuteStatement(const std::string& sql,
                                  const QueryOptions& options,
                                  uint64_t timeout_ms,
@@ -71,22 +74,8 @@ class QueryExecutor {
   // GEN, DROP, .load.
   Status ExecuteWrite(std::function<Status()> fn, uint64_t timeout_ms);
 
-  // Runs `fn` under the shared (reader) lock: EXPLAIN, TABLES, SCHEMA.
+  // Runs `fn` under the shared (reader) lock: TABLES, SCHEMA.
   Status ExecuteRead(std::function<Status()> fn, uint64_t timeout_ms);
-
-  // True (and outputs the pieces) if `sql` is CREATE TABLE <name> AS <select>.
-  static bool ParseCreateTableAs(const std::string& sql, std::string* name,
-                                 std::string* select_sql);
-
-  // True if `sql` is an INSERT or COPY statement (optionally wrapped in
-  // EXPLAIN [ANALYZE]) — these mutate the catalog, so they run under the
-  // exclusive lock and are dispatched to PctDatabase::Execute.
-  static bool IsAppendStatement(const std::string& sql);
-
-  // Superset of IsAppendStatement: also DROP TABLE and CHECKPOINT, which
-  // likewise need the exclusive lock (drop swaps the catalog; checkpoint
-  // serializes every base table to segments and must see them quiescent).
-  static bool IsWriteStatement(const std::string& sql);
 
   const ExecutorConfig& config() const { return config_; }
   // The multi-query batching gate (SHOW renders its Describe() line).
@@ -106,8 +95,10 @@ class QueryExecutor {
   // The read path of ExecuteStatement, running on a pool worker under the
   // shared lock: a SELECT (or its EXPLAIN ANALYZE form) is analyzed once,
   // passes the MQO gate when it has a partial plan, and runs through
-  // PctDatabase::QueryPrepared with the batch the gate published.
-  Result<Table> RunMqoRead(const std::string& sql, const QueryOptions& opts,
+  // PctDatabase::QueryPrepared with the batch the gate published. Forced
+  // strategies, the OLAP baseline, SET mqo off and plain EXPLAIN go to
+  // PctDatabase::Execute instead.
+  Result<Table> RunMqoRead(const Statement& stmt, const QueryOptions& opts,
                            uint64_t timeout_ms);
 
   // Batch leader body: plans and prices one closed batch and, unless a

@@ -271,8 +271,8 @@ WireResponse PctServer::HandleRequest(Session* session,
   WireResponse resp;
   switch (request.verb) {
     case RequestVerb::kQuery:
-    // APPEND is a courtesy alias: the executor classifies INSERT/COPY by the
-    // statement text, so writes sent via QUERY take the exclusive path too.
+    // APPEND is a courtesy alias: the executor picks the path from the
+    // parsed statement, so writes sent via QUERY take the exclusive path too.
     case RequestVerb::kAppend:
       return RunStatement(session, request.payload, /*olap_baseline=*/false);
     case RequestVerb::kOlap:

@@ -442,15 +442,4 @@ Result<Table> BuildInsertDelta(const InsertStatement& stmt,
   return delta;
 }
 
-Result<bool> AnalyzeDrop(const DropStatement& stmt, const Catalog& catalog) {
-  if (stmt.table.empty()) {
-    return Status::AnalysisError("DROP TABLE requires a table name");
-  }
-  if (!catalog.HasTable(stmt.table)) {
-    if (stmt.if_exists) return false;
-    return Status::NotFound("table not found: " + stmt.table);
-  }
-  return true;
-}
-
 }  // namespace pctagg

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "engine/catalog.h"
 #include "engine/data_type.h"
 #include "engine/table.h"
 #include "sql/ast.h"
@@ -99,11 +98,6 @@ Result<AnalyzedQuery> Analyze(const SelectStatement& stmt, const Schema& schema)
 // FLOAT64 columns; any other type mismatch is an error.
 Result<Table> BuildInsertDelta(const InsertStatement& stmt,
                                const Schema& schema);
-
-// Validates a DROP TABLE against the catalog. Returns true when the drop
-// should proceed, false for the benign IF-EXISTS-and-absent case; a missing
-// table without IF EXISTS is NotFound.
-Result<bool> AnalyzeDrop(const DropStatement& stmt, const Catalog& catalog);
 
 }  // namespace pctagg
 

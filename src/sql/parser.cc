@@ -131,11 +131,7 @@ class Parser {
       stmt.limit = static_cast<size_t>(std::stoll(t.text));
       Advance();
     }
-    ConsumeSymbol(";");
-    if (!Peek().IsSymbol("") && Peek().type != TokenType::kEnd) {
-      return Status::ParseError("unexpected trailing input near '" +
-                                Peek().text + "'");
-    }
+    PCTAGG_RETURN_IF_ERROR(ExpectEnd());
     return stmt;
   }
 
@@ -173,11 +169,7 @@ class Parser {
       stmt.rows.push_back(std::move(row));
       if (!ConsumeSymbol(",")) break;
     }
-    ConsumeSymbol(";");
-    if (Peek().type != TokenType::kEnd) {
-      return Status::ParseError("unexpected trailing input near '" +
-                                Peek().text + "'");
-    }
+    PCTAGG_RETURN_IF_ERROR(ExpectEnd());
     return stmt;
   }
 
@@ -190,11 +182,7 @@ class Parser {
       stmt.if_exists = true;
     }
     PCTAGG_ASSIGN_OR_RETURN(stmt.table, ExpectIdentifier());
-    ConsumeSymbol(";");
-    if (Peek().type != TokenType::kEnd) {
-      return Status::ParseError("unexpected trailing input near '" +
-                                Peek().text + "'");
-    }
+    PCTAGG_RETURN_IF_ERROR(ExpectEnd());
     return stmt;
   }
 
@@ -218,12 +206,50 @@ class Parser {
           "COPY requires the (APPEND) option: only additive loads are "
           "supported");
     }
-    ConsumeSymbol(";");
-    if (Peek().type != TokenType::kEnd) {
-      return Status::ParseError("unexpected trailing input near '" +
-                                Peek().text + "'");
-    }
+    PCTAGG_RETURN_IF_ERROR(ExpectEnd());
     return stmt;
+  }
+
+  // `sql` is the text the tokens came from, for Statement::text.
+  Result<Statement> ParseStatement(const std::string& sql) {
+    Statement out;
+    if (ConsumeKeyword("EXPLAIN")) {
+      out.explain = true;
+      out.analyze = ConsumeKeyword("ANALYZE");
+      if (Peek().type == TokenType::kEnd) {
+        return Status::ParseError("EXPLAIN requires a statement to explain");
+      }
+    }
+    out.text = out.explain ? sql.substr(Peek().position) : sql;
+    const Token& first = Peek();
+    if (first.IsKeyword("INSERT")) {
+      out.kind = Statement::Kind::kInsert;
+      PCTAGG_ASSIGN_OR_RETURN(out.insert, ParseInsertStatement());
+    } else if (first.IsKeyword("COPY")) {
+      out.kind = Statement::Kind::kCopy;
+      PCTAGG_ASSIGN_OR_RETURN(out.copy, ParseCopyStatement());
+    } else if (first.IsKeyword("DROP")) {
+      out.kind = Statement::Kind::kDrop;
+      PCTAGG_ASSIGN_OR_RETURN(out.drop, ParseDropStatement());
+    } else if (ConsumeKeyword("CHECKPOINT")) {
+      out.kind = Statement::Kind::kCheckpoint;
+      PCTAGG_RETURN_IF_ERROR(ExpectEnd());
+    } else if (first.type == TokenType::kIdentifier &&
+               EqualsIgnoreCase(first.text, "CREATE")) {
+      if (out.explain) {
+        return Status::ParseError("EXPLAIN does not apply to CREATE TABLE AS");
+      }
+      Advance();
+      out.kind = Statement::Kind::kCreateTableAs;
+      PCTAGG_RETURN_IF_ERROR(ExpectKeyword("TABLE"));
+      PCTAGG_ASSIGN_OR_RETURN(out.table, ExpectIdentifier());
+      PCTAGG_RETURN_IF_ERROR(ExpectKeyword("AS"));
+      out.text = sql.substr(Peek().position);
+      PCTAGG_ASSIGN_OR_RETURN(out.select, Parse());
+    } else {
+      PCTAGG_ASSIGN_OR_RETURN(out.select, Parse());
+    }
+    return out;
   }
 
  private:
@@ -259,6 +285,15 @@ class Parser {
     if (!ConsumeSymbol(s)) {
       return Status::ParseError("expected '" + s + "' near '" + Peek().text +
                                 "'");
+    }
+    return Status::OK();
+  }
+  // The end of a statement: an optional ';', then nothing.
+  Status ExpectEnd() {
+    ConsumeSymbol(";");
+    if (Peek().type != TokenType::kEnd) {
+      return Status::ParseError("unexpected trailing input near '" +
+                                Peek().text + "'");
     }
     return Status::OK();
   }
@@ -616,36 +651,10 @@ Result<DropStatement> ParseDrop(const std::string& sql) {
   return parser.ParseDropStatement();
 }
 
-Result<ParsedStatement> ParseStatementKind(const std::string& sql) {
-  ParsedStatement out;
+Result<Statement> ParseStatement(const std::string& sql) {
   PCTAGG_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  size_t i = 0;
-  if (i < tokens.size() && tokens[i].IsKeyword("EXPLAIN")) {
-    out.explain = true;
-    ++i;
-    if (i < tokens.size() && tokens[i].IsKeyword("ANALYZE")) {
-      out.analyze = true;
-      ++i;
-    }
-    if (i >= tokens.size() || tokens[i].type == TokenType::kEnd) {
-      return Status::ParseError("EXPLAIN requires a statement to explain");
-    }
-    out.select_sql = sql.substr(tokens[i].position);
-  } else {
-    out.select_sql = sql;
-  }
-  if (i < tokens.size()) {
-    if (tokens[i].IsKeyword("INSERT")) {
-      out.kind = ParsedStatement::Kind::kInsert;
-    } else if (tokens[i].IsKeyword("COPY")) {
-      out.kind = ParsedStatement::Kind::kCopy;
-    } else if (tokens[i].IsKeyword("DROP")) {
-      out.kind = ParsedStatement::Kind::kDrop;
-    } else if (tokens[i].IsKeyword("CHECKPOINT")) {
-      out.kind = ParsedStatement::Kind::kCheckpoint;
-    }
-  }
-  return out;
+  Parser parser(std::move(tokens));
+  return parser.ParseStatement(sql);
 }
 
 }  // namespace pctagg

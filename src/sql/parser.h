@@ -8,6 +8,9 @@
 
 namespace pctagg {
 
+// The grammar of the extended SQL dialect. ParseStatement below is the entry
+// point the surfaces use; the others parse one statement kind each.
+//
 // Parses one SELECT statement in the extended SQL dialect:
 //
 //   SELECT state, city, Vpct(salesAmt BY city)
@@ -45,19 +48,31 @@ Result<CopyStatement> ParseCopy(const std::string& sql);
 //   DROP TABLE [IF EXISTS] sales;
 Result<DropStatement> ParseDrop(const std::string& sql);
 
-// Statement-kind dispatch for the surfaces (shell, server, PctDatabase):
-// recognizes an EXPLAIN [ANALYZE] prefix, classifies the wrapped statement
-// (SELECT vs INSERT vs COPY vs DROP vs CHECKPOINT by its leading keyword)
-// and hands back its text. A bare SELECT comes back unchanged with both
-// flags false. CHECKPOINT takes no operands.
-struct ParsedStatement {
-  enum class Kind { kSelect, kInsert, kCopy, kDrop, kCheckpoint };
-  bool explain = false;
-  bool analyze = false;
+// One statement, parsed once: what every surface (PctDatabase, the server's
+// QueryExecutor, the shell) decides its lock, its path and its EXPLAIN form
+// from.
+//
+//   statement := [EXPLAIN [ANALYZE]] (select | insert | copy | drop
+//                                     | CHECKPOINT [';'])
+//              | CREATE TABLE ident AS select
+//
+// CHECKPOINT takes no operands, and CREATE TABLE AS has no EXPLAIN form.
+struct Statement {
+  enum class Kind { kSelect, kInsert, kCopy, kDrop, kCheckpoint,
+                    kCreateTableAs };
   Kind kind = Kind::kSelect;
-  std::string select_sql;  // the statement with any EXPLAIN prefix removed
+  bool explain = false;  // an EXPLAIN prefix
+  bool analyze = false;  // EXPLAIN ANALYZE
+  // The text the plan's details show: the statement after any EXPLAIN
+  // prefix; for CREATE TABLE AS, its SELECT.
+  std::string text;
+  SelectStatement select;  // kSelect, and the query of kCreateTableAs
+  InsertStatement insert;  // kInsert
+  CopyStatement copy;      // kCopy
+  DropStatement drop;      // kDrop
+  std::string table;       // kCreateTableAs: the table it creates
 };
-Result<ParsedStatement> ParseStatementKind(const std::string& sql);
+Result<Statement> ParseStatement(const std::string& sql);
 
 }  // namespace pctagg
 

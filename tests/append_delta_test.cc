@@ -76,15 +76,14 @@ TEST(CopyParseTest, RequiresAppendOption) {
 }
 
 TEST(StatementKindTest, ClassifiesWrites) {
-  EXPECT_EQ(ParseStatementKind("INSERT INTO f VALUES (1)")->kind,
-            ParsedStatement::Kind::kInsert);
-  EXPECT_EQ(ParseStatementKind("copy f from 'x' (append)")->kind,
-            ParsedStatement::Kind::kCopy);
-  EXPECT_EQ(ParseStatementKind("EXPLAIN ANALYZE INSERT INTO f VALUES (1)")
-                ->kind,
-            ParsedStatement::Kind::kInsert);
-  EXPECT_EQ(ParseStatementKind("SELECT d1 FROM f")->kind,
-            ParsedStatement::Kind::kSelect);
+  EXPECT_EQ(ParseStatement("INSERT INTO f VALUES (1)")->kind,
+            Statement::Kind::kInsert);
+  EXPECT_EQ(ParseStatement("copy f from 'x' (append)")->kind,
+            Statement::Kind::kCopy);
+  EXPECT_EQ(ParseStatement("EXPLAIN ANALYZE INSERT INTO f VALUES (1)")->kind,
+            Statement::Kind::kInsert);
+  EXPECT_EQ(ParseStatement("SELECT d1 FROM f")->kind,
+            Statement::Kind::kSelect);
 }
 
 // --- Delta construction ----------------------------------------------------

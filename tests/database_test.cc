@@ -456,6 +456,24 @@ TEST(DatabaseTest, CreateTableAsMaterializesQueries) {
   EXPECT_FALSE(db.catalog().HasTable("bad"));
 }
 
+// CREATE TABLE AS is a statement of the embedded API too: Execute runs it,
+// and Query refuses it as the write it is.
+TEST(DatabaseTest, ExecuteRunsCreateTableAs) {
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("s", GenerateSales(3000)).ok());
+  const std::string ctas =
+      "CREATE TABLE byweek AS SELECT dweek, sum(salesAmt) AS s FROM s "
+      "GROUP BY dweek;";
+  EXPECT_EQ(db.Query(ctas).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(db.catalog().HasTable("byweek"));
+  Result<Table> created = db.Execute(ctas);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  Result<Table> n = db.Query("SELECT count(*) AS n FROM byweek");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(FormatCsv(*n), "n\n7\n");
+  EXPECT_EQ(db.Execute(ctas).status().code(), StatusCode::kAlreadyExists);
+}
+
 TEST(DatabaseTest, StrategyOverridesAgree) {
   PctDatabase db;
   ASSERT_TRUE(db.CreateTable("sales", PaperExampleSales()).ok());

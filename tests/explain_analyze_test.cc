@@ -1,14 +1,21 @@
-// Tests for EXPLAIN ANALYZE: statement-kind parsing, the rendered trace for
-// one Vpct and one Hpct strategy on the paper's sales example (golden,
-// numbers normalized), and the predicted-vs-actual cost-model fields.
+// Tests for EXPLAIN ANALYZE: reading the EXPLAIN [ANALYZE] prefix, the
+// rendered trace for one Vpct and one Hpct strategy on the paper's sales
+// example (golden, numbers normalized), the
+// predicted-vs-actual cost-model fields, and every statement kind's replies,
+// EXPLAIN forms included, agreeing between the server's executor and
+// embedded Execute.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/database.h"
+#include "engine/csv.h"
 #include "obs/trace.h"
+#include "server/executor.h"
 #include "sql/parser.h"
 #include "workload/generators.h"
 
@@ -48,33 +55,32 @@ class ExplainAnalyzeTest : public ::testing::Test {
   PctDatabase db_;
 };
 
-// --- Statement-kind parsing -------------------------------------------------
+// --- Statement parsing ------------------------------------------------------
 
 TEST(ParseStatementKindTest, RecognizesExplainAndAnalyze) {
-  Result<ParsedStatement> plain = ParseStatementKind("SELECT a FROM f");
+  Result<Statement> plain = ParseStatement("SELECT a FROM f");
   ASSERT_TRUE(plain.ok());
   EXPECT_FALSE(plain->explain);
   EXPECT_FALSE(plain->analyze);
-  EXPECT_EQ(plain->select_sql, "SELECT a FROM f");
+  EXPECT_EQ(plain->text, "SELECT a FROM f");
 
-  Result<ParsedStatement> explain =
-      ParseStatementKind("EXPLAIN SELECT a FROM f");
+  Result<Statement> explain = ParseStatement("EXPLAIN SELECT a FROM f");
   ASSERT_TRUE(explain.ok());
   EXPECT_TRUE(explain->explain);
   EXPECT_FALSE(explain->analyze);
-  EXPECT_EQ(explain->select_sql, "SELECT a FROM f");
+  EXPECT_EQ(explain->text, "SELECT a FROM f");
 
-  Result<ParsedStatement> analyze =
-      ParseStatementKind("explain analyze SELECT a FROM f");
+  Result<Statement> analyze =
+      ParseStatement("explain analyze SELECT a FROM f");
   ASSERT_TRUE(analyze.ok());
   EXPECT_TRUE(analyze->explain);
   EXPECT_TRUE(analyze->analyze);
-  EXPECT_EQ(analyze->select_sql, "SELECT a FROM f");
+  EXPECT_EQ(analyze->text, "SELECT a FROM f");
 }
 
 TEST(ParseStatementKindTest, BareExplainIsAnError) {
-  EXPECT_FALSE(ParseStatementKind("EXPLAIN").ok());
-  EXPECT_FALSE(ParseStatementKind("EXPLAIN ANALYZE").ok());
+  EXPECT_FALSE(ParseStatement("EXPLAIN").ok());
+  EXPECT_FALSE(ParseStatement("EXPLAIN ANALYZE").ok());
 }
 
 // --- Golden renders (numbers normalized) ------------------------------------
@@ -248,6 +254,72 @@ TEST_F(ExplainAnalyzeTest, ForcedStrategyIsReportedAsForced) {
   options.trace = &trace;
   ASSERT_TRUE(db_.Query(kVpctSql, options).ok());
   EXPECT_EQ(trace.strategy_source, "forced");
+}
+
+// --- One statement, two paths ---------------------------------------------
+
+// Every statement kind, its EXPLAIN and EXPLAIN ANALYZE forms and malformed
+// statements reply alike through the server's executor and through
+// embedded Execute, run in the same order on twin databases. EXPLAIN
+// replies compare with numbers normalized: the paper's scripts name their
+// temporary tables from a process-wide counter. The EXPLAIN ANALYZE of a
+// SELECT is a window query's: a query with a partial plan shows the MQO
+// gate's candidates, which only the server prices.
+TEST(StatementPathsTest, ExecutorAgreesWithExecute) {
+  const std::string csv = ::testing::TempDir() + "statement_paths.csv";
+  ASSERT_TRUE(WriteCsvFile(GenerateSales(20, 7), csv).ok());
+  const std::string copy = "COPY sales FROM '" + csv + "' (APPEND)";
+  const std::string insert =
+      "INSERT INTO sales (state, dweek, salesAmt) VALUES (1, 2, 3.5)";
+  const std::vector<std::string> statements = {
+      kVpctSql,
+      std::string("EXPLAIN ") + kVpctSql,
+      "EXPLAIN ANALYZE SELECT state, sum(salesAmt) OVER (PARTITION BY state) "
+      "AS w FROM sales",
+      insert,
+      "EXPLAIN " + insert,
+      "EXPLAIN ANALYZE " + insert,
+      copy,
+      "EXPLAIN " + copy,
+      "EXPLAIN ANALYZE " + copy,
+      "CREATE TABLE g AS SELECT dweek, sum(salesAmt) AS s FROM sales "
+      "GROUP BY dweek",
+      "SELECT dweek, s FROM g ORDER BY dweek",
+      "CREATE TABLE g AS SELECT dweek FROM sales",
+      "EXPLAIN DROP TABLE g",
+      "EXPLAIN ANALYZE DROP TABLE g",
+      "DROP TABLE g",
+      "DROP TABLE g",
+      "DROP TABLE IF EXISTS g",
+      "CHECKPOINT;",
+      "EXPLAIN CHECKPOINT",
+      "EXPLAIN ANALYZE CHECKPOINT",
+      "SELECT nope FROM sales",
+      // Malformed.
+      "CHECKPOINT now please",
+      "EXPLAIN CREATE TABLE h AS SELECT state FROM sales",
+      "CREATE TABLE h AS",
+      "EXPLAIN",
+      "DROP TABLE a b",
+  };
+  PctDatabase served_db, embedded;
+  ASSERT_TRUE(served_db.CreateTable("sales", GenerateSales(400)).ok());
+  ASSERT_TRUE(embedded.CreateTable("sales", GenerateSales(400)).ok());
+  QueryExecutor executor(&served_db, ExecutorConfig{2, 8});
+  for (const std::string& sql : statements) {
+    SCOPED_TRACE(sql);
+    Result<Table> served = executor.ExecuteStatement(sql, QueryOptions{}, 0);
+    Result<Table> direct = embedded.Execute(sql);
+    ASSERT_EQ(served.status().code(), direct.status().code())
+        << served.status().ToString() << " vs " << direct.status().ToString();
+    if (!served.ok()) continue;
+    if (sql.rfind("EXPLAIN ", 0) == 0) {
+      EXPECT_EQ(Normalize(FormatCsv(*served)), Normalize(FormatCsv(*direct)));
+    } else {
+      EXPECT_EQ(FormatCsv(*served), FormatCsv(*direct));
+    }
+  }
+  std::remove(csv.c_str());
 }
 
 }  // namespace

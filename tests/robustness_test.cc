@@ -1,9 +1,13 @@
 // Robustness tests: string-dimension percentage queries (the paper's
 // state/city example uses string dimensions), empty and degenerate inputs
-// through every planner, and a randomized parser fuzz sweep asserting that
-// malformed SQL always comes back as a Status, never a crash.
+// through every planner, and a randomized parser fuzz sweep over every
+// statement kind asserting that malformed SQL always comes back as a Status,
+// never a crash.
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
 
 #include "common/rng.h"
 #include "core/database.h"
@@ -156,23 +160,35 @@ TEST(RobustnessTest, SingleRowAndAllNullMeasures) {
   }
 }
 
-// Parser fuzz: random token soups must produce Status errors, not crashes.
+// Parser fuzz: random token soups of every statement kind, sent through
+// Execute, must produce Status errors, not crashes.
 class ParserFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParserFuzz, NeverCrashes) {
   Rng rng(GetParam());
-  const char* tokens[] = {"SELECT", "FROM",  "GROUP", "BY",    "Vpct",
-                          "Hpct",   "sum",   "(",     ")",     ",",
-                          "*",      "f",     "a",     "d1",    "WHERE",
-                          "AND",    "CASE",  "WHEN",  "THEN",  "END",
-                          "1",      "2.5",   "'s'",   "OVER",  "PARTITION",
-                          "ORDER",  "DESC",  "LIMIT", "HAVING", ";",
-                          "<",      "=",     "+",     "/",     "DISTINCT",
-                          "DEFAULT", "IS",   "NULL",  "NOT",   "AS"};
+  // The one string literal names no file, so a COPY that parses fails to
+  // read it.
+  const char kMissingFile[] = "pctagg_fuzz_no_such_file.csv";
+  ASSERT_FALSE(std::filesystem::exists(kMissingFile));
+  const std::string literal = std::string("'") + kMissingFile + "'";
+  const char* tokens[] = {
+      // The SELECT grammar.
+      "SELECT", "FROM", "GROUP", "BY", "Vpct", "Hpct", "sum", "(", ")", ",",
+      "*", "f", "a", "d1", "WHERE", "AND", "CASE", "WHEN", "THEN", "END", "1",
+      "2.5", literal.c_str(), "OVER", "PARTITION", "ORDER", "DESC", "LIMIT",
+      "HAVING", ";", "<", "=", "+", "/", "DISTINCT", "DEFAULT", "IS", "NULL",
+      "NOT", "AS",
+      // The other statements and the EXPLAIN prefix.
+      "INSERT", "INTO", "VALUES", "COPY", "APPEND", "DROP", "TABLE", "IF",
+      "EXISTS", "CHECKPOINT", "CREATE", "EXPLAIN", "ANALYZE"};
+  // No storage is attached, so CHECKPOINT and DROP touch no file.
   PctDatabase db;
-  Table f(Schema({{"d1", DataType::kInt64}, {"a", DataType::kFloat64}}));
-  f.AppendRow({Value::Int64(1), Value::Float64(1)}).ok();
-  db.CreateTable("f", std::move(f)).ok();
+  auto create_fixture = [&db] {
+    Table f(Schema({{"d1", DataType::kInt64}, {"a", DataType::kFloat64}}));
+    f.AppendRow({Value::Int64(1), Value::Float64(1)}).ok();
+    db.CreateTable("f", std::move(f)).ok();
+  };
+  create_fixture();
   for (int q = 0; q < 60; ++q) {
     std::string sql;
     size_t len = 2 + rng.Uniform(18);
@@ -181,10 +197,11 @@ TEST_P(ParserFuzz, NeverCrashes) {
       sql += " ";
     }
     // Must not crash; errors come back as Status values.
-    Result<Table> r = db.Query(sql);
+    Result<Table> r = db.Execute(sql);
     if (!r.ok()) {
-      EXPECT_FALSE(r.status().message().empty());
+      EXPECT_FALSE(r.status().message().empty()) << sql;
     }
+    if (!db.catalog().HasTable("f")) create_fixture();
   }
 }
 

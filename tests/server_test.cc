@@ -22,6 +22,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/session.h"
+#include "sql/parser.h"
 
 namespace pctagg {
 namespace {
@@ -127,27 +128,35 @@ TEST(ProtocolTest, StatusCodeNamesRoundTrip) {
 
 // --- QueryExecutor ----------------------------------------------------------
 
+// The executor recognizes CREATE TABLE AS from ParseStatement's kind and
+// runs Statement::text into Statement::table.
 TEST(ExecutorTest, ParsesCreateTableAs) {
-  std::string name, select_sql;
-  EXPECT_TRUE(QueryExecutor::ParseCreateTableAs(
-      "CREATE TABLE t2 AS SELECT d1 FROM f", &name, &select_sql));
-  EXPECT_EQ(name, "t2");
-  EXPECT_EQ(select_sql, "SELECT d1 FROM f");
-  EXPECT_TRUE(QueryExecutor::ParseCreateTableAs(
-      "create table x as select * from f", &name, &select_sql));
-  EXPECT_FALSE(QueryExecutor::ParseCreateTableAs("SELECT d1 FROM f", &name,
-                                                 &select_sql));
-  EXPECT_FALSE(QueryExecutor::ParseCreateTableAs("CREATE TABLE t2", &name,
-                                                 &select_sql));
+  Result<Statement> ctas =
+      ParseStatement("CREATE TABLE t2 AS SELECT d1 FROM f");
+  ASSERT_TRUE(ctas.ok()) << ctas.status().ToString();
+  EXPECT_EQ(ctas->kind, Statement::Kind::kCreateTableAs);
+  EXPECT_EQ(ctas->table, "t2");
+  EXPECT_EQ(ctas->text, "SELECT d1 FROM f");
+  Result<Statement> lower =
+      ParseStatement("create table x as select d1 from f");
+  ASSERT_TRUE(lower.ok()) << lower.status().ToString();
+  EXPECT_EQ(lower->kind, Statement::Kind::kCreateTableAs);
+  EXPECT_EQ(lower->table, "x");
+  EXPECT_EQ(ParseStatement("SELECT d1 FROM f")->kind,
+            Statement::Kind::kSelect);
+  EXPECT_FALSE(ParseStatement("CREATE TABLE t2").ok());
 }
 
+// Every kind but SELECT takes the executor's exclusive lock; a trailing ';'
+// leaves the kind as it is.
 TEST(ExecutorTest, ClassifiesWriteStatementsIgnoringSemicolons) {
-  EXPECT_TRUE(QueryExecutor::IsWriteStatement("CHECKPOINT"));
-  EXPECT_TRUE(QueryExecutor::IsWriteStatement("CHECKPOINT;"));
-  EXPECT_TRUE(QueryExecutor::IsWriteStatement("checkpoint"));
-  EXPECT_TRUE(QueryExecutor::IsWriteStatement("DROP TABLE f;"));
-  EXPECT_TRUE(QueryExecutor::IsAppendStatement("INSERT INTO f VALUES (1);"));
-  EXPECT_FALSE(QueryExecutor::IsWriteStatement("SELECT 1;"));
+  using Kind = Statement::Kind;
+  EXPECT_EQ(ParseStatement("CHECKPOINT")->kind, Kind::kCheckpoint);
+  EXPECT_EQ(ParseStatement("CHECKPOINT;")->kind, Kind::kCheckpoint);
+  EXPECT_EQ(ParseStatement("checkpoint")->kind, Kind::kCheckpoint);
+  EXPECT_EQ(ParseStatement("DROP TABLE f;")->kind, Kind::kDrop);
+  EXPECT_EQ(ParseStatement("INSERT INTO f VALUES (1);")->kind, Kind::kInsert);
+  EXPECT_EQ(ParseStatement("SELECT d1 FROM f;")->kind, Kind::kSelect);
 }
 
 TEST(ExecutorTest, CheckpointStatementTakesTheWriterPath) {
@@ -448,6 +457,25 @@ TEST_F(ServerTest, TraceSettingAppendsExecutedPlan) {
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(plain->status.ok());
   EXPECT_EQ(plain->body.find("-- trace\n"), std::string::npos);
+}
+
+// CREATE TABLE AS runs its SELECT with the session's SETs: the forced
+// strategy shows in the statement's trace.
+TEST_F(ServerTest, CreateTableAsRunsWithTheSessionSettings) {
+  StartServer(1000);
+  Result<PctClient> client = Connect();
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Call(RequestVerb::kSet, "vpct update")->status.ok());
+  ASSERT_TRUE(client->Call(RequestVerb::kSet, "trace on")->status.ok());
+  Result<WireResponse> ctas = client->Query(
+      "CREATE TABLE g AS SELECT d1, d2, Vpct(a BY d2) AS pct FROM f "
+      "GROUP BY d1, d2");
+  ASSERT_TRUE(ctas.ok());
+  ASSERT_TRUE(ctas->status.ok()) << ctas->status.ToString();
+  EXPECT_NE(ctas->body.find("strategy: Fj-from-Fk+UPDATE+lattice (forced)"),
+            std::string::npos)
+      << ctas->body;
+  EXPECT_TRUE(db_.catalog().HasTable("g"));
 }
 
 // Regression test for ctest -j: two servers must coexist in one process (and

@@ -175,5 +175,74 @@ TEST(ParserTest, Errors) {
             StatusCode::kParseError);
 }
 
+// ParseStatement reads the EXPLAIN prefix and the statement kind every
+// surface dispatches on, the text the plan shows and a CREATE TABLE AS's
+// target; malformed statements are ParseErrors.
+TEST(StatementTest, ParsesEveryKind) {
+  using Kind = Statement::Kind;
+  struct Case {
+    std::string sql;
+    Kind kind;
+    bool explain;
+    bool analyze;
+    std::string text;   // Statement::text
+    std::string table;  // CREATE TABLE AS's target
+  };
+  const Case cases[] = {
+      {"SELECT a FROM f", Kind::kSelect, false, false, "SELECT a FROM f",
+       ""},
+      {"EXPLAIN SELECT a FROM f", Kind::kSelect, true, false,
+       "SELECT a FROM f", ""},
+      {"explain analyze SELECT a FROM f", Kind::kSelect, true, true,
+       "SELECT a FROM f", ""},
+      {"SELECT d1 FROM f;", Kind::kSelect, false, false,
+       "SELECT d1 FROM f;", ""},
+      {"INSERT INTO f VALUES (1)", Kind::kInsert, false, false,
+       "INSERT INTO f VALUES (1)", ""},
+      {"INSERT INTO f VALUES (1);", Kind::kInsert, false, false,
+       "INSERT INTO f VALUES (1);", ""},
+      {"EXPLAIN ANALYZE INSERT INTO f VALUES (1)", Kind::kInsert, true,
+       true, "INSERT INTO f VALUES (1)", ""},
+      {"copy f from 'x' (append)", Kind::kCopy, false, false,
+       "copy f from 'x' (append)", ""},
+      {"DROP TABLE f", Kind::kDrop, false, false, "DROP TABLE f", ""},
+      {"DROP TABLE f;", Kind::kDrop, false, false, "DROP TABLE f;", ""},
+      {"EXPLAIN DROP TABLE f", Kind::kDrop, true, false, "DROP TABLE f",
+       ""},
+      {"CHECKPOINT", Kind::kCheckpoint, false, false, "CHECKPOINT", ""},
+      {"CHECKPOINT;", Kind::kCheckpoint, false, false, "CHECKPOINT;",
+       ""},
+      {"checkpoint", Kind::kCheckpoint, false, false, "checkpoint", ""},
+      {"CREATE TABLE t2 AS SELECT d1 FROM f", Kind::kCreateTableAs,
+       false, false, "SELECT d1 FROM f", "t2"},
+      {"create table x as select d1 from f", Kind::kCreateTableAs, false,
+       false, "select d1 from f", "x"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    Result<Statement> stmt = ParseStatement(c.sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    EXPECT_EQ(stmt->kind, c.kind);
+    EXPECT_EQ(stmt->explain, c.explain);
+    EXPECT_EQ(stmt->analyze, c.analyze);
+    EXPECT_EQ(stmt->text, c.text);
+    EXPECT_EQ(stmt->table, c.table);
+  }
+  const char* const malformed[] = {
+      "EXPLAIN",
+      "EXPLAIN ANALYZE",
+      "CREATE TABLE t2",
+      "CREATE TABLE t2 AS INSERT INTO f VALUES (1)",
+      "EXPLAIN CREATE TABLE t2 AS SELECT d1 FROM f",
+      "CHECKPOINT now please",
+      "EXPLAIN CHECKPOINT garbage",
+      "DROP TABLE a b",
+  };
+  for (const char* sql : malformed) {
+    EXPECT_EQ(ParseStatement(sql).status().code(), StatusCode::kParseError)
+        << sql;
+  }
+}
+
 }  // namespace
 }  // namespace pctagg

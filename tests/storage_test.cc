@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/database.h"
-#include "sql/analyzer.h"
 #include "sql/parser.h"
 #include "storage/crc32c.h"
 #include "storage/file_io.h"
@@ -568,26 +567,21 @@ TEST(DropParseTest, Forms) {
 }
 
 TEST(DropParseTest, StatementKind) {
-  EXPECT_EQ(ParseStatementKind("DROP TABLE f")->kind,
-            ParsedStatement::Kind::kDrop);
-  EXPECT_EQ(ParseStatementKind("checkpoint")->kind,
-            ParsedStatement::Kind::kCheckpoint);
-  EXPECT_EQ(ParseStatementKind("EXPLAIN DROP TABLE f")->kind,
-            ParsedStatement::Kind::kDrop);
+  EXPECT_EQ(ParseStatement("DROP TABLE f")->kind, Statement::Kind::kDrop);
+  EXPECT_EQ(ParseStatement("checkpoint")->kind, Statement::Kind::kCheckpoint);
+  EXPECT_EQ(ParseStatement("EXPLAIN DROP TABLE f")->kind,
+            Statement::Kind::kDrop);
 }
 
+// DropTable's own existence check is the only one a DROP passes through.
 TEST(DropAnalyzeTest, MissingTable) {
-  Catalog catalog;
-  catalog.CreateOrReplaceTable("f", SampleTable());
-  DropStatement present{"f", false};
-  Result<bool> r = AnalyzeDrop(present, catalog);
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("f", SampleTable()).ok());
+  Result<bool> r = db.DropTable("f");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(*r);
-  DropStatement missing{"nope", false};
-  EXPECT_EQ(AnalyzeDrop(missing, catalog).status().code(),
-            StatusCode::kNotFound);
-  DropStatement benign{"nope", true};
-  Result<bool> b = AnalyzeDrop(benign, catalog);
+  EXPECT_EQ(db.DropTable("nope").status().code(), StatusCode::kNotFound);
+  Result<bool> b = db.DropTable("nope", /*if_exists=*/true);
   ASSERT_TRUE(b.ok());
   EXPECT_FALSE(*b);
 }

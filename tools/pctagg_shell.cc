@@ -107,9 +107,9 @@ void RunStatement(ShellState* state, const std::string& sql) {
     return;
   }
   pctagg::Stopwatch timer;
-  // Execute dispatches: SELECT / EXPLAIN forms to Query, INSERT / COPY to
-  // the append path (the shell is single-threaded, so writer exclusivity
-  // holds trivially).
+  // Execute parses the statement once and runs any kind: a SELECT and its
+  // EXPLAIN forms as Query does, and every write, CREATE TABLE AS included
+  // (the shell is single-threaded, so writer exclusivity holds trivially).
   Result<Table> result = state->db.Execute(sql);
   double millis = timer.ElapsedMillis();
   if (!result.ok()) {
